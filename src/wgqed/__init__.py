@@ -31,7 +31,6 @@ from .dynamics import (
 )
 from .spectral import (
     ResolventSet,
-    ResolventSlice,
     ScenarioScales,
     SpectralGrid,
     build_grid,

@@ -260,6 +260,14 @@ def classify_regime(chain: ChainSpec, params: PhysParams) -> RegimeReport:
     )
 
 
+def extrema(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the strict interior local maxima and minima of y."""
+    inner = np.arange(1, len(y) - 1)
+    maxima = inner[(y[inner] > y[inner - 1]) & (y[inner] > y[inner + 1])]
+    minima = inner[(y[inner] < y[inner - 1]) & (y[inner] < y[inner + 1])]
+    return maxima, minima
+
+
 @dataclass
 class JCFit:
     g: float
@@ -279,13 +287,11 @@ def fit_jc_trace(t: np.ndarray, p: np.ndarray) -> Optional[JCFit]:
     """
     t = np.asarray(t, dtype=float)
     p = np.asarray(p, dtype=float)
-    interior = (p[1:-1] > p[:-2]) & (p[1:-1] > p[2:])
-    maxima = np.nonzero(interior)[0] + 1
-    minima = np.nonzero((p[1:-1] < p[:-2]) & (p[1:-1] < p[2:]))[0] + 1
-    extrema = np.sort(np.concatenate([maxima, minima]))
-    if len(extrema) < 2:
+    maxima, minima = extrema(p)
+    turning = np.sort(np.concatenate([maxima, minima]))
+    if len(turning) < 2:
         return None
-    gaps = np.diff(t[extrema])
+    gaps = np.diff(t[turning])
     omega0 = math.pi / float(np.mean(gaps))
     if len(maxima) >= 2 and p[maxima[-1]] > 0 and p[maxima[0]] > 0:
         env = math.log(p[maxima[0]] / p[maxima[-1]]) / (t[maxima[-1]] - t[maxima[0]])

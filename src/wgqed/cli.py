@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .analytic import RegimeReport, classify_regime, collective_rate, fit_jc_trace
+from .analytic import RegimeReport, classify_regime, collective_rate, extrema, fit_jc_trace
 from .dynamics import (
     DecayFit,
     ProbabilitySeries,
@@ -248,13 +248,6 @@ SCENARIOS: dict[str, Scenario] = {
 # ---------------------------------------------------------------------------
 
 
-def _extrema(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    inner = np.arange(1, len(y) - 1)
-    maxima = inner[(y[inner] > y[inner - 1]) & (y[inner] > y[inner + 1])]
-    minima = inner[(y[inner] < y[inner - 1]) & (y[inner] < y[inner + 1])]
-    return maxima, minima
-
-
 def oscillation_fit(series: ProbabilitySeries, which: str = "p0") -> Optional[OscillationFit]:
     """Frequency and first-revival contrast of an oscillating probability.
 
@@ -264,11 +257,11 @@ def oscillation_fit(series: ProbabilitySeries, which: str = "p0") -> Optional[Os
     """
     y = {"p": series.p, "p0": series.p0, "pa": series.pa}[which]
     t = series.t
-    maxima, minima = _extrema(t, y)
-    extrema = np.sort(np.concatenate([maxima, minima]))
-    if len(extrema) < 3:
+    maxima, minima = extrema(y)
+    turning = np.sort(np.concatenate([maxima, minima]))
+    if len(turning) < 3:
         return None
-    omega = math.pi / float(np.mean(np.diff(t[extrema])))
+    omega = math.pi / float(np.mean(np.diff(t[turning])))
 
     lo, hi = 0.7 * omega, 1.3 * omega
     safe = np.clip(y, 1e-300, None)
@@ -353,9 +346,7 @@ def fast_stage_end(series: ProbabilitySeries, late_rate: float) -> dict:
 
 def _resolve_chain(config: RunConfig) -> tuple[ChainSpec, float]:
     if config.chain is not None:
-        chain = config.chain
-        if config.seed != 0 and chain.rng_seed != config.seed:
-            chain = replace(chain, rng_seed=config.seed)
+        chain = replace(config.chain, rng_seed=config.seed)
         t_ext = 12.0
     else:
         try:
@@ -415,7 +406,7 @@ def _member_pipeline(
 
     tic = time.perf_counter()
     if retarded:
-        trajectory = time_domain(slices, grid, t_grid)
+        trajectory = time_domain(slices, t_grid)
         total = spectrum_right.weight + spectrum_left.weight
         centroid = 0.0
         if total > 0:
@@ -435,7 +426,9 @@ def _member_pipeline(
     tau = default_tau_grid(t_max)
     profile_right = spatial_profile(spectrum_right, tau)
     profile_left = spatial_profile(spectrum_left, tau)
-    ledger = energy_ledger(series, spectrum_right, spectrum_left, retarded=retarded)
+    ledger = energy_ledger(
+        series, spectrum_right.weight, spectrum_left.weight, retarded=retarded
+    )
     timings["profiles_ledger"] = time.perf_counter() - tic
 
     record = EmissionRecord(
@@ -459,30 +452,6 @@ def _average_series(members: list[ProbabilitySeries]) -> ProbabilitySeries:
         e_right=np.mean([m.e_right for m in members], axis=0),
         e_raman=np.mean([m.e_raman for m in members], axis=0),
         e_ext=np.mean([m.e_ext for m in members], axis=0),
-    )
-
-
-def _average_ledgers(ledgers, series: ProbabilitySeries, retarded: bool):
-    from .emission import EnergyLedger
-
-    p_left = float(np.mean([l.p_left for l in ledgers]))
-    p_right = float(np.mean([l.p_right for l in ledgers]))
-    p_raman = float(series.e_raman[-1])
-    p_ext = float(series.e_ext[-1])
-    residual = float(series.p[-1])
-    balance = abs(p_left + p_right + p_raman + p_ext + residual - 1.0)
-    guided_time = float(series.e_left[-1] + series.e_right[-1])
-    discrepancy = abs(guided_time - (p_left + p_right))
-    converged = balance <= 1e-2 and (retarded or discrepancy <= 1e-2)
-    return EnergyLedger(
-        p_left=p_left,
-        p_right=p_right,
-        p_raman=p_raman,
-        p_ext=p_ext,
-        residual=residual,
-        balance_error=balance,
-        guided_route_discrepancy=discrepancy,
-        converged=converged,
     )
 
 
@@ -547,7 +516,12 @@ def run(config: RunConfig) -> RunResult:
             [m[2].profile_left.alpha2 for m in members], axis=0
         )
         ledgers = [m[2].ledger for m in members]
-        record.ledger = _average_ledgers(ledgers, series, retarded=method == "spectral")
+        record.ledger = energy_ledger(
+            series,
+            float(np.mean([l.p_right for l in ledgers])),
+            float(np.mean([l.p_left for l in ledgers])),
+            retarded=method == "spectral",
+        )
     overlap = members[0][3]
     timings = members[0][4]
 

@@ -27,6 +27,10 @@ from .model import AtomArray, StateVector
 # stepwise matrix exponential (near-defective spectra; correctness over speed).
 CONDITION_FALLBACK = 1e8
 
+# Relative gap below which superradiant_overlap treats the fastest decay rates
+# as one degenerate cluster.
+DEGENERACY_TOL = 1e-8
+
 
 class NumericalError(RuntimeError):
     """Eigensolver and fallback both failed; diagnostics in the message."""
@@ -121,7 +125,7 @@ def evolve_markovian(
         raise NumericalError("effective Hamiltonian contains non-finite entries")
     psi = psi0.amplitudes
     try:
-        evals, vecs = np.linalg.eig(ham.matrix)
+        evals, vecs = ham.eigensystem
         cond = np.linalg.cond(vecs)
         if not np.isfinite(cond) or cond > CONDITION_FALLBACK:
             raise np.linalg.LinAlgError(f"eigenvector condition number {cond:.3g}")
@@ -183,22 +187,20 @@ def probabilities(
     return ProbabilitySeries(traj.t, p, p0, pa, e_left, e_right, e_raman, e_ext)
 
 
-def superradiant_overlap(
-    ham: EffectiveHamiltonian, psi0: StateVector, degeneracy_tol: float = 1e-8
-) -> float:
+def superradiant_overlap(ham: EffectiveHamiltonian, psi0: StateVector) -> float:
     """Weight of the initial state on the fastest-decaying collective mode.
 
     Modal amplitudes of the non-Hermitian H come from the biorthogonal (left
     eigenvector) expansion; with right eigenvectors v normalised to unit
     Euclidean norm the reported overlap is |v^T psi0| |v^dagger psi0| / |v^T v|,
     which reduces to the plain projection |<v|psi0>|^2 for real modes.  A
-    degenerate fastest decay rate (within degeneracy_tol, relative) sums the
+    degenerate fastest decay rate (within DEGENERACY_TOL, relative) sums the
     projection over the cluster and emits a warning.
     """
-    evals, vecs = np.linalg.eig(ham.matrix)
+    evals, vecs = ham.eigensystem
     rates = -2.0 * evals.imag
     top = rates.max()
-    cluster = np.nonzero(rates >= top * (1.0 - degeneracy_tol))[0]
+    cluster = np.nonzero(rates >= top * (1.0 - DEGENERACY_TOL))[0]
     if len(cluster) > 1:
         warnings.warn(
             f"fastest decay rate is {len(cluster)}-fold degenerate; "

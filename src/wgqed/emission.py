@@ -5,10 +5,12 @@ matrix element
 
     M_+/- (delta) = sqrt(Gamma_wg / 2) sum_a e^{-/+ i k(delta) z_a} x_a(delta)
 
-(+ propagates to the right, - to the left).  Its weight integrates to the
-probability emitted through the coherent guided channel in that direction,
-and the profile against the retarded coordinate tau = z / v_g is its Fourier
-transform, normalised so that the tau-integral returns the same weight.
+(+ propagates to the right, - to the left), with z_a measured from the chain
+end the pulse leaves through (the last atom for +, the first for -).  Its
+weight integrates to the probability emitted through the coherent guided
+channel in that direction, and the profile against the retarded coordinate
+tau = z / v_g, counted from that end, is its Fourier transform, normalised so
+that the tau-integral returns the same weight.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ CAPTURE_THRESHOLD = 0.99
 class DirectionalSpectrum:
     """Complex M(delta) for one propagation direction (+1 right, -1 left)."""
 
-    deltas: np.ndarray
+    grid: SpectralGrid
     values: np.ndarray
     direction: int
     weight: float  # integral |M|^2 d delta / 2 pi over the grid span
-    apodization: np.ndarray
-    spacing: float
+
+    @property
+    def deltas(self) -> np.ndarray:
+        return self.grid.deltas
 
     def centroid(self) -> float:
         """|M|^2-weighted mean detuning; the flux split uses k at this point."""
@@ -93,39 +97,28 @@ def emission_spectrum(
     """Directional spectrum from the resolvent slices (either kernel).
 
     The weight is a plain trapezoid of |M|^2/2pi over the span (no window);
-    the apodization is carried along for the profile transform.
+    the profile transform applies the grid's apodization.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 (right) or -1 (left)")
-    if len(slices) < 2:
-        raise ValueError("need at least two grid points")
-    k = slices.k_of(slices.deltas)
-    phases = np.exp(-1j * direction * k[:, None] * array.positions[None, :])
+    deltas = slices.deltas
+    k = slices.k_of(deltas)
+    z = array.positions - array.positions[-1 if direction > 0 else 0]
+    phases = np.exp(-1j * direction * k[:, None] * z[None, :])
     values = math.sqrt(0.5 * params.gamma_wg) * np.sum(phases * slices.x, axis=1)
-    weight = float(np.trapezoid(np.abs(values) ** 2, slices.deltas) / (2.0 * math.pi))
+    weight = float(np.trapezoid(np.abs(values) ** 2, deltas) / (2.0 * math.pi))
     # |M|^2 falls off as C/delta^2 outside the span; complete the weight with
     # the analytic tail, estimating C from the outer five percent of each edge.
     n_edge = max(2, len(values) // 20)
-    c_lo = float(np.mean(np.abs(values[:n_edge]) ** 2 * slices.deltas[:n_edge] ** 2))
-    c_hi = float(np.mean(np.abs(values[-n_edge:]) ** 2 * slices.deltas[-n_edge:] ** 2))
-    weight += (c_lo / abs(slices.deltas[0]) + c_hi / slices.deltas[-1]) / (2.0 * math.pi)
-    spacing = float(slices.deltas[1] - slices.deltas[0])
-    grid = SpectralGrid(
-        float(slices.deltas[0]), float(slices.deltas[-1]), len(slices.deltas)
-    )
+    c_lo = float(np.mean(np.abs(values[:n_edge]) ** 2 * deltas[:n_edge] ** 2))
+    c_hi = float(np.mean(np.abs(values[-n_edge:]) ** 2 * deltas[-n_edge:] ** 2))
+    weight += (c_lo / abs(deltas[0]) + c_hi / deltas[-1]) / (2.0 * math.pi)
     return DirectionalSpectrum(
-        deltas=slices.deltas,
-        values=values,
-        direction=direction,
-        weight=weight,
-        apodization=grid.apodization(),
-        spacing=spacing,
+        grid=slices.grid, values=values, direction=direction, weight=weight
     )
 
 
-def spatial_profile(
-    spectrum: DirectionalSpectrum, tau_grid: np.ndarray, chunk_size: int = 256
-) -> SpatialProfile:
+def spatial_profile(spectrum: DirectionalSpectrum, tau_grid: np.ndarray) -> SpatialProfile:
     """|alpha(tau)|^2 on the retarded-coordinate grid.
 
     alpha(tau) = (1 / 2 pi) int d delta M(delta) e^{-i delta tau}, apodised
@@ -135,12 +128,7 @@ def spatial_profile(
     grids should avoid sampling tau = 0 exactly (see default_tau_grid).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    summand = spectrum.values * spectrum.apodization * spectrum.spacing
-    alpha = np.empty(len(tau_grid), dtype=complex)
-    for lo in range(0, len(tau_grid), chunk_size):
-        hi = min(lo + chunk_size, len(tau_grid))
-        phases = np.exp(-1j * np.outer(tau_grid[lo:hi], spectrum.deltas))
-        alpha[lo:hi] = phases @ summand
+    alpha = spectrum.grid.fourier_sum(spectrum.values, tau_grid)
     alpha *= 1.0 / (2.0 * math.pi)
     alpha2 = np.abs(alpha) ** 2
     captured_abs = float(np.trapezoid(alpha2, tau_grid))
@@ -166,21 +154,20 @@ def default_tau_grid(t_max: float, n: int = 4096) -> np.ndarray:
 
 def energy_ledger(
     series: ProbabilitySeries,
-    spectrum_right: DirectionalSpectrum,
-    spectrum_left: DirectionalSpectrum,
+    p_right: float,
+    p_left: float,
     retarded: bool = False,
 ) -> EnergyLedger:
     """Fill the left/right/Raman/external ledger and cross-check the routes.
 
-    Directional weights come from the spectral (asymptotic) route; Raman and
-    external losses from the time-integrated fluxes; the residual is p at the
-    end of the window.  For a resonant-kernel run the time- and spectral-route
+    Directional weights p_right, p_left come from the spectral (asymptotic)
+    route, the spectrum weights or their ensemble mean; Raman and external
+    losses from the time-integrated fluxes; the residual is p at the end of
+    the window.  For a resonant-kernel run the time- and spectral-route
     guided totals must agree (their gap is the convergence diagnostic); for a
     retarded run the in-flight intracavity field makes the instantaneous flux
     double-count, so convergence keys on the end-state balance instead.
     """
-    p_right = spectrum_right.weight
-    p_left = spectrum_left.weight
     p_raman = float(series.e_raman[-1])
     p_ext = float(series.e_ext[-1])
     residual = float(series.p[-1])

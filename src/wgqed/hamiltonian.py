@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -21,19 +22,23 @@ from .model import AtomArray, GeometryError, MIN_SEPARATION, PhysParams
 
 @dataclass
 class EffectiveHamiltonian:
-    """Complex symmetric N x N matrix plus its decay-channel bookkeeping."""
+    """Complex symmetric N x N matrix and the kernel it was built with."""
 
     matrix: np.ndarray
-    gamma_wg_coh: float
-    gamma_raman_guided: float
-    gamma_ext: float
     retarded: bool = False
-    probe_detuning: float = 0.0
     includes_free_space: bool = False
 
     @property
     def n_atoms(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, right eigenvectors) of the matrix, computed once.
+
+        The Markovian evolution and the superradiant overlap share it.
+        """
+        return np.linalg.eig(self.matrix)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -65,9 +70,19 @@ class DecayPartition:
         return self.raman_guided_rate + self.external_rate
 
 
-def _pair_distances(array: AtomArray) -> np.ndarray:
+def pair_distances(array: AtomArray) -> np.ndarray:
     z = array.positions
     return np.abs(z[:, None] - z[None, :])
+
+
+def retarded_kernel(h0: np.ndarray, dist: np.ndarray, deltas, v_g: float) -> np.ndarray:
+    """H(delta) = H0 e^{i (delta / v_g) |z_a - z_b|}, stacked over the detunings.
+
+    The propagation phase is 1 on the diagonal, so the single-atom width of
+    the resonant matrix H0 carries over unchanged.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    return h0 * np.exp(1j * (deltas[..., None, None] / v_g) * dist)
 
 
 def effective_hamiltonian(
@@ -80,19 +95,12 @@ def effective_hamiltonian(
     probe_detuning=None gives the Markovian matrix (resonant kernel, k = k_wg).
     H is complex symmetric by construction: H_ab depends on |z_a - z_b| only.
     """
-    delta = 0.0 if probe_detuning is None else float(probe_detuning)
-    k = params.k_wg + delta / params.v_g
-    dist = _pair_distances(array)
-    h = -0.5j * params.gamma_wg * np.exp(1j * k * dist)
-    np.fill_diagonal(h, -0.5j * (params.gamma_ext + params.gamma_1d))
-    return EffectiveHamiltonian(
-        matrix=h,
-        gamma_wg_coh=params.gamma_wg,
-        gamma_raman_guided=params.gamma_raman,
-        gamma_ext=params.gamma_ext,
-        retarded=probe_detuning is not None,
-        probe_detuning=delta,
-    )
+    dist = pair_distances(array)
+    h = -0.5j * params.gamma_wg * np.exp(1j * params.k_wg * dist)
+    np.fill_diagonal(h, -0.5j * params.gamma_tot)
+    if probe_detuning is not None:
+        h = retarded_kernel(h, dist, probe_detuning, params.v_g)
+    return EffectiveHamiltonian(matrix=h, retarded=probe_detuning is not None)
 
 
 def decay_partition(
@@ -103,7 +111,7 @@ def decay_partition(
         raise ValueError(
             "decay partition is defined only for the resonant (non-retarded) matrix"
         )
-    dist = _pair_distances(array)
+    dist = pair_distances(array)
     guided = params.gamma_wg * np.cos(params.k_wg * dist)
     return DecayPartition(
         guided_coherent=guided,
@@ -130,27 +138,16 @@ def add_free_space_coupling(
     """
     if ham.retarded:
         raise ValueError("free-space correction applies to the resonant matrix only")
-    z = array.positions
-    dist = _pair_distances(array)
+    dist = pair_distances(array)
     floor = MIN_SEPARATION * params.lambda_wg
-    off = ~np.eye(len(z), dtype=bool)
+    off = ~np.eye(array.n_atoms, dtype=bool)
     if np.any(dist[off] < floor):
         raise GeometryError("pair separation below the minimum floor")
     k0 = 2.0 * np.pi / params.lambda0
     xi = np.where(off, k0 * dist, 1.0)  # dummy 1.0 on the diagonal
-    sin, cos = np.sin(xi), np.cos(xi)
-    gamma_fs = 1.5 * params.gamma * (sin / xi + cos / xi**2 - sin / xi**3)
-    j_fs = 0.75 * params.gamma * (-cos / xi + sin / xi**2 + cos / xi**3)
+    gamma_fs, j_fs = free_space_rates(xi, params.gamma)
     term = np.where(off, j_fs - 0.5j * gamma_fs, 0.0)
-    return EffectiveHamiltonian(
-        matrix=ham.matrix + term,
-        gamma_wg_coh=ham.gamma_wg_coh,
-        gamma_raman_guided=ham.gamma_raman_guided,
-        gamma_ext=ham.gamma_ext,
-        retarded=False,
-        probe_detuning=0.0,
-        includes_free_space=True,
-    )
+    return EffectiveHamiltonian(matrix=ham.matrix + term, includes_free_space=True)
 
 
 def free_space_rates(xi: np.ndarray, gamma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

@@ -19,16 +19,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .dynamics import AmplitudeTrajectory
-from .hamiltonian import effective_hamiltonian
+from .hamiltonian import effective_hamiltonian, pair_distances, retarded_kernel
 from .model import AtomArray, PhysParams, StateVector
 
 MAX_GRID_POINTS = 2**20
 RESIDUAL_TOL = 1e-10
+# Grid points per batched solve, and output times per block of the Fourier
+# sum; bounds the transient phase and matrix stacks.
+CHUNK = 128
 
 
 class GridResolutionError(ValueError):
@@ -50,10 +52,17 @@ class ScenarioScales:
 
 @dataclass(frozen=True)
 class SpectralGrid:
+    """Uniform detuning grid; apod_fraction is the raised-cosine taper on
+    each edge (0 for none)."""
+
     delta_min: float
     delta_max: float
     n_points: int
-    window: Optional[tuple[str, float]] = ("raised-cosine", 0.1)
+    apod_fraction: float = 0.1
+
+    def __post_init__(self):
+        if self.n_points < 2:
+            raise ValueError("a spectral grid needs at least two points")
 
     @property
     def deltas(self) -> np.ndarray:
@@ -71,35 +80,39 @@ class SpectralGrid:
     def apodization(self) -> np.ndarray:
         """Unit window with a raised-cosine taper on the outer fraction."""
         n = self.n_points
-        if self.window is None:
-            return np.ones(n)
-        kind, fraction = self.window
-        if kind != "raised-cosine":
-            raise ValueError(f"unknown window kind {kind!r}")
         w = np.ones(n)
-        n_taper = int(round(fraction * n))
+        n_taper = int(round(self.apod_fraction * n))
         if n_taper > 0:
             ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(n_taper) / n_taper))
             w[:n_taper] = ramp
             w[-n_taper:] = ramp[::-1]
         return w
 
+    def fourier_sum(self, values: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """sum_k e^{-i delta_k t} w_k d values_k at each t (w the window, d the spacing).
+
+        values has the grid along its first axis; the result has the times
+        there instead.
+        """
+        weights = self.apodization() * self.spacing
+        summand = values * weights.reshape((-1,) + (1,) * (values.ndim - 1))
+        deltas = self.deltas
+        out = np.empty((len(times),) + values.shape[1:], dtype=complex)
+        for lo in range(0, len(times), CHUNK):
+            phases = np.exp(-1j * np.outer(times[lo : lo + CHUNK], deltas))
+            out[lo : lo + CHUNK] = phases @ summand
+        return out
+
 
 @dataclass
-class ResolventSlice:
-    delta: float
-    x: np.ndarray
-
-
-@dataclass
-class ResolventSet(Sequence):
-    """Resolvent solutions on the grid; behaves as a sequence of slices.
+class ResolventSet:
+    """Resolvent solutions x[i] = x(deltas[i]) on the grid of the sweep.
 
     Carries the data the time synthesis needs for the pole subtraction:
     the initial state, the uniform pole lam0 = H_aa, and (H(0) - lam0) psi0.
     """
 
-    deltas: np.ndarray
+    grid: SpectralGrid
     x: np.ndarray  # shape (n_points, n_atoms)
     psi0: np.ndarray
     lam0: complex
@@ -109,13 +122,9 @@ class ResolventSet(Sequence):
     v_g: float
     residual_max: float = 0.0
 
-    def __len__(self) -> int:
-        return len(self.deltas)
-
-    def __getitem__(self, idx) -> ResolventSlice:
-        if isinstance(idx, slice):
-            raise TypeError("slicing a ResolventSet is not supported; index it")
-        return ResolventSlice(float(self.deltas[idx]), self.x[idx])
+    @property
+    def deltas(self) -> np.ndarray:
+        return self.grid.deltas
 
     def k_of(self, delta) -> np.ndarray:
         """Guided wavenumber at detuning delta under the active kernel."""
@@ -144,7 +153,6 @@ def build_grid(
     t_max: float,
     span_factor: float = 20.0,
     apod_fraction: float = 0.1,
-    max_points: int = MAX_GRID_POINTS,
 ) -> SpectralGrid:
     """Smallest power-of-two grid satisfying the span and spacing rules.
 
@@ -160,36 +168,30 @@ def build_grid(
     spacing_max = 2.0 * math.pi / (8.0 * t_max)
     n_req = math.ceil(2.0 * half_span / spacing_max) + 1
     n_points = 1 << max(math.ceil(math.log2(n_req)), 4)
-    if n_points > max_points:
+    if n_points > MAX_GRID_POINTS:
         raise GridResolutionError(
-            f"{n_points} grid points exceed the cap {max_points}; "
+            f"{n_points} grid points exceed the cap {MAX_GRID_POINTS}; "
             "reduce t_max, the span factor, or the system size"
         )
-    window = ("raised-cosine", apod_fraction) if apod_fraction > 0 else None
-    return SpectralGrid(-half_span, half_span, n_points, window)
+    return SpectralGrid(-half_span, half_span, n_points, apod_fraction)
 
 
 def _solve_chunk(
     deltas: np.ndarray,
-    array: AtomArray,
-    params: PhysParams,
+    h0: np.ndarray,
+    dist: np.ndarray,
+    v_g: float,
     psi0: np.ndarray,
     retarded: bool,
-    base_phase: np.ndarray,
-    dist: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """Dense solves of [delta - H(delta)] x = psi0 for one batch of detunings."""
-    n = array.n_atoms
-    m = len(deltas)
+    m, n = len(deltas), len(psi0)
     if retarded:
-        kernel = base_phase[None, :, :] * np.exp(
-            1j * (deltas[:, None, None] / params.v_g) * dist[None, :, :]
-        )
+        mats = -retarded_kernel(h0, dist, deltas, v_g)
     else:
-        kernel = np.broadcast_to(base_phase, (m, n, n)).copy()
-    mats = -kernel  # [delta - H]: start from -H
+        mats = np.broadcast_to(-h0, (m, n, n)).copy()
     idx = np.arange(n)
-    mats[:, idx, idx] = deltas[:, None] - (-0.5j * (params.gamma_ext + params.gamma_1d))
+    mats[:, idx, idx] += deltas[:, None]
     rhs = np.broadcast_to(psi0, (m, n))
     x = np.linalg.solve(mats, rhs[..., None])[..., 0]
     resid = np.einsum("kij,kj->ki", mats, x) - rhs
@@ -204,7 +206,6 @@ def resolvent_sweep(
     grid: SpectralGrid,
     retarded: bool = True,
     workers: int = 1,
-    chunk_size: int = 256,
 ) -> ResolventSet:
     """One verified resolvent solve per grid point.
 
@@ -213,21 +214,16 @@ def resolvent_sweep(
     assembly is deterministic.
     """
     deltas = grid.deltas
-    n = array.n_atoms
     psi = psi0.amplitudes
-    dist = np.abs(array.positions[:, None] - array.positions[None, :])
-    base_phase = -0.5j * params.gamma_wg * np.exp(1j * params.k_wg * dist)
+    h0 = effective_hamiltonian(array, params).matrix
+    dist = pair_distances(array)
 
-    x = np.empty((len(deltas), n), dtype=complex)
-    chunks = [
-        (lo, min(lo + chunk_size, len(deltas))) for lo in range(0, len(deltas), chunk_size)
-    ]
+    x = np.empty((len(deltas), len(psi)), dtype=complex)
+    chunks = [(lo, min(lo + CHUNK, len(deltas))) for lo in range(0, len(deltas), CHUNK)]
 
     def work(bounds):
         lo, hi = bounds
-        return lo, hi, _solve_chunk(
-            deltas[lo:hi], array, params, psi, retarded, base_phase, dist
-        )
+        return lo, hi, _solve_chunk(deltas[lo:hi], h0, dist, params.v_g, psi, retarded)
 
     res_max = 0.0
     if workers > 1:
@@ -248,15 +244,13 @@ def resolvent_sweep(
             "the frequency-domain Hamiltonian is inconsistent"
         )
 
-    lam0 = -0.5j * (params.gamma_ext + params.gamma_1d)
-    h0 = effective_hamiltonian(array, params).matrix
-    correction = h0 @ psi - lam0 * psi
+    lam0 = complex(h0[0, 0])  # every atom carries the same width
     return ResolventSet(
-        deltas=deltas,
+        grid=grid,
         x=x,
         psi0=psi.copy(),
         lam0=lam0,
-        h0_correction=correction,
+        h0_correction=h0 @ psi - lam0 * psi,
         retarded=retarded,
         k_wg=params.k_wg,
         v_g=params.v_g,
@@ -264,12 +258,7 @@ def resolvent_sweep(
     )
 
 
-def time_domain(
-    slices: ResolventSet,
-    grid: SpectralGrid,
-    t_grid: np.ndarray,
-    chunk_size: int = 128,
-) -> AmplitudeTrajectory:
+def time_domain(slices: ResolventSet, t_grid: np.ndarray) -> AmplitudeTrajectory:
     """Synthesise b(t) from the resolvent slices by the windowed discrete sum.
 
     The two leading large-detuning terms of x(delta) are removed and restored
@@ -278,27 +267,18 @@ def time_domain(
     probe pure window leakage (causality).
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    half_window = 0.5 * grid.alias_window
+    half_window = 0.5 * slices.grid.alias_window
     if np.any(np.abs(t_grid) > half_window):
         raise ValueError(
             f"requested times extend beyond the alias-free window +/-{half_window:.3g}"
         )
-    deltas = slices.deltas
-    pole = deltas - slices.lam0
+    pole = slices.deltas - slices.lam0
     remainder = (
         slices.x
         - slices.psi0[None, :] / pole[:, None]
         - slices.h0_correction[None, :] / (pole**2)[:, None]
     )
-    weights = grid.apodization() * grid.spacing
-    summand = remainder * weights[:, None]
-
-    n_t = len(t_grid)
-    amps = np.empty((n_t, slices.x.shape[1]), dtype=complex)
-    for lo in range(0, n_t, chunk_size):
-        hi = min(lo + chunk_size, n_t)
-        phases = np.exp(-1j * np.outer(t_grid[lo:hi], deltas))
-        amps[lo:hi] = (-1.0 / (2.0j * math.pi)) * (phases @ summand)
+    amps = (-1.0 / (2.0j * math.pi)) * slices.grid.fourier_sum(remainder, t_grid)
     causal = t_grid >= 0.0
     ref = np.exp(-1j * slices.lam0 * t_grid[causal])[:, None] * (
         slices.psi0[None, :]

@@ -202,7 +202,7 @@ def test_criterion_8_cross_method(params):
         grid = build_grid(params, ScenarioScales(gamma_c=gamma_fast), 8.0, span_factor=400)
         slices = resolvent_sweep(arr, params, psi0, grid, retarded=False, workers=2)
         t = np.linspace(0.0, 8.0, 160)
-        spectral = time_domain(slices, grid, t)
+        spectral = time_domain(slices, t)
         markovian = evolve_markovian(
             effective_hamiltonian(arr, params), psi0, np.concatenate([[0.0], t[1:]])
         )

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from wgqed import ConfigError
+from wgqed import ChainSpec, ConfigError, DisorderSpec
 from wgqed.cli import (
     GridConfig,
     RunConfig,
@@ -132,6 +132,16 @@ def test_artifact_formats(tmp_path):
     # the echoed configuration is complete enough to rebuild the run
     assert summary["config"]["chain"]["segments"][0]["count"] == 5
     assert result.summary.data["rates"]["late"] > 0
+
+
+def test_seed_zero_overrides_custom_chain_seed():
+    chain = ChainSpec.three_segment(
+        0, 3, 5, gap_d0=0.5, right_disorder=DisorderSpec(1.0), rng_seed=5
+    )
+    result = run(RunConfig(chain=chain, method="markovian", seed=0))
+    echo = result.summary.data["config"]
+    assert echo["member_seeds"] == [0]
+    assert echo["chain"]["rng_seed"] == 0
 
 
 def test_ensemble_average_deterministic():

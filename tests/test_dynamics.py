@@ -59,7 +59,7 @@ def test_two_atom_dicke_pure_exponential(params):
 
 
 def test_zero_hamiltonian_is_identity_evolution():
-    ham = EffectiveHamiltonian(np.zeros((3, 3), dtype=complex), 0.0, 0.0, 0.0)
+    ham = EffectiveHamiltonian(np.zeros((3, 3), dtype=complex))
     psi0 = StateVector(np.array([0.6, 0.8j, 0.0]))
     traj = evolve_markovian(ham, psi0, np.linspace(0, 4, 9))
     assert_allclose(traj.amplitudes, np.tile(psi0.amplitudes, (9, 1)), atol=1e-14)
@@ -147,7 +147,7 @@ def test_overlap_single_emitter_in_three_chain(params):
 
 
 def test_overlap_degenerate_cluster_warns():
-    ham = EffectiveHamiltonian(-0.5j * np.eye(4), 0.0, 0.0, 1.0)
+    ham = EffectiveHamiltonian(-0.5j * np.eye(4))
     psi0 = StateVector(np.array([0.5, 0.5, 0.5, 0.5]))
     with pytest.warns(UserWarning):
         total = superradiant_overlap(ham, psi0)

@@ -13,7 +13,8 @@ from wgqed import (
     spatial_profile,
 )
 from wgqed.emission import DirectionalSpectrum, default_tau_grid
-from wgqed.spectral import ScenarioScales
+from wgqed.spectral import ScenarioScales, SpectralGrid
+from conftest import CAVITY_FIXTURES
 
 
 def _sweep(params, spec, gamma_fast, t_max=12.0 / 0.95, span=400):
@@ -66,15 +67,27 @@ def test_bare_emitter_profile_length(params):
     assert -slope == pytest.approx(gamma_c, rel=0.05)
 
 
+def test_profile_uses_the_grid_apodization(params):
+    # a non-default taper on the run's grid must reach the profile transform
+    arr = build_chain(ChainSpec.three_segment(0, 1, 0), params)
+    psi0 = dicke_initial_state(arr, params)
+    grid = build_grid(params, ScenarioScales(gamma_c=1.05), 8.0, apod_fraction=0.3)
+    slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
+    spectrum = emission_spectrum(slices, arr, params, +1)
+    tau = default_tau_grid(8.0, n=64)
+    profile = spatial_profile(spectrum, tau)
+    phases = np.exp(-1j * np.outer(tau, grid.deltas))
+    summand = spectrum.values * grid.apodization() * grid.spacing
+    expected = np.abs(phases @ summand / (2 * np.pi)) ** 2
+    assert_allclose(profile.alpha2, expected, rtol=1e-9, atol=1e-12 * expected.max())
+
+
 def test_zero_spectrum_gives_zero_profile():
-    deltas = np.linspace(-10, 10, 256)
     spectrum = DirectionalSpectrum(
-        deltas=deltas,
+        grid=SpectralGrid(-10.0, 10.0, 256, 0.0),
         values=np.zeros(256, dtype=complex),
         direction=+1,
         weight=0.0,
-        apodization=np.ones(256),
-        spacing=float(deltas[1] - deltas[0]),
     )
     profile = spatial_profile(spectrum, np.linspace(0, 5, 64))
     assert np.all(profile.alpha2 == 0.0)
@@ -97,7 +110,7 @@ def test_single_atom_ledger_branching(params):
     series = probabilities(traj, psi0, arr, part)
     right = emission_spectrum(slices, arr, params, +1)
     left = emission_spectrum(slices, arr, params, -1)
-    ledger = energy_ledger(series, right, left, retarded=False)
+    ledger = energy_ledger(series, right.weight, left.weight, retarded=False)
     assert ledger.p_right == pytest.approx(0.025 / 1.05, rel=1e-4)
     assert ledger.p_left == pytest.approx(0.025 / 1.05, rel=1e-4)
     assert ledger.p_ext == pytest.approx(0.95 / 1.05, rel=1e-4)
@@ -152,6 +165,16 @@ def test_profiles_vanish_at_grid_end(case1_run):
         assert profile.alpha2[-1] < 1e-6 * profile.alpha2.max()
 
 
+@pytest.mark.parametrize("fixture", CAVITY_FIXTURES)
+def test_cavity_profiles_count_from_their_exit_end(fixture, request):
+    # each pulse's tau starts at the chain end it leaves through, so neither
+    # falls before tau = 0 off the grid; the cavity is mirror-symmetric
+    rec = request.getfixturevalue(fixture).record
+    assert rec.profile_left.captured >= 0.99
+    assert rec.profile_right.captured >= 0.99
+    assert rec.profile_right.captured == pytest.approx(rec.profile_left.captured, abs=1e-3)
+
+
 def test_profile_weight_parseval(case1_run):
     # Plancherel: over a grid extended past the (apodization-smeared) front,
     # the tau-integral of |alpha|^2 equals the windowed spectral energy
@@ -167,7 +190,7 @@ def test_profile_weight_parseval(case1_run):
         extended = spatial_profile(spectrum, tau_ext)
         integral = np.trapezoid(extended.alpha2, tau_ext)
         windowed = np.trapezoid(
-            spectrum.apodization**2 * np.abs(spectrum.values) ** 2, spectrum.deltas
+            spectrum.grid.apodization() ** 2 * np.abs(spectrum.values) ** 2, spectrum.deltas
         ) / (2 * np.pi)
         assert integral == pytest.approx(windowed, rel=1e-3)
         assert 0.99 <= profile.captured <= 1.0 + 1e-6

@@ -15,7 +15,7 @@ from wgqed import (
     resolvent_sweep,
     time_domain,
 )
-from wgqed.spectral import GridResolutionError, ScenarioScales, SpectralGrid
+from wgqed.spectral import CHUNK, GridResolutionError, ScenarioScales, SpectralGrid
 from test_hamiltonian import random_array
 
 
@@ -42,11 +42,11 @@ def test_grid_rule_errors(params):
 
 
 def test_grid_apodization_window():
-    grid = SpectralGrid(-10.0, 10.0, 64, ("raised-cosine", 0.1))
+    grid = SpectralGrid(-10.0, 10.0, 64, 0.1)
     w = grid.apodization()
     assert w[0] == 0.0 and w[-1] == 0.0
     assert np.all(w[6:-6] == 1.0)
-    flat = SpectralGrid(-10.0, 10.0, 64, None).apodization()
+    flat = SpectralGrid(-10.0, 10.0, 64, 0.0).apodization()
     assert np.all(flat == 1.0)
 
 
@@ -62,10 +62,8 @@ def test_single_atom_slice_closed_form(params):
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     expected = 1.0 / (slices.deltas + 0.5j * params.gamma_tot)
     assert_allclose(slices.x[:, 0], expected, atol=1e-12)
-    assert len(slices) == grid.n_points
-    one = slices[5]
-    assert one.delta == grid.deltas[5]
-    assert one.x.shape == (1,)
+    assert slices.x.shape == (grid.n_points, 1)
+    assert slices.deltas[5] == grid.deltas[5]
 
 
 def test_single_atom_reconstruction(params):
@@ -73,7 +71,7 @@ def test_single_atom_reconstruction(params):
     grid = build_grid(params, ScenarioScales(gamma_c=1.05), t_max=8.0, span_factor=400)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     t = np.linspace(0.0, 8.0, 257)
-    traj = time_domain(slices, grid, t)
+    traj = time_domain(slices, t)
     assert np.max(np.abs(traj.population - np.exp(-params.gamma_tot * t))) < 1e-4
 
 
@@ -81,7 +79,7 @@ def test_retardation_disabled_equals_markovian_resolvent(params):
     rng = np.random.default_rng(17)
     arr = random_array(rng, 12)
     psi0 = StateVector(np.ones(12) / np.sqrt(12))
-    grid = SpectralGrid(-30.0, 30.0, 128, None)
+    grid = SpectralGrid(-30.0, 30.0, 128, 0.0)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     h0 = effective_hamiltonian(arr, params).matrix
     for idx in (0, 31, 64, 127):
@@ -90,15 +88,29 @@ def test_retardation_disabled_equals_markovian_resolvent(params):
         assert_allclose(slices.x[idx], direct, atol=1e-11)
 
 
-def test_residuals_on_long_cavity(params):
+def _long_cavity_sweep(params):
     # retarded kernel over a 60-atom atomic cavity
     gap = 174000.25  # about 0.04 gamma^-1 of one-way retardation
     arr = build_chain(ChainSpec.three_segment(25, 10, 25, gap_d0=gap), params)
     psi0 = dicke_initial_state(arr, params)
-    grid = SpectralGrid(-40.0, 40.0, 512, None)
-    slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
+    grid = SpectralGrid(-40.0, 40.0, 512, 0.0)
+    return arr, psi0, grid, resolvent_sweep(arr, params, psi0, grid, retarded=True)
+
+
+def test_residuals_on_long_cavity(params):
+    _, _, _, slices = _long_cavity_sweep(params)
     assert slices.retarded
     assert slices.residual_max <= 1e-10
+
+
+def test_retarded_sweep_matches_dense_solve(params):
+    # the sweep's batched H(delta) against effective_hamiltonian at each probe
+    arr, psi0, grid, slices = _long_cavity_sweep(params)
+    for idx in (0, 101, 256, 383, 511):
+        delta = grid.deltas[idx]
+        h = effective_hamiltonian(arr, params, probe_detuning=delta).matrix
+        direct = np.linalg.solve(delta * np.eye(arr.n_atoms) - h, psi0.amplitudes)
+        assert_allclose(slices.x[idx], direct, rtol=1e-8)
 
 
 def test_cross_method_oracle_20_atoms(params):
@@ -110,7 +122,7 @@ def test_cross_method_oracle_20_atoms(params):
     grid = build_grid(params, ScenarioScales(gamma_c=gamma_fast), t_max=8.0, span_factor=400)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     t = np.linspace(0.0, 8.0, 200)
-    spectral = time_domain(slices, grid, t)
+    spectral = time_domain(slices, t)
     markovian = evolve_markovian(
         effective_hamiltonian(arr, params), psi0, np.concatenate([[0.0], t[1:]])
     )
@@ -124,9 +136,9 @@ def test_initial_value_and_causality(params):
     psi0 = StateVector(amp / np.linalg.norm(amp))
     grid = build_grid(params, ScenarioScales(gamma_c=1.5), t_max=8.0, span_factor=400)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
-    traj0 = time_domain(slices, grid, np.array([0.0]))
+    traj0 = time_domain(slices, np.array([0.0]))
     assert np.max(np.abs(traj0.amplitudes[0] - psi0.amplitudes)) < 1e-3
-    negative = time_domain(slices, grid, np.linspace(-2.0, -0.1, 40))
+    negative = time_domain(slices, np.linspace(-2.0, -0.1, 40))
     assert np.max(np.abs(negative.amplitudes)) < 1e-3
 
 
@@ -135,7 +147,7 @@ def test_times_beyond_alias_window_rejected(params):
     grid = build_grid(params, ScenarioScales(gamma_c=1.05), t_max=4.0)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     with pytest.raises(ValueError, match="alias"):
-        time_domain(slices, grid, np.array([0.0, grid.alias_window]))
+        time_domain(slices, np.array([0.0, grid.alias_window]))
 
 
 def test_grid_refinement_convergence(params):
@@ -146,10 +158,10 @@ def test_grid_refinement_convergence(params):
     for n_extra in (1, 2):
         base = build_grid(params, ScenarioScales(gamma_c=2.5), t_max=8.0, span_factor=200)
         grid = SpectralGrid(
-            base.delta_min, base.delta_max, base.n_points * n_extra, base.window
+            base.delta_min, base.delta_max, base.n_points * n_extra, base.apod_fraction
         )
         slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
-        pops.append(time_domain(slices, grid, t).population)
+        pops.append(time_domain(slices, t).population)
     assert np.max(np.abs(pops[1] - pops[0])) < 1e-4
 
 
@@ -157,15 +169,16 @@ def test_workers_give_identical_results(params):
     rng = np.random.default_rng(2)
     arr = random_array(rng, 8)
     psi0 = StateVector(np.ones(8) / np.sqrt(8))
-    grid = SpectralGrid(-20.0, 20.0, 256, None)
+    grid = SpectralGrid(-20.0, 20.0, 512, 0.0)
+    assert grid.n_points >= 4 * CHUNK  # one chunk per worker at least
     serial = resolvent_sweep(arr, params, psi0, grid, retarded=True, workers=1)
-    threaded = resolvent_sweep(arr, params, psi0, grid, retarded=True, workers=4, chunk_size=32)
+    threaded = resolvent_sweep(arr, params, psi0, grid, retarded=True, workers=4)
     assert np.array_equal(serial.x, threaded.x)
 
 
 def test_slices_csv_dump(tmp_path, params):
     arr, psi0 = _single_atom(params)
-    grid = SpectralGrid(-5.0, 5.0, 16, None)
+    grid = SpectralGrid(-5.0, 5.0, 16, 0.0)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     path = tmp_path / "slices.csv"
     slices.to_csv(path)
