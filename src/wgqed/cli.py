@@ -34,6 +34,7 @@ from .dynamics import (
 )
 from .emission import (
     EmissionRecord,
+    SpatialProfile,
     default_tau_grid,
     emission_spectrum,
     energy_ledger,
@@ -41,6 +42,7 @@ from .emission import (
 )
 from .hamiltonian import add_free_space_coupling, decay_partition, effective_hamiltonian
 from .model import (
+    AtomArray,
     ChainSpec,
     ConfigError,
     DisorderSpec,
@@ -48,7 +50,7 @@ from .model import (
     build_chain,
     dicke_initial_state,
 )
-from .spectral import ScenarioScales, build_grid, resolvent_sweep, time_domain
+from .spectral import ScenarioScales, SpectralGrid, build_grid, resolvent_sweep, time_domain
 
 FORMAT_VERSION = 1
 
@@ -128,6 +130,19 @@ class RunSummary:
         with open(path, "w") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+@dataclass
+class MemberRun:
+    """One disorder member's pipeline output."""
+
+    array: AtomArray
+    series: ProbabilitySeries
+    record: EmissionRecord
+    overlap: float
+    timings: dict
+    grid: SpectralGrid
+    residual_max: float
 
 
 @dataclass
@@ -368,7 +383,7 @@ def _member_pipeline(
     grid_cfg: GridConfig,
     workers: int,
     free_space: bool,
-):
+) -> MemberRun:
     """Trajectory, series and emission record for a single disorder member."""
     array = build_chain(chain, params)
     psi0 = dicke_initial_state(array, params)
@@ -439,7 +454,7 @@ def _member_pipeline(
         ledger=ledger,
     )
     overlap = superradiant_overlap(ham, psi0)
-    return array, series, record, overlap, timings
+    return MemberRun(array, series, record, overlap, timings, grid, slices.residual_max)
 
 
 def _average_series(members: list[ProbabilitySeries]) -> ProbabilitySeries:
@@ -503,27 +518,32 @@ def run(config: RunConfig) -> RunResult:
                 config.workers, config.free_space,
             )
         )
-    array = members[0][0]
-    series = _average_series([m[1] for m in members])
-    record = members[0][2]
+    first = members[0]
+    series = _average_series([m.series for m in members])
+    record = first.record
     if config.ensemble > 1:
-        # intensities average member by member; the complex spectra kept in the
-        # record are the first realisation's
-        record.profile_right.alpha2 = np.mean(
-            [m[2].profile_right.alpha2 for m in members], axis=0
-        )
-        record.profile_left.alpha2 = np.mean(
-            [m[2].profile_left.alpha2 for m in members], axis=0
-        )
-        ledgers = [m[2].ledger for m in members]
+        # intensities and weights average member by member, and the captures
+        # follow from the averages; the complex spectra kept in the record
+        # are the first realisation's
+        ledgers = [m.record.ledger for m in members]
         record.ledger = energy_ledger(
             series,
             float(np.mean([l.p_right for l in ledgers])),
             float(np.mean([l.p_left for l in ledgers])),
             retarded=method == "spectral",
         )
-    overlap = members[0][3]
-    timings = members[0][4]
+        tau = record.profile_right.tau
+        record.profile_right = SpatialProfile.from_intensity(
+            tau,
+            np.mean([m.record.profile_right.alpha2 for m in members], axis=0),
+            record.ledger.p_right,
+        )
+        record.profile_left = SpatialProfile.from_intensity(
+            tau,
+            np.mean([m.record.profile_left.alpha2 for m in members], axis=0),
+            record.ledger.p_left,
+        )
+    timings = first.timings
 
     rates = fit_early_late(series)
     stage = fast_stage_end(series, rates["late"])
@@ -560,7 +580,7 @@ def run(config: RunConfig) -> RunResult:
             "regime": regime.as_dict(),
             "rates": rates,
             "fast_stage": stage,
-            "superradiant_overlap": overlap,
+            "superradiant_overlap": first.overlap,
             "oscillation": None
             if oscillation is None
             else {"frequency": oscillation.frequency, "contrast": oscillation.contrast},
@@ -574,12 +594,25 @@ def run(config: RunConfig) -> RunResult:
             },
             "ledger": record.ledger.as_dict(),
             "converged": record.ledger.converged,
+            "grid": {
+                "n_points": first.grid.n_points,
+                "spacing": first.grid.spacing,
+                "alias_window": first.grid.alias_window,
+            },
+            "residual_max": max(m.residual_max for m in members),
+            "profiles": {
+                name: {"captured": profile.captured, "covers_support": profile.covers_support}
+                for name, profile in (
+                    ("right", record.profile_right),
+                    ("left", record.profile_left),
+                )
+            },
             "timings": timings,
         }
     )
     result = RunResult(summary=summary, series=series, record=record, regime=regime)
     if config.out_dir is not None:
-        _write_artifacts(result, array, Path(config.out_dir))
+        _write_artifacts(result, first.array, Path(config.out_dir))
     return result
 
 

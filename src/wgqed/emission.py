@@ -57,6 +57,17 @@ class SpatialProfile:
     captured: float  # fraction of the spectral weight inside the tau grid
     covers_support: bool
 
+    @classmethod
+    def from_intensity(cls, tau: np.ndarray, alpha2: np.ndarray, weight: float):
+        """Profile whose capture is the tau-integral of alpha2 over weight."""
+        captured = float(np.trapezoid(alpha2, tau)) / weight if weight > 0 else 1.0
+        return cls(
+            tau=tau,
+            alpha2=alpha2,
+            captured=captured,
+            covers_support=captured >= CAPTURE_THRESHOLD,
+        )
+
 
 @dataclass
 class EnergyLedger:
@@ -123,22 +134,16 @@ def spatial_profile(spectrum: DirectionalSpectrum, tau_grid: np.ndarray) -> Spat
 
     alpha(tau) = (1 / 2 pi) int d delta M(delta) e^{-i delta tau}, apodised
     like the time synthesis, so that the tau-integral of |alpha|^2 returns the
-    spectral weight (Plancherel).  The transform is causal; the apodization
-    smears the sharp pulse front over roughly the inverse taper width, so
-    grids should avoid sampling tau = 0 exactly (see default_tau_grid).
+    spectral weight (Plancherel).  On an evenly spaced tau grid the sum runs
+    as a chirp-z transform (see SpectralGrid.fourier_sum).  The transform is
+    causal; the apodization smears the sharp pulse front over roughly the
+    inverse taper width, so grids should avoid sampling tau = 0 exactly (see
+    default_tau_grid).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     alpha = spectrum.grid.fourier_sum(spectrum.values, tau_grid)
     alpha *= 1.0 / (2.0 * math.pi)
-    alpha2 = np.abs(alpha) ** 2
-    captured_abs = float(np.trapezoid(alpha2, tau_grid))
-    captured = captured_abs / spectrum.weight if spectrum.weight > 0 else 1.0
-    return SpatialProfile(
-        tau=tau_grid,
-        alpha2=alpha2,
-        captured=captured,
-        covers_support=captured >= CAPTURE_THRESHOLD,
-    )
+    return SpatialProfile.from_intensity(tau_grid, np.abs(alpha) ** 2, spectrum.weight)
 
 
 def default_tau_grid(t_max: float, n: int = 4096) -> np.ndarray:

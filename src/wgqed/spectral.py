@@ -37,6 +37,15 @@ class GridResolutionError(ValueError):
     """The requested accuracy needs more than MAX_GRID_POINTS samples."""
 
 
+def _is_uniform(times: np.ndarray) -> bool:
+    """True for two or more times that are evenly spaced up to rounding."""
+    if times.ndim != 1 or len(times) < 2:
+        return False
+    ideal = np.linspace(times[0], times[-1], len(times))
+    scale = max(abs(times[0]), abs(times[-1]))
+    return bool(np.max(np.abs(times - ideal)) <= 16 * np.finfo(float).eps * scale)
+
+
 @dataclass(frozen=True)
 class ScenarioScales:
     """Fast-rate scales of a scenario; the grid span covers the largest one."""
@@ -92,16 +101,53 @@ class SpectralGrid:
         """sum_k e^{-i delta_k t} w_k d values_k at each t (w the window, d the spacing).
 
         values has the grid along its first axis; the result has the times
-        there instead.
+        there instead.  Evenly spaced times go through the chirp-z transform,
+        any other times through the direct sum.
         """
+        times = np.asarray(times, dtype=float)
         weights = self.apodization() * self.spacing
         summand = values * weights.reshape((-1,) + (1,) * (values.ndim - 1))
+        if _is_uniform(times):
+            return self._chirp_z(summand, times)
         deltas = self.deltas
         out = np.empty((len(times),) + values.shape[1:], dtype=complex)
         for lo in range(0, len(times), CHUNK):
             phases = np.exp(-1j * np.outer(times[lo : lo + CHUNK], deltas))
             out[lo : lo + CHUNK] = phases @ summand
         return out
+
+    def _chirp_z(self, summand: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Bluestein's chirp-z evaluation of the Fourier sum on uniform times.
+
+        With delta_k = delta_min + k d and t_j = t_0 + j dt, the phase
+        delta_k t_j = delta_min t_j + k d t_0 + k j d dt, and
+        k j = (k^2 + j^2 - (j - k)^2) / 2 turns the k j term into a
+        convolution with the chirp e^{i theta m^2 / 2} (theta = d dt), done by
+        FFTs of one power-of-two length (Rabiner, Schafer and Rader 1969).
+        """
+        m, n = self.n_points, len(times)
+        dt = (times[-1] - times[0]) / (n - 1)
+        half_theta = 0.5 * self.spacing * dt
+        length = 1 << math.ceil(math.log2(m + n - 1))
+        k = np.arange(m, dtype=float)
+        j = np.arange(n, dtype=float)
+        pre = np.exp(-1j * (half_theta * k**2 + self.spacing * times[0] * k))
+        post = np.exp(-1j * (half_theta * j**2 + self.delta_min * times))
+        # chirp at lags 0..n-1, then -(m-1)..-1 wrapped to the end
+        chirp = np.zeros(length, dtype=complex)
+        chirp[:n] = np.exp(1j * half_theta * j**2)
+        chirp[length - m + 1 :] = np.exp(1j * half_theta * k[m - 1 : 0 : -1] ** 2)
+        chirp_f = np.fft.fft(chirp)
+
+        # column blocks keep each FFT stack within one CHUNK x m phase block
+        flat = summand.reshape(m, -1)
+        cols = max(1, CHUNK * m // length)
+        out = np.empty((n, flat.shape[1]), dtype=complex)
+        for lo in range(0, flat.shape[1], cols):
+            spec = np.fft.fft(flat[:, lo : lo + cols] * pre[:, None], n=length, axis=0)
+            spec *= chirp_f[:, None]
+            out[:, lo : lo + cols] = np.fft.ifft(spec, axis=0)[:n] * post[:, None]
+        return out.reshape((n,) + summand.shape[1:])
 
 
 @dataclass

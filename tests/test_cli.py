@@ -132,6 +132,18 @@ def test_artifact_formats(tmp_path):
     # the echoed configuration is complete enough to rebuild the run
     assert summary["config"]["chain"]["segments"][0]["count"] == 5
     assert result.summary.data["rates"]["late"] > 0
+    # run diagnostics: the grid, the sweep residual and the profile captures
+    assert summary["grid"]["n_points"] == len(result.record.spectrum_right.deltas)
+    assert summary["grid"]["alias_window"] == pytest.approx(
+        2 * np.pi / summary["grid"]["spacing"], rel=1e-12
+    )
+    assert 0.0 <= summary["residual_max"] <= 1e-10
+    for name in ("right", "left"):
+        profile = getattr(result.record, f"profile_{name}")
+        assert summary["profiles"][name] == {
+            "captured": profile.captured,
+            "covers_support": profile.covers_support,
+        }
 
 
 def test_seed_zero_overrides_custom_chain_seed():
@@ -265,3 +277,15 @@ def test_ensemble_ledger_averages_weights():
     mean_left = np.mean([m.record.ledger.p_left for m in members])
     assert averaged.record.ledger.p_left == pytest.approx(mean_left, rel=1e-12)
     assert averaged.record.ledger.balance_error < 1e-3
+
+
+def test_ensemble_captures_follow_the_averaged_profiles():
+    cfg = dict(scenario="fig3b", scale=0.05, method="markovian", seed=3, ensemble=3)
+    record = run(RunConfig(**cfg)).record
+    for profile, weight in (
+        (record.profile_right, record.ledger.p_right),
+        (record.profile_left, record.ledger.p_left),
+    ):
+        expected = np.trapezoid(profile.alpha2, profile.tau) / weight
+        assert profile.captured == pytest.approx(expected, rel=1e-12)
+        assert profile.covers_support == (expected >= 0.99)

@@ -15,7 +15,15 @@ from wgqed import (
     resolvent_sweep,
     time_domain,
 )
-from wgqed.spectral import CHUNK, GridResolutionError, ScenarioScales, SpectralGrid
+from wgqed.dynamics import default_time_grid
+from wgqed.emission import default_tau_grid
+from wgqed.spectral import (
+    CHUNK,
+    GridResolutionError,
+    ScenarioScales,
+    SpectralGrid,
+    _is_uniform,
+)
 from test_hamiltonian import random_array
 
 
@@ -48,6 +56,73 @@ def test_grid_apodization_window():
     assert np.all(w[6:-6] == 1.0)
     flat = SpectralGrid(-10.0, 10.0, 64, 0.0).apodization()
     assert np.all(flat == 1.0)
+
+
+def _direct_sum(grid, values, times):
+    # the replaced n x M phase-matrix sum, kept as the oracle
+    weights = grid.apodization() * grid.spacing
+    summand = values * weights.reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.exp(-1j * np.outer(times, grid.deltas)) @ summand
+
+
+def _pulse_spectrum(grid, n_columns=0):
+    # delayed Lorentzians: causal decaying pulses, as the emission spectra give
+    d = grid.deltas
+    columns = []
+    for c in range(max(n_columns, 1)):
+        delay, rate, shift = 0.3 + 0.05 * c, 1.5 + 0.1 * c, 0.2 * c
+        columns.append(np.exp(1j * d * delay) / (d - shift + 0.5j * rate))
+    return np.stack(columns, axis=1) if n_columns else columns[0]
+
+
+_TAU = default_tau_grid(8.0, 512)
+_STEP = _TAU[1] - _TAU[0]
+
+
+@pytest.mark.parametrize(
+    "grid, times, n_columns",
+    [
+        (SpectralGrid(-200.0, 200.0, 4096, 0.1), _TAU, 0),
+        (
+            SpectralGrid(-200.0, 200.0, 4096, 0.1),
+            np.concatenate([-_STEP * (np.arange(60) + 0.5)[::-1], _TAU]),
+            0,
+        ),
+        (SpectralGrid(-200.0, 200.0, 4096, 0.1), default_tau_grid(8.0, 301), 0),
+        (SpectralGrid(-150.0, 150.0, 3001, 0.1), _TAU, 0),
+        (SpectralGrid(-200.0, 200.0, 4096, 0.0), _TAU, 0),
+        (SpectralGrid(-100.0, 100.0, 1000, 0.1), np.linspace(0.0, 8.0, 333), 150),
+    ],
+    ids=["tau-grid", "below-zero", "odd-n", "not-power-of-two", "no-taper", "2d-values"],
+)
+def test_chirp_z_matches_direct_sum(grid, times, n_columns, monkeypatch):
+    values = _pulse_spectrum(grid, n_columns)
+    assert _is_uniform(times)
+    sizes = []
+    fft = np.fft.fft
+
+    def counted_fft(a, *args, **kwargs):
+        out = fft(a, *args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    fast = grid.fourier_sum(values, times)
+    monkeypatch.undo()
+    expected = _direct_sum(grid, values, times)
+    assert fast.shape == expected.shape
+    assert np.max(np.abs(fast - expected)) <= 1e-10 * np.max(np.abs(expected))
+    # the chirp-z route ran, and no FFT stack outgrew one CHUNK x M phase block
+    assert sizes and max(sizes) <= CHUNK * grid.n_points
+
+
+def test_uneven_times_keep_the_direct_sum():
+    grid = SpectralGrid(-100.0, 100.0, 1000, 0.1)
+    times = default_time_grid(3.0, 8.0, n=100)  # fewer than CHUNK: one block
+    assert not _is_uniform(times)
+    for n_columns in (0, 3):
+        values = _pulse_spectrum(grid, n_columns)
+        assert np.array_equal(grid.fourier_sum(values, times), _direct_sum(grid, values, times))
 
 
 def _single_atom(params):
