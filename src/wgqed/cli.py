@@ -5,6 +5,11 @@ evolve (eigendecomposition or resolvent sweep), integrate the probability
 ledger, compute directional spectra and pulse profiles, fit the early/late
 decay rates and any vacuum-Rabi oscillation, and write the run artifacts
 (`probabilities.csv`, `profiles.csv`, `positions.csv`, `summary.json`).
+
+A Markovian run takes its spectra, weights and profiles in closed form from
+the modal expansion its evolution uses (the "poles" route).  The retarded
+kernel, and a resonant H whose eigenvectors are too ill-conditioned, take the
+resolvent sweep over the frequency grid (the "sweep" route).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -25,10 +30,12 @@ from scipy.optimize import curve_fit
 from .analytic import RegimeReport, classify_regime, collective_rate, extrema, fit_jc_trace
 from .dynamics import (
     DecayFit,
+    ModalExpansion,
     ProbabilitySeries,
     default_time_grid,
     evolve_markovian,
     fit_decay_rate,
+    modal_expansion,
     probabilities,
     superradiant_overlap,
 )
@@ -40,25 +47,46 @@ from .emission import (
     energy_ledger,
     spatial_profile,
 )
-from .hamiltonian import add_free_space_coupling, decay_partition, effective_hamiltonian
+from .hamiltonian import (
+    EffectiveHamiltonian,
+    add_free_space_coupling,
+    decay_partition,
+    effective_hamiltonian,
+)
 from .model import (
     AtomArray,
     ChainSpec,
     ConfigError,
     DisorderSpec,
     PhysParams,
+    StateVector,
     build_chain,
     dicke_initial_state,
 )
-from .spectral import ScenarioScales, SpectralGrid, build_grid, resolvent_sweep, time_domain
+from .spectral import (
+    ResolventSet,
+    ScenarioScales,
+    SpectralGrid,
+    build_grid,
+    check_residual,
+    resolvent_sweep,
+    time_domain,
+)
 
 FORMAT_VERSION = 1
 
 # Grid span (in units of the fastest collective rate) for the emission sweep;
 # the resonant kernel needs the wide span for 1e-3 spectral-weight accuracy,
-# the retarded kernel trades some of it for grid-size headroom.
+# the retarded kernel trades some of it for grid-size headroom.  On the poles
+# route the resonant grid is only reported (and swept if the route falls back).
 SPAN_FACTOR_RESONANT = 400.0
 SPAN_FACTOR_RETARDED = 200.0
+
+# The poles route checks its modal resolvent against dense solves at this many
+# detunings over +/- Gamma_fast, and falls back to the sweep when the largest
+# deviation exceeds POLE_CHECK_TOL of the largest |x| there.
+POLE_CHECK_POINTS = 9
+POLE_CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -143,6 +171,10 @@ class MemberRun:
     timings: dict
     grid: SpectralGrid
     residual_max: float
+    route: str  # "poles" or "sweep"
+    eig_condition: Optional[float]  # None on the retarded route
+    expm_fallback: bool
+    pole_check_error: Optional[float]  # None when the check did not run
 
 
 @dataclass
@@ -375,6 +407,36 @@ def _resolve_chain(config: RunConfig) -> tuple[ChainSpec, float]:
     return chain, t_ext
 
 
+def _spectral_source(
+    modes: Optional[ModalExpansion],
+    ham: EffectiveHamiltonian,
+    array: AtomArray,
+    params: PhysParams,
+    psi0: StateVector,
+    grid: SpectralGrid,
+    gamma_fast: float,
+    workers: int,
+) -> tuple[Union[ModalExpansion, ResolventSet], float, Optional[float]]:
+    """What the spectra come from, its residual, and the pole check's deviation.
+
+    A usable modal expansion (modes is None on the retarded route) must match
+    dense solves at POLE_CHECK_POINTS detunings; otherwise the grid is swept.
+    """
+    check_error = None
+    if modes is not None and modes.coeffs is not None:
+        check_grid = SpectralGrid(-gamma_fast, gamma_fast, POLE_CHECK_POINTS, 0.0)
+        check = resolvent_sweep(array, params, psi0, check_grid, retarded=False, ham=ham)
+        deviation = np.max(np.abs(modes.resolvent(check.deltas) - check.x))
+        check_error = float(deviation / np.max(np.abs(check.x)))
+        if check_error <= POLE_CHECK_TOL:
+            check_residual(modes.residual, psi0.amplitudes)
+            return modes, modes.residual, check_error
+    slices = resolvent_sweep(
+        array, params, psi0, grid, retarded=modes is None, workers=workers, ham=ham
+    )
+    return slices, slices.residual_max, check_error
+
+
 def _member_pipeline(
     chain: ChainSpec,
     params: PhysParams,
@@ -410,18 +472,28 @@ def _member_pipeline(
         apod_fraction=grid_cfg.apod_fraction,
     )
     timings: dict[str, float] = {}
+    modes = None
     tic = time.perf_counter()
-    slices = resolvent_sweep(array, params, psi0, grid, retarded=retarded, workers=workers)
+    if not retarded:
+        modes = modal_expansion(ham, psi0)
+        trajectory = evolve_markovian(ham, psi0, t_grid, modes)
+        k_flux = None
+    timings["evolution"] = time.perf_counter() - tic
+
+    tic = time.perf_counter()
+    source, residual, check_error = _spectral_source(
+        modes, ham, array, params, psi0, grid, gamma_fast, workers
+    )
     timings["resolvent_sweep"] = time.perf_counter() - tic
 
     tic = time.perf_counter()
-    spectrum_right = emission_spectrum(slices, array, params, +1)
-    spectrum_left = emission_spectrum(slices, array, params, -1)
+    spectrum_right = emission_spectrum(source, array, params, +1, grid)
+    spectrum_left = emission_spectrum(source, array, params, -1, grid)
     timings["emission_spectra"] = time.perf_counter() - tic
 
-    tic = time.perf_counter()
     if retarded:
-        trajectory = time_domain(slices, t_grid)
+        tic = time.perf_counter()
+        trajectory = time_domain(source, t_grid)
         total = spectrum_right.weight + spectrum_left.weight
         centroid = 0.0
         if total > 0:
@@ -430,10 +502,7 @@ def _member_pipeline(
                 + spectrum_left.centroid() * spectrum_left.weight
             ) / total
         k_flux = params.k_wg + centroid / params.v_g
-    else:
-        trajectory = evolve_markovian(ham, psi0, t_grid)
-        k_flux = None
-    timings["evolution"] = time.perf_counter() - tic
+        timings["evolution"] = time.perf_counter() - tic
 
     series = probabilities(trajectory, psi0, array, partition, k_flux=k_flux)
 
@@ -454,7 +523,19 @@ def _member_pipeline(
         ledger=ledger,
     )
     overlap = superradiant_overlap(ham, psi0)
-    return MemberRun(array, series, record, overlap, timings, grid, slices.residual_max)
+    return MemberRun(
+        array,
+        series,
+        record,
+        overlap,
+        timings,
+        grid,
+        residual,
+        route="poles" if source is modes else "sweep",
+        eig_condition=None if modes is None else modes.condition,
+        expm_fallback=modes is not None and modes.coeffs is None,
+        pole_check_error=check_error,
+    )
 
 
 def _average_series(members: list[ProbabilitySeries]) -> ProbabilitySeries:
@@ -543,8 +624,6 @@ def run(config: RunConfig) -> RunResult:
             np.mean([m.record.profile_left.alpha2 for m in members], axis=0),
             record.ledger.p_left,
         )
-    timings = first.timings
-
     rates = fit_early_late(series)
     stage = fast_stage_end(series, rates["late"])
     oscillation = oscillation_fit(series, which="p0")
@@ -555,7 +634,8 @@ def run(config: RunConfig) -> RunResult:
         regime.numbers["g_c"] = jc_fit.g
         regime.strong_coupling = jc_fit.g > 0.25 * jc_fit.kappa
 
-    timings["total"] = time.perf_counter() - wall_start
+    total = time.perf_counter() - wall_start
+    checks = [m.pole_check_error for m in members if m.pole_check_error is not None]
     summary = RunSummary(
         {
             "format_version": FORMAT_VERSION,
@@ -600,6 +680,12 @@ def run(config: RunConfig) -> RunResult:
                 "alias_window": first.grid.alias_window,
             },
             "residual_max": max(m.residual_max for m in members),
+            "route": "poles" if all(m.route == "poles" for m in members) else "sweep",
+            "eig_condition": None
+            if method == "spectral"
+            else max(m.eig_condition for m in members),
+            "expm_fallback": any(m.expm_fallback for m in members),
+            "pole_check_error": max(checks) if checks else None,
             "profiles": {
                 name: {"captured": profile.captured, "covers_support": profile.covers_support}
                 for name, profile in (
@@ -607,7 +693,7 @@ def run(config: RunConfig) -> RunResult:
                     ("left", record.profile_left),
                 )
             },
-            "timings": timings,
+            "timings": {"members": [m.timings for m in members], "total": total},
         }
     )
     result = RunResult(summary=summary, series=series, record=record, regime=regime)
@@ -766,9 +852,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--span-factor", type=float, dest="span_factor")
     parser.add_argument("--free-space", action="store_true",
                         help="enable the optional free-space dipole-dipole term "
-                             "(resonant method only; the ledger still tracks the "
-                             "waveguide channels, so its imbalance reports the "
-                             "free-space interference loss)")
+                             "(resonant method only; the guided weights follow "
+                             "the same H, but the ledger counts the external "
+                             "loss as independent atoms, so its balance error "
+                             "reports the free-space interference loss)")
     return parser
 
 

@@ -12,6 +12,7 @@ guided fluxes obtained from the rank-2 structure of the coherent channel:
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -112,29 +113,75 @@ def _evolve_expm(ham: EffectiveHamiltonian, psi0: np.ndarray, t_grid: np.ndarray
     return amps
 
 
+@dataclass
+class ModalExpansion:
+    """psi0 = V c over the right eigenvectors V of a resonant H = V Lambda V^-1.
+
+    Every resonant quantity is a pole sum over it: b(t) = V e^{-i Lambda t} c
+    and x(delta) = [delta - H]^-1 psi0 = V (delta - Lambda)^-1 c.  coeffs is
+    None, and the expansion unusable, when the eigenvector condition number
+    exceeds CONDITION_FALLBACK.  residual is max(|H V - V Lambda|, |V c - psi0|),
+    the largest column norm of the first.
+    """
+
+    evals: np.ndarray
+    vecs: np.ndarray
+    condition: float
+    coeffs: Optional[np.ndarray] = None
+    residual: float = math.inf
+
+    def resolvent(self, deltas: np.ndarray) -> np.ndarray:
+        """x(delta) at each detuning, shape (len(deltas), n_atoms)."""
+        deltas = np.asarray(deltas, dtype=float)
+        return (self.coeffs / (deltas[:, None] - self.evals)) @ self.vecs.T
+
+
+def modal_expansion(ham: EffectiveHamiltonian, psi0: StateVector) -> ModalExpansion:
+    """Expand psi0 on the cached eigenvectors of a resonant H."""
+    if ham.retarded:
+        raise ValueError("the modal expansion needs the non-retarded Hamiltonian")
+    if not np.all(np.isfinite(ham.matrix)):
+        raise NumericalError("effective Hamiltonian contains non-finite entries")
+    evals, vecs = ham.eigensystem
+    cond = float(np.linalg.cond(vecs))
+    if not np.isfinite(cond) or cond > CONDITION_FALLBACK:
+        return ModalExpansion(evals, vecs, cond)
+    psi = psi0.amplitudes
+    coeffs = np.linalg.solve(vecs, psi)
+    residual = max(
+        float(np.max(np.linalg.norm(ham.matrix @ vecs - vecs * evals, axis=0))),
+        float(np.linalg.norm(vecs @ coeffs - psi)),
+    )
+    return ModalExpansion(evals, vecs, cond, coeffs, residual)
+
+
 def evolve_markovian(
-    ham: EffectiveHamiltonian, psi0: StateVector, t_grid: np.ndarray
+    ham: EffectiveHamiltonian,
+    psi0: StateVector,
+    t_grid: np.ndarray,
+    modes: Optional[ModalExpansion] = None,
 ) -> AmplitudeTrajectory:
-    """Propagate the initial state under the resonant effective Hamiltonian."""
+    """Propagate the initial state under the resonant effective Hamiltonian.
+
+    modes is the run's expansion of psi0 (built here when not given); an
+    unusable one, or a failed eigensolver, switches to the stepwise matrix
+    exponential.
+    """
     if ham.retarded:
         raise ValueError("Markovian evolution needs the non-retarded Hamiltonian")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must start at 0 and be strictly increasing")
-    if not np.all(np.isfinite(ham.matrix)):
-        raise NumericalError("effective Hamiltonian contains non-finite entries")
-    psi = psi0.amplitudes
     try:
-        evals, vecs = ham.eigensystem
-        cond = np.linalg.cond(vecs)
-        if not np.isfinite(cond) or cond > CONDITION_FALLBACK:
-            raise np.linalg.LinAlgError(f"eigenvector condition number {cond:.3g}")
-        coeffs = np.linalg.solve(vecs, psi)
-        phases = np.exp(-1j * np.outer(t_grid, evals))
-        amps = (phases * coeffs) @ vecs.T
+        if modes is None:
+            modes = modal_expansion(ham, psi0)
+        if modes.coeffs is None:
+            raise np.linalg.LinAlgError(f"eigenvector condition number {modes.condition:.3g}")
+        phases = np.exp(-1j * np.outer(t_grid, modes.evals))
+        amps = (phases * modes.coeffs) @ modes.vecs.T
     except np.linalg.LinAlgError:
         try:
-            amps = _evolve_expm(ham, psi, t_grid)
+            amps = _evolve_expm(ham, psi0.amplitudes, t_grid)
         except Exception as exc:  # pragma: no cover - defensive
             raise NumericalError(
                 f"eigendecomposition and matrix-exponential fallback both failed: {exc}"

@@ -1,7 +1,6 @@
 """Outgoing guided-photon spectra, spatial pulse profiles, and energy ledger.
 
-The directional emission amplitude on the grid is the scalar-channel Moller
-matrix element
+The directional emission amplitude is the scalar-channel Moller matrix element
 
     M_+/- (delta) = sqrt(Gamma_wg / 2) sum_a e^{-/+ i k(delta) z_a} x_a(delta)
 
@@ -11,31 +10,36 @@ weight integrates to the probability emitted through the coherent guided
 channel in that direction, and the profile against the retarded coordinate
 tau = z / v_g, counted from that end, is its Fourier transform, normalised so
 that the tau-integral returns the same weight.
+
+A resolvent sweep gives M on the detuning grid.  A modal expansion of the
+resonant H gives it in closed form, M(delta) = sum_j A_j / (delta - lambda_j),
+and with it the exact weight and profile (see PoleSpectrum).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import ProbabilitySeries
+from .dynamics import ModalExpansion, ProbabilitySeries
 from .model import AtomArray, PhysParams
-from .spectral import ResolventSet, SpectralGrid
+from .spectral import CHUNK, ResolventSet, SpectralGrid
 
 CAPTURE_THRESHOLD = 0.99
 
 
 @dataclass
 class DirectionalSpectrum:
-    """Complex M(delta) for one propagation direction (+1 right, -1 left)."""
+    """Complex M(delta) sampled on the grid, one direction (+1 right, -1 left)."""
 
     grid: SpectralGrid
     values: np.ndarray
     direction: int
-    weight: float  # integral |M|^2 d delta / 2 pi over the grid span
+    weight: float  # integral |M|^2 d delta / 2 pi
 
     @property
     def deltas(self) -> np.ndarray:
@@ -48,6 +52,50 @@ class DirectionalSpectrum:
         if total == 0.0:
             return 0.0
         return float((self.deltas * w).sum() / total)
+
+    def amplitude(self, tau: np.ndarray) -> np.ndarray:
+        """alpha(tau) = (1 / 2 pi) int d delta M(delta) e^{-i delta tau}, by the
+        grid's apodised Fourier sum (a chirp-z transform on even tau)."""
+        alpha = self.grid.fourier_sum(self.values, tau)
+        alpha *= 1.0 / (2.0 * math.pi)
+        return alpha
+
+
+class PoleSpectrum(DirectionalSpectrum):
+    """M(delta) = sum_j A_j / (delta - lambda_j): residues A, poles lambda,
+    every pole below the real axis.
+
+    Closing the contours gives the weight and the profile exactly:
+    weight = sum_jk A_j A_k* / (i (lambda_j - lambda_k*)), and
+    alpha(tau) = -i sum_j A_j e^{-i lambda_j tau} for tau > 0, zero before.
+    values samples M on the grid only when read.
+    """
+
+    def __init__(self, grid: SpectralGrid, poles, residues, direction: int):
+        self.grid = grid
+        self.poles = np.asarray(poles)
+        self.residues = np.asarray(residues)
+        self.direction = direction
+        gram = 1.0 / (1j * (self.poles[:, None] - np.conj(self.poles)[None, :]))
+        self.weight = float(np.real(self.residues @ gram @ np.conj(self.residues)))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        deltas = self.deltas
+        out = np.empty(len(deltas), dtype=complex)
+        for lo in range(0, len(deltas), CHUNK):
+            block = deltas[lo : lo + CHUNK, None] - self.poles
+            out[lo : lo + CHUNK] = (1.0 / block) @ self.residues
+        return out
+
+    def amplitude(self, tau: np.ndarray) -> np.ndarray:
+        """The causal pole sum; tau = 0 gets the midpoint of the front's jump."""
+        tau = np.asarray(tau, dtype=float)
+        alpha = np.zeros(len(tau), dtype=complex)
+        after = tau >= 0.0
+        alpha[after] = -1j * (np.exp(-1j * np.outer(tau[after], self.poles)) @ self.residues)
+        alpha[tau == 0.0] *= 0.5
+        return alpha
 
 
 @dataclass
@@ -103,20 +151,31 @@ class EmissionRecord:
 
 
 def emission_spectrum(
-    slices: ResolventSet, array: AtomArray, params: PhysParams, direction: int
+    source: Union[ResolventSet, ModalExpansion],
+    array: AtomArray,
+    params: PhysParams,
+    direction: int,
+    grid: Optional[SpectralGrid] = None,
 ) -> DirectionalSpectrum:
-    """Directional spectrum from the resolvent slices (either kernel).
+    """Directional spectrum from resolvent slices (either kernel) or from the
+    modal expansion of a resonant H, which takes the grid to report.
 
-    The weight is a plain trapezoid of |M|^2/2pi over the span (no window);
-    the profile transform applies the grid's apodization.
+    The pole form's residues are A_j = sqrt(Gamma_wg/2) (sum_a e^{-/+ik z_a} V_aj) c_j.
+    On slices the weight is a plain trapezoid of |M|^2/2pi over the span (no
+    window) plus its C/delta^2 tail; the profile transform applies the grid's
+    apodization.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 (right) or -1 (left)")
-    deltas = slices.deltas
-    k = slices.k_of(deltas)
     z = array.positions - array.positions[-1 if direction > 0 else 0]
+    if isinstance(source, ModalExpansion):
+        phase = np.exp(-1j * direction * params.k_wg * z)
+        residues = math.sqrt(0.5 * params.gamma_wg) * (phase @ source.vecs) * source.coeffs
+        return PoleSpectrum(grid, source.evals, residues, direction)
+    deltas = source.deltas
+    k = source.k_of(deltas)
     phases = np.exp(-1j * direction * k[:, None] * z[None, :])
-    values = math.sqrt(0.5 * params.gamma_wg) * np.sum(phases * slices.x, axis=1)
+    values = math.sqrt(0.5 * params.gamma_wg) * np.sum(phases * source.x, axis=1)
     weight = float(np.trapezoid(np.abs(values) ** 2, deltas) / (2.0 * math.pi))
     # |M|^2 falls off as C/delta^2 outside the span; complete the weight with
     # the analytic tail, estimating C from the outer five percent of each edge.
@@ -125,24 +184,21 @@ def emission_spectrum(
     c_hi = float(np.mean(np.abs(values[-n_edge:]) ** 2 * deltas[-n_edge:] ** 2))
     weight += (c_lo / abs(deltas[0]) + c_hi / deltas[-1]) / (2.0 * math.pi)
     return DirectionalSpectrum(
-        grid=slices.grid, values=values, direction=direction, weight=weight
+        grid=source.grid, values=values, direction=direction, weight=weight
     )
 
 
 def spatial_profile(spectrum: DirectionalSpectrum, tau_grid: np.ndarray) -> SpatialProfile:
     """|alpha(tau)|^2 on the retarded-coordinate grid.
 
-    alpha(tau) = (1 / 2 pi) int d delta M(delta) e^{-i delta tau}, apodised
-    like the time synthesis, so that the tau-integral of |alpha|^2 returns the
-    spectral weight (Plancherel).  On an evenly spaced tau grid the sum runs
-    as a chirp-z transform (see SpectralGrid.fourier_sum).  The transform is
-    causal; the apodization smears the sharp pulse front over roughly the
-    inverse taper width, so grids should avoid sampling tau = 0 exactly (see
-    default_tau_grid).
+    The tau-integral of |alpha|^2 returns the spectral weight (Plancherel).
+    From a sampled spectrum, alpha is apodised like the time synthesis, which
+    smears the causal pulse front over roughly the inverse taper width, so
+    grids should avoid sampling tau = 0 exactly (see default_tau_grid).  From
+    a pole spectrum, alpha is exact.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    alpha = spectrum.grid.fourier_sum(spectrum.values, tau_grid)
-    alpha *= 1.0 / (2.0 * math.pi)
+    alpha = spectrum.amplitude(tau_grid)
     return SpatialProfile.from_intensity(tau_grid, np.abs(alpha) ** 2, spectrum.weight)
 
 

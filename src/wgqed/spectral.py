@@ -19,11 +19,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .dynamics import AmplitudeTrajectory
-from .hamiltonian import effective_hamiltonian, pair_distances, retarded_kernel
+from .hamiltonian import (
+    EffectiveHamiltonian,
+    effective_hamiltonian,
+    pair_distances,
+    retarded_kernel,
+)
 from .model import AtomArray, PhysParams, StateVector
 
 MAX_GRID_POINTS = 2**20
@@ -245,6 +251,15 @@ def _solve_chunk(
     return x, res_max
 
 
+def check_residual(residual: float, psi: np.ndarray) -> None:
+    """Raise when a resolvent (or modal) residual exceeds RESIDUAL_TOL * |psi0|."""
+    if residual > RESIDUAL_TOL * float(np.linalg.norm(psi)):
+        raise RuntimeError(
+            f"resolvent residual {residual:.3g} exceeds {RESIDUAL_TOL:g} * |psi0|; "
+            "the frequency-domain Hamiltonian is inconsistent"
+        )
+
+
 def resolvent_sweep(
     array: AtomArray,
     params: PhysParams,
@@ -252,16 +267,19 @@ def resolvent_sweep(
     grid: SpectralGrid,
     retarded: bool = True,
     workers: int = 1,
+    ham: Optional[EffectiveHamiltonian] = None,
 ) -> ResolventSet:
     """One verified resolvent solve per grid point.
 
-    Grid points are independent; with workers > 1 the chunks run on a thread
-    pool (the dense solves release the GIL) and are written back by index, so
+    ham is the resonant H0 to solve with (the run's own, which may carry the
+    free-space term); by default the waveguide-only H0 of the array.  Grid
+    points are independent; with workers > 1 the chunks run on a thread pool
+    (the dense solves release the GIL) and are written back by index, so
     assembly is deterministic.
     """
     deltas = grid.deltas
     psi = psi0.amplitudes
-    h0 = effective_hamiltonian(array, params).matrix
+    h0 = (effective_hamiltonian(array, params) if ham is None else ham).matrix
     dist = pair_distances(array)
 
     x = np.empty((len(deltas), len(psi)), dtype=complex)
@@ -283,13 +301,7 @@ def resolvent_sweep(
             x[lo:hi] = sol
             res_max = max(res_max, res)
 
-    norm = float(np.linalg.norm(psi))
-    if res_max > RESIDUAL_TOL * norm:
-        raise RuntimeError(
-            f"resolvent residual {res_max:.3g} exceeds {RESIDUAL_TOL:g} * |psi0|; "
-            "the frequency-domain Hamiltonian is inconsistent"
-        )
-
+    check_residual(res_max, psi)
     lam0 = complex(h0[0, 0])  # every atom carries the same width
     return ResolventSet(
         grid=grid,

@@ -289,3 +289,106 @@ def test_ensemble_captures_follow_the_averaged_profiles():
         expected = np.trapezoid(profile.alpha2, profile.tau) / weight
         assert profile.captured == pytest.approx(expected, rel=1e-12)
         assert profile.covers_support == (expected >= 0.99)
+
+
+# --- the poles route and its fallbacks ---------------------------------------------
+
+
+def _record_sweeps(monkeypatch):
+    """Forward wgqed.cli.resolvent_sweep and keep each call's grid size."""
+    import wgqed.cli
+
+    sizes = []
+    original = wgqed.cli.resolvent_sweep
+
+    def recording(array, params, psi0, grid, **kwargs):
+        sizes.append(grid.n_points)
+        return original(array, params, psi0, grid, **kwargs)
+
+    monkeypatch.setattr(wgqed.cli, "resolvent_sweep", recording)
+    return sizes
+
+
+def test_markovian_run_never_sweeps_its_grid(monkeypatch):
+    from wgqed.cli import POLE_CHECK_POINTS
+
+    sizes = _record_sweeps(monkeypatch)
+    result = run(RunConfig(scenario="fig3b", scale=0.1, method="markovian", seed=1))
+    summary = result.summary.data
+    # the only dense solves are the check of the modal resolvent
+    assert sizes == [POLE_CHECK_POINTS]
+    assert summary["route"] == "poles"
+    assert summary["expm_fallback"] is False
+    assert 1.0 <= summary["eig_condition"] < 1e8
+    assert summary["pole_check_error"] <= 1e-8
+    assert summary["grid"]["n_points"] == len(result.record.spectrum_right.deltas)
+    assert summary["grid"]["n_points"] > POLE_CHECK_POINTS
+
+
+def test_retarded_run_reports_the_sweep_route():
+    summary = run(RunConfig(scenario="fig2", scale=0.05, method="spectral")).summary.data
+    assert summary["route"] == "sweep"
+    assert summary["eig_condition"] is None
+    assert summary["pole_check_error"] is None
+    assert summary["expm_fallback"] is False
+
+
+def test_ill_conditioned_eigenvectors_fall_back_to_the_sweep(monkeypatch):
+    import wgqed.dynamics
+
+    cfg = dict(scenario="fig2", scale=0.1, method="markovian")
+    poles = run(RunConfig(**cfg)).summary.data
+    monkeypatch.setattr(wgqed.dynamics, "CONDITION_FALLBACK", 1.0)
+    sizes = _record_sweeps(monkeypatch)
+    fallback = run(RunConfig(**cfg)).summary.data
+    assert poles["route"] == "poles" and poles["expm_fallback"] is False
+    assert fallback["route"] == "sweep" and fallback["expm_fallback"] is True
+    assert sizes == [fallback["grid"]["n_points"]]
+    assert fallback["pole_check_error"] is None
+    assert fallback["eig_condition"] == poles["eig_condition"]
+    for key in ("P_left", "P_right", "P_raman", "P_ext", "residual"):
+        assert fallback["ledger"][key] == pytest.approx(poles["ledger"][key], abs=1e-6)
+
+
+def test_failed_pole_check_falls_back_to_the_sweep(monkeypatch):
+    import wgqed.cli
+
+    monkeypatch.setattr(wgqed.cli, "POLE_CHECK_TOL", 0.0)
+    summary = run(RunConfig(scenario="bare", scale=0.05, method="markovian")).summary.data
+    assert summary["route"] == "sweep"
+    assert summary["expm_fallback"] is False
+    assert summary["pole_check_error"] > 0.0
+    assert summary["ledger"]["converged"] is True
+
+
+def test_free_space_weights_come_from_the_run_hamiltonian():
+    # the spectral weights and the time-domain fluxes both follow the H that
+    # carries the free-space term, so the guided routes agree
+    result = run(RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=True))
+    assert result.record.ledger.guided_route_discrepancy <= 1e-3
+
+
+def test_ensemble_keeps_every_member_timing():
+    cfg = dict(scenario="fig3b", scale=0.05, method="markovian", seed=3, ensemble=3)
+    timings = run(RunConfig(**cfg)).summary.data["timings"]
+    assert len(timings["members"]) == 3
+    for member in timings["members"]:
+        assert set(member) == {
+            "resolvent_sweep", "emission_spectra", "evolution", "profiles_ledger"
+        }
+        assert all(value >= 0.0 for value in member.values())
+    assert timings["total"] >= sum(sum(m.values()) for m in timings["members"])
+
+
+def test_published_scale_fig2_runs_on_the_poles_route(monkeypatch):
+    from wgqed.cli import POLE_CHECK_POINTS
+
+    sizes = _record_sweeps(monkeypatch)
+    result = run(RunConfig(scenario="fig2", scale=1.0))
+    summary = result.summary.data
+    assert summary["config"]["method"] == "markovian"
+    assert sum(s["count"] for s in summary["config"]["chain"]["segments"]) == 300
+    assert sizes == [POLE_CHECK_POINTS]
+    assert summary["route"] == "poles"
+    assert summary["converged"] is True
+    assert float(result.series.balance_error().max()) <= 1e-2

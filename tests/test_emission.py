@@ -175,22 +175,106 @@ def test_cavity_profiles_count_from_their_exit_end(fixture, request):
     assert rec.profile_right.captured == pytest.approx(rec.profile_left.captured, abs=1e-3)
 
 
+def _extended_profile_integral(profile, spectrum):
+    """tau-integral of |alpha|^2 over the profile grid extended 200 steps
+    before the front."""
+    step = profile.tau[1] - profile.tau[0]
+    tau_ext = np.concatenate([-step * (np.arange(200) + 0.5)[::-1], profile.tau])
+    return np.trapezoid(spatial_profile(spectrum, tau_ext).alpha2, tau_ext)
+
+
 def test_profile_weight_parseval(case1_run):
-    # Plancherel: over a grid extended past the (apodization-smeared) front,
-    # the tau-integral of |alpha|^2 equals the windowed spectral energy
+    # Plancherel: a Markovian run's profile is the exact causal pole sum, so
+    # over a grid extended past its front the tau-integral of |alpha|^2 equals
+    # the closed-form spectral weight
     rec = case1_run.record
     for profile, spectrum in (
         (rec.profile_left, rec.spectrum_left),
         (rec.profile_right, rec.spectrum_right),
     ):
-        step = profile.tau[1] - profile.tau[0]
-        tau_ext = np.concatenate(
-            [-step * (np.arange(200) + 0.5)[::-1], profile.tau]
-        )
-        extended = spatial_profile(spectrum, tau_ext)
-        integral = np.trapezoid(extended.alpha2, tau_ext)
+        integral = _extended_profile_integral(profile, spectrum)
+        assert integral == pytest.approx(spectrum.weight, rel=1e-3)
+        assert 0.99 <= profile.captured <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("fixture", CAVITY_FIXTURES)
+def test_sampled_profile_weight_parseval(fixture, request):
+    # Plancherel for a swept spectrum: over a grid extended past the
+    # (apodization-smeared) front, the tau-integral of |alpha|^2 equals the
+    # windowed spectral energy
+    rec = request.getfixturevalue(fixture).record
+    for profile, spectrum in (
+        (rec.profile_left, rec.spectrum_left),
+        (rec.profile_right, rec.spectrum_right),
+    ):
+        integral = _extended_profile_integral(profile, spectrum)
         windowed = np.trapezoid(
             spectrum.grid.apodization() ** 2 * np.abs(spectrum.values) ** 2, spectrum.deltas
         ) / (2 * np.pi)
         assert integral == pytest.approx(windowed, rel=1e-3)
         assert 0.99 <= profile.captured <= 1.0 + 1e-6
+
+
+# --- poles route against the dense resonant sweep (the oracle) -----------------
+
+
+def _assert_poles_match_sweep(params, arr, psi0, gamma_fast, t_max):
+    from wgqed import effective_hamiltonian
+    from wgqed.dynamics import modal_expansion
+    from wgqed.emission import PoleSpectrum
+
+    grid = build_grid(params, ScenarioScales(gamma_c=gamma_fast), t_max, span_factor=400)
+    modes = modal_expansion(effective_hamiltonian(arr, params), psi0)
+    slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
+    tau = default_tau_grid(t_max)
+    late = tau >= 1.0
+    for direction in (+1, -1):
+        poles = emission_spectrum(modes, arr, params, direction, grid)
+        swept = emission_spectrum(slices, arr, params, direction)
+        assert isinstance(poles, PoleSpectrum)
+        assert np.max(np.abs(poles.values - swept.values)) <= 1e-8 * np.abs(swept.values).max()
+        assert poles.weight == pytest.approx(swept.weight, rel=1e-7)
+        exact = spatial_profile(poles, tau).alpha2
+        sampled = spatial_profile(swept, tau).alpha2
+        assert np.max(np.abs(exact[late] - sampled[late])) <= 1e-6 * sampled.max()
+
+
+def test_poles_match_the_sweep_on_a_bragg_chain(params):
+    from wgqed.cli import SCENARIOS
+
+    arr = build_chain(SCENARIOS["fig2"].build(0.1, 0, params), params)
+    psi0 = dicke_initial_state(arr, params)
+    _assert_poles_match_sweep(params, arr, psi0, 1.05 + 9 * 0.05, 12.0 / 0.95)
+
+
+def test_poles_match_the_sweep_on_random_geometries(params):
+    from wgqed import StateVector
+    from test_hamiltonian import random_array
+
+    # the geometries and initial states of acceptance criterion 8
+    rng = np.random.default_rng(123)
+    for _ in range(10):
+        n = int(rng.integers(5, 41))
+        arr = random_array(rng, n, span=max(3.0, n / 2))
+        amp = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi0 = StateVector(amp / np.linalg.norm(amp))
+        gamma_fast = params.gamma_tot + (n - 1) * params.gamma_wg
+        _assert_poles_match_sweep(params, arr, psi0, gamma_fast, 8.0)
+
+
+def test_pole_profile_is_causal_and_exact(params):
+    # one atom: alpha(tau) = -i A e^{-i lambda tau}, a step at the front whose
+    # midpoint sits at tau = 0; its tau-integral is the closed-form weight
+    from wgqed.emission import PoleSpectrum
+
+    grid = SpectralGrid(-10.0, 10.0, 64)
+    spectrum = PoleSpectrum(grid, [-0.5j * params.gamma_tot], [0.3], +1)
+    assert spectrum.weight == pytest.approx(0.09 / params.gamma_tot, rel=1e-14)
+    tau = np.array([-1.0, 0.0, 0.5])
+    alpha2 = spatial_profile(spectrum, tau).alpha2
+    assert alpha2[0] == 0.0
+    assert alpha2[1] == pytest.approx(0.25 * 0.09, rel=1e-14)
+    assert alpha2[2] == pytest.approx(0.09 * np.exp(-0.5 * params.gamma_tot), rel=1e-14)
+    tau = np.linspace(1e-12, 40.0, 40001)
+    integral = np.trapezoid(spatial_profile(spectrum, tau).alpha2, tau)
+    assert integral == pytest.approx(spectrum.weight, rel=1e-6)
