@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Scan the finite-mirror reflectance against the narrow-band Lorentzian.
 
-Writes a CSV with |r(delta)|^2 from the transfer-matrix cascade next to the
+Writes a CSV with the exact finite-mirror |r(delta)|^2 next to the
 single-Lorentzian approximation (Gamma_M/2)^2 / (delta^2 + (Gamma_M/2)^2),
 for a range of mirror sizes.  Useful for choosing mirror atom numbers: the
 approximation is good once N Gamma_wg dominates the per-atom loss.

@@ -2,8 +2,8 @@
 
 Contains the damped vacuum-Rabi population of a two-level emitter coupled to
 a leaky cavity mode, the narrow-band Lorentzian reflectance of an atomic
-Bragg mirror, an exact transfer-matrix cascade for finite mirrors, the cavity
-loss estimate kappa = (1 - R) v_g / L, and the Markovian/cavity condition
+Bragg mirror, the exact reflection and transmission of finite mirrors, the
+cavity loss estimate kappa = (1 - R) v_g / L, and the Markovian/cavity condition
 checks used to pick the simulation method.
 """
 
@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .model import AtomArray, ChainSpec, PhysParams, SegmentRole, build_chain
+from .spectral import scattering_sweep
 
 # Relative distance from the critical point kappa^2 = 16 g^2 below which the
 # removable-singularity expansion replaces the closed form.
@@ -117,30 +118,19 @@ def _mirror_positions(mirror, params: PhysParams) -> np.ndarray:
 def transfer_matrix_reflectance(mirror, params: PhysParams, delta):
     """Complex (r, t) of a finite atomic mirror, referenced to the first atom.
 
-    Each atom scatters the guided wave with  r1 = -(Gamma_wg/2)/(Gamma_tot/2 - i delta),
-    t1 = 1 + r1 (only the coherent channel reflects; Raman and external losses
-    make the cascade sub-unitary), and free propagation between atoms adds the
-    phases e^{i k(delta) dz} with k(delta) = k_wg + delta / v_g.
+    A single atom reflects the guided wave with r1 = -(Gamma_wg/2)/(Gamma_tot/2 - i delta)
+    (only the coherent channel reflects; Raman and external losses make the
+    mirror sub-unitary), and free propagation between atoms adds the phases
+    e^{i k(delta) dz} with k(delta) = k_wg + delta / v_g.  The passive
+    scattering recursion of the resolvent sweep (spectral.scattering_sweep),
+    run with no source from the last atom to the first, gives r as the
+    reflection of the whole mirror, and t as the product of the per-atom
+    transmissions 1 - gain_a and the gap phases.
     """
     positions = _mirror_positions(mirror, params)
     delta_arr = np.atleast_1d(np.asarray(delta, dtype=float))
-    r1 = -(0.5 * params.gamma_wg) / (0.5 * params.gamma_tot - 1j * delta_arr)
-    t1 = 1.0 + r1
-    m_atom = np.empty((len(delta_arr), 2, 2), dtype=complex)
-    m_atom[:, 0, 0] = (t1**2 - r1**2) / t1
-    m_atom[:, 0, 1] = r1 / t1
-    m_atom[:, 1, 0] = -r1 / t1
-    m_atom[:, 1, 1] = 1.0 / t1
-
-    total = m_atom.copy()
-    k = params.k_wg + delta_arr / params.v_g
-    for dz in np.diff(positions):
-        prop = np.zeros((len(delta_arr), 2, 2), dtype=complex)
-        prop[:, 0, 0] = np.exp(1j * k * dz)
-        prop[:, 1, 1] = np.exp(-1j * k * dz)
-        total = m_atom @ prop @ total
-    r = -total[:, 1, 0] / total[:, 1, 1]
-    t = 1.0 / total[:, 1, 1]
+    phases, gain, _, r = scattering_sweep(positions[::-1], params, delta_arr)
+    t = np.prod(1.0 - gain, axis=0) * np.prod(phases, axis=0)
     if np.isscalar(delta) or np.ndim(delta) == 0:
         return complex(r[0]), complex(t[0])
     return r, t
@@ -195,7 +185,7 @@ def classify_regime(chain: ChainSpec, params: PhysParams) -> RegimeReport:
     Gamma_C and Gamma_M are the collective rates of the emitter and of the
     larger mirror; the Markovian check compares the full-array transit time
     with the mirror response, the cavity checks use the inner mirror-to-mirror
-    distance; kappa uses the finite-mirror transfer-matrix reflectance at
+    distance; kappa uses the exact finite-mirror reflectance at
     resonance rather than the idealised 1.
     """
     array = build_chain(chain, params)

@@ -175,6 +175,7 @@ class MemberRun:
     eig_condition: Optional[float]  # None on the retarded route
     expm_fallback: bool
     pole_check_error: Optional[float]  # None when the check did not run
+    k_flux: Optional[float]  # None when the flux split uses k_wg
 
 
 @dataclass
@@ -535,6 +536,7 @@ def _member_pipeline(
         eig_condition=None if modes is None else modes.condition,
         expm_fallback=modes is not None and modes.coeffs is None,
         pole_check_error=check_error,
+        k_flux=k_flux,
     )
 
 
@@ -686,6 +688,7 @@ def run(config: RunConfig) -> RunResult:
             else max(m.eig_condition for m in members),
             "expm_fallback": any(m.expm_fallback for m in members),
             "pole_check_error": max(checks) if checks else None,
+            "k_flux": first.k_flux,
             "profiles": {
                 name: {"captured": profile.captured, "covers_support": profile.covers_support}
                 for name, profile in (
@@ -852,10 +855,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--span-factor", type=float, dest="span_factor")
     parser.add_argument("--free-space", action="store_true",
                         help="enable the optional free-space dipole-dipole term "
-                             "(resonant method only; the guided weights follow "
-                             "the same H, but the ledger counts the external "
-                             "loss as independent atoms, so its balance error "
-                             "reports the free-space interference loss)")
+                             "(resonant method only; the guided weights and the "
+                             "external loss, free-space interference included, "
+                             "follow the same H)")
     return parser
 
 

@@ -218,6 +218,8 @@ def probabilities(
 
     k_flux overrides the wavenumber used in the directional phase factors; the
     retarded pipeline passes k evaluated at the emission-spectrum centroid.
+    The external flux is b^dagger Gamma_ext b, which is gamma_ext p unless H
+    carries the free-space term.
     """
     if traj.amplitudes.shape[1] != psi0.n_atoms or psi0.n_atoms != array.n_atoms:
         raise ValueError("trajectory, initial state and geometry sizes disagree")
@@ -230,7 +232,13 @@ def probabilities(
     e_right = _cumulative(phi_plus, traj.t)
     e_left = _cumulative(phi_minus, traj.t)
     e_raman = _cumulative(partition.raman_guided_rate * p, traj.t)
-    e_ext = _cumulative(partition.external_rate * p, traj.t)
+    ext_flux = partition.external_rate * p
+    coupling = partition.external_coupling
+    if coupling is not None:
+        # b^dagger Gamma_fs b (Gamma_fs symmetric): the free-space interference
+        b = traj.amplitudes
+        ext_flux = ext_flux + np.real(np.sum(np.conj(b) * (b @ coupling), axis=1))
+    e_ext = _cumulative(ext_flux, traj.t)
     return ProbabilitySeries(traj.t, p, p0, pa, e_left, e_right, e_raman, e_ext)
 
 

@@ -107,8 +107,16 @@ class SpatialProfile:
 
     @classmethod
     def from_intensity(cls, tau: np.ndarray, alpha2: np.ndarray, weight: float):
-        """Profile whose capture is the tau-integral of alpha2 over weight."""
-        captured = float(np.trapezoid(alpha2, tau)) / weight if weight > 0 else 1.0
+        """Profile whose capture is the tau-integral of alpha2 over weight.
+
+        The integral is the midpoint rule: each sample stands for the cell
+        reaching halfway to its neighbours, and the end cells extend as far
+        past the end samples, so the half-offset default_tau_grid integrates
+        over all of [0, t_max], the pulse front included.
+        """
+        first, last = 1.5 * tau[0] - 0.5 * tau[1], 1.5 * tau[-1] - 0.5 * tau[-2]
+        edges = np.concatenate([[first], 0.5 * (tau[1:] + tau[:-1]), [last]])
+        captured = float(alpha2 @ np.diff(edges)) / weight if weight > 0 else 1.0
         return cls(
             tau=tau,
             alpha2=alpha2,
@@ -206,8 +214,9 @@ def default_tau_grid(t_max: float, n: int = 4096) -> np.ndarray:
     """Retarded-coordinate grid spanning (0, t_max) at half-sample offsets.
 
     The offset keeps the causal pulse front (a step at tau = 0, which the
-    Fourier sum reconstructs as its midpoint) off the grid, so trapezoid
-    integrals of the profile are accurate.
+    Fourier sum reconstructs as its midpoint) off the grid, and makes the
+    samples the midpoints of n equal cells that tile [0, t_max], which the
+    capture integrates by the midpoint rule.
     """
     step = t_max / n
     return step * (np.arange(n) + 0.5)

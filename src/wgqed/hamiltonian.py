@@ -55,7 +55,9 @@ class DecayPartition:
     """Three-channel split of -2 Im(H) at resonance evaluation.
 
     guided_coherent is the positive-semidefinite rank-<=2 Gram matrix
-    Gamma_wg cos(k (z_a - z_b)); the Raman and external channels act per atom.
+    Gamma_wg cos(k (z_a - z_b)); the Raman channel acts per atom.  The
+    external channel is external_rate I plus, when H carries the free-space
+    term, its off-diagonal rates external_coupling = Gamma_fs (else None).
     """
 
     guided_coherent: np.ndarray
@@ -64,6 +66,7 @@ class DecayPartition:
     k_wg: float
     gamma_wg: float
     positions: np.ndarray
+    external_coupling: Optional[np.ndarray] = None
 
     @property
     def incoherent_rate(self) -> float:
@@ -106,13 +109,21 @@ def effective_hamiltonian(
 def decay_partition(
     ham: EffectiveHamiltonian, array: AtomArray, params: PhysParams
 ) -> DecayPartition:
-    """Split the anti-Hermitian part of a resonant H into its three channels."""
+    """Split the anti-Hermitian part of a resonant H into its three channels.
+
+    The free-space rates are read off -2 Im H itself, so the external channel
+    follows the H the run evolves with.
+    """
     if ham.retarded:
         raise ValueError(
             "decay partition is defined only for the resonant (non-retarded) matrix"
         )
     dist = pair_distances(array)
     guided = params.gamma_wg * np.cos(params.k_wg * dist)
+    coupling = None
+    if ham.includes_free_space:
+        coupling = -2.0 * ham.matrix.imag - guided
+        np.fill_diagonal(coupling, 0.0)
     return DecayPartition(
         guided_coherent=guided,
         raman_guided_rate=params.gamma_raman,
@@ -120,6 +131,7 @@ def decay_partition(
         k_wg=params.k_wg,
         gamma_wg=params.gamma_wg,
         positions=array.positions.copy(),
+        external_coupling=coupling,
     )
 
 

@@ -12,6 +12,10 @@ terms of the large-E expansion
 
 whose transform is known in closed form, and synthesising only the O(1/E^3)
 remainder with a raised-cosine apodised discrete sum.
+
+The sweep solves the retarded kernel by a scattering recursion in O(N) per
+detuning (see scattering_sweep), and the resonant kernel, which may carry the
+free-space term, by dense solves.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ RESIDUAL_TOL = 1e-10
 # Grid points per batched solve, and output times per block of the Fourier
 # sum; bounds the transient phase and matrix stacks.
 CHUNK = 128
+# Detunings per scattering-recursion chunk; its (n_atoms, SCATTER_CHUNK)
+# arrays stay far below the CHUNK x M phase block of the Fourier sum.
+SCATTER_CHUNK = 2048
 
 
 class GridResolutionError(ValueError):
@@ -251,6 +258,102 @@ def _solve_chunk(
     return x, res_max
 
 
+def scattering_sweep(
+    positions: np.ndarray,
+    params: PhysParams,
+    deltas: np.ndarray,
+    psi: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """Forward pass of the scattering recursion over the atoms in the given order.
+
+    The guided exchange splits into the right-going field
+    F+_a = sum_{b<a} e^{ik|z_a-z_b|} x_b and the left-going F-_a (b > a), so
+    [delta - H(delta)] x = psi reads  u x_a + c (F+_a + F-_a) = psi_a  with
+    u = delta + i gamma_tot/2 and c = i Gamma_wg/2.  The atoms before a return
+    a field G arriving at z_a from the right as P_a G + Q_a: P_a is their
+    reflection, Q_a the output of their sources.  Then
+    x_a = drive_a - gain_a F-_a  with gain_a = c (1 + P_a) / (u + c P_a) and
+    drive_a = (psi_a - c Q_a) / (u + c P_a); adding atom a gives the reflection
+    rho = P_a - (1 + P_a) gain_a and output sigma = Q_a + (1 + P_a) drive_a,
+    and the next gap P_{a+1} = e_a^2 rho, Q_{a+1} = e_a sigma with
+    e_a = e^{ik(delta)|z_{a+1} - z_a|}.  The prefix is passive, so |P_a| <= 1
+    and |u + c P_a| >= (gamma_tot - Gamma_wg)/2 > 0: no pivoting, and no growth
+    across a stop band.  1 - gain_a is atom a's transmission with the prefix
+    behind it.
+
+    Returns (phases e_a, gain, drive, reflection of the whole chain at its
+    last atom), with one row per gap or atom and one column per detuning;
+    drive is None without psi.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    k = params.k_wg + deltas / params.v_g
+    phases = np.exp(1j * np.outer(np.abs(np.diff(positions)), k))
+    u = deltas + 0.5j * params.gamma_tot
+    c = 0.5j * params.gamma_wg
+    n = len(positions)
+    gain = np.empty((n, len(deltas)), dtype=complex)
+    drive = None if psi is None else np.empty_like(gain)
+    p = np.zeros(len(deltas), dtype=complex)
+    q = np.zeros_like(p)
+    for a in range(n):
+        if a:
+            p = phases[a - 1] ** 2 * rho
+            if psi is not None:
+                q = phases[a - 1] * sigma
+        inv = 1.0 / (u + c * p)
+        one_p = 1.0 + p
+        gain[a] = c * one_p * inv
+        rho = p - one_p * gain[a]
+        if psi is not None:
+            drive[a] = (psi[a] - c * q) * inv
+            sigma = q + one_p * drive[a]
+    return phases, gain, drive, rho
+
+
+def _retarded_matvec(
+    x: np.ndarray, phases: np.ndarray, deltas: np.ndarray, params: PhysParams
+) -> np.ndarray:
+    """[delta - H(delta)] x in O(N) by the two guided-field recursions.
+
+    x has one row per atom and one column per detuning; phases are the gap
+    phases e_a of the same detunings.
+    """
+    u = deltas + 0.5j * params.gamma_tot
+    c = 0.5j * params.gamma_wg
+    n = len(x)
+    fields = np.zeros_like(x)
+    right = np.zeros(x.shape[1], dtype=complex)
+    left = np.zeros_like(right)
+    for a in range(1, n):
+        right = phases[a - 1] * (right + x[a - 1])
+        fields[a] += right
+        b = n - 1 - a
+        left = phases[b] * (left + x[b + 1])
+        fields[b] += left
+    return u * x + c * fields
+
+
+def _scatter_chunk(
+    deltas: np.ndarray, positions: np.ndarray, params: PhysParams, psi: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Scattering solves of [delta - H(delta)] x = psi0 under the retarded kernel.
+
+    The backward pass carries the left-going field F-_a from the last atom;
+    the residual is the O(N) matvec with the same gap phases.
+    """
+    phases, gain, drive, _ = scattering_sweep(positions, params, deltas, psi)
+    n = len(psi)
+    x = np.empty_like(gain)
+    left = np.zeros(len(deltas), dtype=complex)
+    for a in range(n - 1, -1, -1):
+        x[a] = drive[a] - gain[a] * left
+        if a:
+            left = phases[a - 1] * (left + x[a])
+    resid = _retarded_matvec(x, phases, deltas, params) - psi[:, None]
+    res_max = float(np.sqrt(np.max(np.sum(resid.real**2 + resid.imag**2, axis=0))))
+    return x.T, res_max
+
+
 def check_residual(residual: float, psi: np.ndarray) -> None:
     """Raise when a resolvent (or modal) residual exceeds RESIDUAL_TOL * |psi0|."""
     if residual > RESIDUAL_TOL * float(np.linalg.norm(psi)):
@@ -271,23 +374,29 @@ def resolvent_sweep(
 ) -> ResolventSet:
     """One verified resolvent solve per grid point.
 
-    ham is the resonant H0 to solve with (the run's own, which may carry the
-    free-space term); by default the waveguide-only H0 of the array.  Grid
-    points are independent; with workers > 1 the chunks run on a thread pool
-    (the dense solves release the GIL) and are written back by index, so
-    assembly is deterministic.
+    The retarded kernel takes the O(N) scattering solve (scattering_sweep),
+    the resonant kernel dense solves.  ham is the resonant H0 (the run's own,
+    which may carry the free-space term, on the resonant kernel only); by
+    default the waveguide-only H0 of the array.  Grid points are independent;
+    with workers > 1 the chunks run on a thread pool (numpy releases the GIL)
+    and are written back by index, so assembly is deterministic.
     """
+    if retarded and ham is not None and ham.includes_free_space:
+        raise ValueError("the retarded kernel has no free-space term")
     deltas = grid.deltas
     psi = psi0.amplitudes
     h0 = (effective_hamiltonian(array, params) if ham is None else ham).matrix
     dist = pair_distances(array)
 
     x = np.empty((len(deltas), len(psi)), dtype=complex)
-    chunks = [(lo, min(lo + CHUNK, len(deltas))) for lo in range(0, len(deltas), CHUNK)]
+    step = SCATTER_CHUNK if retarded else CHUNK
+    chunks = [(lo, min(lo + step, len(deltas))) for lo in range(0, len(deltas), step)]
 
     def work(bounds):
         lo, hi = bounds
-        return lo, hi, _solve_chunk(deltas[lo:hi], h0, dist, params.v_g, psi, retarded)
+        if retarded:
+            return lo, hi, _scatter_chunk(deltas[lo:hi], array.positions, params, psi)
+        return lo, hi, _solve_chunk(deltas[lo:hi], h0, dist, params.v_g, psi, False)
 
     res_max = 0.0
     if workers > 1:

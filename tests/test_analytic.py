@@ -121,6 +121,42 @@ def _cascade_closed_form(n, params, delta):
     return -(0.5 * n_gamma) / (0.5 * (n_gamma + loss) - 1j * delta)
 
 
+def _transfer_matrix_cascade(positions, params, deltas):
+    """The 2x2 transfer-matrix cascade that transfer_matrix_reflectance
+    replaced, kept as the oracle: (r, t) from the left, at the first atom."""
+    r1 = -(0.5 * params.gamma_wg) / (0.5 * params.gamma_tot - 1j * deltas)
+    t1 = 1.0 + r1
+    m_atom = np.empty((len(deltas), 2, 2), dtype=complex)
+    m_atom[:, 0, 0] = (t1**2 - r1**2) / t1
+    m_atom[:, 0, 1] = r1 / t1
+    m_atom[:, 1, 0] = -r1 / t1
+    m_atom[:, 1, 1] = 1.0 / t1
+    total = m_atom.copy()
+    k = params.k_wg + deltas / params.v_g
+    for dz in np.diff(positions):
+        prop = np.zeros((len(deltas), 2, 2), dtype=complex)
+        prop[:, 0, 0] = np.exp(1j * k * dz)
+        prop[:, 1, 1] = np.exp(-1j * k * dz)
+        total = m_atom @ prop @ total
+    return -total[:, 1, 0] / total[:, 1, 1], 1.0 / total[:, 1, 1]
+
+
+@pytest.mark.parametrize("n", [1, 50, 500])
+@pytest.mark.parametrize("layout", ["half-wave", "random"])
+def test_reflection_matches_the_transfer_matrix_cascade(params, n, layout):
+    # across the stop band and out to three times its width on each side
+    if layout == "half-wave":
+        positions = _half_wave_positions(n)
+    else:
+        positions = np.sort(np.random.default_rng(n).uniform(0.0, 0.5 * n, n))
+    gamma_m = n * params.gamma_1d / 2
+    deltas = np.linspace(-3 * gamma_m - 2.0, 3 * gamma_m + 2.0, 601)
+    r, t = transfer_matrix_reflectance(positions, params, deltas)
+    r_oracle, t_oracle = _transfer_matrix_cascade(positions, params, deltas)
+    assert_allclose(r, r_oracle, rtol=1e-10, atol=0.0)
+    assert_allclose(t, t_oracle, rtol=1e-10, atol=0.0)
+
+
 def test_single_atom_reflection(params):
     r, t = transfer_matrix_reflectance(_half_wave_positions(1), params, 0.0)
     assert r == pytest.approx(-0.05 / 1.05, abs=1e-12)

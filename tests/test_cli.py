@@ -261,8 +261,6 @@ def test_free_space_gate():
     with pytest.raises(ConfigError):
         run(RunConfig(scenario="fig2", scale=0.05, method="spectral", free_space=True))
     result = run(RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=True))
-    # the ledger tracks the waveguide channels; the free-space interference
-    # contribution shows up as a finite (reported) imbalance
     assert np.isfinite(result.record.ledger.balance_error)
     assert result.series.p[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -286,7 +284,10 @@ def test_ensemble_captures_follow_the_averaged_profiles():
         (record.profile_right, record.ledger.p_right),
         (record.profile_left, record.ledger.p_left),
     ):
-        expected = np.trapezoid(profile.alpha2, profile.tau) / weight
+        # midpoint rule: the half-offset samples tile [0, t_max] in equal cells
+        step = profile.tau[1] - profile.tau[0]
+        assert profile.tau[0] == pytest.approx(0.5 * step, rel=1e-12)
+        expected = np.sum(profile.alpha2) * step / weight
         assert profile.captured == pytest.approx(expected, rel=1e-12)
         assert profile.covers_support == (expected >= 0.99)
 
@@ -321,16 +322,24 @@ def test_markovian_run_never_sweeps_its_grid(monkeypatch):
     assert summary["expm_fallback"] is False
     assert 1.0 <= summary["eig_condition"] < 1e8
     assert summary["pole_check_error"] <= 1e-8
+    assert summary["k_flux"] is None
     assert summary["grid"]["n_points"] == len(result.record.spectrum_right.deltas)
     assert summary["grid"]["n_points"] > POLE_CHECK_POINTS
 
 
-def test_retarded_run_reports_the_sweep_route():
-    summary = run(RunConfig(scenario="fig2", scale=0.05, method="spectral")).summary.data
+def test_retarded_run_reports_the_sweep_route(params):
+    result = run(RunConfig(scenario="fig2", scale=0.05, method="spectral"))
+    summary = result.summary.data
     assert summary["route"] == "sweep"
     assert summary["eig_condition"] is None
     assert summary["pole_check_error"] is None
     assert summary["expm_fallback"] is False
+    # the flux split's wavenumber, at the weight-averaged spectral centroid
+    right, left = result.record.spectrum_right, result.record.spectrum_left
+    centroid = (right.centroid() * right.weight + left.centroid() * left.weight) / (
+        right.weight + left.weight
+    )
+    assert summary["k_flux"] == pytest.approx(params.k_wg + centroid / params.v_g, rel=1e-15)
 
 
 def test_ill_conditioned_eigenvectors_fall_back_to_the_sweep(monkeypatch):
@@ -366,6 +375,15 @@ def test_free_space_weights_come_from_the_run_hamiltonian():
     # carries the free-space term, so the guided routes agree
     result = run(RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=True))
     assert result.record.ledger.guided_route_discrepancy <= 1e-3
+
+
+def test_free_space_external_loss_balances():
+    # E_ext integrates b^dagger (gamma_ext I + Gamma_fs) b, the external part
+    # of -2 Im H, so the series balances with the free-space interference in
+    result = run(RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=True))
+    assert float(result.series.balance_error().max()) <= 1e-2
+    assert result.record.ledger.p_ext < 1.0
+    assert result.record.ledger.converged
 
 
 def test_ensemble_keeps_every_member_timing():

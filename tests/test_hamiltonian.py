@@ -16,7 +16,7 @@ from wgqed import (
     dicke_initial_state,
     effective_hamiltonian,
 )
-from wgqed.hamiltonian import free_space_rates
+from wgqed.hamiltonian import free_space_rates, pair_distances
 
 
 def random_array(rng, n, span=15.0):
@@ -120,6 +120,25 @@ def test_partition_reconstruction_identity(params):
     ham = effective_hamiltonian(arr, params)
     part = decay_partition(ham, arr, params)
     total = part.guided_coherent + part.incoherent_rate * np.eye(arr.n_atoms)
+    assert np.max(np.abs(total - (-2.0 * ham.matrix.imag))) < 1e-12
+
+
+def test_partition_carries_the_free_space_rates(params):
+    rng = np.random.default_rng(3)
+    arr = random_array(rng, 18)
+    ham = effective_hamiltonian(arr, params)
+    assert decay_partition(ham, arr, params).external_coupling is None
+    ham = add_free_space_coupling(ham, arr, params)
+    part = decay_partition(ham, arr, params)
+    xi = 2 * np.pi / params.lambda0 * pair_distances(arr) + np.eye(18)  # 1 on the diagonal
+    gamma_fs, _ = free_space_rates(xi, params.gamma)
+    np.fill_diagonal(gamma_fs, 0.0)
+    assert_allclose(part.external_coupling, gamma_fs, atol=1e-12)
+    total = (
+        part.guided_coherent
+        + part.incoherent_rate * np.eye(arr.n_atoms)
+        + part.external_coupling
+    )
     assert np.max(np.abs(total - (-2.0 * ham.matrix.imag))) < 1e-12
 
 

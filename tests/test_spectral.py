@@ -17,12 +17,18 @@ from wgqed import (
 )
 from wgqed.dynamics import default_time_grid
 from wgqed.emission import default_tau_grid
+from wgqed.hamiltonian import pair_distances
 from wgqed.spectral import (
     CHUNK,
+    SCATTER_CHUNK,
     GridResolutionError,
     ScenarioScales,
     SpectralGrid,
     _is_uniform,
+    _retarded_matvec,
+    _scatter_chunk,
+    _solve_chunk,
+    scattering_sweep,
 )
 from test_hamiltonian import random_array
 
@@ -188,6 +194,70 @@ def test_retarded_sweep_matches_dense_solve(params):
         assert_allclose(slices.x[idx], direct, rtol=1e-8)
 
 
+def _dense_retarded_solve(arr, params, psi, deltas):
+    # the dense solves the scattering recursion replaced, kept as the oracle
+    h0 = effective_hamiltonian(arr, params).matrix
+    x, _ = _solve_chunk(deltas, h0, pair_distances(arr), params.v_g, psi, True)
+    return x
+
+
+def test_scattering_solve_matches_dense_on_random_geometries(params, monkeypatch):
+    # the geometries and initial states of acceptance criterion 8; the sweep
+    # may make no dense solve (the oracle calls its own reference to one)
+    import wgqed.spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the retarded sweep made a dense solve")
+
+    monkeypatch.setattr(wgqed.spectral, "_solve_chunk", refuse)
+    rng = np.random.default_rng(123)
+    for _ in range(10):
+        n = int(rng.integers(5, 41))
+        arr = random_array(rng, n, span=max(3.0, n / 2))
+        amp = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi0 = StateVector(amp / np.linalg.norm(amp))
+        gamma_fast = params.gamma_tot + (n - 1) * params.gamma_wg
+        grid = SpectralGrid(-400.0 * gamma_fast, 400.0 * gamma_fast, 4097, 0.0)
+        slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
+        assert slices.residual_max <= 1e-10
+        expected = _dense_retarded_solve(arr, params, psi0.amplitudes, grid.deltas)
+        assert_allclose(slices.x, expected, rtol=1e-8)
+
+
+def test_scattering_solve_matches_dense_on_a_bragg_chain(params):
+    # half-wave mirrors of 250 atoms: deep stop band around resonance
+    arr = build_chain(ChainSpec.three_segment(250, 10, 250, gap_d0=0.5), params)
+    psi = dicke_initial_state(arr, params).amplitudes
+    deltas = np.array([-0.3, 0.0, 0.05, 2.0])
+    x, residual = _scatter_chunk(deltas, arr.positions, params, psi)
+    assert residual <= 1e-12
+    assert_allclose(x, _dense_retarded_solve(arr, params, psi, deltas), rtol=1e-12)
+
+
+def test_retarded_sweep_rejects_the_free_space_term(params):
+    from wgqed import add_free_space_coupling
+
+    arr = build_chain(ChainSpec.three_segment(0, 3, 0), params)
+    ham = add_free_space_coupling(effective_hamiltonian(arr, params), arr, params)
+    grid = SpectralGrid(-5.0, 5.0, 16, 0.0)
+    psi0 = dicke_initial_state(arr, params)
+    with pytest.raises(ValueError, match="free-space"):
+        resolvent_sweep(arr, params, psi0, grid, retarded=True, ham=ham)
+    assert resolvent_sweep(arr, params, psi0, grid, retarded=False, ham=ham).residual_max <= 1e-10
+
+
+def test_retarded_matvec_matches_the_dense_operator(params):
+    rng = np.random.default_rng(4)
+    arr = random_array(rng, 15)
+    deltas = np.array([-7.0, 0.0, 0.3, 11.0])
+    x = rng.normal(size=(15, 4)) + 1j * rng.normal(size=(15, 4))
+    phases, _, _, _ = scattering_sweep(arr.positions, params, deltas)
+    fast = _retarded_matvec(x, phases, deltas, params)
+    for i, delta in enumerate(deltas):
+        h = effective_hamiltonian(arr, params, probe_detuning=delta).matrix
+        assert_allclose(fast[:, i], (delta * np.eye(15) - h) @ x[:, i], rtol=1e-12)
+
+
 def test_cross_method_oracle_20_atoms(params):
     rng = np.random.default_rng(5)
     arr = random_array(rng, 20, span=10.0)
@@ -244,8 +314,8 @@ def test_workers_give_identical_results(params):
     rng = np.random.default_rng(2)
     arr = random_array(rng, 8)
     psi0 = StateVector(np.ones(8) / np.sqrt(8))
-    grid = SpectralGrid(-20.0, 20.0, 512, 0.0)
-    assert grid.n_points >= 4 * CHUNK  # one chunk per worker at least
+    grid = SpectralGrid(-20.0, 20.0, 4 * SCATTER_CHUNK, 0.0)
+    assert grid.n_points >= 4 * SCATTER_CHUNK  # one scattering chunk per worker at least
     serial = resolvent_sweep(arr, params, psi0, grid, retarded=True, workers=1)
     threaded = resolvent_sweep(arr, params, psi0, grid, retarded=True, workers=4)
     assert np.array_equal(serial.x, threaded.x)
