@@ -31,7 +31,6 @@ from .dynamics import (
 )
 from .spectral import (
     ResolventSet,
-    ScenarioScales,
     SpectralGrid,
     build_grid,
     resolvent_sweep,

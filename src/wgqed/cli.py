@@ -65,7 +65,6 @@ from .model import (
 )
 from .spectral import (
     ResolventSet,
-    ScenarioScales,
     SpectralGrid,
     build_grid,
     check_residual,
@@ -450,10 +449,8 @@ def _member_pipeline(
     """Trajectory, series and emission record for a single disorder member."""
     array = build_chain(chain, params)
     psi0 = dicke_initial_state(array, params)
-    counts = chain.counts()
-    gamma_c = collective_rate(counts["n_center"], params)
-    gamma_m = collective_rate(max(counts["n_left"], counts["n_right"]), params)
-    gamma_fast = max(gamma_c, gamma_m)
+    # the fastest segment's collective rate; collective_rate grows with n
+    gamma_fast = collective_rate(max(chain.counts().values()), params)
 
     ham = effective_hamiltonian(array, params)
     if free_space:
@@ -465,13 +462,7 @@ def _member_pipeline(
     span = grid_cfg.span_factor
     if span is None:
         span = SPAN_FACTOR_RETARDED if retarded else SPAN_FACTOR_RESONANT
-    grid = build_grid(
-        params,
-        ScenarioScales(gamma_c=gamma_c, gamma_m=gamma_m),
-        t_max,
-        span_factor=span,
-        apod_fraction=grid_cfg.apod_fraction,
-    )
+    grid = build_grid(gamma_fast, t_max, span_factor=span, apod_fraction=grid_cfg.apod_fraction)
     timings: dict[str, float] = {}
     modes = None
     tic = time.perf_counter()
@@ -814,26 +805,10 @@ def config_from_file(path) -> RunConfig:
             spacing=chain_raw.get("spacing"),
             left_disorder=None if left_dis is None else DisorderSpec(left_dis),
             right_disorder=None if right_dis is None else DisorderSpec(right_dis),
-            rng_seed=run_raw.get("seed", 0),
         )
-    grid = GridConfig(
-        span_factor=grid_raw.get("span_factor"),
-        apod_fraction=grid_raw.get("apod_fraction", 0.1),
-    )
-    return RunConfig(
-        scenario=run_raw.get("scenario"),
-        chain=chain,
-        params=params,
-        method=run_raw.get("method", "auto"),
-        scale=run_raw.get("scale", 1.0),
-        t_max=run_raw.get("t_max"),
-        seed=run_raw.get("seed", 0),
-        ensemble=run_raw.get("ensemble", 1),
-        workers=run_raw.get("workers", 1),
-        out_dir=run_raw.get("out"),
-        grid=grid,
-        free_space=run_raw.get("free_space", False),
-    )
+    if "out" in run_raw:
+        run_raw["out_dir"] = run_raw.pop("out")
+    return RunConfig(chain=chain, params=params, grid=GridConfig(**grid_raw), **run_raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -843,17 +818,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scenario", choices=sorted(SCENARIOS), help="named geometry")
     parser.add_argument("--config", help="key-value config file (see docs/config.md)")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=float,
                         help="multiply all segment counts (min 1 atom per segment)")
-    parser.add_argument("--method", choices=["auto", "markovian", "spectral"], default="auto")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--ensemble", type=int, default=1,
+    parser.add_argument("--method", choices=["auto", "markovian", "spectral"])
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--ensemble", type=int,
                         help="number of disorder realisations to average")
-    parser.add_argument("--out", help="artifact directory")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--out", dest="out_dir", help="artifact directory")
+    parser.add_argument("--workers", type=int)
     parser.add_argument("--t-max", type=float, dest="t_max")
     parser.add_argument("--span-factor", type=float, dest="span_factor")
-    parser.add_argument("--free-space", action="store_true",
+    parser.add_argument("--free-space", action="store_true", default=None,
                         help="enable the optional free-space dipole-dipole term "
                              "(resonant method only; the guided weights and the "
                              "external loss, free-space interference included, "
@@ -861,35 +836,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """config with every command-line flag that was given applied over it;
+    --scenario replaces a custom chain."""
+    flags = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
+    if "scenario" in flags:
+        flags["chain"] = None
+    if "span_factor" in flags:
+        flags["grid"] = replace(config.grid, span_factor=flags.pop("span_factor"))
+    return replace(config, **flags)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config is None and args.scenario is None:
+        parser.error("one of --scenario or --config is required")
     try:
         if args.config is not None:
             config = config_from_file(args.config)
-            overrides = {}
-            if args.scenario is not None:
-                overrides["scenario"] = args.scenario
-                overrides["chain"] = None
-            if args.out is not None:
-                overrides["out_dir"] = args.out
-            if overrides:
-                config = replace(config, **overrides)
         else:
-            if args.scenario is None:
-                parser.error("one of --scenario or --config is required")
-            config = RunConfig(
-                scenario=args.scenario,
-                scale=args.scale,
-                method=args.method,
-                seed=args.seed,
-                ensemble=args.ensemble,
-                out_dir=args.out,
-                workers=args.workers,
-                t_max=args.t_max,
-                grid=GridConfig(span_factor=args.span_factor),
-                free_space=args.free_space,
-            )
+            config = RunConfig(scenario=args.scenario)
+        config = _apply_flags(config, args)
         result = run(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,7 +55,7 @@ class DirectionalSpectrum:
 
     def amplitude(self, tau: np.ndarray) -> np.ndarray:
         """alpha(tau) = (1 / 2 pi) int d delta M(delta) e^{-i delta tau}, by the
-        grid's apodised Fourier sum (a chirp-z transform on even tau)."""
+        grid's apodised Fourier sum (a non-uniform FFT at any tau)."""
         alpha = self.grid.fourier_sum(self.values, tau)
         alpha *= 1.0 / (2.0 * math.pi)
         return alpha

@@ -10,7 +10,6 @@ per-atom external rate.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -39,15 +38,6 @@ class EffectiveHamiltonian:
         The Markovian evolution and the superradiant overlap share it.
         """
         return np.linalg.eig(self.matrix)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "re", "im"])
-            for i in range(self.n_atoms):
-                for j in range(self.n_atoms):
-                    h = self.matrix[i, j]
-                    writer.writerow([i, j, repr(float(h.real)), repr(float(h.imag))])
 
 
 @dataclass

@@ -28,48 +28,26 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import AmplitudeTrajectory
-from .hamiltonian import (
-    EffectiveHamiltonian,
-    effective_hamiltonian,
-    pair_distances,
-    retarded_kernel,
-)
+from .hamiltonian import EffectiveHamiltonian, effective_hamiltonian
 from .model import AtomArray, PhysParams, StateVector
 
 MAX_GRID_POINTS = 2**20
 RESIDUAL_TOL = 1e-10
-# Grid points per batched solve, and output times per block of the Fourier
-# sum; bounds the transient phase and matrix stacks.
+# Grid points per batched solve and per pole-sum block; the Fourier sum keeps
+# each of its FFT stacks within CHUNK x n_points elements.
 CHUNK = 128
 # Detunings per scattering-recursion chunk; its (n_atoms, SCATTER_CHUNK)
-# arrays stay far below the CHUNK x M phase block of the Fourier sum.
+# arrays stay far below the CHUNK x M FFT stack of the Fourier sum.
 SCATTER_CHUNK = 2048
+# Gaussian gridding of the Fourier sum: an FFT grid OVERSAMPLING x M long and
+# 2 * HALF_WIDTH nodes per time, for an error of about e^{-8 pi} ~ 1e-11 of
+# sum_k |summand_k| (see SpectralGrid.fourier_sum).
+OVERSAMPLING = 2
+HALF_WIDTH = 12
 
 
 class GridResolutionError(ValueError):
     """The requested accuracy needs more than MAX_GRID_POINTS samples."""
-
-
-def _is_uniform(times: np.ndarray) -> bool:
-    """True for two or more times that are evenly spaced up to rounding."""
-    if times.ndim != 1 or len(times) < 2:
-        return False
-    ideal = np.linspace(times[0], times[-1], len(times))
-    scale = max(abs(times[0]), abs(times[-1]))
-    return bool(np.max(np.abs(times - ideal)) <= 16 * np.finfo(float).eps * scale)
-
-
-@dataclass(frozen=True)
-class ScenarioScales:
-    """Fast-rate scales of a scenario; the grid span covers the largest one."""
-
-    gamma_c: float
-    gamma_m: float = 0.0
-    kappa: float = 0.0
-
-    @property
-    def gamma_fast(self) -> float:
-        return max(self.gamma_c, self.gamma_m, self.kappa)
 
 
 @dataclass(frozen=True)
@@ -114,53 +92,48 @@ class SpectralGrid:
         """sum_k e^{-i delta_k t} w_k d values_k at each t (w the window, d the spacing).
 
         values has the grid along its first axis; the result has the times
-        there instead.  Evenly spaced times go through the chirp-z transform,
-        any other times through the direct sum.
+        there instead.  The times may be any reals: the sum is one type-2
+        non-uniform FFT by Gaussian gridding (Dutt and Rokhlin 1993; Greengard
+        and Lee, SIAM Rev. 46, 2004).  With centred mode numbers k and
+        delta_k = delta_c + k d the sum is e^{-i delta_c t} f(d t), where
+        f(x) = sum_k c_k e^{-i k x}.  The periodised Gaussian
+        g(x) = sum_l e^{-(x - 2 pi l)^2 / (4 tau)} has the Fourier coefficients
+        sqrt(tau / pi) e^{-tau k^2}; dividing c_k by them, one FFT of length
+        R M (R = OVERSAMPLING) gives h on the nodes y_m = 2 pi m / (R M), and
+        f(x) = sum_m h(y_m) g(x - y_m) / (R M) over the 2 HALF_WIDTH nodes
+        nearest x.  tau = pi HALF_WIDTH / (M^2 R (R - 1/2)) balances the
+        aliasing of the FFT grid against the truncated kernel, and the error
+        is about e^{-pi HALF_WIDTH (R - 1) / (R - 1/2)} = e^{-8 pi} ~ 1e-11 of
+        sum_k |w_k d values_k|.  Column blocks keep each FFT stack within
+        CHUNK x M elements.
         """
         times = np.asarray(times, dtype=float)
+        m = self.n_points
+        length = OVERSAMPLING * m
+        tau = math.pi * HALF_WIDTH / (m**2 * OVERSAMPLING * (OVERSAMPLING - 0.5))
+        modes = np.arange(m) - m // 2
         weights = self.apodization() * self.spacing
-        summand = values * weights.reshape((-1,) + (1,) * (values.ndim - 1))
-        if _is_uniform(times):
-            return self._chirp_z(summand, times)
-        deltas = self.deltas
-        out = np.empty((len(times),) + values.shape[1:], dtype=complex)
-        for lo in range(0, len(times), CHUNK):
-            phases = np.exp(-1j * np.outer(times[lo : lo + CHUNK], deltas))
-            out[lo : lo + CHUNK] = phases @ summand
-        return out
+        weights *= np.sqrt(math.pi / tau) * np.exp(tau * modes**2)
 
-    def _chirp_z(self, summand: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Bluestein's chirp-z evaluation of the Fourier sum on uniform times.
+        node = 2.0 * math.pi / length
+        x = np.mod(self.spacing * times, 2.0 * math.pi)
+        stencil = np.floor(x / node).astype(int)[:, None] + np.arange(
+            1 - HALF_WIDTH, HALF_WIDTH + 1
+        )
+        kernel = np.exp(-((x[:, None] - node * stencil) ** 2) / (4.0 * tau)) / length
+        stencil %= length
+        shift = np.exp(-1j * (self.delta_min + (m // 2) * self.spacing) * times)
 
-        With delta_k = delta_min + k d and t_j = t_0 + j dt, the phase
-        delta_k t_j = delta_min t_j + k d t_0 + k j d dt, and
-        k j = (k^2 + j^2 - (j - k)^2) / 2 turns the k j term into a
-        convolution with the chirp e^{i theta m^2 / 2} (theta = d dt), done by
-        FFTs of one power-of-two length (Rabiner, Schafer and Rader 1969).
-        """
-        m, n = self.n_points, len(times)
-        dt = (times[-1] - times[0]) / (n - 1)
-        half_theta = 0.5 * self.spacing * dt
-        length = 1 << math.ceil(math.log2(m + n - 1))
-        k = np.arange(m, dtype=float)
-        j = np.arange(n, dtype=float)
-        pre = np.exp(-1j * (half_theta * k**2 + self.spacing * times[0] * k))
-        post = np.exp(-1j * (half_theta * j**2 + self.delta_min * times))
-        # chirp at lags 0..n-1, then -(m-1)..-1 wrapped to the end
-        chirp = np.zeros(length, dtype=complex)
-        chirp[:n] = np.exp(1j * half_theta * j**2)
-        chirp[length - m + 1 :] = np.exp(1j * half_theta * k[m - 1 : 0 : -1] ** 2)
-        chirp_f = np.fft.fft(chirp)
-
-        # column blocks keep each FFT stack within one CHUNK x m phase block
-        flat = summand.reshape(m, -1)
+        flat = values.reshape(m, -1)
         cols = max(1, CHUNK * m // length)
-        out = np.empty((n, flat.shape[1]), dtype=complex)
+        out = np.empty((len(times), flat.shape[1]), dtype=complex)
         for lo in range(0, flat.shape[1], cols):
-            spec = np.fft.fft(flat[:, lo : lo + cols] * pre[:, None], n=length, axis=0)
-            spec *= chirp_f[:, None]
-            out[:, lo : lo + cols] = np.fft.ifft(spec, axis=0)[:n] * post[:, None]
-        return out.reshape((n,) + summand.shape[1:])
+            block = np.zeros((length, min(cols, flat.shape[1] - lo)), dtype=complex)
+            block[modes % length] = flat[:, lo : lo + cols] * weights[:, None]
+            block = np.fft.fft(block, axis=0)
+            out[:, lo : lo + cols] = np.einsum("js,jsc->jc", kernel, block[stencil])
+        out *= shift[:, None]
+        return out.reshape((len(times),) + values.shape[1:])
 
 
 @dataclass
@@ -192,23 +165,9 @@ class ResolventSet:
             return self.k_wg + delta / self.v_g
         return np.broadcast_to(np.asarray(self.k_wg), delta.shape)
 
-    def to_csv(self, path) -> None:
-        """Diagnostic dump of the per-atom spectra |x_a(delta)|^2."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta", "atom", "abs_x_squared"])
-            for i, delta in enumerate(self.deltas):
-                for a in range(self.x.shape[1]):
-                    writer.writerow(
-                        [repr(float(delta)), a, repr(float(abs(self.x[i, a]) ** 2))]
-                    )
-
 
 def build_grid(
-    params: PhysParams,
-    scales: ScenarioScales,
+    gamma_fast: float,
     t_max: float,
     span_factor: float = 20.0,
     apod_fraction: float = 0.1,
@@ -220,9 +179,8 @@ def build_grid(
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
-    gamma_fast = scales.gamma_fast
     if not gamma_fast > 0:
-        raise ValueError("scenario scales must contain a positive rate")
+        raise ValueError("the fastest rate gamma_fast must be positive")
     half_span = max(span_factor, 20.0) * gamma_fast
     spacing_max = 2.0 * math.pi / (8.0 * t_max)
     n_req = math.ceil(2.0 * half_span / spacing_max) + 1
@@ -236,19 +194,11 @@ def build_grid(
 
 
 def _solve_chunk(
-    deltas: np.ndarray,
-    h0: np.ndarray,
-    dist: np.ndarray,
-    v_g: float,
-    psi0: np.ndarray,
-    retarded: bool,
+    deltas: np.ndarray, h0: np.ndarray, psi0: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Dense solves of [delta - H(delta)] x = psi0 for one batch of detunings."""
+    """Dense solves of [delta - H0] x = psi0 for one batch of detunings."""
     m, n = len(deltas), len(psi0)
-    if retarded:
-        mats = -retarded_kernel(h0, dist, deltas, v_g)
-    else:
-        mats = np.broadcast_to(-h0, (m, n, n)).copy()
+    mats = np.broadcast_to(-h0, (m, n, n)).copy()
     idx = np.arange(n)
     mats[:, idx, idx] += deltas[:, None]
     rhs = np.broadcast_to(psi0, (m, n))
@@ -386,7 +336,6 @@ def resolvent_sweep(
     deltas = grid.deltas
     psi = psi0.amplitudes
     h0 = (effective_hamiltonian(array, params) if ham is None else ham).matrix
-    dist = pair_distances(array)
 
     x = np.empty((len(deltas), len(psi)), dtype=complex)
     step = SCATTER_CHUNK if retarded else CHUNK
@@ -396,7 +345,7 @@ def resolvent_sweep(
         lo, hi = bounds
         if retarded:
             return lo, hi, _scatter_chunk(deltas[lo:hi], array.positions, params, psi)
-        return lo, hi, _solve_chunk(deltas[lo:hi], h0, dist, params.v_g, psi, False)
+        return lo, hi, _solve_chunk(deltas[lo:hi], h0, psi)
 
     res_max = 0.0
     if workers > 1:
@@ -426,7 +375,8 @@ def resolvent_sweep(
 
 
 def time_domain(slices: ResolventSet, t_grid: np.ndarray) -> AmplitudeTrajectory:
-    """Synthesise b(t) from the resolvent slices by the windowed discrete sum.
+    """Synthesise b(t) from the resolvent slices by the windowed discrete sum,
+    evaluated at any t_grid by the grid's non-uniform FFT (fourier_sum).
 
     The two leading large-detuning terms of x(delta) are removed and restored
     analytically (see module docstring), so only the O(1/delta^3) remainder is

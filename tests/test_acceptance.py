@@ -29,7 +29,6 @@ from wgqed import (
 )
 from wgqed.cli import SCENARIOS
 from wgqed.dynamics import default_time_grid, fit_decay_rate
-from wgqed.spectral import ScenarioScales
 
 from conftest import CAVITY_FIXTURES, MARKOVIAN_FIXTURES
 from test_analytic import jc_population_ode
@@ -199,7 +198,7 @@ def test_criterion_8_cross_method(params):
         amp = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi0 = StateVector(amp / np.linalg.norm(amp))
         gamma_fast = params.gamma_tot + (n - 1) * params.gamma_wg
-        grid = build_grid(params, ScenarioScales(gamma_c=gamma_fast), 8.0, span_factor=400)
+        grid = build_grid(gamma_fast, 8.0, span_factor=400)
         slices = resolvent_sweep(arr, params, psi0, grid, retarded=False, workers=2)
         t = np.linspace(0.0, 8.0, 160)
         spectral = time_domain(slices, t)

@@ -247,6 +247,48 @@ def test_main_exit_codes(tmp_path):
     assert (out / "summary.json").exists()
 
 
+def _main_config(monkeypatch, argv):
+    # the RunConfig main hands to run, which stops there
+    import wgqed.cli
+
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(wgqed.cli, "run", capture)
+    assert main(argv) == 2
+    return seen[0]
+
+
+def test_flags_override_the_config_file(tmp_path, monkeypatch):
+    path = tmp_path / "f.cfg"
+    path.write_text(
+        "[run]\nscenario = fig2\nscale = 0.05\nworkers = 2\n[grid]\napod_fraction = 0.2\n"
+    )
+    cfg = _main_config(
+        monkeypatch,
+        ["--config", str(path), "--scale", "0.3", "--seed", "7", "--t-max", "2",
+         "--method", "spectral", "--span-factor", "150", "--free-space", "--out", "x"],
+    )
+    assert (cfg.scenario, cfg.scale, cfg.seed, cfg.t_max, cfg.method) == (
+        "fig2", 0.3, 7, 2.0, "spectral"
+    )
+    assert cfg.free_space and cfg.out_dir == "x"
+    assert cfg.workers == 2  # no flag: the file's value stands
+    assert cfg.grid == GridConfig(span_factor=150.0, apod_fraction=0.2)
+
+    path.write_text("[run]\nseed = 3\n[chain]\nn_center = 4\n")
+    cfg = _main_config(monkeypatch, ["--config", str(path), "--scenario", "fig4"])
+    assert (cfg.scenario, cfg.chain, cfg.seed) == ("fig4", None, 3)
+    assert cfg == RunConfig(scenario="fig4", seed=3)
+
+    # without a file the flags apply over the RunConfig defaults
+    cfg = _main_config(monkeypatch, ["--scenario", "fig2", "--ensemble", "2"])
+    assert cfg == RunConfig(scenario="fig2", ensemble=2)
+
+
 def test_parser_flags():
     parser = build_parser()
     args = parser.parse_args(

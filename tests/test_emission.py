@@ -13,14 +13,14 @@ from wgqed import (
     spatial_profile,
 )
 from wgqed.emission import DirectionalSpectrum, default_tau_grid
-from wgqed.spectral import ScenarioScales, SpectralGrid
+from wgqed.spectral import SpectralGrid
 from conftest import CAVITY_FIXTURES
 
 
 def _sweep(params, spec, gamma_fast, t_max=12.0 / 0.95, span=400):
     arr = build_chain(spec, params)
     psi0 = dicke_initial_state(arr, params)
-    grid = build_grid(params, ScenarioScales(gamma_c=gamma_fast), t_max, span_factor=span)
+    grid = build_grid(gamma_fast, t_max, span_factor=span)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     return arr, psi0, grid, slices
 
@@ -71,7 +71,7 @@ def test_profile_uses_the_grid_apodization(params):
     # a non-default taper on the run's grid must reach the profile transform
     arr = build_chain(ChainSpec.three_segment(0, 1, 0), params)
     psi0 = dicke_initial_state(arr, params)
-    grid = build_grid(params, ScenarioScales(gamma_c=1.05), 8.0, apod_fraction=0.3)
+    grid = build_grid(1.05, 8.0, apod_fraction=0.3)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     spectrum = emission_spectrum(slices, arr, params, +1)
     tau = default_tau_grid(8.0, n=64)
@@ -223,7 +223,7 @@ def _assert_poles_match_sweep(params, arr, psi0, gamma_fast, t_max):
     from wgqed.dynamics import modal_expansion
     from wgqed.emission import PoleSpectrum
 
-    grid = build_grid(params, ScenarioScales(gamma_c=gamma_fast), t_max, span_factor=400)
+    grid = build_grid(gamma_fast, t_max, span_factor=400)
     modes = modal_expansion(effective_hamiltonian(arr, params), psi0)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     tau = default_tau_grid(t_max)

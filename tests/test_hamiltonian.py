@@ -1,4 +1,3 @@
-import csv
 
 import numpy as np
 import pytest
@@ -195,15 +194,3 @@ def test_free_space_requires_resonant_matrix(params):
     ham = effective_hamiltonian(arr, params, probe_detuning=0.5)
     with pytest.raises(ValueError):
         add_free_space_coupling(ham, arr, params)
-
-
-def test_hamiltonian_csv_dump(tmp_path, params):
-    arr = build_chain(ChainSpec.three_segment(0, 2, 0), params)
-    ham = effective_hamiltonian(arr, params)
-    path = tmp_path / "h.csv"
-    ham.to_csv(path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["row", "col", "re", "im"]
-    assert len(rows) == 5
-    assert float(rows[1][3]) == pytest.approx(-0.525)
