@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from wgqed.cli import SCENARIOS, GridConfig, RunConfig, run
+from wgqed.cli import SCENARIOS, RunConfig, run
 
 
 def main() -> int:
@@ -38,7 +38,6 @@ def main() -> int:
                 seed=args.seed,
                 workers=args.workers,
                 out_dir=str(out_dir),
-                grid=GridConfig(),
             )
         )
         ledger = result.record.ledger

@@ -121,7 +121,7 @@ def transfer_matrix_reflectance(mirror, params: PhysParams, delta):
     A single atom reflects the guided wave with r1 = -(Gamma_wg/2)/(Gamma_tot/2 - i delta)
     (only the coherent channel reflects; Raman and external losses make the
     mirror sub-unitary), and free propagation between atoms adds the phases
-    e^{i k(delta) dz} with k(delta) = k_wg + delta / v_g.  The passive
+    e^{i k(delta) dz} with k(delta) from PhysParams.k_of.  The passive
     scattering recursion of the resolvent sweep (spectral.scattering_sweep),
     run with no source from the last atom to the first, gives r as the
     reflection of the whole mirror, and t as the product of the per-atom

@@ -88,10 +88,22 @@ POLE_CHECK_POINTS = 9
 POLE_CHECK_TOL = 1e-8
 
 
+def _positive(value) -> bool:
+    return math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class GridConfig:
     span_factor: Optional[float] = None  # None -> kernel-dependent default
-    apod_fraction: float = 0.1
+    apod_fraction: float = 0.1  # taper per edge; the two tapers meet at 0.5
+
+    def __post_init__(self):
+        if self.span_factor is not None and not _positive(self.span_factor):
+            raise ConfigError(
+                f"span_factor must be finite and positive, got {self.span_factor}"
+            )
+        if not 0.0 <= self.apod_fraction <= 0.5:
+            raise ConfigError(f"apod_fraction must lie in [0, 0.5], got {self.apod_fraction}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +126,10 @@ class RunConfig:
             raise ConfigError("exactly one of scenario or chain must be given")
         if self.method not in ("auto", "markovian", "spectral"):
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.scale <= 0:
-            raise ConfigError("scale must be positive")
+        if not _positive(self.scale):
+            raise ConfigError(f"scale must be finite and positive, got {self.scale}")
+        if self.t_max is not None and not _positive(self.t_max):
+            raise ConfigError(f"t_max must be finite and positive, got {self.t_max}")
         if self.ensemble < 1:
             raise ConfigError("ensemble count must be >= 1")
 
@@ -493,7 +507,7 @@ def _member_pipeline(
                 spectrum_right.centroid() * spectrum_right.weight
                 + spectrum_left.centroid() * spectrum_left.weight
             ) / total
-        k_flux = params.k_wg + centroid / params.v_g
+        k_flux = params.k_of(centroid)
         timings["evolution"] = time.perf_counter() - tic
 
     series = probabilities(trajectory, psi0, array, partition, k_flux=k_flux)
@@ -748,6 +762,7 @@ def parse_config_file(path) -> dict:
     return sections
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _RUN_KEYS = {
     "scenario": str,
     "scale": float,
@@ -757,7 +772,7 @@ _RUN_KEYS = {
     "t_max": float,
     "workers": int,
     "out": str,
-    "free_space": lambda s: s.lower() in ("1", "true", "yes"),
+    "free_space": lambda s: _BOOLEANS[s.lower()],
 }
 _PARAM_KEYS = {"gamma": float, "beta": float, "gamma_ext": float, "v_g": float,
                "lambda_wg": float, "lambda0": float}
@@ -776,7 +791,7 @@ def _convert(section: str, table: dict, raw: dict, path) -> dict:
             )
         try:
             out[key] = table[key](value)
-        except ValueError:
+        except (ValueError, KeyError):
             raise ConfigFileError(
                 f"{path}:{lineno}: bad value {value!r} for {key!r} in section [{section}]"
             ) from None

@@ -138,8 +138,6 @@ class ModalExpansion:
 
 def modal_expansion(ham: EffectiveHamiltonian, psi0: StateVector) -> ModalExpansion:
     """Expand psi0 on the cached eigenvectors of a resonant H."""
-    if ham.retarded:
-        raise ValueError("the modal expansion needs the non-retarded Hamiltonian")
     if not np.all(np.isfinite(ham.matrix)):
         raise NumericalError("effective Hamiltonian contains non-finite entries")
     evals, vecs = ham.eigensystem
@@ -167,8 +165,6 @@ def evolve_markovian(
     unusable one, or a failed eigensolver, switches to the stepwise matrix
     exponential.
     """
-    if ham.retarded:
-        raise ValueError("Markovian evolution needs the non-retarded Hamiltonian")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must start at 0 and be strictly increasing")

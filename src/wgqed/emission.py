@@ -2,18 +2,21 @@
 
 The directional emission amplitude is the scalar-channel Moller matrix element
 
-    M_+/- (delta) = sqrt(Gamma_wg / 2) sum_a e^{-/+ i k(delta) z_a} x_a(delta)
+    M_+ (delta) = sqrt(Gamma_wg / 2) sum_a e^{i k(delta) (z_N - z_a)} x_a(delta)
+    M_- (delta) = sqrt(Gamma_wg / 2) sum_a e^{i k(delta) (z_a - z_1)} x_a(delta)
 
-(+ propagates to the right, - to the left), with z_a measured from the chain
-end the pulse leaves through (the last atom for +, the first for -).  Its
-weight integrates to the probability emitted through the coherent guided
-channel in that direction, and the profile against the retarded coordinate
-tau = z / v_g, counted from that end, is its Fourier transform, normalised so
-that the tau-integral returns the same weight.
+(+ propagates to the right, - to the left): the guided field leaving the
+chain past its last atom, or past its first.  Its weight integrates to the
+probability emitted through the coherent guided channel in that direction,
+and the profile against the retarded coordinate tau = z / v_g, counted from
+that end, is its Fourier transform, normalised so that the tau-integral
+returns the same weight.
 
-A resolvent sweep gives M on the detuning grid.  A modal expansion of the
-resonant H gives it in closed form, M(delta) = sum_j A_j / (delta - lambda_j),
-and with it the exact weight and profile (see PoleSpectrum).
+A resolvent sweep returns both fields on the detuning grid
+(ResolventSet.outgoing), so a swept M is read off, not summed over the atoms.
+A modal expansion of the resonant H gives M in closed form,
+M(delta) = sum_j A_j / (delta - lambda_j), and with it the exact weight and
+profile (see PoleSpectrum).
 """
 
 from __future__ import annotations
@@ -34,11 +37,10 @@ CAPTURE_THRESHOLD = 0.99
 
 @dataclass
 class DirectionalSpectrum:
-    """Complex M(delta) sampled on the grid, one direction (+1 right, -1 left)."""
+    """Complex M(delta) sampled on the grid, for one direction."""
 
     grid: SpectralGrid
     values: np.ndarray
-    direction: int
     weight: float  # integral |M|^2 d delta / 2 pi
 
     @property
@@ -71,11 +73,10 @@ class PoleSpectrum(DirectionalSpectrum):
     values samples M on the grid only when read.
     """
 
-    def __init__(self, grid: SpectralGrid, poles, residues, direction: int):
+    def __init__(self, grid: SpectralGrid, poles, residues):
         self.grid = grid
         self.poles = np.asarray(poles)
         self.residues = np.asarray(residues)
-        self.direction = direction
         gram = 1.0 / (1j * (self.poles[:, None] - np.conj(self.poles)[None, :]))
         self.weight = float(np.real(self.residues @ gram @ np.conj(self.residues)))
 
@@ -165,25 +166,25 @@ def emission_spectrum(
     direction: int,
     grid: Optional[SpectralGrid] = None,
 ) -> DirectionalSpectrum:
-    """Directional spectrum from resolvent slices (either kernel) or from the
-    modal expansion of a resonant H, which takes the grid to report.
+    """Directional spectrum (+1 right, -1 left) from resolvent slices (either
+    kernel) or from the modal expansion of a resonant H, which takes the grid
+    to report.
 
-    The pole form's residues are A_j = sqrt(Gamma_wg/2) (sum_a e^{-/+ik z_a} V_aj) c_j.
-    On slices the weight is a plain trapezoid of |M|^2/2pi over the span (no
-    window) plus its C/delta^2 tail; the profile transform applies the grid's
-    apodization.
+    On slices M is the sweep's outgoing field in that direction.  The pole
+    form's residues are A_j = sqrt(Gamma_wg/2) (sum_a P_a V_aj) c_j, with P
+    the same column of array.end_phases(k_wg).  On slices the weight is a
+    plain trapezoid of |M|^2/2pi over the span (no window) plus its C/delta^2
+    tail; the profile transform applies the grid's apodization.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 (right) or -1 (left)")
-    z = array.positions - array.positions[-1 if direction > 0 else 0]
+    end = 0 if direction > 0 else 1
     if isinstance(source, ModalExpansion):
-        phase = np.exp(-1j * direction * params.k_wg * z)
+        phase = array.end_phases(params.k_wg)[:, end]
         residues = math.sqrt(0.5 * params.gamma_wg) * (phase @ source.vecs) * source.coeffs
-        return PoleSpectrum(grid, source.evals, residues, direction)
+        return PoleSpectrum(grid, source.evals, residues)
     deltas = source.deltas
-    k = source.k_of(deltas)
-    phases = np.exp(-1j * direction * k[:, None] * z[None, :])
-    values = math.sqrt(0.5 * params.gamma_wg) * np.sum(phases * source.x, axis=1)
+    values = math.sqrt(0.5 * params.gamma_wg) * source.outgoing[:, end]
     weight = float(np.trapezoid(np.abs(values) ** 2, deltas) / (2.0 * math.pi))
     # |M|^2 falls off as C/delta^2 outside the span; complete the weight with
     # the analytic tail, estimating C from the outer five percent of each edge.
@@ -191,9 +192,7 @@ def emission_spectrum(
     c_lo = float(np.mean(np.abs(values[:n_edge]) ** 2 * deltas[:n_edge] ** 2))
     c_hi = float(np.mean(np.abs(values[-n_edge:]) ** 2 * deltas[-n_edge:] ** 2))
     weight += (c_lo / abs(deltas[0]) + c_hi / deltas[-1]) / (2.0 * math.pi)
-    return DirectionalSpectrum(
-        grid=source.grid, values=values, direction=direction, weight=weight
-    )
+    return DirectionalSpectrum(grid=source.grid, values=values, weight=weight)
 
 
 def spatial_profile(spectrum: DirectionalSpectrum, tau_grid: np.ndarray) -> SpatialProfile:

@@ -21,15 +21,11 @@ from .model import AtomArray, GeometryError, MIN_SEPARATION, PhysParams
 
 @dataclass
 class EffectiveHamiltonian:
-    """Complex symmetric N x N matrix and the kernel it was built with."""
+    """Complex symmetric N x N resonant matrix; includes_free_space marks the
+    optional free-space term."""
 
     matrix: np.ndarray
-    retarded: bool = False
     includes_free_space: bool = False
-
-    @property
-    def n_atoms(self) -> int:
-        return self.matrix.shape[0]
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -68,32 +64,17 @@ def pair_distances(array: AtomArray) -> np.ndarray:
     return np.abs(z[:, None] - z[None, :])
 
 
-def retarded_kernel(h0: np.ndarray, dist: np.ndarray, deltas, v_g: float) -> np.ndarray:
-    """H(delta) = H0 e^{i (delta / v_g) |z_a - z_b|}, stacked over the detunings.
+def effective_hamiltonian(array: AtomArray, params: PhysParams) -> EffectiveHamiltonian:
+    """Assemble the Markovian H, with the guided kernel at the resonant k_wg.
 
-    The propagation phase is 1 on the diagonal, so the single-atom width of
-    the resonant matrix H0 carries over unchanged.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    return h0 * np.exp(1j * (deltas[..., None, None] / v_g) * dist)
-
-
-def effective_hamiltonian(
-    array: AtomArray,
-    params: PhysParams,
-    probe_detuning: Optional[float] = None,
-) -> EffectiveHamiltonian:
-    """Assemble H with the guided kernel evaluated at k(delta) = k_wg + delta/v_g.
-
-    probe_detuning=None gives the Markovian matrix (resonant kernel, k = k_wg).
     H is complex symmetric by construction: H_ab depends on |z_a - z_b| only.
+    The retarded kernel k(delta) enters only the resolvent sweep, which
+    applies it by a scattering recursion (spectral.scattering_sweep).
     """
     dist = pair_distances(array)
     h = -0.5j * params.gamma_wg * np.exp(1j * params.k_wg * dist)
     np.fill_diagonal(h, -0.5j * params.gamma_tot)
-    if probe_detuning is not None:
-        h = retarded_kernel(h, dist, probe_detuning, params.v_g)
-    return EffectiveHamiltonian(matrix=h, retarded=probe_detuning is not None)
+    return EffectiveHamiltonian(matrix=h)
 
 
 def decay_partition(
@@ -104,10 +85,6 @@ def decay_partition(
     The free-space rates are read off -2 Im H itself, so the external channel
     follows the H the run evolves with.
     """
-    if ham.retarded:
-        raise ValueError(
-            "decay partition is defined only for the resonant (non-retarded) matrix"
-        )
     dist = pair_distances(array)
     guided = params.gamma_wg * np.cos(params.k_wg * dist)
     coupling = None
@@ -138,8 +115,6 @@ def add_free_space_coupling(
     Gamma_fs is the full free-space rate gamma; the floor on pair separations
     keeps the 1/xi^3 term finite.
     """
-    if ham.retarded:
-        raise ValueError("free-space correction applies to the resonant matrix only")
     dist = pair_distances(array)
     floor = MIN_SEPARATION * params.lambda_wg
     off = ~np.eye(array.n_atoms, dtype=bool)

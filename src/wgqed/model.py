@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -114,6 +114,10 @@ class PhysParams:
     @property
     def k_wg(self) -> float:
         return 2.0 * math.pi / self.lambda_wg
+
+    def k_of(self, delta):
+        """Guided wavenumber k(delta) = k_wg + delta / v_g at detuning delta."""
+        return self.k_wg + delta / self.v_g
 
     def as_dict(self) -> dict:
         return {
@@ -219,15 +223,10 @@ class AtomArray:
     emitter_start: int
     emitter_stop: int  # exclusive
     roles: tuple[SegmentRole, ...]
-    metadata: dict = field(default_factory=dict)
 
     @property
     def n_atoms(self) -> int:
         return len(self.positions)
-
-    @property
-    def emitter_indices(self) -> np.ndarray:
-        return np.arange(self.emitter_start, self.emitter_stop)
 
     @property
     def emitter_count(self) -> int:
@@ -236,6 +235,17 @@ class AtomArray:
     @property
     def emitter_positions(self) -> np.ndarray:
         return self.positions[self.emitter_start : self.emitter_stop]
+
+    def end_phases(self, k: float) -> np.ndarray:
+        """(N, 2) propagation phases to the chain ends at wavenumber k.
+
+        Column 0 is e^{ik(z_N - z_a)}, to past the last atom; column 1 is
+        e^{ik(z_a - z_1)}, to past the first.  A state x sends x @ end_phases
+        out through the two ends.
+        """
+        z = self.positions
+        # built row-wise and transposed, so that each column is contiguous
+        return np.exp(1j * k * np.stack([z[-1] - z, z - z[0]])).T
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -316,12 +326,7 @@ def build_chain(spec: ChainSpec, params: PhysParams) -> AtomArray:
             f"atoms {bad} and {bad + 1} are separated by {gaps[bad]:.4g} lambda_wg, "
             f"below the floor {floor:.4g}"
         )
-    metadata = {
-        "gap_convention": "edge-to-edge; disordered segments measured by their nominal span",
-        "phase_convention": "+k_wg * z_a (mod 2 pi)",
-        "rng_seed": spec.rng_seed,
-    }
-    return AtomArray(z, emitter_start, emitter_stop, tuple(roles), metadata)
+    return AtomArray(z, emitter_start, emitter_stop, tuple(roles))
 
 
 def dicke_initial_state(array: AtomArray, params: PhysParams) -> StateVector:

@@ -2,7 +2,7 @@
 
 The amplitudes obey  b(t) = -(1/2 pi i) \\int dE  x(E) e^{-i E t}  with
 x(E) = [E - H(E)]^{-1} psi0 the resolvent applied to the initial state and
-H(E) the effective Hamiltonian with the retarded kernel k(E) = k_wg + E/v_g.
+H(E) the effective Hamiltonian with the retarded kernel k(E) (PhysParams.k_of).
 Every pole sits at Im(lambda) <= -gamma_ext/2, so the integral runs along the
 real axis with no +i0 shift and the trapezoid sum converges exponentially in
 the grid spacing; the finite span is handled by subtracting the two leading
@@ -13,9 +13,11 @@ terms of the large-E expansion
 whose transform is known in closed form, and synthesising only the O(1/E^3)
 remainder with a raised-cosine apodised discrete sum.
 
-The sweep solves the retarded kernel by a scattering recursion in O(N) per
-detuning (see scattering_sweep), and the resonant kernel, which may carry the
-free-space term, by dense solves.
+This module owns the retarded kernel: it enters only the scattering
+recursion, which solves it in O(N) per detuning (see scattering_sweep).  The
+resonant kernel, which may carry the free-space term, takes dense solves.
+Either way the sweep also returns the guided fields leaving the chain through
+its two ends, from which the emission spectra follow.
 """
 
 from __future__ import annotations
@@ -140,30 +142,25 @@ class SpectralGrid:
 class ResolventSet:
     """Resolvent solutions x[i] = x(deltas[i]) on the grid of the sweep.
 
-    Carries the data the time synthesis needs for the pole subtraction:
-    the initial state, the uniform pole lam0 = H_aa, and (H(0) - lam0) psi0.
+    outgoing[i] holds the guided fields leaving the chain at deltas[i]:
+    sum_a e^{ik(z_N - z_a)} x_a past the last atom (column 0) and
+    sum_a e^{ik(z_a - z_1)} x_a past the first (column 1), with k the
+    wavenumber of the sweep's kernel.  The rest is the data the time synthesis
+    needs for the pole subtraction: the initial state, the uniform pole
+    lam0 = H_aa, and (H(0) - lam0) psi0.
     """
 
     grid: SpectralGrid
     x: np.ndarray  # shape (n_points, n_atoms)
+    outgoing: np.ndarray  # shape (n_points, 2)
     psi0: np.ndarray
     lam0: complex
     h0_correction: np.ndarray
-    retarded: bool
-    k_wg: float
-    v_g: float
     residual_max: float = 0.0
 
     @property
     def deltas(self) -> np.ndarray:
         return self.grid.deltas
-
-    def k_of(self, delta) -> np.ndarray:
-        """Guided wavenumber at detuning delta under the active kernel."""
-        delta = np.asarray(delta, dtype=float)
-        if self.retarded:
-            return self.k_wg + delta / self.v_g
-        return np.broadcast_to(np.asarray(self.k_wg), delta.shape)
 
 
 def build_grid(
@@ -194,9 +191,13 @@ def build_grid(
 
 
 def _solve_chunk(
-    deltas: np.ndarray, h0: np.ndarray, psi0: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Dense solves of [delta - H0] x = psi0 for one batch of detunings."""
+    deltas: np.ndarray, h0: np.ndarray, psi0: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Dense solves of [delta - H0] x = psi0 for one batch of detunings.
+
+    Returns (x, outgoing, residual), outgoing = x @ ends with ends the
+    array's end_phases(k_wg).
+    """
     m, n = len(deltas), len(psi0)
     mats = np.broadcast_to(-h0, (m, n, n)).copy()
     idx = np.arange(n)
@@ -205,7 +206,7 @@ def _solve_chunk(
     x = np.linalg.solve(mats, rhs[..., None])[..., 0]
     resid = np.einsum("kij,kj->ki", mats, x) - rhs
     res_max = float(np.max(np.linalg.norm(resid, axis=1)))
-    return x, res_max
+    return x, x @ ends, res_max
 
 
 def scattering_sweep(
@@ -236,8 +237,7 @@ def scattering_sweep(
     drive is None without psi.
     """
     deltas = np.asarray(deltas, dtype=float)
-    k = params.k_wg + deltas / params.v_g
-    phases = np.exp(1j * np.outer(np.abs(np.diff(positions)), k))
+    phases = np.exp(1j * np.outer(np.abs(np.diff(positions)), params.k_of(deltas)))
     u = deltas + 0.5j * params.gamma_tot
     c = 0.5j * params.gamma_wg
     n = len(positions)
@@ -262,8 +262,9 @@ def scattering_sweep(
 
 def _retarded_matvec(
     x: np.ndarray, phases: np.ndarray, deltas: np.ndarray, params: PhysParams
-) -> np.ndarray:
-    """[delta - H(delta)] x in O(N) by the two guided-field recursions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """[delta - H(delta)] x in O(N) by the two guided-field recursions, and
+    the fields leaving the chain (ResolventSet.outgoing) that they end on.
 
     x has one row per atom and one column per detuning; phases are the gap
     phases e_a of the same detunings.
@@ -280,16 +281,17 @@ def _retarded_matvec(
         b = n - 1 - a
         left = phases[b] * (left + x[b + 1])
         fields[b] += left
-    return u * x + c * fields
+    return u * x + c * fields, np.stack([right + x[-1], left + x[0]], axis=1)
 
 
 def _scatter_chunk(
     deltas: np.ndarray, positions: np.ndarray, params: PhysParams, psi: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Scattering solves of [delta - H(delta)] x = psi0 under the retarded kernel.
 
     The backward pass carries the left-going field F-_a from the last atom;
-    the residual is the O(N) matvec with the same gap phases.
+    the residual is the O(N) matvec with the same gap phases, which also
+    yields the outgoing fields.  Returns (x, outgoing, residual).
     """
     phases, gain, drive, _ = scattering_sweep(positions, params, deltas, psi)
     n = len(psi)
@@ -299,9 +301,10 @@ def _scatter_chunk(
         x[a] = drive[a] - gain[a] * left
         if a:
             left = phases[a - 1] * (left + x[a])
-    resid = _retarded_matvec(x, phases, deltas, params) - psi[:, None]
+    resid, outgoing = _retarded_matvec(x, phases, deltas, params)
+    resid -= psi[:, None]
     res_max = float(np.sqrt(np.max(np.sum(resid.real**2 + resid.imag**2, axis=0))))
-    return x.T, res_max
+    return x.T, outgoing, res_max
 
 
 def check_residual(residual: float, psi: np.ndarray) -> None:
@@ -322,7 +325,8 @@ def resolvent_sweep(
     workers: int = 1,
     ham: Optional[EffectiveHamiltonian] = None,
 ) -> ResolventSet:
-    """One verified resolvent solve per grid point.
+    """One verified resolvent solve, and the fields leaving the chain, per
+    grid point.
 
     The retarded kernel takes the O(N) scattering solve (scattering_sweep),
     the resonant kernel dense solves.  ham is the resonant H0 (the run's own,
@@ -336,8 +340,10 @@ def resolvent_sweep(
     deltas = grid.deltas
     psi = psi0.amplitudes
     h0 = (effective_hamiltonian(array, params) if ham is None else ham).matrix
+    ends = array.end_phases(params.k_wg)
 
     x = np.empty((len(deltas), len(psi)), dtype=complex)
+    outgoing = np.empty((len(deltas), 2), dtype=complex)
     step = SCATTER_CHUNK if retarded else CHUNK
     chunks = [(lo, min(lo + step, len(deltas))) for lo in range(0, len(deltas), step)]
 
@@ -345,18 +351,15 @@ def resolvent_sweep(
         lo, hi = bounds
         if retarded:
             return lo, hi, _scatter_chunk(deltas[lo:hi], array.positions, params, psi)
-        return lo, hi, _solve_chunk(deltas[lo:hi], h0, psi)
+        return lo, hi, _solve_chunk(deltas[lo:hi], h0, psi, ends)
 
     res_max = 0.0
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for lo, hi, (sol, res) in pool.map(work, chunks):
-                x[lo:hi] = sol
-                res_max = max(res_max, res)
-    else:
-        for bounds in chunks:
-            lo, hi, (sol, res) = work(bounds)
+    # the pool starts no thread unless a chunk is submitted to it
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        results = pool.map(work, chunks) if workers > 1 else map(work, chunks)
+        for lo, hi, (sol, out, res) in results:
             x[lo:hi] = sol
+            outgoing[lo:hi] = out
             res_max = max(res_max, res)
 
     check_residual(res_max, psi)
@@ -364,12 +367,10 @@ def resolvent_sweep(
     return ResolventSet(
         grid=grid,
         x=x,
+        outgoing=outgoing,
         psi0=psi.copy(),
         lam0=lam0,
         h0_correction=h0 @ psi - lam0 * psi,
-        retarded=retarded,
-        k_wg=params.k_wg,
-        v_g=params.v_g,
         residual_max=res_max,
     )
 

@@ -20,7 +20,8 @@ def params():
 
 # ---------------------------------------------------------------------------
 # Scenario fixtures shared by the module, property, and acceptance tests.
-# Session scope: the long-cavity sweeps take about a minute each.
+# Session scope: each runs once and is shared; a long-cavity run takes about
+# 2 s on two cores.
 # ---------------------------------------------------------------------------
 
 

@@ -225,6 +225,7 @@ right_disorder_density = 2.0
         ("[run]\nscenario = fig2\nscenario = fig4\n", "duplicate key"),
         ("[run]\nbogus = 3\n", "unknown key"),
         ("[run]\nscale = abc\n", "bad value"),
+        ("[run]\nfree_space = ture\n", "bad value"),
     ],
 )
 def test_config_file_errors_are_line_anchored(tmp_path, body, fragment):
@@ -232,7 +233,37 @@ def test_config_file_errors_are_line_anchored(tmp_path, body, fragment):
     path.write_text(body)
     with pytest.raises(ConfigError, match=fragment) as err:
         config_from_file(path)
-    assert re.search(r":\d+:", str(err.value) + ":1:")  # carries file:line anchor
+    assert re.search(r"bad\.cfg:\d+: ", str(err.value))  # carries file:line anchor
+
+
+def test_free_space_spellings(tmp_path):
+    path = tmp_path / "run.cfg"
+    for text, value in (("1", True), ("TRUE", True), ("Yes", True),
+                        ("0", False), ("False", False), ("NO", False)):
+        path.write_text(f"[run]\nscenario = bare\nfree_space = {text}\n")
+        assert config_from_file(path).free_space is value
+
+
+@pytest.mark.parametrize(
+    "flags, grid_line",
+    [
+        (["--scale", "nan"], ""),
+        (["--t-max", "0"], ""),
+        (["--t-max", "nan"], ""),
+        (["--t-max", "inf"], ""),
+        (["--span-factor", "-1"], ""),
+        (["--span-factor", "inf"], ""),
+        ([], "apod_fraction = 0.7"),
+        ([], "apod_fraction = -0.1"),
+    ],
+    ids=["scale-nan", "t-max-0", "t-max-nan", "t-max-inf", "span-negative", "span-inf",
+         "apod-overlap", "apod-negative"],
+)
+def test_invalid_run_values_exit_with_an_error(tmp_path, capsys, flags, grid_line):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[run]\nscenario = bare\nscale = 0.05\n[grid]\n{grid_line}\n")
+    assert main(["--config", str(path), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_main_exit_codes(tmp_path):

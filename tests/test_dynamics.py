@@ -69,8 +69,6 @@ def test_rejects_retarded_and_bad_grid(params):
     arr = build_chain(ChainSpec.three_segment(0, 2, 0), params)
     psi0 = dicke_initial_state(arr, params)
     with pytest.raises(ValueError):
-        evolve_markovian(effective_hamiltonian(arr, params, 1.0), psi0, np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
         evolve_markovian(effective_hamiltonian(arr, params), psi0, np.array([0.5, 1.0]))
 
 

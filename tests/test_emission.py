@@ -86,7 +86,6 @@ def test_zero_spectrum_gives_zero_profile():
     spectrum = DirectionalSpectrum(
         grid=SpectralGrid(-10.0, 10.0, 256, 0.0),
         values=np.zeros(256, dtype=complex),
-        direction=+1,
         weight=0.0,
     )
     profile = spatial_profile(spectrum, np.linspace(0, 5, 64))
@@ -268,7 +267,7 @@ def test_pole_profile_is_causal_and_exact(params):
     from wgqed.emission import PoleSpectrum
 
     grid = SpectralGrid(-10.0, 10.0, 64)
-    spectrum = PoleSpectrum(grid, [-0.5j * params.gamma_tot], [0.3], +1)
+    spectrum = PoleSpectrum(grid, [-0.5j * params.gamma_tot], [0.3])
     assert spectrum.weight == pytest.approx(0.09 / params.gamma_tot, rel=1e-14)
     tau = np.array([-1.0, 0.0, 0.5])
     alpha2 = spatial_profile(spectrum, tau).alpha2

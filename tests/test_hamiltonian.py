@@ -59,14 +59,13 @@ def test_half_wave_superradiant_eigenvalue(params, n_c):
     assert abs(rates.max() - expected) < 1e-10
 
 
-@given(pos=positions_strategy, delta=st.floats(min_value=-50, max_value=50))
-def test_complex_symmetry_exact(pos, delta):
+@given(pos=positions_strategy)
+def test_complex_symmetry_exact(pos):
     params = PhysParams()
     pos = np.sort(np.asarray(pos))
     arr = AtomArray(pos - pos[0], 0, len(pos), tuple([SegmentRole.EMITTER] * len(pos)))
-    ham = effective_hamiltonian(arr, params, probe_detuning=delta)
+    ham = effective_hamiltonian(arr, params)
     assert np.array_equal(ham.matrix, ham.matrix.T)
-    assert ham.retarded
 
 
 def test_diagonal_value(params):
@@ -82,14 +81,6 @@ def test_eigenvalue_decay_floor(params):
         ham = effective_hamiltonian(arr, params)
         imag = np.linalg.eigvals(ham.matrix).imag
         assert np.all(imag <= -0.5 * params.gamma_ext + 1e-10)
-
-
-def test_retarded_reduces_to_markovian_at_infinite_vg():
-    params = PhysParams(v_g=1e30)
-    arr = build_chain(ChainSpec.three_segment(3, 3, 3, gap_d0=0.25), params)
-    h0 = effective_hamiltonian(arr, params)
-    h_ret = effective_hamiltonian(arr, params, probe_detuning=7.0)
-    assert_allclose(h_ret.matrix, h0.matrix, atol=1e-14)
 
 
 # --- decay partition ---------------------------------------------------------
@@ -155,13 +146,6 @@ def test_partition_rank_two_gram(pos):
         assert np.all(np.abs(evals[:-2]) < 1e-10 * params.gamma_wg * n)
 
 
-def test_partition_rejects_retarded(params):
-    arr = build_chain(ChainSpec.three_segment(0, 2, 0), params)
-    ham = effective_hamiltonian(arr, params, probe_detuning=1.0)
-    with pytest.raises(ValueError):
-        decay_partition(ham, arr, params)
-
-
 # --- optional free-space correction -----------------------------------------
 
 
@@ -187,10 +171,3 @@ def test_free_space_case1_shift(params):
     shift = abs(r1 - r0) / r0
     assert shift < 0.10
     assert shift == pytest.approx(0.0621, abs=0.002)
-
-
-def test_free_space_requires_resonant_matrix(params):
-    arr = build_chain(ChainSpec.three_segment(0, 2, 0), params)
-    ham = effective_hamiltonian(arr, params, probe_detuning=0.5)
-    with pytest.raises(ValueError):
-        add_free_space_coupling(ham, arr, params)

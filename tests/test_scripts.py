@@ -1,0 +1,43 @@
+"""Smoke runs of the command-line scripts under scripts/."""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from wgqed.cli import SCENARIOS
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_script(name, args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_run_all_figures_writes_every_scenario(tmp_path):
+    proc = _run_script("run_all_figures.py", ["--scale", "0.02", "--out", "runs"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for name in SCENARIOS:
+        out_dir = tmp_path / "runs" / f"{name}_scale0.02"
+        for artifact in ("probabilities.csv", "profiles.csv", "positions.csv"):
+            assert (out_dir / artifact).stat().st_size > 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["config"]["scenario"] == name
+
+
+def test_mirror_reflectance_scan_writes_its_csv(tmp_path):
+    proc = _run_script(
+        "mirror_reflectance_scan.py", ["--sizes", "5", "20", "--n-detunings", "11"], tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "mirror_reflectance.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["n_atoms"]) for r in rows] == [5] * 11 + [20] * 11
+    assert all(0.0 <= float(r["reflectance_tm"]) <= 1.0 for r in rows)

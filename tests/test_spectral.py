@@ -17,7 +17,7 @@ from wgqed import (
 )
 from wgqed.dynamics import default_time_grid
 from wgqed.emission import default_tau_grid
-from wgqed.hamiltonian import pair_distances, retarded_kernel
+from wgqed.hamiltonian import pair_distances
 from wgqed.spectral import (
     CHUNK,
     SCATTER_CHUNK,
@@ -175,38 +175,38 @@ def _long_cavity_sweep(params):
 
 def test_residuals_on_long_cavity(params):
     _, _, _, slices = _long_cavity_sweep(params)
-    assert slices.retarded
     assert slices.residual_max <= 1e-10
 
 
+def _retarded_hamiltonian(arr, params, deltas):
+    # the dense retarded H(delta) = H0 e^{i (delta / v_g) |z_a - z_b|}, stacked
+    # over the detunings: the matrix the scattering recursion replaced, kept
+    # as the oracle
+    deltas = np.asarray(deltas, dtype=float)
+    h0 = effective_hamiltonian(arr, params).matrix
+    return h0 * np.exp(1j * (deltas[..., None, None] / params.v_g) * pair_distances(arr))
+
+
 def test_retarded_sweep_matches_dense_solve(params):
-    # the sweep's batched H(delta) against effective_hamiltonian at each probe
+    # the sweep against the dense H(delta) at each probe
     arr, psi0, grid, slices = _long_cavity_sweep(params)
     for idx in (0, 101, 256, 383, 511):
         delta = grid.deltas[idx]
-        h = effective_hamiltonian(arr, params, probe_detuning=delta).matrix
+        h = _retarded_hamiltonian(arr, params, delta)
         direct = np.linalg.solve(delta * np.eye(arr.n_atoms) - h, psi0.amplitudes)
         assert_allclose(slices.x[idx], direct, rtol=1e-8)
 
 
 def _dense_retarded_solve(arr, params, psi, deltas):
     # the dense solves the scattering recursion replaced, kept as the oracle
-    h0 = effective_hamiltonian(arr, params).matrix
-    mats = np.asarray(deltas)[:, None, None] * np.eye(len(psi)) - retarded_kernel(
-        h0, pair_distances(arr), deltas, params.v_g
+    mats = np.asarray(deltas)[:, None, None] * np.eye(len(psi)) - _retarded_hamiltonian(
+        arr, params, deltas
     )
     return np.linalg.solve(mats, np.broadcast_to(psi, mats.shape[:2])[..., None])[..., 0]
 
 
-def test_scattering_solve_matches_dense_on_random_geometries(params, monkeypatch):
-    # the geometries and initial states of acceptance criterion 8; the sweep
-    # may make no dense solve (the oracle calls its own reference to one)
-    import wgqed.spectral
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the retarded sweep made a dense solve")
-
-    monkeypatch.setattr(wgqed.spectral, "_solve_chunk", refuse)
+def _random_geometries(params):
+    # the geometries, initial states and grids of acceptance criterion 8
     rng = np.random.default_rng(123)
     for _ in range(10):
         n = int(rng.integers(5, 41))
@@ -214,21 +214,73 @@ def test_scattering_solve_matches_dense_on_random_geometries(params, monkeypatch
         amp = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi0 = StateVector(amp / np.linalg.norm(amp))
         gamma_fast = params.gamma_tot + (n - 1) * params.gamma_wg
-        grid = SpectralGrid(-400.0 * gamma_fast, 400.0 * gamma_fast, 4097, 0.0)
+        yield arr, psi0, SpectralGrid(-400.0 * gamma_fast, 400.0 * gamma_fast, 4097, 0.0)
+
+
+def test_scattering_solve_matches_dense_on_random_geometries(params, monkeypatch):
+    # the sweep may make no dense solve (the oracle calls its own reference
+    # to one)
+    import wgqed.spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the retarded sweep made a dense solve")
+
+    monkeypatch.setattr(wgqed.spectral, "_solve_chunk", refuse)
+    for arr, psi0, grid in _random_geometries(params):
         slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
         assert slices.residual_max <= 1e-10
         expected = _dense_retarded_solve(arr, params, psi0.amplitudes, grid.deltas)
         assert_allclose(slices.x, expected, rtol=1e-8)
 
 
-def test_scattering_solve_matches_dense_on_a_bragg_chain(params):
+def _bragg_chain(params):
     # half-wave mirrors of 250 atoms: deep stop band around resonance
     arr = build_chain(ChainSpec.three_segment(250, 10, 250, gap_d0=0.5), params)
-    psi = dicke_initial_state(arr, params).amplitudes
+    return arr, dicke_initial_state(arr, params)
+
+
+def test_scattering_solve_matches_dense_on_a_bragg_chain(params):
+    arr, psi0 = _bragg_chain(params)
+    psi = psi0.amplitudes
     deltas = np.array([-0.3, 0.0, 0.05, 2.0])
-    x, residual = _scatter_chunk(deltas, arr.positions, params, psi)
+    x, _, residual = _scatter_chunk(deltas, arr.positions, params, psi)
     assert residual <= 1e-12
     assert_allclose(x, _dense_retarded_solve(arr, params, psi, deltas), rtol=1e-12)
+
+
+def _direct_outgoing(slices, arr, params, retarded):
+    # the per-atom phase sums emission_spectrum ran before the sweep returned
+    # the fields leaving the chain, kept as the oracle
+    deltas = slices.deltas
+    k = params.k_of(deltas) if retarded else np.full(len(deltas), params.k_wg)
+    columns = []
+    for direction in (+1, -1):
+        z = arr.positions - arr.positions[-1 if direction > 0 else 0]
+        phases = np.exp(-1j * direction * k[:, None] * z[None, :])
+        columns.append(np.sum(phases * slices.x, axis=1))
+    return np.stack(columns, axis=1)
+
+
+@pytest.mark.parametrize("retarded", [True, False], ids=["retarded", "resonant"])
+def test_outgoing_matches_the_direct_phase_sum(params, retarded):
+    arr, psi0 = _bragg_chain(params)
+    cases = [*_random_geometries(params), (arr, psi0, SpectralGrid(-2.0, 2.0, 9, 0.0))]
+    for arr, psi0, grid in cases:
+        slices = resolvent_sweep(arr, params, psi0, grid, retarded=retarded)
+        assert slices.outgoing.shape == (grid.n_points, 2)
+        expected = _direct_outgoing(slices, arr, params, retarded)
+        assert_allclose(slices.outgoing, expected, rtol=1e-10, atol=0)
+
+
+def test_retarded_reduces_to_markovian_at_infinite_vg():
+    params = PhysParams(v_g=1e30)
+    arr = build_chain(ChainSpec.three_segment(3, 3, 3, gap_d0=0.25), params)
+    psi0 = dicke_initial_state(arr, params)
+    grid = SpectralGrid(-30.0, 30.0, 128, 0.0)
+    retarded = resolvent_sweep(arr, params, psi0, grid, retarded=True)
+    resonant = resolvent_sweep(arr, params, psi0, grid, retarded=False)
+    assert_allclose(retarded.x, resonant.x, rtol=1e-10, atol=0)
+    assert_allclose(retarded.outgoing, resonant.outgoing, rtol=1e-10, atol=0)
 
 
 def test_retarded_sweep_rejects_the_free_space_term(params):
@@ -249,9 +301,9 @@ def test_retarded_matvec_matches_the_dense_operator(params):
     deltas = np.array([-7.0, 0.0, 0.3, 11.0])
     x = rng.normal(size=(15, 4)) + 1j * rng.normal(size=(15, 4))
     phases, _, _, _ = scattering_sweep(arr.positions, params, deltas)
-    fast = _retarded_matvec(x, phases, deltas, params)
+    fast, _ = _retarded_matvec(x, phases, deltas, params)
     for i, delta in enumerate(deltas):
-        h = effective_hamiltonian(arr, params, probe_detuning=delta).matrix
+        h = _retarded_hamiltonian(arr, params, delta)
         assert_allclose(fast[:, i], (delta * np.eye(15) - h) @ x[:, i], rtol=1e-12)
 
 
