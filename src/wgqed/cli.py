@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import resource
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -64,6 +65,7 @@ from .model import (
     dicke_initial_state,
 )
 from .spectral import (
+    MIN_SPAN_FACTOR,
     ResolventSet,
     SpectralGrid,
     build_grid,
@@ -98,9 +100,12 @@ class GridConfig:
     apod_fraction: float = 0.1  # taper per edge; the two tapers meet at 0.5
 
     def __post_init__(self):
-        if self.span_factor is not None and not _positive(self.span_factor):
+        if self.span_factor is not None and not (
+            math.isfinite(self.span_factor) and self.span_factor >= MIN_SPAN_FACTOR
+        ):
             raise ConfigError(
-                f"span_factor must be finite and positive, got {self.span_factor}"
+                f"span_factor must be finite and at least {MIN_SPAN_FACTOR:g}, "
+                f"got {self.span_factor}"
             )
         if not 0.0 <= self.apod_fraction <= 0.5:
             raise ConfigError(f"apod_fraction must lie in [0, 0.5], got {self.apod_fraction}")
@@ -132,6 +137,8 @@ class RunConfig:
             raise ConfigError(f"t_max must be finite and positive, got {self.t_max}")
         if self.ensemble < 1:
             raise ConfigError("ensemble count must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -701,7 +708,11 @@ def run(config: RunConfig) -> RunResult:
                     ("left", record.profile_left),
                 )
             },
-            "timings": {"members": [m.timings for m in members], "total": total},
+            "timings": {
+                "members": [m.timings for m in members],
+                "total": total,
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            },
         }
     )
     result = RunResult(summary=summary, series=series, record=record, regime=regime)

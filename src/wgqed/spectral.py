@@ -10,8 +10,11 @@ terms of the large-E expansion
 
     x(E) ~ psi0/(E - lam0) + (H0 - lam0) psi0 / (E - lam0)^2 ,   lam0 = H_aa,
 
-whose transform is known in closed form, and synthesising only the O(1/E^3)
-remainder with a raised-cosine apodised discrete sum.
+whose transform is known in closed form.  Only the O(1/E^3) remainder is
+synthesised with the raised-cosine apodised discrete sum; as that sum is
+linear, the two terms are subtracted after it, as the sums of the two grid
+columns 1/(E - lam0) and 1/(E - lam0)^2 times psi0 and (H0 - lam0) psi0, so
+no remainder array is ever formed.
 
 This module owns the retarded kernel: it enters only the scattering
 recursion, which solves it in O(N) per detuning (see scattering_sweep).  The
@@ -35,17 +38,19 @@ from .model import AtomArray, PhysParams, StateVector
 
 MAX_GRID_POINTS = 2**20
 RESIDUAL_TOL = 1e-10
-# Grid points per batched solve and per pole-sum block; the Fourier sum keeps
-# each of its FFT stacks within CHUNK x n_points elements.
+# The grid spans at least +/- MIN_SPAN_FACTOR x the fastest collective rate.
+MIN_SPAN_FACTOR = 20.0
+# Grid points per batched solve and per pole-sum block.
 CHUNK = 128
-# Detunings per scattering-recursion chunk; its (n_atoms, SCATTER_CHUNK)
-# arrays stay far below the CHUNK x M FFT stack of the Fourier sum.
+# Detunings per scattering-recursion chunk.
 SCATTER_CHUNK = 2048
 # Gaussian gridding of the Fourier sum: an FFT grid OVERSAMPLING x M long and
 # 2 * HALF_WIDTH nodes per time, for an error of about e^{-8 pi} ~ 1e-11 of
-# sum_k |summand_k| (see SpectralGrid.fourier_sum).
+# sum_k |summand_k| (see SpectralGrid.fourier_sum).  FFT_COLUMNS columns share
+# one reused FFT block of FFT_COLUMNS x OVERSAMPLING x M elements.
 OVERSAMPLING = 2
 HALF_WIDTH = 12
+FFT_COLUMNS = 8
 
 
 class GridResolutionError(ValueError):
@@ -106,8 +111,8 @@ class SpectralGrid:
         nearest x.  tau = pi HALF_WIDTH / (M^2 R (R - 1/2)) balances the
         aliasing of the FFT grid against the truncated kernel, and the error
         is about e^{-pi HALF_WIDTH (R - 1) / (R - 1/2)} = e^{-8 pi} ~ 1e-11 of
-        sum_k |w_k d values_k|.  Column blocks keep each FFT stack within
-        CHUNK x M elements.
+        sum_k |w_k d values_k|.  The columns are transformed FFT_COLUMNS at a
+        time, in place, in one block that is reused for every group.
         """
         times = np.asarray(times, dtype=float)
         m = self.n_points
@@ -127,13 +132,15 @@ class SpectralGrid:
         shift = np.exp(-1j * (self.delta_min + (m // 2) * self.spacing) * times)
 
         flat = values.reshape(m, -1)
-        cols = max(1, CHUNK * m // length)
+        slots = modes % length
         out = np.empty((len(times), flat.shape[1]), dtype=complex)
-        for lo in range(0, flat.shape[1], cols):
-            block = np.zeros((length, min(cols, flat.shape[1] - lo)), dtype=complex)
-            block[modes % length] = flat[:, lo : lo + cols] * weights[:, None]
-            block = np.fft.fft(block, axis=0)
-            out[:, lo : lo + cols] = np.einsum("js,jsc->jc", kernel, block[stencil])
+        rows = np.empty((min(FFT_COLUMNS, flat.shape[1]), length), dtype=complex)
+        for lo in range(0, flat.shape[1], FFT_COLUMNS):
+            block = rows[: min(FFT_COLUMNS, flat.shape[1] - lo)]
+            block.fill(0.0)
+            block[:, slots] = flat[:, lo : lo + FFT_COLUMNS].T * weights
+            np.fft.fft(block, axis=1, out=block)
+            out[:, lo : lo + FFT_COLUMNS] = np.einsum("js,cjs->jc", kernel, block[:, stencil])
         out *= shift[:, None]
         return out.reshape((len(times),) + values.shape[1:])
 
@@ -171,14 +178,17 @@ def build_grid(
 ) -> SpectralGrid:
     """Smallest power-of-two grid satisfying the span and spacing rules.
 
-    Span: at least +/- span_factor * Gamma_fast (never below the 20x floor).
-    Spacing: at most 2 pi / (8 t_max) so the alias-free window is 8 t_max.
+    Span: at least +/- span_factor * Gamma_fast, with span_factor at least
+    MIN_SPAN_FACTOR.  Spacing: at most 2 pi / (8 t_max) so the alias-free
+    window is 8 t_max.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     if not gamma_fast > 0:
         raise ValueError("the fastest rate gamma_fast must be positive")
-    half_span = max(span_factor, 20.0) * gamma_fast
+    if not span_factor >= MIN_SPAN_FACTOR:
+        raise ValueError(f"span_factor must be at least {MIN_SPAN_FACTOR:g}")
+    half_span = span_factor * gamma_fast
     spacing_max = 2.0 * math.pi / (8.0 * t_max)
     n_req = math.ceil(2.0 * half_span / spacing_max) + 1
     n_points = 1 << max(math.ceil(math.log2(n_req)), 4)
@@ -382,21 +392,22 @@ def time_domain(slices: ResolventSet, t_grid: np.ndarray) -> AmplitudeTrajectory
     The two leading large-detuning terms of x(delta) are removed and restored
     analytically (see module docstring), so only the O(1/delta^3) remainder is
     summed numerically; b(0+) = psi0 holds by construction and negative times
-    probe pure window leakage (causality).
+    probe pure window leakage (causality).  The sum is linear, so the two
+    terms are subtracted after it and no M x N array is formed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    half_window = 0.5 * slices.grid.alias_window
+    grid = slices.grid
+    half_window = 0.5 * grid.alias_window
     if np.any(np.abs(t_grid) > half_window):
         raise ValueError(
             f"requested times extend beyond the alias-free window +/-{half_window:.3g}"
         )
-    pole = slices.deltas - slices.lam0
-    remainder = (
-        slices.x
-        - slices.psi0[None, :] / pole[:, None]
-        - slices.h0_correction[None, :] / (pole**2)[:, None]
-    )
-    amps = (-1.0 / (2.0j * math.pi)) * slices.grid.fourier_sum(remainder, t_grid)
+    inv_pole = 1.0 / (slices.deltas - slices.lam0)
+    s1, s2 = grid.fourier_sum(np.stack([inv_pole, inv_pole**2], axis=1), t_grid).T
+    amps = grid.fourier_sum(slices.x, t_grid)
+    amps -= np.outer(s1, slices.psi0)
+    amps -= np.outer(s2, slices.h0_correction)
+    amps *= -1.0 / (2.0j * math.pi)
     causal = t_grid >= 0.0
     ref = np.exp(-1j * slices.lam0 * t_grid[causal])[:, None] * (
         slices.psi0[None, :]

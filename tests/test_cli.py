@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -111,7 +112,7 @@ def test_artifacts_and_determinism(tmp_path):
         h1 = hashlib.sha256((out1 / name).read_bytes()).hexdigest()
         h2 = hashlib.sha256((out2 / name).read_bytes()).hexdigest()
         assert h1 == h2, name
-    strip = lambda text: re.sub(r'"(resolvent_sweep|emission_spectra|evolution|profiles_ledger|total)": [0-9.e+-]+', "", text)
+    strip = lambda text: re.sub(r'"(resolvent_sweep|emission_spectra|evolution|profiles_ledger|total|peak_rss_mb)": [0-9.e+-]+', "", text)
     assert strip((out1 / "summary.json").read_text()) == strip((out2 / "summary.json").read_text())
 
 
@@ -138,6 +139,8 @@ def test_artifact_formats(tmp_path):
         2 * np.pi / summary["grid"]["spacing"], rel=1e-12
     )
     assert 0.0 <= summary["residual_max"] <= 1e-10
+    peak_rss = summary["timings"]["peak_rss_mb"]
+    assert math.isfinite(peak_rss) and peak_rss > 0
     for name in ("right", "left"):
         profile = getattr(result.record, f"profile_{name}")
         assert summary["profiles"][name] == {
@@ -253,11 +256,13 @@ def test_free_space_spellings(tmp_path):
         (["--t-max", "inf"], ""),
         (["--span-factor", "-1"], ""),
         (["--span-factor", "inf"], ""),
+        (["--span-factor", "5"], ""),
         ([], "apod_fraction = 0.7"),
         ([], "apod_fraction = -0.1"),
+        (["--seed", "-1"], ""),
     ],
     ids=["scale-nan", "t-max-0", "t-max-nan", "t-max-inf", "span-negative", "span-inf",
-         "apod-overlap", "apod-negative"],
+         "span-below-floor", "apod-overlap", "apod-negative", "seed-negative"],
 )
 def test_invalid_run_values_exit_with_an_error(tmp_path, capsys, flags, grid_line):
     path = tmp_path / "run.cfg"

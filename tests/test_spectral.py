@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,7 +21,8 @@ from wgqed.dynamics import default_time_grid
 from wgqed.emission import default_tau_grid
 from wgqed.hamiltonian import pair_distances
 from wgqed.spectral import (
-    CHUNK,
+    FFT_COLUMNS,
+    OVERSAMPLING,
     SCATTER_CHUNK,
     GridResolutionError,
     SpectralGrid,
@@ -48,6 +51,8 @@ def test_grid_rule_errors():
         build_grid(5.0, t_max=0.0)
     with pytest.raises(ValueError):
         build_grid(0.0, t_max=1.0)
+    with pytest.raises(ValueError, match="span_factor"):
+        build_grid(5.0, t_max=1.0, span_factor=5.0)
     with pytest.raises(GridResolutionError, match="reduce"):
         build_grid(1e5, t_max=100.0)
 
@@ -122,8 +127,8 @@ def test_fourier_sum_matches_direct_sum(grid, times, n_columns, monkeypatch):
     expected = _direct_sum(grid, values, times)
     assert fast.shape == expected.shape
     assert np.max(np.abs(fast - expected)) <= 1e-10 * np.max(np.abs(expected))
-    # the FFT route ran, and no FFT stack outgrew CHUNK x M elements
-    assert sizes and max(sizes) <= CHUNK * grid.n_points
+    # the FFT route ran, and no FFT block outgrew FFT_COLUMNS rows of R M
+    assert sizes and max(sizes) <= FFT_COLUMNS * OVERSAMPLING * grid.n_points
 
 
 def _single_atom(params):
@@ -270,6 +275,54 @@ def test_outgoing_matches_the_direct_phase_sum(params, retarded):
         assert slices.outgoing.shape == (grid.n_points, 2)
         expected = _direct_outgoing(slices, arr, params, retarded)
         assert_allclose(slices.outgoing, expected, rtol=1e-10, atol=0)
+
+
+def _remainder_time_domain(slices, t):
+    # the route time_domain replaced: the M x N remainder of x after the two
+    # pole terms, one Fourier sum of it, then the closed-form terms; kept as
+    # the oracle
+    pole = slices.deltas - slices.lam0
+    remainder = (
+        slices.x
+        - slices.psi0[None, :] / pole[:, None]
+        - slices.h0_correction[None, :] / (pole**2)[:, None]
+    )
+    amps = (-1.0 / (2.0j * np.pi)) * slices.grid.fourier_sum(remainder, t)
+    causal = t >= 0.0
+    amps[causal] += np.exp(-1j * slices.lam0 * t[causal])[:, None] * (
+        slices.psi0[None, :] - 1j * t[causal][:, None] * slices.h0_correction[None, :]
+    )
+    return amps
+
+
+def test_time_domain_matches_the_remainder_sum(params):
+    arr, psi0 = _bragg_chain(params)
+    cases = [*_random_geometries(params), (arr, psi0, SpectralGrid(-50.0, 50.0, 2048, 0.1))]
+    for arr, psi0, grid in cases:
+        slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
+        half = 0.45 * grid.alias_window
+        t = np.concatenate([np.linspace(-half, 0.0, 60), default_time_grid(1.0, half, n=200)])
+        expected = _remainder_time_domain(slices, t)
+        fast = time_domain(slices, t).amplitudes
+        assert np.max(np.abs(fast - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def test_time_domain_allocates_less_than_the_sweep(params):
+    # after the sweep no M x N array is allocated: the pole terms are removed
+    # after the transform, whose FFT blocks are FFT_COLUMNS wide
+    arr = build_chain(ChainSpec.three_segment(25, 10, 25, gap_d0=174000.25), params)
+    psi0 = dicke_initial_state(arr, params)
+    grid = SpectralGrid(-40.0, 40.0, 2**15, 0.1)
+    slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
+    t = default_time_grid(2.5, 8.0)
+    tracemalloc.start()
+    try:
+        time_domain(slices, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slices.x.shape == (2**15, 60)
+    assert peak < slices.x.nbytes
 
 
 def test_retarded_reduces_to_markovian_at_infinite_vg():
