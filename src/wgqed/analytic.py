@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .model import AtomArray, ChainSpec, PhysParams, SegmentRole, build_chain
 from .spectral import scattering_sweep
@@ -293,6 +292,8 @@ def fit_jc_trace(t: np.ndarray, p: np.ndarray) -> Optional[JCFit]:
 
     def model(tt, gamma_e, g, kappa):
         return np.exp(-gamma_e * tt) * jc_population(JCParams(g, kappa), tt)
+
+    from scipy.optimize import curve_fit  # only oscillating traces pay for scipy
 
     try:
         popt, _ = curve_fit(

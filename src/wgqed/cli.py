@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .analytic import RegimeReport, classify_regime, collective_rate, extrema, fit_jc_trace
 from .dynamics import (
@@ -337,6 +336,8 @@ def oscillation_fit(series: ProbabilitySeries, which: str = "p0") -> Optional[Os
     def model(tt, log_a, rate, om, phase, c):
         return log_a - rate * tt + np.log1p(np.clip(c * np.cos(om * tt + phase), -0.999, None))
 
+    from scipy.optimize import curve_fit  # only oscillating runs pay for scipy
+
     try:
         popt, _ = curve_fit(
             model,
@@ -638,12 +639,14 @@ def run(config: RunConfig) -> RunResult:
             np.mean([m.record.profile_left.alpha2 for m in members], axis=0),
             record.ledger.p_left,
         )
+    tic = time.perf_counter()
     rates = fit_early_late(series)
     stage = fast_stage_end(series, rates["late"])
     oscillation = oscillation_fit(series, which="p0")
     jc_fit = None
     if oscillation is not None:
         jc_fit = fit_jc_trace(series.t, series.p0)
+    fits = time.perf_counter() - tic
     if jc_fit is not None and regime.numbers.get("kappa") is not None:
         regime.numbers["g_c"] = jc_fit.g
         regime.strong_coupling = jc_fit.g > 0.25 * jc_fit.kappa
@@ -710,6 +713,7 @@ def run(config: RunConfig) -> RunResult:
             },
             "timings": {
                 "members": [m.timings for m in members],
+                "fits": fits,
                 "total": total,
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             },

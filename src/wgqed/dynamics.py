@@ -7,6 +7,10 @@ the cumulative energy emitted into each decay channel, with the directional
 guided fluxes obtained from the rank-2 structure of the coherent channel:
 
     Phi_+/- (t) = (Gamma_wg / 2) |sum_a e^{-/+ i k z_a} b_a(t)|^2 .
+
+The fluxes are integrated by the cumulative Simpson rule for unequal
+intervals (Cartwright, J. Math. Sci. Math. Educ. 12, 2017), written here in
+numpy; scipy is imported only by the matrix-exponential fallback.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
-from scipy.linalg import expm
 
 from .hamiltonian import DecayPartition, EffectiveHamiltonian
 from .model import AtomArray, StateVector
@@ -100,6 +102,8 @@ def default_time_grid(gamma_fast: float, t_max: float, n: int = 2048) -> np.ndar
 
 def _evolve_expm(ham: EffectiveHamiltonian, psi0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """Stepwise scaling-and-squaring propagation (fallback path)."""
+    from scipy.linalg import expm
+
     amps = np.empty((len(t_grid), len(psi0)), dtype=complex)
     b = psi0.astype(complex)
     t_prev = t_grid[0]
@@ -197,10 +201,36 @@ def directional_fluxes(
     return half * np.abs(s_plus) ** 2, half * np.abs(s_minus) ** 2
 
 
+def _simpson_steps(y: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Integral over [t_i, t_i+1] of the parabola through samples i, i+1, i+2.
+
+    Eq. (8) of Cartwright (2017) for unequal intervals h1 = dt[i], h2 = dt[i+1].
+    """
+    h1, h2 = dt[:-1], dt[1:]
+    r31 = h1 / (h1 + h2)
+    w = r31 * (h1 / h2)
+    return h1 / 6 * ((3 - r31) * y[:-2] + (3 + w + r31) * y[1:-1] - w * y[2:])
+
+
 def _cumulative(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running integral of y over t from 0, by the cumulative Simpson rule.
+
+    Interval i takes the parabola through points i..i+2 when i is even and
+    through i-1..i+1 when i is odd; the last interval always takes the one
+    ending on it.  This is scipy's cumulative_simpson(y, x=t, initial=0),
+    and two samples take the trapezoid.
+    """
+    dt = np.diff(t)
     if len(t) < 3:
-        return cumulative_trapezoid(y, t, initial=0.0)
-    return cumulative_simpson(y, x=t, initial=0.0)
+        steps = dt * (y[1:] + y[:-1]) / 2.0
+    else:
+        ahead = _simpson_steps(y, dt)
+        behind = _simpson_steps(y[::-1], dt[::-1])[::-1]
+        steps = np.empty(len(dt))
+        steps[:-1:2] = ahead[::2]
+        steps[1::2] = behind[::2]
+        steps[-1] = behind[-1]
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def probabilities(

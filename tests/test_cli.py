@@ -112,7 +112,7 @@ def test_artifacts_and_determinism(tmp_path):
         h1 = hashlib.sha256((out1 / name).read_bytes()).hexdigest()
         h2 = hashlib.sha256((out2 / name).read_bytes()).hexdigest()
         assert h1 == h2, name
-    strip = lambda text: re.sub(r'"(resolvent_sweep|emission_spectra|evolution|profiles_ledger|total|peak_rss_mb)": [0-9.e+-]+', "", text)
+    strip = lambda text: re.sub(r'"(resolvent_sweep|emission_spectra|evolution|profiles_ledger|total|fits|peak_rss_mb)": [0-9.e+-]+', "", text)
     assert strip((out1 / "summary.json").read_text()) == strip((out2 / "summary.json").read_text())
 
 
@@ -141,6 +141,8 @@ def test_artifact_formats(tmp_path):
     assert 0.0 <= summary["residual_max"] <= 1e-10
     peak_rss = summary["timings"]["peak_rss_mb"]
     assert math.isfinite(peak_rss) and peak_rss > 0
+    fits = summary["timings"]["fits"]
+    assert math.isfinite(fits) and fits >= 0
     for name in ("right", "left"):
         profile = getattr(result.record, f"profile_{name}")
         assert summary["profiles"][name] == {
@@ -488,3 +490,11 @@ def test_published_scale_fig2_runs_on_the_poles_route(monkeypatch):
     assert summary["route"] == "poles"
     assert summary["converged"] is True
     assert float(result.series.balance_error().max()) <= 1e-2
+
+
+def test_oscillating_run_fits_the_cavity_model():
+    # the JC fit imports scipy.optimize on first use; this run must reach it
+    summary = run(RunConfig(scenario="fig7b", scale=0.02)).summary.data
+    assert summary["oscillation"] is not None
+    assert summary["jc_fit"] is not None
+    assert summary["jc_fit"]["g"] > 0

@@ -17,7 +17,7 @@ from wgqed import (
     probabilities,
     superradiant_overlap,
 )
-from wgqed.dynamics import ProbabilitySeries, _evolve_expm, directional_fluxes
+from wgqed.dynamics import ProbabilitySeries, _cumulative, _evolve_expm, directional_fluxes
 from test_hamiltonian import random_array
 
 
@@ -116,6 +116,27 @@ def test_cumulative_energies_start_at_zero(params):
     for channel in (series.e_left, series.e_right, series.e_raman, series.e_ext):
         assert channel[0] == 0.0
         assert np.all(np.diff(channel) >= -1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 2049, 2050])
+@pytest.mark.parametrize("grid", ["uniform", "log", "default"])
+def test_cumulative_matches_scipy_simpson(n, grid):
+    # scipy's cumulative Simpson rule (unequal intervals) and trapezoid are
+    # the oracle for the numpy port
+    from scipy.integrate import cumulative_simpson, cumulative_trapezoid
+
+    t = {
+        "uniform": lambda: np.linspace(0.0, 7.0, n),
+        "log": lambda: np.concatenate([[0.0], np.geomspace(1e-3, 30.0, n - 1)]),
+        "default": lambda: default_time_grid(2.5, 30.0, n - 1),
+    }[grid]()
+    rng = np.random.default_rng(n)
+    for y in (np.exp(-0.3 * t) * (1.5 + np.cos(4.0 * t)), rng.random(n)):
+        if n < 3:
+            expected = cumulative_trapezoid(y, t, initial=0.0)
+        else:
+            expected = cumulative_simpson(y, x=t, initial=0.0)
+        assert_allclose(_cumulative(y, t), expected, rtol=1e-13, atol=0.0)
 
 
 # --- superradiant overlap -----------------------------------------------------
