@@ -3,10 +3,13 @@
 
 Example:
     python scripts/run_all_figures.py --scale 0.3 --out runs/desk
-    python scripts/run_all_figures.py --scale 1.0 --workers 8 --out runs/full
+    python scripts/run_all_figures.py --scale 1.0 --out runs/full
 
 Full scale reproduces the published geometries (300 to 1100 atoms); expect the
-long-cavity scenarios to take a while at that size.
+long-cavity scenarios to take a while at that size.  Each scenario prints one
+line: its method and route, the ledger, the largest resolvent residual, the
+captured fractions of the right and left profiles, the wall time and the peak
+resident set size of the process so far.
 """
 
 import argparse
@@ -21,7 +24,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=0.3)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--workers", type=int, default=1, help="threads for the sweep")
     parser.add_argument("--out", default="runs")
     parser.add_argument(
         "--scenarios", nargs="*", default=sorted(SCENARIOS), help="subset to run"
@@ -41,11 +44,17 @@ def main() -> int:
             )
         )
         ledger = result.record.ledger
+        summary = result.summary.data
+        profiles = summary["profiles"]
         print(
-            f"{name:6s} method={result.summary.data['config']['method']:9s} "
+            f"{name:6s} method={summary['config']['method']:9s} route={summary['route']:5s} "
             f"P_left={ledger.p_left:.4f} P_right={ledger.p_right:.4f} "
             f"P_ext={ledger.p_ext:.4f} converged={ledger.converged} "
-            f"({time.perf_counter() - tic:.1f}s) -> {out_dir}"
+            f"residual_max={summary['residual_max']:.2e} "
+            f"captured_right={profiles['right']['captured']:.5f} "
+            f"captured_left={profiles['left']['captured']:.5f} "
+            f"wall_s={time.perf_counter() - tic:.1f} "
+            f"peak_rss_mb={summary['timings']['peak_rss_mb']:.0f} -> {out_dir}"
         )
     return 0
 

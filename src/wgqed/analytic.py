@@ -28,6 +28,9 @@ DOMINANCE_RATIO = 2.0
 # "Retardation negligible" cut for the Markovian flag.
 MARKOVIAN_RATIO = 0.1
 
+# Relative distance from a bound within which a fitted JC parameter is at it.
+BOUND_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class JCParams:
@@ -263,7 +266,8 @@ class JCFit:
     kappa: float
     envelope_rate: float
     frequency: float
-    residual: float
+    residual: float  # rms of the fit
+    at_bound: tuple[str, ...] = ()  # parameters within BOUND_TOL of a fit bound
 
 
 def fit_jc_trace(t: np.ndarray, p: np.ndarray) -> Optional[JCFit]:
@@ -272,7 +276,10 @@ def fit_jc_trace(t: np.ndarray, p: np.ndarray) -> Optional[JCFit]:
     The extra envelope rate absorbs the non-cavity losses of the physical
     emitter (external and Raman channels) that the two-parameter cavity model
     does not contain.  Returns None when no oscillation is present or the fit
-    does not converge.
+    does not converge.  at_bound names the parameters (envelope_rate, g,
+    kappa) that end within BOUND_TOL of a bound, relative to the bound (to the
+    unit rate for the zero bound): such a value is set by the bound, not
+    measured.
     """
     t = np.asarray(t, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -295,23 +302,23 @@ def fit_jc_trace(t: np.ndarray, p: np.ndarray) -> Optional[JCFit]:
 
     from scipy.optimize import curve_fit  # only oscillating traces pay for scipy
 
+    bounds = ([0.0, 1e-6, 1e-6], [20.0, 50.0, 50.0])
     try:
-        popt, _ = curve_fit(
-            model,
-            t,
-            p,
-            p0=[0.5 * env, g0, kappa0],
-            bounds=([0.0, 1e-6, 1e-6], [20.0, 50.0, 50.0]),
-            maxfev=20000,
-        )
+        popt, _ = curve_fit(model, t, p, p0=[0.5 * env, g0, kappa0], bounds=bounds, maxfev=20000)
     except (RuntimeError, ValueError):
         return None
     gamma_e, g, kappa = popt
     resid = float(np.sqrt(np.mean((model(t, *popt) - p) ** 2)))
+    at_bound = tuple(
+        name
+        for name, value, lo, hi in zip(("envelope_rate", "g", "kappa"), popt, *bounds)
+        if any(abs(value - b) <= BOUND_TOL * (abs(b) or 1.0) for b in (lo, hi))
+    )
     return JCFit(
         g=float(g),
         kappa=float(kappa),
         envelope_rate=float(gamma_e),
         frequency=jc_frequency(float(g), float(kappa)),
         residual=resid,
+        at_bound=at_bound,
     )

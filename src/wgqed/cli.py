@@ -136,6 +136,8 @@ class RunConfig:
             raise ConfigError(f"t_max must be finite and positive, got {self.t_max}")
         if self.ensemble < 1:
             raise ConfigError("ensemble count must be >= 1")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -194,7 +196,6 @@ class MemberRun:
     eig_condition: Optional[float]  # None on the retarded route
     expm_fallback: bool
     pole_check_error: Optional[float]  # None when the check did not run
-    k_flux: Optional[float]  # None when the flux split uses k_wg
 
 
 @dataclass
@@ -486,12 +487,11 @@ def _member_pipeline(
         span = SPAN_FACTOR_RETARDED if retarded else SPAN_FACTOR_RESONANT
     grid = build_grid(gamma_fast, t_max, span_factor=span, apod_fraction=grid_cfg.apod_fraction)
     timings: dict[str, float] = {}
-    modes = None
+    modes = fluxes = None
     tic = time.perf_counter()
     if not retarded:
         modes = modal_expansion(ham, psi0)
         trajectory = evolve_markovian(ham, psi0, t_grid, modes)
-        k_flux = None
     timings["evolution"] = time.perf_counter() - tic
 
     tic = time.perf_counter()
@@ -508,25 +508,19 @@ def _member_pipeline(
     if retarded:
         tic = time.perf_counter()
         trajectory = time_domain(source, t_grid)
-        total = spectrum_right.weight + spectrum_left.weight
-        centroid = 0.0
-        if total > 0:
-            centroid = (
-                spectrum_right.centroid() * spectrum_right.weight
-                + spectrum_left.centroid() * spectrum_left.weight
-            ) / total
-        k_flux = params.k_of(centroid)
+        # the guided outflow |alpha(t)|^2 of the fields leaving the chain
+        values = np.stack([spectrum_right.values, spectrum_left.values], axis=1)
+        alpha = grid.fourier_sum(values, t_grid) / (2.0 * math.pi)
+        fluxes = tuple(np.abs(alpha.T) ** 2)
         timings["evolution"] = time.perf_counter() - tic
 
-    series = probabilities(trajectory, psi0, array, partition, k_flux=k_flux)
+    series = probabilities(trajectory, psi0, array, partition, fluxes)
 
     tic = time.perf_counter()
     tau = default_tau_grid(t_max)
     profile_right = spatial_profile(spectrum_right, tau)
     profile_left = spatial_profile(spectrum_left, tau)
-    ledger = energy_ledger(
-        series, spectrum_right.weight, spectrum_left.weight, retarded=retarded
-    )
+    ledger = energy_ledger(series, spectrum_right.weight, spectrum_left.weight)
     timings["profiles_ledger"] = time.perf_counter() - tic
 
     record = EmissionRecord(
@@ -536,7 +530,9 @@ def _member_pipeline(
         profile_left=profile_left,
         ledger=ledger,
     )
+    tic = time.perf_counter()
     overlap = superradiant_overlap(ham, psi0)
+    timings["superradiant_overlap"] = time.perf_counter() - tic
     return MemberRun(
         array,
         series,
@@ -549,7 +545,6 @@ def _member_pipeline(
         eig_condition=None if modes is None else modes.condition,
         expm_fallback=modes is not None and modes.coeffs is None,
         pole_check_error=check_error,
-        k_flux=k_flux,
     )
 
 
@@ -591,7 +586,9 @@ def run(config: RunConfig) -> RunResult:
     wall_start = time.perf_counter()
     chain, t_ext_default = _resolve_chain(config)
     params = config.params
+    tic = time.perf_counter()
     regime = classify_regime(chain, params)
+    classify = time.perf_counter() - tic
     method = config.method
     if method == "auto":
         method = "markovian" if regime.markovian else "spectral"
@@ -626,7 +623,6 @@ def run(config: RunConfig) -> RunResult:
             series,
             float(np.mean([l.p_right for l in ledgers])),
             float(np.mean([l.p_left for l in ledgers])),
-            retarded=method == "spectral",
         )
         tau = record.profile_right.tau
         record.profile_right = SpatialProfile.from_intensity(
@@ -649,7 +645,8 @@ def run(config: RunConfig) -> RunResult:
     fits = time.perf_counter() - tic
     if jc_fit is not None and regime.numbers.get("kappa") is not None:
         regime.numbers["g_c"] = jc_fit.g
-        regime.strong_coupling = jc_fit.g > 0.25 * jc_fit.kappa
+        if "kappa" not in jc_fit.at_bound:
+            regime.strong_coupling = jc_fit.g > 0.25 * jc_fit.kappa
 
     total = time.perf_counter() - wall_start
     checks = [m.pole_check_error for m in members if m.pole_check_error is not None]
@@ -688,6 +685,8 @@ def run(config: RunConfig) -> RunResult:
                 "kappa": jc_fit.kappa,
                 "envelope_rate": jc_fit.envelope_rate,
                 "frequency": jc_fit.frequency,
+                "residual": jc_fit.residual,
+                "at_bound": jc_fit.at_bound,
             },
             "ledger": record.ledger.as_dict(),
             "converged": record.ledger.converged,
@@ -703,7 +702,6 @@ def run(config: RunConfig) -> RunResult:
             else max(m.eig_condition for m in members),
             "expm_fallback": any(m.expm_fallback for m in members),
             "pole_check_error": max(checks) if checks else None,
-            "k_flux": first.k_flux,
             "profiles": {
                 name: {"captured": profile.captured, "covers_support": profile.covers_support}
                 for name, profile in (
@@ -713,6 +711,7 @@ def run(config: RunConfig) -> RunResult:
             },
             "timings": {
                 "members": [m.timings for m in members],
+                "classify_regime": classify,
                 "fits": fits,
                 "total": total,
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

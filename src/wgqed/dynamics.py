@@ -3,10 +3,17 @@
 b(t) = exp(-i H t) psi0 via eigendecomposition of the complex symmetric H;
 a scaling-and-squaring matrix exponential takes over when the eigenvector
 matrix is too ill-conditioned.  The probability series tracks p, p0, p_a and
-the cumulative energy emitted into each decay channel, with the directional
-guided fluxes obtained from the rank-2 structure of the coherent channel:
+the cumulative energy emitted into each decay channel.  Under the resonant
+kernel the directional guided fluxes follow from the rank-2 structure of the
+coherent channel:
 
-    Phi_+/- (t) = (Gamma_wg / 2) |sum_a e^{-/+ i k z_a} b_a(t)|^2 .
+    Phi_+/- (t) = (Gamma_wg / 2) |sum_a e^{-/+ i k_wg z_a} b_a(t)|^2 ,
+
+which is |alpha(t)|^2, the intensity of the field leaving the chain past its
+last (+) or first (-) atom.  Under the retarded kernel light in flight
+between the atoms is not in b, so the caller passes the outflow |alpha(t)|^2
+itself (input-output theory: Caneva et al., New J. Phys. 17, 113001, 2015),
+and 1 - p - sum E is the photon still inside the chain.
 
 The fluxes are integrated by the cumulative Simpson rule for unequal
 intervals (Cartwright, J. Math. Sci. Math. Educ. 12, 2017), written here in
@@ -65,7 +72,8 @@ class ProbabilitySeries:
     e_ext: np.ndarray
 
     def balance_error(self) -> np.ndarray:
-        """|p + all cumulative channels - 1| at every time."""
+        """|p + all cumulative channels - 1| at every time; under the retarded
+        kernel, the photon still in flight inside the chain."""
         total = self.p + self.e_left + self.e_right + self.e_raman + self.e_ext
         return np.abs(total - 1.0)
 
@@ -190,11 +198,10 @@ def evolve_markovian(
 
 
 def directional_fluxes(
-    traj: AmplitudeTrajectory, partition: DecayPartition, k_flux: Optional[float] = None
+    traj: AmplitudeTrajectory, partition: DecayPartition
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Phi_plus, Phi_minus): right- and left-going guided fluxes vs time."""
-    k = partition.k_wg if k_flux is None else k_flux
-    phase = np.exp(-1j * k * partition.positions)
+    phase = np.exp(-1j * partition.k_wg * partition.positions)
     s_plus = traj.amplitudes @ phase
     s_minus = traj.amplitudes @ np.conj(phase)
     half = 0.5 * partition.gamma_wg
@@ -238,14 +245,14 @@ def probabilities(
     psi0: StateVector,
     array: AtomArray,
     partition: DecayPartition,
-    k_flux: Optional[float] = None,
+    fluxes: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> ProbabilitySeries:
     """Project the trajectory onto p, p0, p_a and integrate the channel fluxes.
 
-    k_flux overrides the wavenumber used in the directional phase factors; the
-    retarded pipeline passes k evaluated at the emission-spectrum centroid.
-    The external flux is b^dagger Gamma_ext b, which is gamma_ext p unless H
-    carries the free-space term.
+    fluxes are the (right, left) guided outflows on traj.t: by default the
+    resonant directional_fluxes; the retarded pipeline passes |alpha|^2 of the
+    fields leaving the chain.  The external flux is b^dagger Gamma_ext b,
+    which is gamma_ext p unless H carries the free-space term.
     """
     if traj.amplitudes.shape[1] != psi0.n_atoms or psi0.n_atoms != array.n_atoms:
         raise ValueError("trajectory, initial state and geometry sizes disagree")
@@ -254,7 +261,7 @@ def probabilities(
     pa = np.sum(
         np.abs(traj.amplitudes[:, array.emitter_start : array.emitter_stop]) ** 2, axis=1
     )
-    phi_plus, phi_minus = directional_fluxes(traj, partition, k_flux)
+    phi_plus, phi_minus = directional_fluxes(traj, partition) if fluxes is None else fluxes
     e_right = _cumulative(phi_plus, traj.t)
     e_left = _cumulative(phi_minus, traj.t)
     e_raman = _cumulative(partition.raman_guided_rate * p, traj.t)

@@ -47,14 +47,6 @@ class DirectionalSpectrum:
     def deltas(self) -> np.ndarray:
         return self.grid.deltas
 
-    def centroid(self) -> float:
-        """|M|^2-weighted mean detuning; the flux split uses k at this point."""
-        w = np.abs(self.values) ** 2
-        total = w.sum()
-        if total == 0.0:
-            return 0.0
-        return float((self.deltas * w).sum() / total)
-
     def amplitude(self, tau: np.ndarray) -> np.ndarray:
         """alpha(tau) = (1 / 2 pi) int d delta M(delta) e^{-i delta tau}, by the
         grid's apodised Fourier sum (a non-uniform FFT at any tau)."""
@@ -221,21 +213,15 @@ def default_tau_grid(t_max: float, n: int = 4096) -> np.ndarray:
     return step * (np.arange(n) + 0.5)
 
 
-def energy_ledger(
-    series: ProbabilitySeries,
-    p_right: float,
-    p_left: float,
-    retarded: bool = False,
-) -> EnergyLedger:
+def energy_ledger(series: ProbabilitySeries, p_right: float, p_left: float) -> EnergyLedger:
     """Fill the left/right/Raman/external ledger and cross-check the routes.
 
     Directional weights p_right, p_left come from the spectral (asymptotic)
     route, the spectrum weights or their ensemble mean; Raman and external
     losses from the time-integrated fluxes; the residual is p at the end of
-    the window.  For a resonant-kernel run the time- and spectral-route
-    guided totals must agree (their gap is the convergence diagnostic); for a
-    retarded run the in-flight intracavity field makes the instantaneous flux
-    double-count, so convergence keys on the end-state balance instead.
+    the window.  The time route's guided totals integrate the outflow past
+    the chain ends on either kernel, so they must match the spectral weights;
+    their gap is the convergence diagnostic, next to the end-state balance.
     """
     p_raman = float(series.e_raman[-1])
     p_ext = float(series.e_ext[-1])
@@ -243,10 +229,6 @@ def energy_ledger(
     balance = abs(p_left + p_right + p_raman + p_ext + residual - 1.0)
     guided_time = float(series.e_left[-1] + series.e_right[-1])
     discrepancy = abs(guided_time - (p_left + p_right))
-    if retarded:
-        converged = balance <= 1e-2
-    else:
-        converged = discrepancy <= 1e-2 and balance <= 1e-2
     return EnergyLedger(
         p_left=p_left,
         p_right=p_right,
@@ -255,5 +237,5 @@ def energy_ledger(
         residual=residual,
         balance_error=balance,
         guided_route_discrepancy=discrepancy,
-        converged=converged,
+        converged=discrepancy <= 1e-2 and balance <= 1e-2,
     )

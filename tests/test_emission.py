@@ -109,7 +109,7 @@ def test_single_atom_ledger_branching(params):
     series = probabilities(traj, psi0, arr, part)
     right = emission_spectrum(slices, arr, params, +1)
     left = emission_spectrum(slices, arr, params, -1)
-    ledger = energy_ledger(series, right.weight, left.weight, retarded=False)
+    ledger = energy_ledger(series, right.weight, left.weight)
     assert ledger.p_right == pytest.approx(0.025 / 1.05, rel=1e-4)
     assert ledger.p_left == pytest.approx(0.025 / 1.05, rel=1e-4)
     assert ledger.p_ext == pytest.approx(0.95 / 1.05, rel=1e-4)
@@ -172,6 +172,21 @@ def test_cavity_profiles_count_from_their_exit_end(fixture, request):
     assert rec.profile_left.captured >= 0.99
     assert rec.profile_right.captured >= 0.99
     assert rec.profile_right.captured == pytest.approx(rec.profile_left.captured, abs=1e-3)
+
+
+@pytest.mark.parametrize("fixture", CAVITY_FIXTURES)
+def test_cavity_outflow_matches_the_spectral_weights(fixture, request):
+    # E_left/E_right integrate |alpha|^2 of the fields leaving the chain, so
+    # at t_max they hold the spectral weights (short by the window's share),
+    # and 1 - p - sum E, the photon still inside the chain, never goes negative
+    result = request.getfixturevalue(fixture)
+    series, ledger = result.series, result.record.ledger
+    guided_time = series.e_left[-1] + series.e_right[-1]
+    guided_spec = ledger.p_left + ledger.p_right
+    assert abs(guided_time - guided_spec) <= 5e-3 * guided_spec
+    in_flight = 1.0 - series.p - series.e_left - series.e_right - series.e_raman - series.e_ext
+    assert in_flight.min() >= -1e-6
+    assert ledger.converged
 
 
 def _extended_profile_integral(profile, spectrum):
@@ -259,6 +274,27 @@ def test_poles_match_the_sweep_on_random_geometries(params):
         psi0 = StateVector(amp / np.linalg.norm(amp))
         gamma_fast = params.gamma_tot + (n - 1) * params.gamma_wg
         _assert_poles_match_sweep(params, arr, psi0, gamma_fast, 8.0)
+
+
+@pytest.mark.parametrize("scenario, seed", [("fig2", 0), ("fig3b", 3)])
+def test_pole_outflow_is_the_directional_flux(scenario, seed, params):
+    # on the resonant kernel the field leaving each end is the rank-2 flux:
+    # |alpha(t)|^2 = (Gamma_wg / 2) |sum_a e^{-/+ i k_wg z_a} b_a(t)|^2 for t > 0
+    from wgqed import decay_partition, effective_hamiltonian, evolve_markovian
+    from wgqed.cli import SCENARIOS
+    from wgqed.dynamics import default_time_grid, directional_fluxes, modal_expansion
+
+    arr = build_chain(SCENARIOS[scenario].build(0.1, seed, params), params)
+    psi0 = dicke_initial_state(arr, params)
+    ham = effective_hamiltonian(arr, params)
+    modes = modal_expansion(ham, psi0)
+    traj = evolve_markovian(ham, psi0, default_time_grid(2.5, 12.0 / 0.95), modes)
+    t = traj.t[1:]
+    fluxes = dict(zip((+1, -1), directional_fluxes(traj, decay_partition(ham, arr, params))))
+    grid = SpectralGrid(-10.0, 10.0, 64)
+    for direction, flux in fluxes.items():
+        alpha = emission_spectrum(modes, arr, params, direction, grid).amplitude(t)
+        assert np.max(np.abs(np.abs(alpha) ** 2 - flux[1:])) <= 1e-12 * flux.max()
 
 
 def test_pole_profile_is_causal_and_exact(params):

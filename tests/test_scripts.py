@@ -3,9 +3,12 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from wgqed.cli import SCENARIOS
 
@@ -24,12 +27,24 @@ def _run_script(name, args, cwd):
 def test_run_all_figures_writes_every_scenario(tmp_path):
     proc = _run_script("run_all_figures.py", ["--scale", "0.02", "--out", "runs"], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    for name in SCENARIOS:
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(SCENARIOS)
+    for name, line in zip(sorted(SCENARIOS), lines):
         out_dir = tmp_path / "runs" / f"{name}_scale0.02"
         for artifact in ("probabilities.csv", "profiles.csv", "positions.csv"):
             assert (out_dir / artifact).stat().st_size > 0
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["config"]["scenario"] == name
+        assert summary["config"]["workers"] == 1
+        fields = dict(re.findall(r"(\w+)=(\S+)", line))
+        assert line.split()[0] == name
+        assert fields["route"] == summary["route"]
+        assert float(fields["residual_max"]) == pytest.approx(summary["residual_max"], rel=1e-2)
+        for side in ("right", "left"):
+            captured = summary["profiles"][side]["captured"]
+            assert float(fields[f"captured_{side}"]) == pytest.approx(captured, abs=1e-5)
+        peak = summary["timings"]["peak_rss_mb"]
+        assert float(fields["peak_rss_mb"]) == pytest.approx(peak, abs=1.0)
 
 
 def test_mirror_reflectance_scan_writes_its_csv(tmp_path):
