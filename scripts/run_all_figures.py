@@ -8,8 +8,9 @@ Example:
 Full scale reproduces the published geometries (300 to 1100 atoms); expect the
 long-cavity scenarios to take a while at that size.  Each scenario prints one
 line: its method and route, the ledger, the largest resolvent residual, the
-captured fractions of the right and left profiles, the wall time and the peak
-resident set size of the process so far.
+captured fractions of the right and left profiles, the wall time, the seconds
+of the resolvent sweep and of the evolution (summed over the ensemble members)
+and the peak resident set size of the process so far.
 """
 
 import argparse
@@ -46,6 +47,7 @@ def main() -> int:
         ledger = result.record.ledger
         summary = result.summary.data
         profiles = summary["profiles"]
+        members = summary["timings"]["members"]
         print(
             f"{name:6s} method={summary['config']['method']:9s} route={summary['route']:5s} "
             f"P_left={ledger.p_left:.4f} P_right={ledger.p_right:.4f} "
@@ -54,6 +56,8 @@ def main() -> int:
             f"captured_right={profiles['right']['captured']:.5f} "
             f"captured_left={profiles['left']['captured']:.5f} "
             f"wall_s={time.perf_counter() - tic:.1f} "
+            f"resolvent_sweep_s={sum(m['resolvent_sweep'] for m in members):.3f} "
+            f"evolution_s={sum(m['evolution'] for m in members):.3f} "
             f"peak_rss_mb={summary['timings']['peak_rss_mb']:.0f} -> {out_dir}"
         )
     return 0

@@ -725,7 +725,10 @@ def run(config: RunConfig) -> RunResult:
 
 
 def _write_artifacts(result: RunResult, array, out_dir: Path) -> None:
+    """Write the three CSV files, then summary.json with their writing time
+    as timings.artifacts."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    tic = time.perf_counter()
     result.series.to_csv(out_dir / "probabilities.csv")
     with open(out_dir / "profiles.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -736,6 +739,7 @@ def _write_artifacts(result: RunResult, array, out_dir: Path) -> None:
         ):
             writer.writerow([repr(float(tau)), repr(float(left)), repr(float(right))])
     array.to_csv(out_dir / "positions.csv")
+    result.summary.data["timings"]["artifacts"] = time.perf_counter() - tic
     result.summary.to_json(out_dir / "summary.json")
 
 

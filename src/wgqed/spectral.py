@@ -18,7 +18,9 @@ no remainder array is ever formed.
 
 This module owns the retarded kernel: it enters only the scattering
 recursion, which solves it in O(N) per detuning (see scattering_sweep).  The
-resonant kernel, which may carry the free-space term, takes dense solves.
+recursion takes the gap phases once per distinct gap (an ordered chain has a
+few) and runs its passes in place on per-chunk buffers.  The resonant kernel,
+which may carry the free-space term, takes dense solves.
 Either way the sweep also returns the guided fields leaving the chain through
 its two ends, from which the emission spectra follow.
 """
@@ -118,7 +120,8 @@ class SpectralGrid:
         m = self.n_points
         length = OVERSAMPLING * m
         tau = math.pi * HALF_WIDTH / (m**2 * OVERSAMPLING * (OVERSAMPLING - 0.5))
-        modes = np.arange(m) - m // 2
+        h = m // 2
+        modes = np.arange(m) - h
         weights = self.apodization() * self.spacing
         weights *= np.sqrt(math.pi / tau) * np.exp(tau * modes**2)
 
@@ -129,16 +132,19 @@ class SpectralGrid:
         )
         kernel = np.exp(-((x[:, None] - node * stencil) ** 2) / (4.0 * tau)) / length
         stencil %= length
-        shift = np.exp(-1j * (self.delta_min + (m // 2) * self.spacing) * times)
+        shift = np.exp(-1j * (self.delta_min + h * self.spacing) * times)
 
         flat = values.reshape(m, -1)
-        slots = modes % length
         out = np.empty((len(times), flat.shape[1]), dtype=complex)
         rows = np.empty((min(FFT_COLUMNS, flat.shape[1]), length), dtype=complex)
         for lo in range(0, flat.shape[1], FFT_COLUMNS):
             block = rows[: min(FFT_COLUMNS, flat.shape[1] - lo)]
-            block.fill(0.0)
-            block[:, slots] = flat[:, lo : lo + FFT_COLUMNS].T * weights
+            cols = flat[:, lo : lo + FFT_COLUMNS].T
+            # modes 0 .. m-h-1 fill the slots [0, m-h), modes -h .. -1 the
+            # slots [length-h, length); the gap between them stays zero
+            np.multiply(cols[:, h:], weights[h:], out=block[:, : m - h])
+            block[:, m - h : length - h] = 0.0
+            np.multiply(cols[:, :h], weights[:h], out=block[:, length - h :])
             np.fft.fft(block, axis=1, out=block)
             out[:, lo : lo + FFT_COLUMNS] = np.einsum("js,cjs->jc", kernel, block[:, stencil])
         out *= shift[:, None]
@@ -242,32 +248,46 @@ def scattering_sweep(
     across a stop band.  1 - gain_a is atom a's transmission with the prefix
     behind it.
 
+    The phases e_a and e_a^2 are evaluated once per distinct gap (exact float
+    equality: a disordered chain keeps one row per gap) and indexed per atom,
+    and the recursion runs in place on per-chunk buffers.
+
     Returns (phases e_a, gain, drive, reflection of the whole chain at its
     last atom), with one row per gap or atom and one column per detuning;
     drive is None without psi.
     """
     deltas = np.asarray(deltas, dtype=float)
-    phases = np.exp(1j * np.outer(np.abs(np.diff(positions)), params.k_of(deltas)))
+    gaps, row = np.unique(np.abs(np.diff(positions)), return_inverse=True)
+    distinct = np.exp(1j * np.outer(gaps, params.k_of(deltas)))
+    squares = distinct**2
     u = deltas + 0.5j * params.gamma_tot
     c = 0.5j * params.gamma_wg
-    n = len(positions)
-    gain = np.empty((n, len(deltas)), dtype=complex)
+    n, m = len(positions), len(deltas)
+    gain = np.empty((n, m), dtype=complex)
     drive = None if psi is None else np.empty_like(gain)
-    p = np.zeros(len(deltas), dtype=complex)
-    q = np.zeros_like(p)
+    p, q, inv, one_p, rho, sigma = np.zeros((6, m), dtype=complex)
     for a in range(n):
         if a:
-            p = phases[a - 1] ** 2 * rho
+            np.multiply(squares[row[a - 1]], rho, out=p)
             if psi is not None:
-                q = phases[a - 1] * sigma
-        inv = 1.0 / (u + c * p)
-        one_p = 1.0 + p
-        gain[a] = c * one_p * inv
-        rho = p - one_p * gain[a]
+                np.multiply(distinct[row[a - 1]], sigma, out=q)
+        np.multiply(c, p, out=inv)
+        np.add(u, inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        np.add(p, 1.0, out=one_p)
+        g = gain[a]
+        np.multiply(c, one_p, out=g)
+        np.multiply(g, inv, out=g)
+        np.multiply(one_p, g, out=rho)
+        np.subtract(p, rho, out=rho)
         if psi is not None:
-            drive[a] = (psi[a] - c * q) * inv
-            sigma = q + one_p * drive[a]
-    return phases, gain, drive, rho
+            d = drive[a]
+            np.multiply(c, q, out=d)
+            np.subtract(psi[a], d, out=d)
+            np.multiply(d, inv, out=d)
+            np.multiply(one_p, d, out=sigma)
+            np.add(q, sigma, out=sigma)
+    return distinct[row], gain, drive, rho
 
 
 def _retarded_matvec(
@@ -286,12 +306,16 @@ def _retarded_matvec(
     right = np.zeros(x.shape[1], dtype=complex)
     left = np.zeros_like(right)
     for a in range(1, n):
-        right = phases[a - 1] * (right + x[a - 1])
-        fields[a] += right
         b = n - 1 - a
-        left = phases[b] * (left + x[b + 1])
-        fields[b] += left
-    return u * x + c * fields, np.stack([right + x[-1], left + x[0]], axis=1)
+        np.add(right, x[a - 1], out=right)
+        np.multiply(phases[a - 1], right, out=right)
+        np.add(fields[a], right, out=fields[a])
+        np.add(left, x[b + 1], out=left)
+        np.multiply(phases[b], left, out=left)
+        np.add(fields[b], left, out=fields[b])
+    np.multiply(c, fields, out=fields)
+    resid = np.add(np.multiply(u, x), fields, out=fields)
+    return resid, np.stack([right + x[-1], left + x[0]], axis=1)
 
 
 def _scatter_chunk(
@@ -299,18 +323,20 @@ def _scatter_chunk(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Scattering solves of [delta - H(delta)] x = psi0 under the retarded kernel.
 
-    The backward pass carries the left-going field F-_a from the last atom;
-    the residual is the O(N) matvec with the same gap phases, which also
-    yields the outgoing fields.  Returns (x, outgoing, residual).
+    The backward pass carries the left-going field F-_a from the last atom,
+    writing x over drive row by row; the residual is the O(N) matvec with the
+    same gap phases, which also yields the outgoing fields.  Returns
+    (x, outgoing, residual).
     """
-    phases, gain, drive, _ = scattering_sweep(positions, params, deltas, psi)
-    n = len(psi)
-    x = np.empty_like(gain)
+    phases, gain, x, _ = scattering_sweep(positions, params, deltas, psi)
     left = np.zeros(len(deltas), dtype=complex)
-    for a in range(n - 1, -1, -1):
-        x[a] = drive[a] - gain[a] * left
+    for a in range(len(psi) - 1, -1, -1):
+        x_a, g = x[a], gain[a]
+        np.multiply(g, left, out=g)
+        np.subtract(x_a, g, out=x_a)
         if a:
-            left = phases[a - 1] * (left + x[a])
+            np.add(left, x_a, out=left)
+            np.multiply(phases[a - 1], left, out=left)
     resid, outgoing = _retarded_matvec(x, phases, deltas, params)
     resid -= psi[:, None]
     res_max = float(np.sqrt(np.max(np.sum(resid.real**2 + resid.imag**2, axis=0))))

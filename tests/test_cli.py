@@ -147,6 +147,8 @@ def test_artifact_formats(tmp_path):
     assert math.isfinite(peak_rss) and peak_rss > 0
     fits = summary["timings"]["fits"]
     assert math.isfinite(fits) and fits >= 0
+    artifacts = summary["timings"]["artifacts"]
+    assert math.isfinite(artifacts) and artifacts >= 0
     for name in ("right", "left"):
         profile = getattr(result.record, f"profile_{name}")
         assert summary["profiles"][name] == {

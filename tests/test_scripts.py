@@ -43,6 +43,9 @@ def test_run_all_figures_writes_every_scenario(tmp_path):
         for side in ("right", "left"):
             captured = summary["profiles"][side]["captured"]
             assert float(fields[f"captured_{side}"]) == pytest.approx(captured, abs=1e-5)
+        for stage in ("resolvent_sweep", "evolution"):
+            seconds = sum(m[stage] for m in summary["timings"]["members"])
+            assert float(fields[f"{stage}_s"]) == pytest.approx(seconds, abs=6e-4)
         peak = summary["timings"]["peak_rss_mb"]
         assert float(fields["peak_rss_mb"]) == pytest.approx(peak, abs=1.0)
 

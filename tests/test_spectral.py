@@ -16,7 +16,9 @@ from wgqed import (
     evolve_markovian,
     resolvent_sweep,
     time_domain,
+    transfer_matrix_reflectance,
 )
+from wgqed.cli import SCENARIOS
 from wgqed.dynamics import default_time_grid
 from wgqed.emission import default_tau_grid
 from wgqed.hamiltonian import pair_distances
@@ -99,6 +101,7 @@ _EDGE = 0.999 * np.pi / SpectralGrid(-100.0, 100.0, 1000, 0.1).spacing
         ),
         (SpectralGrid(-200.0, 200.0, 4096, 0.1), default_tau_grid(8.0, 301), 0),
         (SpectralGrid(-150.0, 150.0, 3001, 0.1), _TAU, 0),
+        (SpectralGrid(-150.0, 150.0, 3001, 0.1), _TAU, 11),
         (SpectralGrid(-200.0, 200.0, 4096, 0.0), _TAU, 0),
         (SpectralGrid(-100.0, 100.0, 1000, 0.1), np.linspace(0.0, 8.0, 333), 150),
         (SpectralGrid(-100.0, 100.0, 1000, 0.1), default_time_grid(3.0, 8.0, n=100), 0),
@@ -107,7 +110,8 @@ _EDGE = 0.999 * np.pi / SpectralGrid(-100.0, 100.0, 1000, 0.1).spacing
         (SpectralGrid(-100.0, 100.0, 1000, 0.1), np.array([-_EDGE, -1.0, 0.0, 1.0, _EDGE]), 3),
     ],
     ids=[
-        "tau-grid", "below-zero", "odd-n", "not-power-of-two", "no-taper", "2d-values",
+        "tau-grid", "below-zero", "odd-n", "not-power-of-two", "odd-m-2d-partial-group",
+        "no-taper", "2d-values",
         "log-times", "log-times-2d", "negative-times", "alias-edges",
     ],
 )
@@ -251,6 +255,97 @@ def test_scattering_solve_matches_dense_on_a_bragg_chain(params):
     x, _, residual = _scatter_chunk(deltas, arr.positions, params, psi)
     assert residual <= 1e-12
     assert_allclose(x, _dense_retarded_solve(arr, params, psi, deltas), rtol=1e-12)
+
+
+def _reference_sweep(positions, params, deltas, psi=None):
+    # the per-atom recursion with one phase row per gap and fresh arrays at
+    # every step, which the grouped in-place sweep replaced; kept as the oracle
+    phases = np.exp(1j * np.outer(np.abs(np.diff(positions)), params.k_of(deltas)))
+    u = deltas + 0.5j * params.gamma_tot
+    c = 0.5j * params.gamma_wg
+    gain = np.empty((len(positions), len(deltas)), dtype=complex)
+    drive = np.empty_like(gain)
+    p = np.zeros(len(deltas), dtype=complex)
+    q = np.zeros_like(p)
+    for a in range(len(positions)):
+        if a:
+            p = phases[a - 1] ** 2 * rho
+            if psi is not None:
+                q = phases[a - 1] * sigma
+        inv = 1.0 / (u + c * p)
+        one_p = 1.0 + p
+        gain[a] = c * one_p * inv
+        rho = p - one_p * gain[a]
+        if psi is not None:
+            drive[a] = (psi[a] - c * q) * inv
+            sigma = q + one_p * drive[a]
+    return phases, gain, drive, rho
+
+
+def _reference_scatter_chunk(deltas, positions, params, psi):
+    phases, gain, drive, _ = _reference_sweep(positions, params, deltas, psi)
+    n = len(psi)
+    x = np.empty_like(gain)
+    left = np.zeros(len(deltas), dtype=complex)
+    for a in range(n - 1, -1, -1):
+        x[a] = drive[a] - gain[a] * left
+        if a:
+            left = phases[a - 1] * (left + x[a])
+    u = deltas + 0.5j * params.gamma_tot
+    fields = np.zeros_like(x)
+    right = np.zeros(len(deltas), dtype=complex)
+    left = np.zeros_like(right)
+    for a in range(1, n):
+        right = phases[a - 1] * (right + x[a - 1])
+        fields[a] += right
+        b = n - 1 - a
+        left = phases[b] * (left + x[b + 1])
+        fields[b] += left
+    resid = u * x + 0.5j * params.gamma_wg * fields - psi[:, None]
+    res_max = float(np.sqrt(np.max(np.sum(resid.real**2 + resid.imag**2, axis=0))))
+    return x.T, np.stack([right + x[-1], left + x[0]], axis=1), res_max
+
+
+def _recursion_cases(params):
+    # (name, positions, psi, deltas)
+    rng = np.random.default_rng(17)
+    for i, (arr, psi0, grid) in enumerate(_random_geometries(params)):
+        yield f"random-{i}", arr.positions, psi0.amplitudes, grid.deltas[::64]
+    arr, psi0 = _bragg_chain(params)
+    yield "bragg", arr.positions, psi0.amplitudes, np.array([-0.3, 0.0, 0.05, 2.0])
+    arr = build_chain(SCENARIOS["fig7b"].build(0.05, 7, params), params)
+    assert len(np.unique(np.diff(arr.positions))) == 2
+    yield "fig7b", arr.positions, dicke_initial_state(arr, params).amplitudes, np.linspace(
+        -300.0, 300.0, 257
+    )
+    steps = np.cumsum(np.full(40, 0.3))
+    gaps = np.diff(steps)
+    # the gaps differ from one another only in their last bits
+    assert len(np.unique(gaps)) > 1 and np.ptp(gaps) < 1e-14
+    for name, positions in [
+        ("one-atom", np.array([0.0])),
+        ("two-atoms", np.array([0.0, 0.37])),
+        ("cumulative-0.3", steps),
+    ]:
+        amp = rng.normal(size=len(positions)) + 1j * rng.normal(size=len(positions))
+        yield name, positions, amp / np.linalg.norm(amp), np.linspace(-40.0, 40.0, 129)
+
+
+def test_grouped_recursion_matches_the_per_gap_recursion(params):
+    for name, positions, psi, deltas in _recursion_cases(params):
+        x, outgoing, residual = _scatter_chunk(deltas, positions, params, psi)
+        x_ref, outgoing_ref, residual_ref = _reference_scatter_chunk(
+            deltas, positions, params, psi
+        )
+        assert_allclose(x, x_ref, rtol=1e-12, err_msg=name)
+        assert_allclose(outgoing, outgoing_ref, rtol=1e-12, err_msg=name)
+        assert_allclose(residual, residual_ref, rtol=1e-12, err_msg=name)
+        assert residual <= 1e-10, name
+        r, t = transfer_matrix_reflectance(positions, params, deltas)
+        phases, gain, _, r_ref = _reference_sweep(positions[::-1], params, deltas)
+        t_ref = np.prod(1.0 - gain, axis=0) * np.prod(phases, axis=0)
+        assert_allclose(r, r_ref, rtol=1e-12, err_msg=name)
+        assert_allclose(t, t_ref, rtol=1e-12, err_msg=name)
 
 
 def _direct_outgoing(slices, arr, params, retarded):
