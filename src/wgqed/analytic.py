@@ -18,10 +18,6 @@ import numpy as np
 from .model import AtomArray, ChainSpec, PhysParams, SegmentRole, build_chain
 from .spectral import scattering_sweep
 
-# Relative distance from the critical point kappa^2 = 16 g^2 below which the
-# removable-singularity expansion replaces the closed form.
-DEGENERATE_TOL = 1e-8
-
 # Threshold operationalising "mirror response much faster than the emitter".
 DOMINANCE_RATIO = 2.0
 
@@ -60,13 +56,14 @@ class JCParams:
 def jc_population(params: JCParams, t) -> np.ndarray:
     """Upper-state population of the damped vacuum-Rabi problem.
 
-    Equivalent to |alpha(t)|^2 for the amplitude pair
+    |alpha(t)|^2 for the amplitude pair
         alpha' = -i g beta,   beta' = -i g alpha - (kappa/2) beta,
-    alpha(0) = 1.  Above the critical point g > kappa/4 the population
-    oscillates at angular frequency sqrt(16 g^2 - kappa^2) / 2; at the
-    critical point the closed form is a removable 0/0 and the exact limit
-        p = e^{-kappa t / 2} [1 + kappa t / 2 + (kappa^2/4 - 2 g^2) t^2 / 2]
-    is used instead.
+    alpha(0) = 1, whose solution is
+        alpha = e^{-kappa t/4} [cosh(z) + (kappa t/4) sinh(z)/z],   z = s t/4,
+    with s = sqrt(kappa^2 - 16 g^2).  Above the critical point g > kappa/4, s
+    is imaginary and the population oscillates at angular frequency
+    sqrt(16 g^2 - kappa^2) / 2.  sinh(z)/z is 1 at z = 0, so the critical
+    point and a vanishing s need no special form.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
@@ -75,20 +72,10 @@ def jc_population(params: JCParams, t) -> np.ndarray:
     kappa = params.kappa
     if g == 0.0:
         return np.ones_like(t)
-    disc = kappa**2 - 16.0 * g**2
-    if abs(disc) <= DEGENERATE_TOL * kappa**2:
-        quad = 0.25 * kappa**2 - 2.0 * g**2
-        return np.exp(-0.5 * kappa * t) * (1.0 + 0.5 * kappa * t + 0.5 * quad * t**2)
-    s = np.sqrt(complex(disc))
-    c_plus = 0.25 * kappa**2 - 2.0 * g**2 + 0.25 * kappa * s
-    c_minus = 0.25 * kappa**2 - 2.0 * g**2 - 0.25 * kappa * s
-    bracket = (
-        -4.0 * g**2
-        + c_plus * np.exp(0.5 * s * t)
-        + c_minus * np.exp(-0.5 * s * t)
-    )
-    p = 2.0 * np.exp(-0.5 * kappa * t) * bracket / disc
-    return np.real(p)
+    z = 0.25 * np.sqrt(complex(kappa**2 - 16.0 * g**2)) * t
+    sinhc = np.sinc(1j * z / math.pi)  # sin(i z)/(i z) = sinh(z)/z
+    alpha = np.exp(-0.25 * kappa * t) * (np.cosh(z) + 0.25 * kappa * t * sinhc)
+    return alpha.real**2 + alpha.imag**2
 
 
 def jc_frequency(g: float, kappa: float) -> float:
@@ -125,13 +112,14 @@ def transfer_matrix_reflectance(mirror, params: PhysParams, delta):
     mirror sub-unitary), and free propagation between atoms adds the phases
     e^{i k(delta) dz} with k(delta) from PhysParams.k_of.  The passive
     scattering recursion of the resolvent sweep (spectral.scattering_sweep),
-    run with no source from the last atom to the first, gives r as the
-    reflection of the whole mirror, and t as the product of the per-atom
-    transmissions 1 - gain_a and the gap phases.
+    run at those k(delta) with no source from the last atom to the first,
+    gives r as the reflection of the whole mirror, and t as the product of
+    the per-atom transmissions 1 - gain_a and the gap phases.
     """
     positions = _mirror_positions(mirror, params)
     delta_arr = np.atleast_1d(np.asarray(delta, dtype=float))
-    phases, gain, _, r = scattering_sweep(positions[::-1], params, delta_arr)
+    k = params.k_of(delta_arr)
+    phases, gain, _, r = scattering_sweep(positions[::-1], params, delta_arr, k)
     t = np.prod(1.0 - gain, axis=0) * np.prod(phases, axis=0)
     if np.isscalar(delta) or np.ndim(delta) == 0:
         return complex(r[0]), complex(t[0])

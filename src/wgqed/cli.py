@@ -31,6 +31,7 @@ from .analytic import RegimeReport, classify_regime, collective_rate, extrema, f
 from .dynamics import (
     DecayFit,
     ModalExpansion,
+    NumericalError,
     ProbabilitySeries,
     default_time_grid,
     evolve_markovian,
@@ -82,7 +83,7 @@ FORMAT_VERSION = 1
 SPAN_FACTOR_RESONANT = 400.0
 SPAN_FACTOR_RETARDED = 200.0
 
-# The poles route checks its modal resolvent against dense solves at this many
+# The poles route checks its modal resolvent against the resolvent at this many
 # detunings over +/- Gamma_fast, and falls back to the sweep when the largest
 # deviation exceeds POLE_CHECK_TOL of the largest |x| there.
 POLE_CHECK_POINTS = 9
@@ -443,17 +444,32 @@ def _spectral_source(
     """What the spectra come from, its residual, and the pole check's deviation.
 
     A usable modal expansion (modes is None on the retarded route) must match
-    dense solves at POLE_CHECK_POINTS detunings; otherwise the grid is swept.
+    the resolvent of the run's H at POLE_CHECK_POINTS detunings: the sweep's,
+    or dense solves when H carries the free-space term, which the sweep lacks
+    (such a run raises where it would fall back).  Otherwise the grid is swept.
     """
     check_error = None
     if modes is not None and modes.coeffs is not None:
         check_grid = SpectralGrid(-gamma_fast, gamma_fast, POLE_CHECK_POINTS, 0.0)
-        check = resolvent_sweep(array, params, psi0, check_grid, retarded=False, ham=ham)
-        deviation = np.max(np.abs(modes.resolvent(check.deltas) - check.x))
-        check_error = float(deviation / np.max(np.abs(check.x)))
+        if ham.includes_free_space:
+            mats = check_grid.deltas[:, None, None] * np.eye(array.n_atoms) - ham.matrix
+            exact = np.linalg.solve(mats, psi0.amplitudes)
+        else:
+            exact = resolvent_sweep(array, params, psi0, check_grid, retarded=False, ham=ham).x
+        deviation = np.max(np.abs(modes.resolvent(check_grid.deltas) - exact))
+        check_error = float(deviation / np.max(np.abs(exact)))
         if check_error <= POLE_CHECK_TOL:
             check_residual(modes.residual, psi0.amplitudes)
             return modes, modes.residual, check_error
+    if ham.includes_free_space:
+        why = (
+            f"eigenvector condition number {modes.condition:.3g}"
+            if check_error is None
+            else f"pole check deviation {check_error:.3g}"
+        )
+        raise NumericalError(
+            f"{why} and no fallback sweep: the scattering recursion has no free-space term"
+        )
     slices = resolvent_sweep(
         array, params, psi0, grid, retarded=modes is None, workers=workers, ham=ham
     )

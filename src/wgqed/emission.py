@@ -30,9 +30,11 @@ import numpy as np
 
 from .dynamics import ModalExpansion, ProbabilitySeries
 from .model import AtomArray, PhysParams
-from .spectral import CHUNK, ResolventSet, SpectralGrid
+from .spectral import ResolventSet, SpectralGrid
 
 CAPTURE_THRESHOLD = 0.99
+# Grid points per block of the pole sum that samples M on the grid.
+CHUNK = 128
 
 
 @dataclass
@@ -163,8 +165,9 @@ def emission_spectrum(
     to report.
 
     On slices M is the sweep's outgoing field in that direction.  The pole
-    form's residues are A_j = sqrt(Gamma_wg/2) (sum_a P_a V_aj) c_j, with P
-    the same column of array.end_phases(k_wg).  On slices the weight is a
+    form's residues are A_j = sqrt(Gamma_wg/2) (sum_a P_a V_aj) c_j, with P_a
+    the phase e^{ik_wg(z_N - z_a)} (right) or e^{ik_wg(z_a - z_1)} (left) of
+    the same field.  On slices the weight is a
     plain trapezoid of |M|^2/2pi over the span (no window) plus its C/delta^2
     tail; the profile transform applies the grid's apodization.
     """
@@ -172,7 +175,8 @@ def emission_spectrum(
         raise ValueError("direction must be +1 (right) or -1 (left)")
     end = 0 if direction > 0 else 1
     if isinstance(source, ModalExpansion):
-        phase = array.end_phases(params.k_wg)[:, end]
+        z = array.positions
+        phase = np.exp(1j * params.k_wg * (z[-1] - z if direction > 0 else z - z[0]))
         residues = math.sqrt(0.5 * params.gamma_wg) * (phase @ source.vecs) * source.coeffs
         return PoleSpectrum(grid, source.evals, residues)
     deltas = source.deltas

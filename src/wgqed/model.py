@@ -236,17 +236,6 @@ class AtomArray:
     def emitter_positions(self) -> np.ndarray:
         return self.positions[self.emitter_start : self.emitter_stop]
 
-    def end_phases(self, k: float) -> np.ndarray:
-        """(N, 2) propagation phases to the chain ends at wavenumber k.
-
-        Column 0 is e^{ik(z_N - z_a)}, to past the last atom; column 1 is
-        e^{ik(z_a - z_1)}, to past the first.  A state x sends x @ end_phases
-        out through the two ends.
-        """
-        z = self.positions
-        # built row-wise and transposed, so that each column is contiguous
-        return np.exp(1j * k * np.stack([z[-1] - z, z - z[0]])).T
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -16,13 +16,13 @@ linear, the two terms are subtracted after it, as the sums of the two grid
 columns 1/(E - lam0) and 1/(E - lam0)^2 times psi0 and (H0 - lam0) psi0, so
 no remainder array is ever formed.
 
-This module owns the retarded kernel: it enters only the scattering
-recursion, which solves it in O(N) per detuning (see scattering_sweep).  The
-recursion takes the gap phases once per distinct gap (an ordered chain has a
-few) and runs its passes in place on per-chunk buffers.  The resonant kernel,
-which may carry the free-space term, takes dense solves.
-Either way the sweep also returns the guided fields leaving the chain through
-its two ends, from which the emission spectra follow.
+Both kernels are solved by one scattering recursion, in O(N) per detuning
+(see scattering_sweep): the resonant kernel is the retarded one with k held at
+k_wg.  The recursion takes the gap phases once per distinct gap (an ordered
+chain has a few) and runs its passes in place on per-chunk buffers.  It knows
+only the guided exchange, so an H carrying the free-space term is refused.
+The sweep also returns the guided fields leaving the chain through its two
+ends, from which the emission spectra follow.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -42,8 +42,6 @@ MAX_GRID_POINTS = 2**20
 RESIDUAL_TOL = 1e-10
 # The grid spans at least +/- MIN_SPAN_FACTOR x the fastest collective rate.
 MIN_SPAN_FACTOR = 20.0
-# Grid points per batched solve and per pole-sum block.
-CHUNK = 128
 # Detunings per scattering-recursion chunk.
 SCATTER_CHUNK = 2048
 # Gaussian gridding of the Fourier sum: an FFT grid OVERSAMPLING x M long and
@@ -206,32 +204,17 @@ def build_grid(
     return SpectralGrid(-half_span, half_span, n_points, apod_fraction)
 
 
-def _solve_chunk(
-    deltas: np.ndarray, h0: np.ndarray, psi0: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Dense solves of [delta - H0] x = psi0 for one batch of detunings.
-
-    Returns (x, outgoing, residual), outgoing = x @ ends with ends the
-    array's end_phases(k_wg).
-    """
-    m, n = len(deltas), len(psi0)
-    mats = np.broadcast_to(-h0, (m, n, n)).copy()
-    idx = np.arange(n)
-    mats[:, idx, idx] += deltas[:, None]
-    rhs = np.broadcast_to(psi0, (m, n))
-    x = np.linalg.solve(mats, rhs[..., None])[..., 0]
-    resid = np.einsum("kij,kj->ki", mats, x) - rhs
-    res_max = float(np.max(np.linalg.norm(resid, axis=1)))
-    return x, x @ ends, res_max
-
-
 def scattering_sweep(
     positions: np.ndarray,
     params: PhysParams,
     deltas: np.ndarray,
+    k: Union[float, np.ndarray],
     psi: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
     """Forward pass of the scattering recursion over the atoms in the given order.
+
+    k is the guided wavenumber: params.k_of(deltas) on the retarded kernel, or
+    the scalar params.k_wg on the resonant one (one phase per gap, broadcast).
 
     The guided exchange splits into the right-going field
     F+_a = sum_{b<a} e^{ik|z_a-z_b|} x_b and the left-going F-_a (b > a), so
@@ -243,7 +226,7 @@ def scattering_sweep(
     drive_a = (psi_a - c Q_a) / (u + c P_a); adding atom a gives the reflection
     rho = P_a - (1 + P_a) gain_a and output sigma = Q_a + (1 + P_a) drive_a,
     and the next gap P_{a+1} = e_a^2 rho, Q_{a+1} = e_a sigma with
-    e_a = e^{ik(delta)|z_{a+1} - z_a|}.  The prefix is passive, so |P_a| <= 1
+    e_a = e^{ik|z_{a+1} - z_a|}.  The prefix is passive, so |P_a| <= 1
     and |u + c P_a| >= (gamma_tot - Gamma_wg)/2 > 0: no pivoting, and no growth
     across a stop band.  1 - gain_a is atom a's transmission with the prefix
     behind it.
@@ -258,7 +241,7 @@ def scattering_sweep(
     """
     deltas = np.asarray(deltas, dtype=float)
     gaps, row = np.unique(np.abs(np.diff(positions)), return_inverse=True)
-    distinct = np.exp(1j * np.outer(gaps, params.k_of(deltas)))
+    distinct = np.exp(1j * np.outer(gaps, k))
     squares = distinct**2
     u = deltas + 0.5j * params.gamma_tot
     c = 0.5j * params.gamma_wg
@@ -290,7 +273,7 @@ def scattering_sweep(
     return distinct[row], gain, drive, rho
 
 
-def _retarded_matvec(
+def _guided_matvec(
     x: np.ndarray, phases: np.ndarray, deltas: np.ndarray, params: PhysParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """[delta - H(delta)] x in O(N) by the two guided-field recursions, and
@@ -319,16 +302,21 @@ def _retarded_matvec(
 
 
 def _scatter_chunk(
-    deltas: np.ndarray, positions: np.ndarray, params: PhysParams, psi: np.ndarray
+    deltas: np.ndarray,
+    k: Union[float, np.ndarray],
+    positions: np.ndarray,
+    params: PhysParams,
+    psi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Scattering solves of [delta - H(delta)] x = psi0 under the retarded kernel.
+    """Scattering solves of [delta - H(delta)] x = psi0 with the guided
+    wavenumber k (see scattering_sweep).
 
     The backward pass carries the left-going field F-_a from the last atom,
     writing x over drive row by row; the residual is the O(N) matvec with the
     same gap phases, which also yields the outgoing fields.  Returns
     (x, outgoing, residual).
     """
-    phases, gain, x, _ = scattering_sweep(positions, params, deltas, psi)
+    phases, gain, x, _ = scattering_sweep(positions, params, deltas, k, psi)
     left = np.zeros(len(deltas), dtype=complex)
     for a in range(len(psi) - 1, -1, -1):
         x_a, g = x[a], gain[a]
@@ -337,7 +325,7 @@ def _scatter_chunk(
         if a:
             np.add(left, x_a, out=left)
             np.multiply(phases[a - 1], left, out=left)
-    resid, outgoing = _retarded_matvec(x, phases, deltas, params)
+    resid, outgoing = _guided_matvec(x, phases, deltas, params)
     resid -= psi[:, None]
     res_max = float(np.sqrt(np.max(np.sum(resid.real**2 + resid.imag**2, axis=0))))
     return x.T, outgoing, res_max
@@ -364,38 +352,35 @@ def resolvent_sweep(
     """One verified resolvent solve, and the fields leaving the chain, per
     grid point.
 
-    The retarded kernel takes the O(N) scattering solve (scattering_sweep),
-    the resonant kernel dense solves.  ham is the resonant H0 (the run's own,
-    which may carry the free-space term, on the resonant kernel only); by
-    default the waveguide-only H0 of the array.  Grid points are independent;
-    with workers > 1 the chunks run on a thread pool (numpy releases the GIL)
-    and are written back by index, so assembly is deterministic.
+    Both kernels take the O(N) scattering solve (scattering_sweep); retarded
+    only picks the wavenumber, k(delta) or the constant k_wg.  ham is the
+    run's H0, which must not carry the free-space term; by default the
+    waveguide-only H0 of the array.  Grid points are independent; with
+    workers > 1 the chunks run on a thread pool (numpy releases the GIL) and
+    are written back by index, so assembly is deterministic.
     """
-    if retarded and ham is not None and ham.includes_free_space:
-        raise ValueError("the retarded kernel has no free-space term")
+    if ham is not None and ham.includes_free_space:
+        raise ValueError("the scattering recursion has no free-space term")
     deltas = grid.deltas
     psi = psi0.amplitudes
     h0 = (effective_hamiltonian(array, params) if ham is None else ham).matrix
-    ends = array.end_phases(params.k_wg)
 
     x = np.empty((len(deltas), len(psi)), dtype=complex)
     outgoing = np.empty((len(deltas), 2), dtype=complex)
-    step = SCATTER_CHUNK if retarded else CHUNK
-    chunks = [(lo, min(lo + step, len(deltas))) for lo in range(0, len(deltas), step)]
 
-    def work(bounds):
-        lo, hi = bounds
-        if retarded:
-            return lo, hi, _scatter_chunk(deltas[lo:hi], array.positions, params, psi)
-        return lo, hi, _solve_chunk(deltas[lo:hi], h0, psi, ends)
+    def work(lo):
+        chunk = deltas[lo : lo + SCATTER_CHUNK]
+        k = params.k_of(chunk) if retarded else params.k_wg
+        return lo, _scatter_chunk(chunk, k, array.positions, params, psi)
 
     res_max = 0.0
+    chunks = range(0, len(deltas), SCATTER_CHUNK)
     # the pool starts no thread unless a chunk is submitted to it
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
         results = pool.map(work, chunks) if workers > 1 else map(work, chunks)
-        for lo, hi, (sol, out, res) in results:
-            x[lo:hi] = sol
-            outgoing[lo:hi] = out
+        for lo, (sol, out, res) in results:
+            x[lo : lo + len(sol)] = sol
+            outgoing[lo : lo + len(sol)] = out
             res_max = max(res_max, res)
 
     check_residual(res_max, psi)

@@ -72,6 +72,15 @@ def test_jc_degenerate_point_continuous():
     assert np.max(np.abs(exact_limit - nearby)) < 1e-4
 
 
+def test_jc_population_near_zero_coupling_and_at_large_rates():
+    # a subnormal 16 g^2 once overflowed the closed form's division by
+    # kappa^2 - 16 g^2, and e^{s t/2} overflowed at rates inside the fit bounds
+    t = np.linspace(0, 10, 101)
+    assert_allclose(jc_population(JCParams(8.056515469252295e-157, 0.0), t), 1.0, atol=1e-12)
+    p = jc_population(JCParams(1.0, 50.0), np.linspace(0, 30, 301))
+    assert np.all(np.isfinite(p)) and np.all((p >= 0.0) & (p <= 1.0 + 1e-12))
+
+
 def test_jc_collective_rescaling():
     t = np.linspace(0, 5, 50)
     collective = jc_population(JCParams(g=0.5, kappa=1.0, n_atoms=4), t)

@@ -19,7 +19,7 @@ from wgqed.cli import (
     parse_config_file,
     run,
 )
-from wgqed.dynamics import ProbabilitySeries
+from wgqed.dynamics import NumericalError, ProbabilitySeries
 from wgqed.model import SegmentRole
 
 
@@ -403,7 +403,7 @@ def test_markovian_run_never_sweeps_its_grid(monkeypatch):
     sizes = _record_sweeps(monkeypatch)
     result = run(RunConfig(scenario="fig3b", scale=0.1, method="markovian", seed=1))
     summary = result.summary.data
-    # the only dense solves are the check of the modal resolvent
+    # the only sweep is the check of the modal resolvent
     assert sizes == [POLE_CHECK_POINTS]
     assert summary["route"] == "poles"
     assert summary["expm_fallback"] is False
@@ -447,6 +447,29 @@ def test_failed_pole_check_falls_back_to_the_sweep(monkeypatch):
     assert summary["expm_fallback"] is False
     assert summary["pole_check_error"] > 0.0
     assert summary["ledger"]["converged"] is True
+
+
+def test_free_space_run_that_needs_the_sweep_raises(monkeypatch):
+    # the pole check solves the free-space H densely; the fallback sweep's
+    # recursion has no free-space term
+    import wgqed.dynamics
+
+    cfg = RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=True)
+    summary = run(cfg).summary.data
+    assert summary["route"] == "poles"
+    assert summary["pole_check_error"] <= 1e-8
+    monkeypatch.setattr(wgqed.dynamics, "CONDITION_FALLBACK", 1.0)
+    with pytest.raises(NumericalError, match="eigenvector condition number .* no free-space term"):
+        run(cfg)
+
+
+def test_free_space_run_that_fails_the_pole_check_raises(monkeypatch):
+    import wgqed.cli
+
+    cfg = RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=True)
+    monkeypatch.setattr(wgqed.cli, "POLE_CHECK_TOL", 0.0)
+    with pytest.raises(NumericalError, match="pole check deviation .* no free-space term"):
+        run(cfg)
 
 
 def test_free_space_weights_come_from_the_run_hamiltonian():

@@ -28,7 +28,7 @@ from wgqed.spectral import (
     SCATTER_CHUNK,
     GridResolutionError,
     SpectralGrid,
-    _retarded_matvec,
+    _guided_matvec,
     _scatter_chunk,
     scattering_sweep,
 )
@@ -214,6 +214,25 @@ def _dense_retarded_solve(arr, params, psi, deltas):
     return np.linalg.solve(mats, np.broadcast_to(psi, mats.shape[:2])[..., None])[..., 0]
 
 
+def _dense_resonant_solve(arr, params, psi, deltas):
+    # the batched dense solves of [delta - H0] x = psi0 that the resonant
+    # sweep made before the scattering recursion took both kernels; kept as
+    # the oracle
+    h0 = effective_hamiltonian(arr, params).matrix
+    m, n = len(deltas), len(psi)
+    mats = np.broadcast_to(-h0, (m, n, n)).copy()
+    idx = np.arange(n)
+    mats[:, idx, idx] += np.asarray(deltas)[:, None]
+    return np.linalg.solve(mats, np.broadcast_to(psi, (m, n))[..., None])[..., 0]
+
+
+_KERNELS = pytest.mark.parametrize("retarded", [True, False], ids=["retarded", "resonant"])
+
+
+def _dense_solve(retarded):
+    return _dense_retarded_solve if retarded else _dense_resonant_solve
+
+
 def _random_geometries(params):
     # the geometries, initial states and grids of acceptance criterion 8
     rng = np.random.default_rng(123)
@@ -226,19 +245,23 @@ def _random_geometries(params):
         yield arr, psi0, SpectralGrid(-400.0 * gamma_fast, 400.0 * gamma_fast, 4097, 0.0)
 
 
-def test_scattering_solve_matches_dense_on_random_geometries(params, monkeypatch):
-    # the sweep may make no dense solve (the oracle calls its own reference
-    # to one)
-    import wgqed.spectral
-
+@_KERNELS
+def test_scattering_solve_matches_dense_on_random_geometries(params, retarded, monkeypatch):
+    # the sweep may make no dense solve (the oracle makes its own)
     def refuse(*args, **kwargs):
-        raise AssertionError("the retarded sweep made a dense solve")
+        raise AssertionError("the sweep made a dense solve")
 
-    monkeypatch.setattr(wgqed.spectral, "_solve_chunk", refuse)
-    for arr, psi0, grid in _random_geometries(params):
-        slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
+    rng = np.random.default_rng(31)
+    cases = list(_random_geometries(params))
+    for n in (1, 2):
+        psi0 = StateVector(np.ones(n) / np.sqrt(n))
+        cases.append((random_array(rng, n), psi0, SpectralGrid(-30.0, 30.0, 257, 0.0)))
+    for arr, psi0, grid in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", refuse)
+            slices = resolvent_sweep(arr, params, psi0, grid, retarded=retarded)
         assert slices.residual_max <= 1e-10
-        expected = _dense_retarded_solve(arr, params, psi0.amplitudes, grid.deltas)
+        expected = _dense_solve(retarded)(arr, params, psi0.amplitudes, grid.deltas)
         assert_allclose(slices.x, expected, rtol=1e-8)
 
 
@@ -248,13 +271,15 @@ def _bragg_chain(params):
     return arr, dicke_initial_state(arr, params)
 
 
-def test_scattering_solve_matches_dense_on_a_bragg_chain(params):
+@_KERNELS
+def test_scattering_solve_matches_dense_on_a_bragg_chain(params, retarded):
     arr, psi0 = _bragg_chain(params)
     psi = psi0.amplitudes
     deltas = np.array([-0.3, 0.0, 0.05, 2.0])
-    x, _, residual = _scatter_chunk(deltas, arr.positions, params, psi)
+    k = params.k_of(deltas) if retarded else params.k_wg
+    x, _, residual = _scatter_chunk(deltas, k, arr.positions, params, psi)
     assert residual <= 1e-12
-    assert_allclose(x, _dense_retarded_solve(arr, params, psi, deltas), rtol=1e-12)
+    assert_allclose(x, _dense_solve(retarded)(arr, params, psi, deltas), rtol=1e-12)
 
 
 def _reference_sweep(positions, params, deltas, psi=None):
@@ -333,7 +358,9 @@ def _recursion_cases(params):
 
 def test_grouped_recursion_matches_the_per_gap_recursion(params):
     for name, positions, psi, deltas in _recursion_cases(params):
-        x, outgoing, residual = _scatter_chunk(deltas, positions, params, psi)
+        x, outgoing, residual = _scatter_chunk(
+            deltas, params.k_of(deltas), positions, params, psi
+        )
         x_ref, outgoing_ref, residual_ref = _reference_scatter_chunk(
             deltas, positions, params, psi
         )
@@ -431,16 +458,16 @@ def test_retarded_reduces_to_markovian_at_infinite_vg():
     assert_allclose(retarded.outgoing, resonant.outgoing, rtol=1e-10, atol=0)
 
 
-def test_retarded_sweep_rejects_the_free_space_term(params):
+@_KERNELS
+def test_retarded_sweep_rejects_the_free_space_term(params, retarded):
     from wgqed import add_free_space_coupling
 
     arr = build_chain(ChainSpec.three_segment(0, 3, 0), params)
     ham = add_free_space_coupling(effective_hamiltonian(arr, params), arr, params)
     grid = SpectralGrid(-5.0, 5.0, 16, 0.0)
     psi0 = dicke_initial_state(arr, params)
-    with pytest.raises(ValueError, match="free-space"):
-        resolvent_sweep(arr, params, psi0, grid, retarded=True, ham=ham)
-    assert resolvent_sweep(arr, params, psi0, grid, retarded=False, ham=ham).residual_max <= 1e-10
+    with pytest.raises(ValueError, match="scattering recursion has no free-space term"):
+        resolvent_sweep(arr, params, psi0, grid, retarded=retarded, ham=ham)
 
 
 def test_retarded_matvec_matches_the_dense_operator(params):
@@ -448,8 +475,8 @@ def test_retarded_matvec_matches_the_dense_operator(params):
     arr = random_array(rng, 15)
     deltas = np.array([-7.0, 0.0, 0.3, 11.0])
     x = rng.normal(size=(15, 4)) + 1j * rng.normal(size=(15, 4))
-    phases, _, _, _ = scattering_sweep(arr.positions, params, deltas)
-    fast, _ = _retarded_matvec(x, phases, deltas, params)
+    phases, _, _, _ = scattering_sweep(arr.positions, params, deltas, params.k_of(deltas))
+    fast, _ = _guided_matvec(x, phases, deltas, params)
     for i, delta in enumerate(deltas):
         h = _retarded_hamiltonian(arr, params, delta)
         assert_allclose(fast[:, i], (delta * np.eye(15) - h) @ x[:, i], rtol=1e-12)
