@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import AtomArray, ChainSpec, PhysParams, SegmentRole, build_chain
+from .model import ChainSpec, PhysParams, SegmentRole, build_chain
 from .spectral import scattering_sweep
 
 # Threshold operationalising "mirror response much faster than the emitter".
@@ -95,9 +95,7 @@ def mirror_reflectance_lorentzian(gamma_m: float, delta) -> np.ndarray:
     return half**2 / (delta**2 + half**2)
 
 
-def _mirror_positions(mirror, params: PhysParams) -> np.ndarray:
-    if isinstance(mirror, AtomArray):
-        return mirror.positions
+def _mirror_positions(mirror) -> np.ndarray:
     pos = np.asarray(mirror, dtype=float)
     if pos.ndim != 1 or len(pos) == 0:
         raise ValueError("mirror must be a non-empty 1-d position array")
@@ -116,7 +114,7 @@ def transfer_matrix_reflectance(mirror, params: PhysParams, delta):
     gives r as the reflection of the whole mirror, and t as the product of
     the per-atom transmissions 1 - gain_a and the gap phases.
     """
-    positions = _mirror_positions(mirror, params)
+    positions = _mirror_positions(mirror)
     delta_arr = np.atleast_1d(np.asarray(delta, dtype=float))
     k = params.k_of(delta_arr)
     phases, gain, _, r = scattering_sweep(positions[::-1], params, delta_arr, k)

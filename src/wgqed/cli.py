@@ -23,7 +23,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -59,13 +59,14 @@ from .model import (
     ChainSpec,
     ConfigError,
     DisorderSpec,
+    GeometryError,
     PhysParams,
     StateVector,
     build_chain,
     dicke_initial_state,
 )
 from .spectral import (
-    MIN_SPAN_FACTOR,
+    GridResolutionError,
     ResolventSet,
     SpectralGrid,
     build_grid,
@@ -76,10 +77,11 @@ from .spectral import (
 
 FORMAT_VERSION = 1
 
-# Grid span (in units of the fastest collective rate) for the emission sweep;
-# the resonant kernel needs the wide span for 1e-3 spectral-weight accuracy,
-# the retarded kernel trades some of it for grid-size headroom.  On the poles
-# route the resonant grid is only reported (and swept if the route falls back).
+# Grid half-span (in units of the fastest collective rate) for the emission
+# sweep; the resonant kernel needs the wide span for 1e-3 spectral-weight
+# accuracy, the retarded kernel trades some of it for grid-size headroom.  On
+# the poles route the resonant grid is only reported (and swept if the route
+# falls back).  Every grid takes SpectralGrid's default 0.1 taper per edge.
 SPAN_FACTOR_RESONANT = 400.0
 SPAN_FACTOR_RETARDED = 200.0
 
@@ -95,23 +97,6 @@ def _positive(value) -> bool:
 
 
 @dataclass(frozen=True)
-class GridConfig:
-    span_factor: Optional[float] = None  # None -> kernel-dependent default
-    apod_fraction: float = 0.1  # taper per edge; the two tapers meet at 0.5
-
-    def __post_init__(self):
-        if self.span_factor is not None and not (
-            math.isfinite(self.span_factor) and self.span_factor >= MIN_SPAN_FACTOR
-        ):
-            raise ConfigError(
-                f"span_factor must be finite and at least {MIN_SPAN_FACTOR:g}, "
-                f"got {self.span_factor}"
-            )
-        if not 0.0 <= self.apod_fraction <= 0.5:
-            raise ConfigError(f"apod_fraction must lie in [0, 0.5], got {self.apod_fraction}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     scenario: Optional[str] = None
     chain: Optional[ChainSpec] = None
@@ -123,7 +108,6 @@ class RunConfig:
     ensemble: int = 1
     workers: int = 1
     out_dir: Optional[str] = None
-    grid: GridConfig = field(default_factory=GridConfig)
     free_space: bool = False
 
     def __post_init__(self):
@@ -212,10 +196,6 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _scaled(count: int, scale: float) -> int:
-    return max(1, round(count * scale))
-
-
 def _cavity_gap(
     n_mirror: int, n_center: int, params: PhysParams, antinode: bool
 ) -> float:
@@ -236,79 +216,44 @@ def _cavity_gap(
     return d0
 
 
-def _fig2(scale, seed, params):
-    n = _scaled(100, scale)
-    return ChainSpec.three_segment(n, n, n, gap_d0=0.5 * params.lambda_wg, rng_seed=seed)
-
-
-def _fig3b(scale, seed, params):
-    return ChainSpec.three_segment(
-        0,
-        _scaled(100, scale),
-        _scaled(200, scale),
-        gap_d0=0.5 * params.lambda_wg,
-        right_disorder=DisorderSpec(1.0),
-        rng_seed=seed,
-    )
-
-
-def _fig3c(scale, seed, params):
-    n = _scaled(100, scale)
-    return ChainSpec.three_segment(
-        n,
-        n,
-        n,
-        gap_d0=0.5 * params.lambda_wg,
-        left_disorder=DisorderSpec(1.0),
-        right_disorder=DisorderSpec(1.0),
-        rng_seed=seed,
-    )
-
-
-def _fig4(scale, seed, params):
-    n = _scaled(100, scale)
-    return ChainSpec.three_segment(n, n, n, gap_d0=0.25 * params.lambda_wg, rng_seed=seed)
-
-
-def _fig5(scale, seed, params):
-    return ChainSpec.three_segment(
-        0,
-        _scaled(100, scale),
-        _scaled(200, scale),
-        gap_d0=0.25 * params.lambda_wg,
-        rng_seed=seed,
-    )
-
-
-def _fig7(antinode):
-    def build(scale, seed, params):
-        n_c = _scaled(100, scale)
-        n_m = _scaled(500, scale)
-        gap = _cavity_gap(n_m, n_c, params, antinode)
-        return ChainSpec.three_segment(n_m, n_c, n_m, gap_d0=gap, rng_seed=seed)
-
-    return build
-
-
-def _bare(scale, seed, params):
-    return ChainSpec.three_segment(0, _scaled(100, scale), 0, rng_seed=seed)
-
-
 @dataclass(frozen=True)
 class Scenario:
-    build: Callable[[float, int, PhysParams], ChainSpec]
+    """A named geometry: the (left, center, right) segment counts at scale 1,
+    the mirror-emitter gap in lambda_wg (None: the long-cavity gap, at a node
+    or, with antinode, an antinode), the disordered mirrors (density 1), and
+    the default window in 1/gamma_ext."""
+
+    counts: tuple[int, int, int]
+    gap: Optional[float] = 0.5
+    antinode: bool = False
+    disordered: tuple[str, ...] = ()  # "left" and/or "right"
     t_max_in_ext_lifetimes: float = 12.0
+
+    def build(self, scale: float, seed: int, params: PhysParams) -> ChainSpec:
+        """The chain at scale: every count scaled, a nonzero one to at least 1."""
+        n_left, n_center, n_right = (max(1, round(n * scale)) if n else 0 for n in self.counts)
+        if self.gap is None:
+            gap_d0 = _cavity_gap(n_left, n_center, params, self.antinode)
+        else:
+            gap_d0 = self.gap * params.lambda_wg
+        left, right = (
+            DisorderSpec(1.0) if side in self.disordered else None for side in ("left", "right")
+        )
+        return ChainSpec.three_segment(
+            n_left, n_center, n_right, gap_d0=gap_d0,
+            left_disorder=left, right_disorder=right, rng_seed=seed,
+        )
 
 
 SCENARIOS: dict[str, Scenario] = {
-    "fig2": Scenario(_fig2),
-    "fig3b": Scenario(_fig3b),
-    "fig3c": Scenario(_fig3c),
-    "fig4": Scenario(_fig4),
-    "fig5": Scenario(_fig5),
-    "fig7a": Scenario(_fig7(antinode=False), t_max_in_ext_lifetimes=28.5),
-    "fig7b": Scenario(_fig7(antinode=True), t_max_in_ext_lifetimes=28.5),
-    "bare": Scenario(_bare),
+    "fig2": Scenario((100, 100, 100)),
+    "fig3b": Scenario((0, 100, 200), disordered=("right",)),
+    "fig3c": Scenario((100, 100, 100), disordered=("left", "right")),
+    "fig4": Scenario((100, 100, 100), gap=0.25),
+    "fig5": Scenario((0, 100, 200), gap=0.25),
+    "fig7a": Scenario((500, 100, 500), gap=None, t_max_in_ext_lifetimes=28.5),
+    "fig7b": Scenario((500, 100, 500), gap=None, antinode=True, t_max_in_ext_lifetimes=28.5),
+    "bare": Scenario((0, 100, 0)),
 }
 
 
@@ -418,7 +363,7 @@ def fast_stage_end(series: ProbabilitySeries, late_rate: float) -> dict:
 def _resolve_chain(config: RunConfig) -> tuple[ChainSpec, float]:
     if config.chain is not None:
         chain = replace(config.chain, rng_seed=config.seed)
-        t_ext = 12.0
+        t_ext = Scenario.t_max_in_ext_lifetimes
     else:
         try:
             scenario = SCENARIOS[config.scenario]
@@ -481,7 +426,6 @@ def _member_pipeline(
     params: PhysParams,
     method: str,
     t_max: float,
-    grid_cfg: GridConfig,
     workers: int,
     free_space: bool,
 ) -> MemberRun:
@@ -498,10 +442,8 @@ def _member_pipeline(
     t_grid = default_time_grid(gamma_fast, t_max)
 
     retarded = method == "spectral"
-    span = grid_cfg.span_factor
-    if span is None:
-        span = SPAN_FACTOR_RETARDED if retarded else SPAN_FACTOR_RESONANT
-    grid = build_grid(gamma_fast, t_max, span_factor=span, apod_fraction=grid_cfg.apod_fraction)
+    span = SPAN_FACTOR_RETARDED if retarded else SPAN_FACTOR_RESONANT
+    grid = build_grid(gamma_fast, t_max, span_factor=span)
     timings: dict[str, float] = {}
     modes = fluxes = None
     tic = time.perf_counter()
@@ -623,8 +565,7 @@ def run(config: RunConfig) -> RunResult:
         member_chain = replace(chain, rng_seed=member_seed)
         members.append(
             _member_pipeline(
-                member_chain, params, method, t_max, config.grid,
-                config.workers, config.free_space,
+                member_chain, params, method, t_max, config.workers, config.free_space
             )
         )
     first = members[0]
@@ -681,10 +622,6 @@ def run(config: RunConfig) -> RunResult:
                 "ensemble": config.ensemble,
                 "member_seeds": member_seeds,
                 "workers": config.workers,
-                "grid": {
-                    "span_factor": config.grid.span_factor,
-                    "apod_fraction": config.grid.apod_fraction,
-                },
                 "free_space": config.free_space,
             },
             "regime": regime.as_dict(),
@@ -779,7 +716,7 @@ def parse_config_file(path) -> dict:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip()
-                if current not in ("run", "params", "chain", "grid"):
+                if current not in ("run", "params", "chain"):
                     raise ConfigFileError(f"{path}:{lineno}: unknown section [{current}]")
                 sections.setdefault(current, {})
                 continue
@@ -813,7 +750,6 @@ _PARAM_KEYS = {"gamma": float, "beta": float, "gamma_ext": float, "v_g": float,
 _CHAIN_KEYS = {"n_left": int, "n_center": int, "n_right": int, "gap_d0": float,
                "spacing": float, "left_disorder_density": float,
                "right_disorder_density": float}
-_GRID_KEYS = {"span_factor": float, "apod_fraction": float}
 
 
 def _convert(section: str, table: dict, raw: dict, path) -> dict:
@@ -837,7 +773,6 @@ def config_from_file(path) -> RunConfig:
     run_raw = _convert("run", _RUN_KEYS, sections.get("run", {}), path)
     par_raw = _convert("params", _PARAM_KEYS, sections.get("params", {}), path)
     chain_raw = _convert("chain", _CHAIN_KEYS, sections.get("chain", {}), path)
-    grid_raw = _convert("grid", _GRID_KEYS, sections.get("grid", {}), path)
 
     params = PhysParams(**par_raw)
     chain = None
@@ -857,7 +792,7 @@ def config_from_file(path) -> RunConfig:
         )
     if "out" in run_raw:
         run_raw["out_dir"] = run_raw.pop("out")
-    return RunConfig(chain=chain, params=params, grid=GridConfig(**grid_raw), **run_raw)
+    return RunConfig(chain=chain, params=params, **run_raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -876,7 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="out_dir", help="artifact directory")
     parser.add_argument("--workers", type=int)
     parser.add_argument("--t-max", type=float, dest="t_max")
-    parser.add_argument("--span-factor", type=float, dest="span_factor")
     parser.add_argument("--free-space", action="store_true", default=None,
                         help="enable the optional free-space dipole-dipole term "
                              "(resonant method only; the guided weights and the "
@@ -891,8 +825,6 @@ def _apply_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     flags = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
     if "scenario" in flags:
         flags["chain"] = None
-    if "span_factor" in flags:
-        flags["grid"] = replace(config.grid, span_factor=flags.pop("span_factor"))
     return replace(config, **flags)
 
 
@@ -908,7 +840,7 @@ def main(argv=None) -> int:
             config = RunConfig(scenario=args.scenario)
         config = _apply_flags(config, args)
         result = run(config)
-    except ConfigError as exc:
+    except (ConfigError, GeometryError, GridResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ledger = result.record.ledger

@@ -178,13 +178,12 @@ def build_grid(
     gamma_fast: float,
     t_max: float,
     span_factor: float = 20.0,
-    apod_fraction: float = 0.1,
 ) -> SpectralGrid:
     """Smallest power-of-two grid satisfying the span and spacing rules.
 
     Span: at least +/- span_factor * Gamma_fast, with span_factor at least
     MIN_SPAN_FACTOR.  Spacing: at most 2 pi / (8 t_max) so the alias-free
-    window is 8 t_max.
+    window is 8 t_max.  The grid takes SpectralGrid's default taper.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
@@ -199,9 +198,9 @@ def build_grid(
     if n_points > MAX_GRID_POINTS:
         raise GridResolutionError(
             f"{n_points} grid points exceed the cap {MAX_GRID_POINTS}; "
-            "reduce t_max, the span factor, or the system size"
+            "reduce t_max or the system size"
         )
-    return SpectralGrid(-half_span, half_span, n_points, apod_fraction)
+    return SpectralGrid(-half_span, half_span, n_points)
 
 
 def scattering_sweep(

@@ -3,15 +3,19 @@ import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wgqed import ChainSpec, ConfigError, DisorderSpec
 from wgqed.cli import (
-    GridConfig,
+    _CHAIN_KEYS,
+    _PARAM_KEYS,
+    _RUN_KEYS,
     RunConfig,
     SCENARIOS,
+    _convert,
     build_parser,
     config_from_file,
     main,
@@ -59,7 +63,34 @@ def test_scale_floors_at_one_atom(params):
     assert chain.counts() == {"n_left": 1, "n_center": 1, "n_right": 1}
 
 
+# The published geometries (scale 1, default params): the (left, center, right)
+# counts, gap_d0 in lambda_wg, the disorder density of each disordered mirror,
+# and the default window in 1/gamma_ext.
+PUBLISHED = {
+    "fig2": ((100, 100, 100), 0.5, {}, 12.0),
+    "fig3b": ((0, 100, 200), 0.5, {"right_mirror": 1.0}, 12.0),
+    "fig3c": ((100, 100, 100), 0.5, {"left_mirror": 1.0, "right_mirror": 1.0}, 12.0),
+    "fig4": ((100, 100, 100), 0.25, {}, 12.0),
+    "fig5": ((0, 100, 200), 0.25, {}, 12.0),
+    "fig7a": ((500, 100, 500), 338854.0, {}, 28.5),
+    "fig7b": ((500, 100, 500), 338854.25, {}, 28.5),
+    "bare": ((0, 100, 0), 0.5, {}, 12.0),
+}
+
+
 def test_scenario_layouts(params):
+    assert set(SCENARIOS) == set(PUBLISHED)
+    for name, (counts, gap_d0, disorder, t_ext) in PUBLISHED.items():
+        chain = SCENARIOS[name].build(1.0, 0, params)
+        assert chain.counts() == dict(zip(("n_left", "n_center", "n_right"), counts)), name
+        assert chain.gap_d0 == pytest.approx(gap_d0, rel=1e-15), name
+        assert {
+            seg.role.value: seg.disorder.density
+            for seg in chain.segments
+            if seg.disorder is not None
+        } == disorder, name
+        assert SCENARIOS[name].t_max_in_ext_lifetimes == t_ext, name
+
     fig3b = SCENARIOS["fig3b"].build(0.3, 0, params)
     assert fig3b.counts() == {"n_left": 0, "n_center": 30, "n_right": 60}
     right = [s for s in fig3b.segments if s.role is SegmentRole.RIGHT_MIRROR][0]
@@ -190,8 +221,6 @@ scale = 0.25
 method = markovian
 seed = 9
 workers = 2
-[grid]
-span_factor = 300
 [params]
 beta = 0.2
 gamma_ext = 0.9
@@ -202,7 +231,6 @@ gamma_ext = 0.9
     assert cfg.scale == 0.25
     assert cfg.seed == 9
     assert cfg.workers == 2
-    assert cfg.grid.span_factor == 300
     assert cfg.params.beta == 0.2
     assert cfg.params.gamma_ext == 0.9
 
@@ -231,6 +259,7 @@ right_disorder_density = 2.0
     "body, fragment",
     [
         ("[weird]\n", "unknown section"),
+        ("[grid]\nspan_factor = 300\n", "unknown section"),
         ("[run]\nscenario fig2\n", "expected 'key = value'"),
         ("scenario = fig2\n", "outside of any section"),
         ("[run]\nscenario = fig2\nscenario = fig4\n", "duplicate key"),
@@ -256,28 +285,58 @@ def test_free_space_spellings(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, grid_line",
+    "flags",
     [
-        (["--scale", "nan"], ""),
-        (["--t-max", "0"], ""),
-        (["--t-max", "nan"], ""),
-        (["--t-max", "inf"], ""),
-        (["--span-factor", "-1"], ""),
-        (["--span-factor", "inf"], ""),
-        (["--span-factor", "5"], ""),
-        ([], "apod_fraction = 0.7"),
-        ([], "apod_fraction = -0.1"),
-        (["--seed", "-1"], ""),
-        (["--workers", "0"], ""),
+        ["--scale", "nan"],
+        ["--t-max", "0"],
+        ["--t-max", "nan"],
+        ["--t-max", "inf"],
+        ["--seed", "-1"],
+        ["--workers", "0"],
     ],
-    ids=["scale-nan", "t-max-0", "t-max-nan", "t-max-inf", "span-negative", "span-inf",
-         "span-below-floor", "apod-overlap", "apod-negative", "seed-negative", "workers-0"],
+    ids=["scale-nan", "t-max-0", "t-max-nan", "t-max-inf", "seed-negative", "workers-0"],
 )
-def test_invalid_run_values_exit_with_an_error(tmp_path, capsys, flags, grid_line):
+def test_invalid_run_values_exit_with_an_error(tmp_path, capsys, flags):
     path = tmp_path / "run.cfg"
-    path.write_text(f"[run]\nscenario = bare\nscale = 0.05\n[grid]\n{grid_line}\n")
+    path.write_text("[run]\nscenario = bare\nscale = 0.05\n")
     assert main(["--config", str(path), *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        # a random draw puts two mirror atoms under the separation floor
+        (["--scenario", "fig3b", "--scale", "1", "--seed", "0"], "below the floor"),
+        # the window needs more grid points than the cap
+        (["--scenario", "fig7b", "--scale", "0.05", "--t-max", "20000"], "exceed the cap"),
+    ],
+    ids=["geometry", "grid-cap"],
+)
+def test_run_errors_exit_with_an_error(capsys, argv, fragment):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert "span factor" not in err
+
+
+def test_span_factor_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(["--scenario", "bare", "--span-factor", "300"])
+    assert exit_.value.code == 2
+    assert "--span-factor" in capsys.readouterr().err
+
+
+def test_docs_config_example_matches_the_key_tables(tmp_path):
+    text = (Path(__file__).resolve().parent.parent / "docs" / "config.md").read_text()
+    path = tmp_path / "example.cfg"
+    path.write_text(re.search(r"```ini\n(.*?)```", text, re.S).group(1))
+    sections = parse_config_file(path)
+    tables = {"run": _RUN_KEYS, "params": _PARAM_KEYS, "chain": _CHAIN_KEYS}
+    assert set(sections) == set(tables)
+    for name, table in tables.items():
+        assert set(sections[name]) == set(table), name
+        assert set(_convert(name, table, sections[name], path)) == set(table), name
 
 
 def test_main_exit_codes(tmp_path):
@@ -310,19 +369,18 @@ def _main_config(monkeypatch, argv):
 def test_flags_override_the_config_file(tmp_path, monkeypatch):
     path = tmp_path / "f.cfg"
     path.write_text(
-        "[run]\nscenario = fig2\nscale = 0.05\nworkers = 2\n[grid]\napod_fraction = 0.2\n"
+        "[run]\nscenario = fig2\nscale = 0.05\nworkers = 2\n"
     )
     cfg = _main_config(
         monkeypatch,
         ["--config", str(path), "--scale", "0.3", "--seed", "7", "--t-max", "2",
-         "--method", "spectral", "--span-factor", "150", "--free-space", "--out", "x"],
+         "--method", "spectral", "--free-space", "--out", "x"],
     )
     assert (cfg.scenario, cfg.scale, cfg.seed, cfg.t_max, cfg.method) == (
         "fig2", 0.3, 7, 2.0, "spectral"
     )
     assert cfg.free_space and cfg.out_dir == "x"
     assert cfg.workers == 2  # no flag: the file's value stands
-    assert cfg.grid == GridConfig(span_factor=150.0, apod_fraction=0.2)
 
     path.write_text("[run]\nseed = 3\n[chain]\nn_center = 4\n")
     cfg = _main_config(monkeypatch, ["--config", str(path), "--scenario", "fig4"])

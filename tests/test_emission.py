@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -71,7 +73,7 @@ def test_profile_uses_the_grid_apodization(params):
     # a non-default taper on the run's grid must reach the profile transform
     arr = build_chain(ChainSpec.three_segment(0, 1, 0), params)
     psi0 = dicke_initial_state(arr, params)
-    grid = build_grid(1.05, 8.0, apod_fraction=0.3)
+    grid = replace(build_grid(1.05, 8.0), apod_fraction=0.3)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     spectrum = emission_spectrum(slices, arr, params, +1)
     tau = default_tau_grid(8.0, n=64)
