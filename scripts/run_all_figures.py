@@ -9,8 +9,9 @@ Full scale reproduces the published geometries (300 to 1100 atoms); expect the
 long-cavity scenarios to take a while at that size.  Each scenario prints one
 line: its method and route, the ledger, the largest resolvent residual, the
 captured fractions of the right and left profiles, the wall time, the seconds
-of the resolvent sweep and of the evolution (summed over the ensemble members)
-and the peak resident set size of the process so far.
+of the resolvent sweep and of the evolution (summed over the ensemble members),
+the seconds spent writing the CSV artifacts and the peak resident set size of
+the process so far.
 """
 
 import argparse
@@ -58,6 +59,7 @@ def main() -> int:
             f"wall_s={time.perf_counter() - tic:.1f} "
             f"resolvent_sweep_s={sum(m['resolvent_sweep'] for m in members):.3f} "
             f"evolution_s={sum(m['evolution'] for m in members):.3f} "
+            f"artifacts_s={summary['timings']['artifacts']:.3f} "
             f"peak_rss_mb={summary['timings']['peak_rss_mb']:.0f} -> {out_dir}"
         )
     return 0

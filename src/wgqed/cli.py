@@ -15,7 +15,6 @@ resolvent sweep over the frequency grid (the "sweep" route).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import resource
@@ -64,6 +63,7 @@ from .model import (
     StateVector,
     build_chain,
     dicke_initial_state,
+    write_csv,
 )
 from .spectral import (
     GridResolutionError,
@@ -683,14 +683,12 @@ def _write_artifacts(result: RunResult, array, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     tic = time.perf_counter()
     result.series.to_csv(out_dir / "probabilities.csv")
-    with open(out_dir / "profiles.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z_over_vg_per_gamma", "alpha2_left", "alpha2_right"])
-        rec = result.record
-        for tau, left, right in zip(
-            rec.profile_left.tau, rec.profile_left.alpha2, rec.profile_right.alpha2
-        ):
-            writer.writerow([repr(float(tau)), repr(float(left)), repr(float(right))])
+    rec = result.record
+    write_csv(
+        out_dir / "profiles.csv",
+        ["z_over_vg_per_gamma", "alpha2_left", "alpha2_right"],
+        [rec.profile_left.tau, rec.profile_left.alpha2, rec.profile_right.alpha2],
+    )
     array.to_csv(out_dir / "positions.csv")
     result.summary.data["timings"]["artifacts"] = time.perf_counter() - tic
     result.summary.to_json(out_dir / "summary.json")
@@ -777,6 +775,11 @@ def config_from_file(path) -> RunConfig:
     params = PhysParams(**par_raw)
     chain = None
     if chain_raw:
+        if "scenario" in run_raw:
+            lineno = sections["run"]["scenario"][1]
+            raise ConfigFileError(
+                f"{path}:{lineno}: [run] scenario and a [chain] section exclude each other"
+            )
         if "n_center" not in chain_raw:
             raise ConfigFileError(f"{path}: [chain] section needs n_center")
         left_dis = chain_raw.get("left_disorder_density")

@@ -22,16 +22,18 @@ numpy; scipy is imported only by the matrix-exponential fallback.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .hamiltonian import DecayPartition, EffectiveHamiltonian
-from .model import AtomArray, StateVector
+from .model import AtomArray, StateVector, write_csv
+
+if TYPE_CHECKING:
+    from .emission import PoleTable
 
 # Eigenvector condition number beyond which evolve_markovian falls back to the
 # stepwise matrix exponential (near-defective spectra; correctness over speed).
@@ -78,14 +80,12 @@ class ProbabilitySeries:
         return np.abs(total - 1.0)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "p", "p0", "pa", "E_left", "E_right", "E_raman", "E_ext"])
-            for row in zip(
-                self.t, self.p, self.p0, self.pa,
-                self.e_left, self.e_right, self.e_raman, self.e_ext,
-            ):
-                writer.writerow([repr(float(v)) for v in row])
+        write_csv(
+            path,
+            ["t", "p", "p0", "pa", "E_left", "E_right", "E_raman", "E_ext"],
+            [self.t, self.p, self.p0, self.pa,
+             self.e_left, self.e_right, self.e_raman, self.e_ext],
+        )
 
 
 @dataclass
@@ -133,7 +133,8 @@ class ModalExpansion:
     and x(delta) = [delta - H]^-1 psi0 = V (delta - Lambda)^-1 c.  coeffs is
     None, and the expansion unusable, when the eigenvector condition number
     exceeds CONDITION_FALLBACK.  residual is max(|H V - V Lambda|, |V c - psi0|),
-    the largest column norm of the first.
+    the largest column norm of the first.  pole_table is the emission
+    PoleTable that the directional spectra built on this expansion share.
     """
 
     evals: np.ndarray
@@ -141,6 +142,7 @@ class ModalExpansion:
     condition: float
     coeffs: Optional[np.ndarray] = None
     residual: float = math.inf
+    pole_table: Optional[PoleTable] = field(default=None, repr=False, compare=False)
 
     def resolvent(self, deltas: np.ndarray) -> np.ndarray:
         """x(delta) at each detuning, shape (len(deltas), n_atoms)."""

@@ -4,11 +4,12 @@ All rates are expressed in units of the free-space linewidth gamma (so times are
 in 1/gamma) and all lengths in units of the guided-mode wavelength lambda_wg.
 The default group velocity is anchored to the Rb D2 line so that runs with
 centimetre-scale cavities map onto realistic retardation times.
+
+write_csv, at the end, writes every CSV artifact of a run.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -32,6 +33,9 @@ DEFAULT_V_G = 0.7 * C_REDUCED
 # Pairs closer than this (in lambda_wg) are rejected: the scalar coupling and
 # the optional free-space 1/xi^3 correction are not trustworthy at contact.
 MIN_SEPARATION = 0.01
+
+# Rows formatted and written at a time by write_csv.
+CSV_BLOCK_ROWS = 512
 
 
 class ConfigError(ValueError):
@@ -237,11 +241,11 @@ class AtomArray:
         return self.positions[self.emitter_start : self.emitter_stop]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "z_over_lambda_wg", "segment_role"])
-            for i, (z, role) in enumerate(zip(self.positions, self.roles)):
-                writer.writerow([i, repr(float(z)), role.value])
+        write_csv(
+            path,
+            ["index", "z_over_lambda_wg", "segment_role"],
+            [np.arange(self.n_atoms), self.positions, np.array([r.value for r in self.roles])],
+        )
 
 
 @dataclass
@@ -333,3 +337,26 @@ def dicke_initial_state(array: AtomArray, params: PhysParams) -> StateVector:
         np.exp(1j * params.k_wg * z_c) / math.sqrt(array.emitter_count)
     )
     return StateVector(amps)
+
+
+def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length 1-d columns under one header row, rows ended by "\\r\\n".
+
+    A number is written as the repr of its Python scalar, for a float the
+    shortest string that round-trips; a text column is written as it is and
+    must need no quoting (no comma, quote or line break).  The bytes are those
+    of csv.writer given repr(float(v)) per float.  Rows are formatted column by
+    column and written CSV_BLOCK_ROWS at a time, so the file's text is never
+    held whole.
+    """
+    columns = [np.asarray(col) for col in columns]
+    n_rows = len(columns[0])
+    if len(header) != len(columns) or any(col.shape != (n_rows,) for col in columns):
+        raise ValueError("write_csv needs one name per column and equal-length 1-d columns")
+    formats = [str if col.dtype.kind == "U" else repr for col in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = slice(lo, lo + CSV_BLOCK_ROWS)
+            cells = [map(f, col[block].tolist()) for f, col in zip(formats, columns)]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")

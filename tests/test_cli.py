@@ -154,12 +154,18 @@ def test_artifacts_and_determinism(tmp_path):
 def test_artifact_formats(tmp_path):
     out = tmp_path / "run"
     result = run(RunConfig(scenario="bare", scale=0.05, method="markovian", out_dir=str(out)))
-    with open(out / "probabilities.csv") as fh:
-        header = next(csv.reader(fh))
-    assert header == ["t", "p", "p0", "pa", "E_left", "E_right", "E_raman", "E_ext"]
-    with open(out / "profiles.csv") as fh:
-        header = next(csv.reader(fh))
-    assert header == ["z_over_vg_per_gamma", "alpha2_left", "alpha2_right"]
+    headers, row_counts = {}, {}
+    for name in ("probabilities.csv", "profiles.csv", "positions.csv"):
+        with open(out / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        headers[name], row_counts[name] = rows[0], len(rows) - 1
+    assert headers["probabilities.csv"] == [
+        "t", "p", "p0", "pa", "E_left", "E_right", "E_raman", "E_ext"
+    ]
+    assert headers["profiles.csv"] == ["z_over_vg_per_gamma", "alpha2_left", "alpha2_right"]
+    assert headers["positions.csv"] == ["index", "z_over_lambda_wg", "segment_role"]
+    # t = 0 plus 2048 log-spaced times; 4096 tau midpoints; one row per atom
+    assert row_counts == {"probabilities.csv": 2049, "profiles.csv": 4096, "positions.csv": 5}
     summary = json.loads((out / "summary.json").read_text())
     assert summary["format_version"] == 1
     assert summary["config"]["method"] == "markovian"
@@ -266,6 +272,7 @@ right_disorder_density = 2.0
         ("[run]\nbogus = 3\n", "unknown key"),
         ("[run]\nscale = abc\n", "bad value"),
         ("[run]\nfree_space = ture\n", "bad value"),
+        ("[run]\nscenario = fig2\n[chain]\nn_center = 4\n", "exclude each other"),
     ],
 )
 def test_config_file_errors_are_line_anchored(tmp_path, body, fragment):
@@ -328,15 +335,22 @@ def test_span_factor_flag_is_gone(capsys):
 
 
 def test_docs_config_example_matches_the_key_tables(tmp_path):
+    # the examples use every key of the tables between them, and each runs
     text = (Path(__file__).resolve().parent.parent / "docs" / "config.md").read_text()
-    path = tmp_path / "example.cfg"
-    path.write_text(re.search(r"```ini\n(.*?)```", text, re.S).group(1))
-    sections = parse_config_file(path)
+    blocks = re.findall(r"```ini\n(.*?)```", text, re.S)
+    assert len(blocks) == 2
     tables = {"run": _RUN_KEYS, "params": _PARAM_KEYS, "chain": _CHAIN_KEYS}
-    assert set(sections) == set(tables)
-    for name, table in tables.items():
-        assert set(sections[name]) == set(table), name
-        assert set(_convert(name, table, sections[name], path)) == set(table), name
+    keys = {name: set() for name in tables}
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"example{i}.cfg"
+        path.write_text(block)
+        sections = parse_config_file(path)
+        assert set(sections) <= set(tables)
+        for name, raw in sections.items():
+            assert set(_convert(name, tables[name], raw, path)) == set(raw), name
+            keys[name] |= set(raw)
+        assert main(["--config", str(path), "--out", str(tmp_path / f"run{i}")]) == 0
+    assert keys == {name: set(table) for name, table in tables.items()}
 
 
 def test_main_exit_codes(tmp_path):

@@ -315,3 +315,16 @@ def test_pole_profile_is_causal_and_exact(params):
     tau = np.linspace(1e-12, 40.0, 40001)
     integral = np.trapezoid(spatial_profile(spectrum, tau).alpha2, tau)
     assert integral == pytest.approx(spectrum.weight, rel=1e-6)
+
+
+def test_both_directions_share_one_pole_table():
+    # one e^{-i lambda tau} table serves both profiles of a member; each
+    # direction's sum is bit-equal to the table built for it alone
+    from wgqed.cli import RunConfig, run
+
+    record = run(RunConfig(scenario="fig2", scale=0.1)).record
+    right, left = record.spectrum_right, record.spectrum_left
+    assert right.table is left.table
+    for spectrum, profile in ((right, record.profile_right), (left, record.profile_left)):
+        alone = -1j * np.exp(-1j * np.outer(profile.tau, spectrum.poles)) @ spectrum.residues
+        assert np.array_equal(profile.alpha2, np.abs(alone) ** 2)

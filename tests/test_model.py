@@ -16,7 +16,13 @@ from wgqed import (
     build_chain,
     dicke_initial_state,
 )
-from wgqed.model import DEFAULT_MODE_INDEX, DisorderSpec, MIN_SEPARATION
+from wgqed.model import (
+    CSV_BLOCK_ROWS,
+    DEFAULT_MODE_INDEX,
+    MIN_SEPARATION,
+    DisorderSpec,
+    write_csv,
+)
 
 
 def test_default_params():
@@ -187,6 +193,16 @@ def test_state_vector_rejects_unnormalised():
         StateVector(np.array([1.0, 1.0]))
 
 
+def _csv_oracle(path, header, rows):
+    # the csv module with repr(float(v)) per float: the bytes write_csv keeps
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return path.read_bytes()
+
+
 def test_positions_csv(tmp_path, params):
     arr = build_chain(ChainSpec.three_segment(1, 2, 0, gap_d0=0.5), params)
     path = tmp_path / "positions.csv"
@@ -197,3 +213,27 @@ def test_positions_csv(tmp_path, params):
     assert rows[1] == ["0", "0.0", "left_mirror"]
     assert len(rows) == 4
     assert float(rows[3][1]) == pytest.approx(1.0)
+    expected = _csv_oracle(
+        tmp_path / "oracle.csv",
+        rows[0],
+        [(i, float(z), role.value) for i, (z, role) in enumerate(zip(arr.positions, arr.roles))],
+    )
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "n_rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2049, 4096]
+)
+def test_write_csv_matches_the_csv_module(tmp_path, n_rows):
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1]
+    rng = np.random.default_rng(n_rows)
+    floats = rng.standard_normal((2, n_rows)) * 10.0 ** rng.integers(-30, 30, (2, n_rows))
+    floats[0, : len(special)] = special[:n_rows]
+    floats[1, -len(special) :] = special[-n_rows:]
+    index = np.arange(n_rows)
+    roles = np.array([role.value for role in SegmentRole])[index % len(SegmentRole)]
+    header = ["index", "a", "b", "segment_role"]
+    path = tmp_path / "written.csv"
+    write_csv(path, header, [index, floats[0], floats[1], roles])
+    rows = zip(index.tolist(), floats[0].tolist(), floats[1].tolist(), roles.tolist())
+    assert path.read_bytes() == _csv_oracle(tmp_path / "oracle.csv", header, rows)

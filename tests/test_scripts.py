@@ -46,6 +46,8 @@ def test_run_all_figures_writes_every_scenario(tmp_path):
         for stage in ("resolvent_sweep", "evolution"):
             seconds = sum(m[stage] for m in summary["timings"]["members"])
             assert float(fields[f"{stage}_s"]) == pytest.approx(seconds, abs=6e-4)
+        artifacts = summary["timings"]["artifacts"]
+        assert float(fields["artifacts_s"]) == pytest.approx(artifacts, abs=6e-4)
         peak = summary["timings"]["peak_rss_mb"]
         assert float(fields["peak_rss_mb"]) == pytest.approx(peak, abs=1.0)
 
