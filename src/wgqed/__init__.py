@@ -8,16 +8,13 @@ from .model import (
     GeometryError,
     PhysParams,
     SegmentRole,
-    SegmentSpec,
     StateVector,
     build_chain,
     dicke_initial_state,
 )
 from .hamiltonian import (
-    DecayPartition,
     EffectiveHamiltonian,
     add_free_space_coupling,
-    decay_partition,
     effective_hamiltonian,
 )
 from .dynamics import (

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ChainSpec, PhysParams, SegmentRole, build_chain
+from .model import ChainSpec, PhysParams, build_chain
 from .spectral import scattering_sweep
 
 # Threshold operationalising "mirror response much faster than the emitter".
@@ -177,13 +177,12 @@ def classify_regime(chain: ChainSpec, params: PhysParams) -> RegimeReport:
     resonance rather than the idealised 1.
     """
     array = build_chain(chain, params)
-    counts = chain.counts()
-    n_c = counts["n_center"]
-    mirror_counts = [n for n in (counts["n_left"], counts["n_right"]) if n > 0]
-    gamma_c = collective_rate(n_c, params)
-    gamma_m = collective_rate(max(mirror_counts), params) if mirror_counts else 0.0
+    z = array.positions
+    n_mirror = max(chain.n_left, chain.n_right)
+    gamma_c = collective_rate(chain.n_center, params)
+    gamma_m = collective_rate(n_mirror, params) if n_mirror else 0.0
 
-    l_full = float(array.positions[-1] - array.positions[0])
+    l_full = float(z[-1] - z[0])
     numbers = {
         "gamma_c": gamma_c,
         "gamma_m": gamma_m,
@@ -204,20 +203,14 @@ def classify_regime(chain: ChainSpec, params: PhysParams) -> RegimeReport:
         markovian = True  # bare emitter: nothing to reflect off
 
     cavity_retardation = coherence_fit = None
-    roles = [seg.role for seg in chain.segments if seg.count > 0]
-    two_sided = SegmentRole.LEFT_MIRROR in roles and SegmentRole.RIGHT_MIRROR in roles
-    if two_sided:
-        left_stop = np.max(np.nonzero([r is SegmentRole.LEFT_MIRROR for r in array.roles]))
-        right_start = np.min(np.nonzero([r is SegmentRole.RIGHT_MIRROR for r in array.roles]))
-        l_cavity = float(array.positions[right_start] - array.positions[left_stop])
+    if chain.n_left and chain.n_right:
+        left, right = z[: array.emitter_start], z[array.emitter_stop :]
+        l_cavity = float(right[0] - left[-1])
         numbers["l_over_vg"] = l_cavity / params.v_g
-        refl = []
-        for role in (SegmentRole.LEFT_MIRROR, SegmentRole.RIGHT_MIRROR):
-            sel = [i for i, r in enumerate(array.roles) if r is role]
-            r_amp, _ = transfer_matrix_reflectance(
-                array.positions[sel], params, 0.0
-            )
-            refl.append(abs(r_amp) ** 2)
+        refl = [
+            abs(transfer_matrix_reflectance(mirror, params, 0.0)[0]) ** 2
+            for mirror in (left, right)
+        ]
         r_mean = float(np.mean(refl))
         numbers["mirror_reflectance_resonant"] = r_mean
         numbers["kappa"] = kappa_estimate(r_mean, l_cavity, params.v_g)

@@ -50,7 +50,6 @@ from .emission import (
 from .hamiltonian import (
     EffectiveHamiltonian,
     add_free_space_coupling,
-    decay_partition,
     effective_hamiltonian,
 )
 from .model import (
@@ -230,19 +229,18 @@ class Scenario:
     t_max_in_ext_lifetimes: float = 12.0
 
     def build(self, scale: float, seed: int, params: PhysParams) -> ChainSpec:
-        """The chain at scale: every count scaled, a nonzero one to at least 1."""
-        n_left, n_center, n_right = (max(1, round(n * scale)) if n else 0 for n in self.counts)
-        if self.gap is None:
-            gap_d0 = _cavity_gap(n_left, n_center, params, self.antinode)
-        else:
-            gap_d0 = self.gap * params.lambda_wg
+        """The chain at scale (ChainSpec.scaled), with its gap for those counts."""
         left, right = (
             DisorderSpec(1.0) if side in self.disordered else None for side in ("left", "right")
         )
-        return ChainSpec.three_segment(
-            n_left, n_center, n_right, gap_d0=gap_d0,
-            left_disorder=left, right_disorder=right, rng_seed=seed,
-        )
+        chain = ChainSpec(
+            *self.counts, left_disorder=left, right_disorder=right, rng_seed=seed
+        ).scaled(scale)
+        if self.gap is None:
+            gap_d0 = _cavity_gap(chain.n_left, chain.n_center, params, self.antinode)
+        else:
+            gap_d0 = self.gap * params.lambda_wg
+        return replace(chain, gap_d0=gap_d0)
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -362,7 +360,7 @@ def fast_stage_end(series: ProbabilitySeries, late_rate: float) -> dict:
 
 def _resolve_chain(config: RunConfig) -> tuple[ChainSpec, float]:
     if config.chain is not None:
-        chain = replace(config.chain, rng_seed=config.seed)
+        chain = replace(config.chain.scaled(config.scale), rng_seed=config.seed)
         t_ext = Scenario.t_max_in_ext_lifetimes
     else:
         try:
@@ -433,12 +431,11 @@ def _member_pipeline(
     array = build_chain(chain, params)
     psi0 = dicke_initial_state(array, params)
     # the fastest segment's collective rate; collective_rate grows with n
-    gamma_fast = collective_rate(max(chain.counts().values()), params)
+    gamma_fast = collective_rate(max(chain.n_left, chain.n_center, chain.n_right), params)
 
     ham = effective_hamiltonian(array, params)
     if free_space:
         ham = add_free_space_coupling(ham, array, params)
-    partition = decay_partition(ham, array, params)
     t_grid = default_time_grid(gamma_fast, t_max)
 
     retarded = method == "spectral"
@@ -472,7 +469,7 @@ def _member_pipeline(
         fluxes = tuple(np.abs(alpha.T) ** 2)
         timings["evolution"] = time.perf_counter() - tic
 
-    series = probabilities(trajectory, psi0, array, partition, fluxes)
+    series = probabilities(trajectory, psi0, array, params, fluxes, ham.free_space_decay)
 
     tic = time.perf_counter()
     tau = default_tau_grid(t_max)
@@ -525,12 +522,12 @@ def _chain_echo(chain: ChainSpec) -> dict:
         "rng_seed": chain.rng_seed,
         "segments": [
             {
-                "role": seg.role.value,
-                "count": seg.count,
-                "spacing": seg.spacing,
-                "disorder_density": None if seg.disorder is None else seg.disorder.density,
+                "role": role.value,
+                "count": count,
+                "spacing": chain.spacing,
+                "disorder_density": None if disorder is None else disorder.density,
             }
-            for seg in chain.segments
+            for role, count, disorder in chain.segments()
         ],
     }
 
@@ -745,7 +742,17 @@ _RUN_KEYS = {
 }
 _PARAM_KEYS = {"gamma": float, "beta": float, "gamma_ext": float, "v_g": float,
                "lambda_wg": float, "lambda0": float}
-_CHAIN_KEYS = {"n_left": int, "n_center": int, "n_right": int, "gap_d0": float,
+
+
+def _count(text: str) -> int:
+    """A segment count: an integer >= 0 (ChainSpec also asks n_center >= 1)."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
+
+
+_CHAIN_KEYS = {"n_left": _count, "n_center": _count, "n_right": _count, "gap_d0": float,
                "spacing": float, "left_disorder_density": float,
                "right_disorder_density": float}
 
@@ -784,7 +791,7 @@ def config_from_file(path) -> RunConfig:
             raise ConfigFileError(f"{path}: [chain] section needs n_center")
         left_dis = chain_raw.get("left_disorder_density")
         right_dis = chain_raw.get("right_disorder_density")
-        chain = ChainSpec.three_segment(
+        chain = ChainSpec(
             chain_raw.get("n_left", 0),
             chain_raw["n_center"],
             chain_raw.get("n_right", 0),

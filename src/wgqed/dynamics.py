@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .hamiltonian import DecayPartition, EffectiveHamiltonian
-from .model import AtomArray, StateVector, write_csv
+from .hamiltonian import EffectiveHamiltonian
+from .model import AtomArray, PhysParams, StateVector, write_csv
 
 if TYPE_CHECKING:
     from .emission import PoleTable
@@ -200,13 +200,13 @@ def evolve_markovian(
 
 
 def directional_fluxes(
-    traj: AmplitudeTrajectory, partition: DecayPartition
+    traj: AmplitudeTrajectory, array: AtomArray, params: PhysParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Phi_plus, Phi_minus): right- and left-going guided fluxes vs time."""
-    phase = np.exp(-1j * partition.k_wg * partition.positions)
+    phase = np.exp(-1j * params.k_wg * array.positions)
     s_plus = traj.amplitudes @ phase
     s_minus = traj.amplitudes @ np.conj(phase)
-    half = 0.5 * partition.gamma_wg
+    half = 0.5 * params.gamma_wg
     return half * np.abs(s_plus) ** 2, half * np.abs(s_minus) ** 2
 
 
@@ -246,15 +246,17 @@ def probabilities(
     traj: AmplitudeTrajectory,
     psi0: StateVector,
     array: AtomArray,
-    partition: DecayPartition,
+    params: PhysParams,
     fluxes: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    free_space_decay: Optional[np.ndarray] = None,
 ) -> ProbabilitySeries:
     """Project the trajectory onto p, p0, p_a and integrate the channel fluxes.
 
     fluxes are the (right, left) guided outflows on traj.t: by default the
     resonant directional_fluxes; the retarded pipeline passes |alpha|^2 of the
-    fields leaving the chain.  The external flux is b^dagger Gamma_ext b,
-    which is gamma_ext p unless H carries the free-space term.
+    fields leaving the chain.  The external flux is b^dagger Gamma_ext b:
+    gamma_ext p, plus the interference through free_space_decay, the
+    off-diagonal Gamma_fs of an H that carries the free-space term.
     """
     if traj.amplitudes.shape[1] != psi0.n_atoms or psi0.n_atoms != array.n_atoms:
         raise ValueError("trajectory, initial state and geometry sizes disagree")
@@ -263,16 +265,15 @@ def probabilities(
     pa = np.sum(
         np.abs(traj.amplitudes[:, array.emitter_start : array.emitter_stop]) ** 2, axis=1
     )
-    phi_plus, phi_minus = directional_fluxes(traj, partition) if fluxes is None else fluxes
+    phi_plus, phi_minus = directional_fluxes(traj, array, params) if fluxes is None else fluxes
     e_right = _cumulative(phi_plus, traj.t)
     e_left = _cumulative(phi_minus, traj.t)
-    e_raman = _cumulative(partition.raman_guided_rate * p, traj.t)
-    ext_flux = partition.external_rate * p
-    coupling = partition.external_coupling
-    if coupling is not None:
+    e_raman = _cumulative(params.gamma_raman * p, traj.t)
+    ext_flux = params.gamma_ext * p
+    if free_space_decay is not None:
         # b^dagger Gamma_fs b (Gamma_fs symmetric): the free-space interference
         b = traj.amplitudes
-        ext_flux = ext_flux + np.real(np.sum(np.conj(b) * (b @ coupling), axis=1))
+        ext_flux = ext_flux + np.real(np.sum(np.conj(b) * (b @ free_space_decay), axis=1))
     e_ext = _cumulative(ext_flux, traj.t)
     return ProbabilitySeries(traj.t, p, p0, pa, e_left, e_right, e_raman, e_ext)
 

@@ -5,7 +5,8 @@ between atoms; the diagonal carries the full single-atom width.  Frequencies are
 detunings from the bare atomic resonance, so identical atoms have zero real
 diagonal.  The anti-Hermitian part splits exactly into three decay channels:
 a rank-2 coherent guided matrix, a per-atom guided Raman rate, and the
-per-atom external rate.
+per-atom external rate, to which the optional free-space term adds its
+off-diagonal rates.
 """
 
 from __future__ import annotations
@@ -21,11 +22,16 @@ from .model import AtomArray, GeometryError, MIN_SEPARATION, PhysParams
 
 @dataclass
 class EffectiveHamiltonian:
-    """Complex symmetric N x N resonant matrix; includes_free_space marks the
-    optional free-space term."""
+    """Complex symmetric N x N resonant matrix.  free_space_decay holds the
+    off-diagonal free-space rates Gamma_fs when H carries the optional
+    free-space term (zero diagonal), else None."""
 
     matrix: np.ndarray
-    includes_free_space: bool = False
+    free_space_decay: Optional[np.ndarray] = None
+
+    @property
+    def includes_free_space(self) -> bool:
+        return self.free_space_decay is not None
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -34,29 +40,6 @@ class EffectiveHamiltonian:
         The Markovian evolution and the superradiant overlap share it.
         """
         return np.linalg.eig(self.matrix)
-
-
-@dataclass
-class DecayPartition:
-    """Three-channel split of -2 Im(H) at resonance evaluation.
-
-    guided_coherent is the positive-semidefinite rank-<=2 Gram matrix
-    Gamma_wg cos(k (z_a - z_b)); the Raman channel acts per atom.  The
-    external channel is external_rate I plus, when H carries the free-space
-    term, its off-diagonal rates external_coupling = Gamma_fs (else None).
-    """
-
-    guided_coherent: np.ndarray
-    raman_guided_rate: float
-    external_rate: float
-    k_wg: float
-    gamma_wg: float
-    positions: np.ndarray
-    external_coupling: Optional[np.ndarray] = None
-
-    @property
-    def incoherent_rate(self) -> float:
-        return self.raman_guided_rate + self.external_rate
 
 
 def pair_distances(array: AtomArray) -> np.ndarray:
@@ -75,31 +58,6 @@ def effective_hamiltonian(array: AtomArray, params: PhysParams) -> EffectiveHami
     h = -0.5j * params.gamma_wg * np.exp(1j * params.k_wg * dist)
     np.fill_diagonal(h, -0.5j * params.gamma_tot)
     return EffectiveHamiltonian(matrix=h)
-
-
-def decay_partition(
-    ham: EffectiveHamiltonian, array: AtomArray, params: PhysParams
-) -> DecayPartition:
-    """Split the anti-Hermitian part of a resonant H into its three channels.
-
-    The free-space rates are read off -2 Im H itself, so the external channel
-    follows the H the run evolves with.
-    """
-    dist = pair_distances(array)
-    guided = params.gamma_wg * np.cos(params.k_wg * dist)
-    coupling = None
-    if ham.includes_free_space:
-        coupling = -2.0 * ham.matrix.imag - guided
-        np.fill_diagonal(coupling, 0.0)
-    return DecayPartition(
-        guided_coherent=guided,
-        raman_guided_rate=params.gamma_raman,
-        external_rate=params.gamma_ext,
-        k_wg=params.k_wg,
-        gamma_wg=params.gamma_wg,
-        positions=array.positions.copy(),
-        external_coupling=coupling,
-    )
 
 
 def add_free_space_coupling(
@@ -123,8 +81,9 @@ def add_free_space_coupling(
     k0 = 2.0 * np.pi / params.lambda0
     xi = np.where(off, k0 * dist, 1.0)  # dummy 1.0 on the diagonal
     gamma_fs, j_fs = free_space_rates(xi, params.gamma)
-    term = np.where(off, j_fs - 0.5j * gamma_fs, 0.0)
-    return EffectiveHamiltonian(matrix=ham.matrix + term, includes_free_space=True)
+    gamma_fs = np.where(off, gamma_fs, 0.0)
+    term = np.where(off, j_fs, 0.0) - 0.5j * gamma_fs
+    return EffectiveHamiltonian(matrix=ham.matrix + term, free_space_decay=gamma_fs)
 
 
 def free_space_rates(xi: np.ndarray, gamma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

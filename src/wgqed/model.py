@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -146,77 +146,49 @@ class DisorderSpec:
 
 
 @dataclass(frozen=True)
-class SegmentSpec:
-    role: SegmentRole
-    count: int
-    spacing: Optional[float] = None  # None -> lambda_wg / 2
-    disorder: Optional[DisorderSpec] = None
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ConfigError(f"segment count must be >= 0, got {self.count}")
-        if self.spacing is not None and not self.spacing > 0:
-            raise ConfigError(f"segment spacing must be positive, got {self.spacing}")
-
-
-@dataclass(frozen=True)
 class ChainSpec:
-    """Ordered segment layout [LeftMirror?, Emitter, RightMirror?] plus seeds."""
+    """A [left mirror?, emitter, right mirror?] chain: the segment counts, the
+    edge-to-edge gap between segments, the lattice spacing of every segment
+    (None: lambda_wg/2), each mirror's disorder (None: a lattice) and the seed.
+    """
 
-    segments: tuple[SegmentSpec, ...]
+    n_left: int
+    n_center: int
+    n_right: int
     gap_d0: float = 0.5
+    spacing: Optional[float] = None
+    left_disorder: Optional[DisorderSpec] = None
+    right_disorder: Optional[DisorderSpec] = None
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        emitters = [s for s in self.segments if s.role is SegmentRole.EMITTER]
-        if len(emitters) != 1 or emitters[0].count < 1:
-            raise ConfigError("chain needs exactly one emitter segment with count >= 1")
-        order = [s.role for s in self.segments if s.count > 0]
-        allowed = {
-            (SegmentRole.EMITTER,),
-            (SegmentRole.LEFT_MIRROR, SegmentRole.EMITTER),
-            (SegmentRole.EMITTER, SegmentRole.RIGHT_MIRROR),
-            (SegmentRole.LEFT_MIRROR, SegmentRole.EMITTER, SegmentRole.RIGHT_MIRROR),
-        }
-        if tuple(order) not in allowed:
-            raise ConfigError(f"segment order {order} is not left/emitter/right")
-        if len(order) > 1 and not self.gap_d0 > 0:
+        if min(self.n_left, self.n_right) < 0 or self.n_center < 1:
+            raise ConfigError(
+                "chain needs n_left, n_right >= 0 and n_center >= 1, got "
+                f"{self.n_left}/{self.n_center}/{self.n_right}"
+            )
+        if self.spacing is not None and not self.spacing > 0:
+            raise ConfigError(f"segment spacing must be positive, got {self.spacing}")
+        if (self.n_left or self.n_right) and not self.gap_d0 > 0:
             raise ConfigError("gap_d0 must be positive when more than one segment is present")
 
-    @classmethod
-    def three_segment(
-        cls,
-        n_left: int,
-        n_center: int,
-        n_right: int,
-        gap_d0: float = 0.5,
-        spacing: Optional[float] = None,
-        left_disorder: Optional[DisorderSpec] = None,
-        right_disorder: Optional[DisorderSpec] = None,
-        rng_seed: int = 0,
-    ) -> "ChainSpec":
-        segments = []
-        if n_left > 0:
-            segments.append(
-                SegmentSpec(SegmentRole.LEFT_MIRROR, n_left, spacing, left_disorder)
-            )
-        segments.append(SegmentSpec(SegmentRole.EMITTER, n_center, spacing))
-        if n_right > 0:
-            segments.append(
-                SegmentSpec(SegmentRole.RIGHT_MIRROR, n_right, spacing, right_disorder)
-            )
-        return cls(tuple(segments), gap_d0=gap_d0, rng_seed=rng_seed)
+    def segments(self) -> list[tuple[SegmentRole, int, Optional[DisorderSpec]]]:
+        """(role, count, disorder) of each non-empty segment, left to right."""
+        segments = [
+            (SegmentRole.LEFT_MIRROR, self.n_left, self.left_disorder),
+            (SegmentRole.EMITTER, self.n_center, None),
+            (SegmentRole.RIGHT_MIRROR, self.n_right, self.right_disorder),
+        ]
+        return [seg for seg in segments if seg[1] > 0]
 
-    def counts(self) -> dict:
-        out = {role: 0 for role in SegmentRole}
-        for seg in self.segments:
-            out[seg.role] += seg.count
-        return {
-            "n_left": out[SegmentRole.LEFT_MIRROR],
-            "n_center": out[SegmentRole.EMITTER],
-            "n_right": out[SegmentRole.RIGHT_MIRROR],
-        }
+    def scaled(self, scale: float) -> "ChainSpec":
+        """The chain with every count times scale, rounded; a nonzero count
+        stays at least 1."""
+        n_left, n_center, n_right = (
+            max(1, round(n * scale)) if n else 0
+            for n in (self.n_left, self.n_center, self.n_right)
+        )
+        return replace(self, n_left=n_left, n_center=n_center, n_right=n_right)
 
 
 @dataclass
@@ -266,18 +238,23 @@ class StateVector:
 
 
 def _segment_positions(
-    seg: SegmentSpec, z_start: float, params: PhysParams, rng: np.random.Generator
+    count: int,
+    disorder: Optional[DisorderSpec],
+    spacing: Optional[float],
+    z_start: float,
+    params: PhysParams,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
     """Return the segment's atom positions and the coordinate of its far edge."""
     half_wave = 0.5 * params.lambda_wg
-    if seg.disorder is None:
-        spacing = half_wave if seg.spacing is None else seg.spacing
-        pos = z_start + spacing * np.arange(seg.count)
-        return pos, z_start + spacing * (seg.count - 1)
+    if disorder is None:
+        spacing = half_wave if spacing is None else spacing
+        pos = z_start + spacing * np.arange(count)
+        return pos, z_start + spacing * (count - 1)
     # Disordered segment: uniform draws over the nominal length count/density
     # half-waves; the nominal span (not the last atom) defines the far edge.
-    length = seg.count / seg.disorder.density * half_wave
-    pos = np.sort(rng.uniform(z_start, z_start + length, size=seg.count))
+    length = count / disorder.density * half_wave
+    pos = np.sort(rng.uniform(z_start, z_start + length, size=count))
     return pos, z_start + length
 
 
@@ -291,26 +268,15 @@ def build_chain(spec: ChainSpec, params: PhysParams) -> AtomArray:
     rng = np.random.default_rng(spec.rng_seed)
     positions: list[np.ndarray] = []
     roles: list[SegmentRole] = []
-    emitter_start = emitter_stop = 0
-    cursor = 0.0
-    first = True
-    for seg in spec.segments:
-        if seg.count == 0:
-            continue
-        z_start = cursor if first else cursor + spec.gap_d0
-        pos, far_edge = _segment_positions(seg, z_start, params, rng)
-        if seg.role is SegmentRole.EMITTER:
-            emitter_start = sum(len(p) for p in positions)
-            emitter_stop = emitter_start + seg.count
+    far_edge = None
+    for role, count, disorder in spec.segments():
+        z_start = 0.0 if far_edge is None else far_edge + spec.gap_d0
+        pos, far_edge = _segment_positions(count, disorder, spec.spacing, z_start, params, rng)
         positions.append(pos)
-        roles.extend([seg.role] * seg.count)
-        cursor = far_edge
-        first = False
+        roles.extend([role] * count)
 
     z = np.concatenate(positions)
     z = z - z[0]  # absolute origin at the first atom
-    if emitter_stop == emitter_start:
-        raise ConfigError("chain has no emitter atoms")
     gaps = np.diff(z)
     floor = MIN_SEPARATION * params.lambda_wg
     if np.any(gaps < floor):
@@ -319,7 +285,7 @@ def build_chain(spec: ChainSpec, params: PhysParams) -> AtomArray:
             f"atoms {bad} and {bad + 1} are separated by {gaps[bad]:.4g} lambda_wg, "
             f"below the floor {floor:.4g}"
         )
-    return AtomArray(z, emitter_start, emitter_stop, tuple(roles))
+    return AtomArray(z, spec.n_left, spec.n_left + spec.n_center, tuple(roles))
 
 
 def dicke_initial_state(array: AtomArray, params: PhysParams) -> StateVector:

@@ -48,7 +48,7 @@ def test_criterion_1_base_case_rate(params):
     worst_eig = 0.0
     worst_fit = 0.0
     for n_c in (2, 5, 10, 30):
-        arr = build_chain(ChainSpec.three_segment(0, n_c, 0), params)
+        arr = build_chain(ChainSpec(0, n_c, 0), params)
         expected = collective_rate(n_c, params)
         rates = -2.0 * np.linalg.eigvals(effective_hamiltonian(arr, params).matrix).imag
         worst_eig = max(worst_eig, abs(rates.max() - expected))
@@ -56,10 +56,9 @@ def test_criterion_1_base_case_rate(params):
         traj = evolve_markovian(
             effective_hamiltonian(arr, params), psi0, default_time_grid(expected, 12.0 / 0.95)
         )
-        from wgqed import decay_partition, probabilities
+        from wgqed import probabilities
 
-        part = decay_partition(effective_hamiltonian(arr, params), arr, params)
-        series = probabilities(traj, psi0, arr, part)
+        series = probabilities(traj, psi0, arr, params)
         window = (series.p <= 0.9) & (series.p >= 0.2)
         fit = fit_decay_rate(series, (series.t[window][0], series.t[window][-1]))
         worst_fit = max(worst_fit, abs(fit.rate - expected) / expected)

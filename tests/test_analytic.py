@@ -246,7 +246,7 @@ def test_collective_rate(params):
 def test_classify_published_cavity(params):
     # 500/100/500 atoms with 20 cm gaps: a long resonant atomic cavity
     d0 = round(0.2 / 650e-9 * 2) / 2  # snap 20 cm to the half-wave lattice
-    chain = ChainSpec.three_segment(500, 100, 500, gap_d0=d0)
+    chain = ChainSpec(500, 100, 500, gap_d0=d0)
     report = classify_regime(chain, params)
     assert report.markovian is False
     assert report.cavity_retardation is True
@@ -259,7 +259,7 @@ def test_classify_published_cavity(params):
 
 
 def test_classify_short_bragg_chain(params):
-    chain = ChainSpec.three_segment(100, 100, 100, gap_d0=0.5)
+    chain = ChainSpec(100, 100, 100, gap_d0=0.5)
     report = classify_regime(chain, params)
     assert report.markovian is True
     assert report.cavity_retardation is False
@@ -267,7 +267,7 @@ def test_classify_short_bragg_chain(params):
 
 
 def test_classify_bare_emitter(params):
-    report = classify_regime(ChainSpec.three_segment(0, 50, 0), params)
+    report = classify_regime(ChainSpec(0, 50, 0), params)
     assert report.markovian is True
     assert report.cavity_retardation is None
     assert report.coherence_fit is None

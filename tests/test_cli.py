@@ -24,7 +24,6 @@ from wgqed.cli import (
     run,
 )
 from wgqed.dynamics import NumericalError, ProbabilitySeries
-from wgqed.model import SegmentRole
 
 
 def _series(t, y):
@@ -60,7 +59,7 @@ def test_run_config_validation():
 
 def test_scale_floors_at_one_atom(params):
     chain = SCENARIOS["fig2"].build(0.001, 0, params)
-    assert chain.counts() == {"n_left": 1, "n_center": 1, "n_right": 1}
+    assert (chain.n_left, chain.n_center, chain.n_right) == (1, 1, 1)
 
 
 # The published geometries (scale 1, default params): the (left, center, right)
@@ -82,24 +81,21 @@ def test_scenario_layouts(params):
     assert set(SCENARIOS) == set(PUBLISHED)
     for name, (counts, gap_d0, disorder, t_ext) in PUBLISHED.items():
         chain = SCENARIOS[name].build(1.0, 0, params)
-        assert chain.counts() == dict(zip(("n_left", "n_center", "n_right"), counts)), name
+        assert (chain.n_left, chain.n_center, chain.n_right) == counts, name
         assert chain.gap_d0 == pytest.approx(gap_d0, rel=1e-15), name
         assert {
-            seg.role.value: seg.disorder.density
-            for seg in chain.segments
-            if seg.disorder is not None
+            role.value: dis.density for role, _, dis in chain.segments() if dis is not None
         } == disorder, name
         assert SCENARIOS[name].t_max_in_ext_lifetimes == t_ext, name
 
     fig3b = SCENARIOS["fig3b"].build(0.3, 0, params)
-    assert fig3b.counts() == {"n_left": 0, "n_center": 30, "n_right": 60}
-    right = [s for s in fig3b.segments if s.role is SegmentRole.RIGHT_MIRROR][0]
-    assert right.disorder is not None and right.disorder.density == 1.0
+    assert (fig3b.n_left, fig3b.n_center, fig3b.n_right) == (0, 30, 60)
+    assert fig3b.right_disorder == DisorderSpec(1.0)
     fig4 = SCENARIOS["fig4"].build(0.3, 0, params)
     assert fig4.gap_d0 == pytest.approx(0.25)
     fig5 = SCENARIOS["fig5"].build(0.3, 0, params)
     assert fig5.gap_d0 == pytest.approx(0.25)
-    assert fig5.counts()["n_right"] == 60
+    assert fig5.n_right == 60
 
 
 def test_fig7_gap_snaps_to_mode_condition(params):
@@ -108,7 +104,7 @@ def test_fig7_gap_snaps_to_mode_condition(params):
     # node placement: integer half-waves; antinode: extra quarter wave
     assert node.gap_d0 % 0.5 == pytest.approx(0.0, abs=1e-9)
     assert (anti.gap_d0 - 0.25) % 0.5 == pytest.approx(0.0, abs=1e-9)
-    span_c = (anti.counts()["n_center"] - 1) * 0.5
+    span_c = (anti.n_center - 1) * 0.5
     l_over_vg = (2 * anti.gap_d0 + span_c) / params.v_g
     gamma_m = 1.05 + 49 * 0.05
     gamma_c = 1.05 + 9 * 0.05
@@ -195,7 +191,7 @@ def test_artifact_formats(tmp_path):
 
 
 def test_seed_zero_overrides_custom_chain_seed():
-    chain = ChainSpec.three_segment(
+    chain = ChainSpec(
         0, 3, 5, gap_d0=0.5, right_disorder=DisorderSpec(1.0), rng_seed=5
     )
     result = run(RunConfig(chain=chain, method="markovian", seed=0))
@@ -256,9 +252,63 @@ right_disorder_density = 2.0
     )
     cfg = config_from_file(path)
     assert cfg.scenario is None
-    assert cfg.chain.counts() == {"n_left": 0, "n_center": 4, "n_right": 6}
+    assert (cfg.chain.n_left, cfg.chain.n_center, cfg.chain.n_right) == (0, 4, 6)
     result = run(cfg)
     assert result.series.p[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "body", ["n_left = -3\nn_center = 5\n", "n_center = 0\n"], ids=["negative", "no-emitter"]
+)
+def test_bad_chain_counts_exit_with_an_error(tmp_path, capsys, body):
+    path = tmp_path / "chain.cfg"
+    path.write_text("[run]\nmethod = markovian\n[chain]\n" + body)
+    assert main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_scale_applies_to_a_custom_chain(tmp_path):
+    path = tmp_path / "chain.cfg"
+    path.write_text("[run]\nmethod = markovian\n[chain]\nn_left = 4\nn_center = 4\nn_right = 4\n")
+    out = tmp_path / "run"
+    assert main(["--config", str(path), "--scale", "0.5", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["scale"] == 0.5
+    assert [seg["count"] for seg in summary["config"]["chain"]["segments"]] == [2, 2, 2]
+    with open(out / "positions.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 6
+
+
+def _echoed_chain(tmp_path, argv):
+    out = tmp_path / "echo"
+    assert main([*argv, "--method", "markovian", "--out", str(out)]) == 0
+    return json.loads((out / "summary.json").read_text())["config"]["chain"]
+
+
+def test_chain_echo_is_pinned(tmp_path):
+    # perfbench/workloads.py reads this schema back from summary.json
+    assert _echoed_chain(tmp_path, ["--scenario", "fig3c", "--scale", "0.02"]) == {
+        "gap_d0": 0.5,
+        "rng_seed": 0,
+        "segments": [
+            {"role": "left_mirror", "count": 2, "spacing": None, "disorder_density": 1.0},
+            {"role": "emitter", "count": 2, "spacing": None, "disorder_density": None},
+            {"role": "right_mirror", "count": 2, "spacing": None, "disorder_density": 1.0},
+        ],
+    }
+    path = tmp_path / "chain.cfg"
+    path.write_text(
+        "[run]\nseed = 2\n[chain]\nn_center = 3\nn_right = 4\ngap_d0 = 0.25\n"
+        "spacing = 0.4\nright_disorder_density = 2.0\n"
+    )
+    assert _echoed_chain(tmp_path, ["--config", str(path)]) == {
+        "gap_d0": 0.25,
+        "rng_seed": 2,
+        "segments": [
+            {"role": "emitter", "count": 3, "spacing": 0.4, "disorder_density": None},
+            {"role": "right_mirror", "count": 4, "spacing": 0.4, "disorder_density": 2.0},
+        ],
+    }
 
 
 @pytest.mark.parametrize(
@@ -273,6 +323,8 @@ right_disorder_density = 2.0
         ("[run]\nscale = abc\n", "bad value"),
         ("[run]\nfree_space = ture\n", "bad value"),
         ("[run]\nscenario = fig2\n[chain]\nn_center = 4\n", "exclude each other"),
+        ("[chain]\nn_left = -3\nn_center = 5\n", "bad value '-3' for 'n_left'"),
+        ("[chain]\nn_center = 5\nn_right = -2\n", "bad value '-2' for 'n_right'"),
     ],
 )
 def test_config_file_errors_are_line_anchored(tmp_path, body, fragment):

@@ -8,7 +8,6 @@ from wgqed import (
     PhysParams,
     StateVector,
     build_chain,
-    decay_partition,
     default_time_grid,
     dicke_initial_state,
     effective_hamiltonian,
@@ -18,17 +17,16 @@ from wgqed import (
     superradiant_overlap,
 )
 from wgqed.dynamics import ProbabilitySeries, _cumulative, _evolve_expm, directional_fluxes
-from test_hamiltonian import random_array
+from test_hamiltonian import guided_channel, random_array
 
 
 def _pipeline(params, spec, t_max=8.0):
     arr = build_chain(spec, params)
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
-    part = decay_partition(ham, arr, params)
     t = default_time_grid(2.5, t_max)
     traj = evolve_markovian(ham, psi0, t)
-    return arr, psi0, ham, part, traj, probabilities(traj, psi0, arr, part)
+    return traj, probabilities(traj, psi0, arr, params)
 
 
 def test_time_grid_shape():
@@ -41,7 +39,7 @@ def test_time_grid_shape():
 
 
 def test_single_atom_closed_form(params):
-    _, _, _, _, traj, series = _pipeline(params, ChainSpec.three_segment(0, 1, 0))
+    traj, series = _pipeline(params, ChainSpec(0, 1, 0))
     expected = np.exp(-1.05 * traj.t)
     assert_allclose(series.p, expected, atol=1e-12)
     p_at_unit_time = np.interp(1.0, traj.t, series.p)
@@ -49,7 +47,7 @@ def test_single_atom_closed_form(params):
 
 
 def test_two_atom_dicke_pure_exponential(params):
-    arr = build_chain(ChainSpec.three_segment(0, 2, 0), params)
+    arr = build_chain(ChainSpec(0, 2, 0), params)
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
     t = np.linspace(0, 5, 101)
@@ -66,7 +64,7 @@ def test_zero_hamiltonian_is_identity_evolution():
 
 
 def test_rejects_retarded_and_bad_grid(params):
-    arr = build_chain(ChainSpec.three_segment(0, 2, 0), params)
+    arr = build_chain(ChainSpec(0, 2, 0), params)
     psi0 = dicke_initial_state(arr, params)
     with pytest.raises(ValueError):
         evolve_markovian(effective_hamiltonian(arr, params), psi0, np.array([0.5, 1.0]))
@@ -84,7 +82,7 @@ def test_expm_fallback_agrees_with_eigendecomposition(params):
 
 
 def test_norm_balance_and_monotonicity(params):
-    _, _, _, _, _, series = _pipeline(params, ChainSpec.three_segment(10, 10, 10))
+    _, series = _pipeline(params, ChainSpec(10, 10, 10))
     assert series.balance_error().max() < 1e-6
     assert np.all(np.diff(series.p) <= 1e-9)
     assert series.p[0] == pytest.approx(1.0, abs=1e-12)
@@ -93,7 +91,7 @@ def test_norm_balance_and_monotonicity(params):
 
 
 def test_probability_ordering(params):
-    _, _, _, _, _, series = _pipeline(params, ChainSpec.three_segment(8, 5, 8, gap_d0=0.25))
+    _, series = _pipeline(params, ChainSpec(8, 5, 8, gap_d0=0.25))
     assert np.all(series.p0 <= series.pa * (1 + 1e-9) + 1e-12)
     assert np.all(series.pa <= series.p * (1 + 1e-9) + 1e-12)
 
@@ -104,15 +102,15 @@ def test_directional_flux_rank2_identity(params):
     amp = rng.normal(size=15) + 1j * rng.normal(size=15)
     psi0 = StateVector(amp / np.linalg.norm(amp))
     ham = effective_hamiltonian(arr, params)
-    part = decay_partition(ham, arr, params)
     traj = evolve_markovian(ham, psi0, np.linspace(0, 4, 50))
-    phi_p, phi_m = directional_fluxes(traj, part)
-    quad = np.einsum("ti,ij,tj->t", traj.amplitudes.conj(), part.guided_coherent, traj.amplitudes)
+    phi_p, phi_m = directional_fluxes(traj, arr, params)
+    guided = guided_channel(ham, params)
+    quad = np.einsum("ti,ij,tj->t", traj.amplitudes.conj(), guided, traj.amplitudes)
     assert np.max(np.abs(phi_p + phi_m - quad.real)) < 1e-10
 
 
 def test_cumulative_energies_start_at_zero(params):
-    _, _, _, _, _, series = _pipeline(params, ChainSpec.three_segment(0, 3, 0))
+    _, series = _pipeline(params, ChainSpec(0, 3, 0))
     for channel in (series.e_left, series.e_right, series.e_raman, series.e_ext):
         assert channel[0] == 0.0
         assert np.all(np.diff(channel) >= -1e-12)
@@ -143,14 +141,14 @@ def test_cumulative_matches_scipy_simpson(n, grid):
 
 
 def test_overlap_equal_segments_is_third(params):
-    arr = build_chain(ChainSpec.three_segment(10, 10, 10), params)
+    arr = build_chain(ChainSpec(10, 10, 10), params)
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
     assert superradiant_overlap(ham, psi0) == pytest.approx(1.0 / 3.0, rel=1e-9)
 
 
 def test_overlap_bare_emitter_is_unity(params):
-    arr = build_chain(ChainSpec.three_segment(0, 12, 0), params)
+    arr = build_chain(ChainSpec(0, 12, 0), params)
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
     assert superradiant_overlap(ham, psi0) == pytest.approx(1.0, abs=1e-3)
@@ -159,7 +157,7 @@ def test_overlap_bare_emitter_is_unity(params):
 def test_overlap_single_emitter_in_three_chain(params):
     # brute-force oracle: the half-wave chain's superradiant mode is the
     # alternating-sign vector, so the middle atom projects to exactly 1/3
-    arr = build_chain(ChainSpec.three_segment(1, 1, 1), params)
+    arr = build_chain(ChainSpec(1, 1, 1), params)
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
     assert superradiant_overlap(ham, psi0) == pytest.approx(1.0 / 3.0, rel=1e-9)
@@ -189,7 +187,7 @@ def test_fit_pure_exponential():
 
 
 def test_fit_single_atom_rate(params):
-    _, _, _, _, _, series = _pipeline(params, ChainSpec.three_segment(0, 1, 0))
+    _, series = _pipeline(params, ChainSpec(0, 1, 0))
     fit = fit_decay_rate(series, (0.5, 6.0))
     assert fit.rate == pytest.approx(1.05, rel=1e-9)
 

@@ -28,7 +28,7 @@ def _sweep(params, spec, gamma_fast, t_max=12.0 / 0.95, span=400):
 
 
 def test_single_atom_lorentzian_spectrum(params):
-    arr, _, grid, slices = _sweep(params, ChainSpec.three_segment(0, 1, 0), 1.05)
+    arr, _, grid, slices = _sweep(params, ChainSpec(0, 1, 0), 1.05)
     spectrum = emission_spectrum(slices, arr, params, +1)
     expected_sq = (0.5 * params.gamma_wg) / (grid.deltas**2 + (params.gamma_tot / 2) ** 2)
     assert_allclose(np.abs(spectrum.values) ** 2, expected_sq, rtol=1e-10)
@@ -37,7 +37,7 @@ def test_single_atom_lorentzian_spectrum(params):
 
 
 def test_single_atom_profile_causal_exponential(params):
-    arr, _, grid, slices = _sweep(params, ChainSpec.three_segment(0, 1, 0), 1.05)
+    arr, _, grid, slices = _sweep(params, ChainSpec(0, 1, 0), 1.05)
     spectrum = emission_spectrum(slices, arr, params, +1)
     tau = default_tau_grid(12.0 / 0.95, n=1024)
     profile = spatial_profile(spectrum, tau)
@@ -50,7 +50,7 @@ def test_single_atom_profile_causal_exponential(params):
 
 
 def test_bare_emitter_left_right_symmetry(params):
-    arr, _, _, slices = _sweep(params, ChainSpec.three_segment(0, 10, 0), 1.5)
+    arr, _, _, slices = _sweep(params, ChainSpec(0, 10, 0), 1.5)
     right = emission_spectrum(slices, arr, params, +1)
     left = emission_spectrum(slices, arr, params, -1)
     assert_allclose(np.abs(right.values), np.abs(left.values), rtol=1e-10)
@@ -60,7 +60,7 @@ def test_bare_emitter_left_right_symmetry(params):
 def test_bare_emitter_profile_length(params):
     # pulse length in the guide is the inverse collective rate
     gamma_c = 0.95 + 0.1 + 29 * 0.05
-    arr, _, _, slices = _sweep(params, ChainSpec.three_segment(0, 30, 0), gamma_c)
+    arr, _, _, slices = _sweep(params, ChainSpec(0, 30, 0), gamma_c)
     spectrum = emission_spectrum(slices, arr, params, +1)
     tau = default_tau_grid(8.0, n=2048)
     profile = spatial_profile(spectrum, tau)
@@ -71,7 +71,7 @@ def test_bare_emitter_profile_length(params):
 
 def test_profile_uses_the_grid_apodization(params):
     # a non-default taper on the run's grid must reach the profile transform
-    arr = build_chain(ChainSpec.three_segment(0, 1, 0), params)
+    arr = build_chain(ChainSpec(0, 1, 0), params)
     psi0 = dicke_initial_state(arr, params)
     grid = replace(build_grid(1.05, 8.0), apod_fraction=0.3)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
@@ -95,20 +95,19 @@ def test_zero_spectrum_gives_zero_profile():
 
 
 def test_direction_validation(params):
-    arr, _, _, slices = _sweep(params, ChainSpec.three_segment(0, 1, 0), 1.05)
+    arr, _, _, slices = _sweep(params, ChainSpec(0, 1, 0), 1.05)
     with pytest.raises(ValueError):
         emission_spectrum(slices, arr, params, 0)
 
 
 def test_single_atom_ledger_branching(params):
-    from wgqed import decay_partition, effective_hamiltonian, evolve_markovian, probabilities
+    from wgqed import effective_hamiltonian, evolve_markovian, probabilities
     from wgqed.dynamics import default_time_grid
 
-    arr, psi0, grid, slices = _sweep(params, ChainSpec.three_segment(0, 1, 0), 1.05)
+    arr, psi0, grid, slices = _sweep(params, ChainSpec(0, 1, 0), 1.05)
     ham = effective_hamiltonian(arr, params)
-    part = decay_partition(ham, arr, params)
     traj = evolve_markovian(ham, psi0, default_time_grid(1.05, 12.0 / 0.95))
-    series = probabilities(traj, psi0, arr, part)
+    series = probabilities(traj, psi0, arr, params)
     right = emission_spectrum(slices, arr, params, +1)
     left = emission_spectrum(slices, arr, params, -1)
     ledger = energy_ledger(series, right.weight, left.weight)
@@ -282,7 +281,7 @@ def test_poles_match_the_sweep_on_random_geometries(params):
 def test_pole_outflow_is_the_directional_flux(scenario, seed, params):
     # on the resonant kernel the field leaving each end is the rank-2 flux:
     # |alpha(t)|^2 = (Gamma_wg / 2) |sum_a e^{-/+ i k_wg z_a} b_a(t)|^2 for t > 0
-    from wgqed import decay_partition, effective_hamiltonian, evolve_markovian
+    from wgqed import effective_hamiltonian, evolve_markovian
     from wgqed.cli import SCENARIOS
     from wgqed.dynamics import default_time_grid, directional_fluxes, modal_expansion
 
@@ -292,7 +291,7 @@ def test_pole_outflow_is_the_directional_flux(scenario, seed, params):
     modes = modal_expansion(ham, psi0)
     traj = evolve_markovian(ham, psi0, default_time_grid(2.5, 12.0 / 0.95), modes)
     t = traj.t[1:]
-    fluxes = dict(zip((+1, -1), directional_fluxes(traj, decay_partition(ham, arr, params))))
+    fluxes = dict(zip((+1, -1), directional_fluxes(traj, arr, params)))
     grid = SpectralGrid(-10.0, 10.0, 64)
     for direction, flux in fluxes.items():
         alpha = emission_spectrum(modes, arr, params, direction, grid).amplitude(t)

@@ -11,7 +11,6 @@ from wgqed import (
     SegmentRole,
     add_free_space_coupling,
     build_chain,
-    decay_partition,
     dicke_initial_state,
     effective_hamiltonian,
 )
@@ -32,7 +31,7 @@ positions_strategy = st.lists(
 
 
 def test_single_atom(params):
-    arr = build_chain(ChainSpec.three_segment(0, 1, 0), params)
+    arr = build_chain(ChainSpec(0, 1, 0), params)
     ham = effective_hamiltonian(arr, params)
     assert ham.matrix.shape == (1, 1)
     assert ham.matrix[0, 0] == -0.5j * 1.05
@@ -41,7 +40,7 @@ def test_single_atom(params):
 
 
 def test_two_atoms_half_wave(params):
-    arr = build_chain(ChainSpec.three_segment(0, 2, 0), params)
+    arr = build_chain(ChainSpec(0, 2, 0), params)
     ham = effective_hamiltonian(arr, params)
     # e^{i pi} = -1 flips the sign of the exchange term
     assert ham.matrix[0, 1] == pytest.approx(+0.5j * params.gamma_wg, abs=1e-15)
@@ -52,7 +51,7 @@ def test_two_atoms_half_wave(params):
 
 @pytest.mark.parametrize("n_c", [2, 3, 5, 10])
 def test_half_wave_superradiant_eigenvalue(params, n_c):
-    arr = build_chain(ChainSpec.three_segment(0, n_c, 0), params)
+    arr = build_chain(ChainSpec(0, n_c, 0), params)
     ham = effective_hamiltonian(arr, params)
     rates = -2 * np.linalg.eigvals(ham.matrix).imag
     expected = params.gamma_ext + params.gamma_1d + (n_c - 1) * params.gamma_wg
@@ -69,7 +68,7 @@ def test_complex_symmetry_exact(pos):
 
 
 def test_diagonal_value(params):
-    arr = build_chain(ChainSpec.three_segment(2, 2, 2, gap_d0=0.3), params)
+    arr = build_chain(ChainSpec(2, 2, 2, gap_d0=0.3), params)
     ham = effective_hamiltonian(arr, params)
     assert np.all(np.diag(ham.matrix) == -0.5j * (params.gamma_ext + params.gamma_1d))
 
@@ -83,52 +82,55 @@ def test_eigenvalue_decay_floor(params):
         assert np.all(imag <= -0.5 * params.gamma_ext + 1e-10)
 
 
-# --- decay partition ---------------------------------------------------------
+# --- decay partition: -2 Im H splits into its three channels -------------------
+
+
+def guided_channel(ham, params):
+    """-2 Im H less the per-atom Raman and external rates (free-space-free H):
+    the coherent guided channel Gamma_wg cos(k_wg (z_a - z_b))."""
+    incoherent = params.gamma_raman + params.gamma_ext
+    return -2.0 * ham.matrix.imag - incoherent * np.eye(len(ham.matrix))
 
 
 def test_partition_single_atom(params):
-    arr = build_chain(ChainSpec.three_segment(0, 1, 0), params)
+    arr = build_chain(ChainSpec(0, 1, 0), params)
     ham = effective_hamiltonian(arr, params)
-    part = decay_partition(ham, arr, params)
-    assert part.guided_coherent[0, 0] == pytest.approx(params.gamma_wg)
-    assert part.raman_guided_rate == pytest.approx(params.gamma_1d - params.gamma_wg)
-    assert part.external_rate == pytest.approx(params.gamma_ext)
+    assert ham.free_space_decay is None
+    assert guided_channel(ham, params)[0, 0] == pytest.approx(params.gamma_wg)
+    assert params.gamma_raman == pytest.approx(params.gamma_1d - params.gamma_wg)
 
 
 def test_partition_two_atoms(params):
-    arr = build_chain(ChainSpec.three_segment(0, 2, 0), params)
-    part = decay_partition(effective_hamiltonian(arr, params), arr, params)
+    arr = build_chain(ChainSpec(0, 2, 0), params)
+    guided = guided_channel(effective_hamiltonian(arr, params), params)
     expected = params.gamma_wg * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert_allclose(part.guided_coherent, expected, atol=1e-12)
-    evals = np.linalg.eigvalsh(part.guided_coherent)
+    assert_allclose(guided, expected, atol=1e-12)
+    evals = np.linalg.eigvalsh(guided)
     assert_allclose(evals, [0.0, 2 * params.gamma_wg], atol=1e-14)
+
+
+def _three_channels(arr, params):
+    # Gamma_wg cos(k_wg dz) + (gamma_raman + gamma_ext) I, from the positions
+    guided = params.gamma_wg * np.cos(params.k_wg * pair_distances(arr))
+    return guided + (params.gamma_raman + params.gamma_ext) * np.eye(arr.n_atoms)
 
 
 def test_partition_reconstruction_identity(params):
     rng = np.random.default_rng(3)
     arr = random_array(rng, 18)
     ham = effective_hamiltonian(arr, params)
-    part = decay_partition(ham, arr, params)
-    total = part.guided_coherent + part.incoherent_rate * np.eye(arr.n_atoms)
-    assert np.max(np.abs(total - (-2.0 * ham.matrix.imag))) < 1e-12
+    assert np.max(np.abs(_three_channels(arr, params) - (-2.0 * ham.matrix.imag))) < 1e-12
 
 
 def test_partition_carries_the_free_space_rates(params):
     rng = np.random.default_rng(3)
     arr = random_array(rng, 18)
-    ham = effective_hamiltonian(arr, params)
-    assert decay_partition(ham, arr, params).external_coupling is None
-    ham = add_free_space_coupling(ham, arr, params)
-    part = decay_partition(ham, arr, params)
+    ham = add_free_space_coupling(effective_hamiltonian(arr, params), arr, params)
     xi = 2 * np.pi / params.lambda0 * pair_distances(arr) + np.eye(18)  # 1 on the diagonal
     gamma_fs, _ = free_space_rates(xi, params.gamma)
     np.fill_diagonal(gamma_fs, 0.0)
-    assert_allclose(part.external_coupling, gamma_fs, atol=1e-12)
-    total = (
-        part.guided_coherent
-        + part.incoherent_rate * np.eye(arr.n_atoms)
-        + part.external_coupling
-    )
+    assert_allclose(ham.free_space_decay, gamma_fs, atol=1e-12)
+    total = _three_channels(arr, params) + ham.free_space_decay
     assert np.max(np.abs(total - (-2.0 * ham.matrix.imag))) < 1e-12
 
 
@@ -138,8 +140,8 @@ def test_partition_rank_two_gram(pos):
     pos = np.sort(np.asarray(pos))
     n = len(pos)
     arr = AtomArray(pos - pos[0], 0, n, tuple([SegmentRole.EMITTER] * n))
-    part = decay_partition(effective_hamiltonian(arr, params), arr, params)
-    evals = np.sort(np.linalg.eigvalsh(part.guided_coherent))
+    guided = guided_channel(effective_hamiltonian(arr, params), params)
+    evals = np.sort(np.linalg.eigvalsh(guided))
     assert evals[0] >= -1e-10 * params.gamma_wg * n
     if n > 2:
         # Gram structure of (cos k z, sin k z): everything beyond two modes is 0
@@ -162,7 +164,7 @@ def test_free_space_half_wavelength_value():
 def test_free_space_case1_shift(params):
     # full-scale ordered chain: the correction moves the superradiant rate
     # by a few percent only (regression: 6.2 percent at 100/100/100)
-    arr = build_chain(ChainSpec.three_segment(100, 100, 100, gap_d0=0.5), params)
+    arr = build_chain(ChainSpec(100, 100, 100, gap_d0=0.5), params)
     h0 = effective_hamiltonian(arr, params)
     h1 = add_free_space_coupling(h0, arr, params)
     assert h1.includes_free_space

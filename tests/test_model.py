@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from wgqed import (
     GeometryError,
     PhysParams,
     SegmentRole,
-    SegmentSpec,
     StateVector,
     build_chain,
     dicke_initial_state,
@@ -57,14 +57,14 @@ def test_params_invariants(kwargs):
 
 
 def test_lattice_emitter_only(params):
-    spec = ChainSpec.three_segment(0, 3, 0)
+    spec = ChainSpec(0, 3, 0)
     arr = build_chain(spec, params)
     assert_allclose(arr.positions, [0.0, 0.5, 1.0], atol=0)
     assert arr.emitter_start == 0 and arr.emitter_stop == 3
 
 
 def test_lattice_with_gap(params):
-    spec = ChainSpec.three_segment(0, 2, 2, gap_d0=0.25)
+    spec = ChainSpec(0, 2, 2, gap_d0=0.25)
     arr = build_chain(spec, params)
     assert_allclose(arr.positions, [0.0, 0.5, 0.75, 1.25], atol=0)
     assert arr.roles == (
@@ -76,21 +76,14 @@ def test_lattice_with_gap(params):
 
 
 def test_lattice_exactly_periodic(params):
-    spec = ChainSpec.three_segment(0, 200, 0)
+    spec = ChainSpec(0, 200, 0)
     arr = build_chain(spec, params)
     gaps = np.diff(arr.positions)
     assert np.all(gaps == gaps[0])
 
 
 def _disordered_mirror_spec(seed):
-    return ChainSpec(
-        (
-            SegmentSpec(SegmentRole.LEFT_MIRROR, 100, None, DisorderSpec(1.0)),
-            SegmentSpec(SegmentRole.EMITTER, 1),
-        ),
-        gap_d0=0.5,
-        rng_seed=seed,
-    )
+    return ChainSpec(100, 1, 0, gap_d0=0.5, left_disorder=DisorderSpec(1.0), rng_seed=seed)
 
 
 def test_disorder_deterministic_and_matches_reference_stream(params):
@@ -116,60 +109,71 @@ def test_disorder_seed_changes_draw(params):
 
 
 def test_min_separation_floor(params):
-    spec = ChainSpec.three_segment(0, 3, 0, spacing=0.5 * MIN_SEPARATION)
+    spec = ChainSpec(0, 3, 0, spacing=0.5 * MIN_SEPARATION)
     with pytest.raises(GeometryError):
         build_chain(spec, params)
     # a too-small inter-segment gap is rejected the same way
-    spec = ChainSpec.three_segment(0, 2, 2, gap_d0=0.5 * MIN_SEPARATION)
+    spec = ChainSpec(0, 2, 2, gap_d0=0.5 * MIN_SEPARATION)
     with pytest.raises(GeometryError):
         build_chain(spec, params)
 
 
 def test_chain_spec_validation():
+    # negative counts and an empty emitter, mirrors included, raise
+    for counts in [(-3, 5, -2), (-1, 2, 0), (0, 2, -1), (5, 0, 5), (0, -1, 0)]:
+        with pytest.raises(ConfigError, match="n_center >= 1"):
+            ChainSpec(*counts)
     with pytest.raises(ConfigError):
-        ChainSpec((SegmentSpec(SegmentRole.LEFT_MIRROR, 5),), gap_d0=0.5)
+        ChainSpec(2, 2, 0, gap_d0=0.0)
     with pytest.raises(ConfigError):
-        ChainSpec(
-            (
-                SegmentSpec(SegmentRole.EMITTER, 2),
-                SegmentSpec(SegmentRole.EMITTER, 2),
-            ),
-            gap_d0=0.5,
-        )
-    with pytest.raises(ConfigError):
-        ChainSpec.three_segment(2, 2, 0, gap_d0=0.0)
-    with pytest.raises(ConfigError):
-        SegmentSpec(SegmentRole.EMITTER, -1)
+        ChainSpec(0, 2, 0, spacing=0.0)
     with pytest.raises(ConfigError):
         DisorderSpec(0.0)
 
 
 def test_counts():
-    spec = ChainSpec.three_segment(4, 2, 7)
-    assert spec.counts() == {"n_left": 4, "n_center": 2, "n_right": 7}
+    # the non-empty segments, left to right, with each mirror's disorder
+    dis = DisorderSpec(2.0)
+    assert ChainSpec(4, 2, 7, right_disorder=dis).segments() == [
+        (SegmentRole.LEFT_MIRROR, 4, None),
+        (SegmentRole.EMITTER, 2, None),
+        (SegmentRole.RIGHT_MIRROR, 7, dis),
+    ]
+    assert ChainSpec(0, 3, 0, left_disorder=dis).segments() == [(SegmentRole.EMITTER, 3, None)]
+    assert build_chain(ChainSpec(0, 3, 5), PhysParams()).emitter_stop == 3
+
+
+def test_scaled_counts():
+    # a nonzero count becomes max(1, round(n scale)); zero stays zero
+    chain = ChainSpec(4, 30, 0, gap_d0=0.25, right_disorder=DisorderSpec(2.0), rng_seed=3)
+    assert chain.scaled(0.5) == ChainSpec(
+        2, 15, 0, gap_d0=0.25, right_disorder=DisorderSpec(2.0), rng_seed=3
+    )
+    assert chain.scaled(0.01) == replace(chain, n_left=1, n_center=1)
+    assert chain.scaled(1.0) == chain
 
 
 def test_dicke_half_wave_phases(params):
-    arr = build_chain(ChainSpec.three_segment(0, 3, 0), params)
+    arr = build_chain(ChainSpec(0, 3, 0), params)
     state = dicke_initial_state(arr, params)
     expected = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
     assert_allclose(state.amplitudes, expected, atol=1e-12)
 
 
 def test_dicke_single_atom(params):
-    arr = build_chain(ChainSpec.three_segment(0, 1, 0), params)
+    arr = build_chain(ChainSpec(0, 1, 0), params)
     state = dicke_initial_state(arr, params)
     assert_allclose(state.amplitudes, [1.0], atol=1e-15)
 
 
 def test_dicke_full_wave_spacing(params):
-    arr = build_chain(ChainSpec.three_segment(0, 4, 0, spacing=1.0), params)
+    arr = build_chain(ChainSpec(0, 4, 0, spacing=1.0), params)
     state = dicke_initial_state(arr, params)
     assert_allclose(state.amplitudes, np.full(4, 0.5), atol=1e-12)
 
 
 def test_dicke_zero_outside_emitter(params):
-    arr = build_chain(ChainSpec.three_segment(3, 2, 3), params)
+    arr = build_chain(ChainSpec(3, 2, 3), params)
     state = dicke_initial_state(arr, params)
     assert np.all(state.amplitudes[:3] == 0)
     assert np.all(state.amplitudes[5:] == 0)
@@ -179,7 +183,7 @@ def test_dicke_zero_outside_emitter(params):
 @given(n_c=st.integers(min_value=2, max_value=60), n_l=st.integers(min_value=0, max_value=40))
 def test_dicke_phase_alternation_property(n_c, n_l):
     params = PhysParams()
-    arr = build_chain(ChainSpec.three_segment(n_l, n_c, 0, gap_d0=0.5), params)
+    arr = build_chain(ChainSpec(n_l, n_c, 0, gap_d0=0.5), params)
     state = dicke_initial_state(arr, params)
     amps = state.amplitudes[arr.emitter_start : arr.emitter_stop]
     ratios = amps[1:] / amps[:-1]
@@ -204,7 +208,7 @@ def _csv_oracle(path, header, rows):
 
 
 def test_positions_csv(tmp_path, params):
-    arr = build_chain(ChainSpec.three_segment(1, 2, 0, gap_d0=0.5), params)
+    arr = build_chain(ChainSpec(1, 2, 0, gap_d0=0.5), params)
     path = tmp_path / "positions.csv"
     arr.to_csv(path)
     with open(path) as fh:

@@ -1,4 +1,4 @@
-"""Smoke runs of the command-line scripts under scripts/."""
+"""Smoke runs of the command-line scripts under scripts/ and of the README example."""
 
 import csv
 import json
@@ -61,3 +61,18 @@ def test_mirror_reflectance_scan_writes_its_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [int(r["n_atoms"]) for r in rows] == [5] * 11 + [20] * 11
     assert all(0.0 <= float(r["reflectance_tm"]) <= 1.0 for r in rows)
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the "Library use" block of README.md runs as written
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", blocks[0]],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[-1]) < 1e-6  # the ledger's largest balance error

@@ -136,7 +136,7 @@ def test_fourier_sum_matches_direct_sum(grid, times, n_columns, monkeypatch):
 
 
 def _single_atom(params):
-    arr = build_chain(ChainSpec.three_segment(0, 1, 0), params)
+    arr = build_chain(ChainSpec(0, 1, 0), params)
     psi0 = dicke_initial_state(arr, params)
     return arr, psi0
 
@@ -176,7 +176,7 @@ def test_retardation_disabled_equals_markovian_resolvent(params):
 def _long_cavity_sweep(params):
     # retarded kernel over a 60-atom atomic cavity
     gap = 174000.25  # about 0.04 gamma^-1 of one-way retardation
-    arr = build_chain(ChainSpec.three_segment(25, 10, 25, gap_d0=gap), params)
+    arr = build_chain(ChainSpec(25, 10, 25, gap_d0=gap), params)
     psi0 = dicke_initial_state(arr, params)
     grid = SpectralGrid(-40.0, 40.0, 512, 0.0)
     return arr, psi0, grid, resolvent_sweep(arr, params, psi0, grid, retarded=True)
@@ -267,7 +267,7 @@ def test_scattering_solve_matches_dense_on_random_geometries(params, retarded, m
 
 def _bragg_chain(params):
     # half-wave mirrors of 250 atoms: deep stop band around resonance
-    arr = build_chain(ChainSpec.three_segment(250, 10, 250, gap_d0=0.5), params)
+    arr = build_chain(ChainSpec(250, 10, 250, gap_d0=0.5), params)
     return arr, dicke_initial_state(arr, params)
 
 
@@ -432,7 +432,7 @@ def test_time_domain_matches_the_remainder_sum(params):
 def test_time_domain_allocates_less_than_the_sweep(params):
     # after the sweep no M x N array is allocated: the pole terms are removed
     # after the transform, whose FFT blocks are FFT_COLUMNS wide
-    arr = build_chain(ChainSpec.three_segment(25, 10, 25, gap_d0=174000.25), params)
+    arr = build_chain(ChainSpec(25, 10, 25, gap_d0=174000.25), params)
     psi0 = dicke_initial_state(arr, params)
     grid = SpectralGrid(-40.0, 40.0, 2**15, 0.1)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
@@ -449,7 +449,7 @@ def test_time_domain_allocates_less_than_the_sweep(params):
 
 def test_retarded_reduces_to_markovian_at_infinite_vg():
     params = PhysParams(v_g=1e30)
-    arr = build_chain(ChainSpec.three_segment(3, 3, 3, gap_d0=0.25), params)
+    arr = build_chain(ChainSpec(3, 3, 3, gap_d0=0.25), params)
     psi0 = dicke_initial_state(arr, params)
     grid = SpectralGrid(-30.0, 30.0, 128, 0.0)
     retarded = resolvent_sweep(arr, params, psi0, grid, retarded=True)
@@ -462,7 +462,7 @@ def test_retarded_reduces_to_markovian_at_infinite_vg():
 def test_retarded_sweep_rejects_the_free_space_term(params, retarded):
     from wgqed import add_free_space_coupling
 
-    arr = build_chain(ChainSpec.three_segment(0, 3, 0), params)
+    arr = build_chain(ChainSpec(0, 3, 0), params)
     ham = add_free_space_coupling(effective_hamiltonian(arr, params), arr, params)
     grid = SpectralGrid(-5.0, 5.0, 16, 0.0)
     psi0 = dicke_initial_state(arr, params)
@@ -520,7 +520,7 @@ def test_times_beyond_alias_window_rejected(params):
 
 
 def test_grid_refinement_convergence(params):
-    arr = build_chain(ChainSpec.three_segment(10, 10, 10), params)
+    arr = build_chain(ChainSpec(10, 10, 10), params)
     psi0 = dicke_initial_state(arr, params)
     t = np.linspace(0.0, 8.0, 100)
     pops = []
