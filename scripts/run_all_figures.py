@@ -8,10 +8,11 @@ Example:
 Full scale reproduces the published geometries (300 to 1100 atoms); expect the
 long-cavity scenarios to take a while at that size.  Each scenario prints one
 line: its method and route, the ledger, the largest resolvent residual, the
-captured fractions of the right and left profiles, the wall time, the seconds
-of the resolvent sweep and of the evolution (summed over the ensemble members),
-the seconds spent writing the CSV artifacts and the peak resident set size of
-the process so far.
+synthesis leak (the window error of a synthesised trajectory; None on the
+poles route), the captured fractions of the right and left profiles, the wall
+time, the seconds of the resolvent sweep and of the evolution (summed over the
+ensemble members), the seconds spent writing the CSV artifacts and the peak
+resident set size of the process so far.
 """
 
 import argparse
@@ -20,6 +21,10 @@ import time
 from pathlib import Path
 
 from wgqed.cli import SCENARIOS, RunConfig, run
+
+
+def _sci(value) -> str:
+    return "None" if value is None else f"{value:.2e}"
 
 
 def main() -> int:
@@ -54,6 +59,7 @@ def main() -> int:
             f"P_left={ledger.p_left:.4f} P_right={ledger.p_right:.4f} "
             f"P_ext={ledger.p_ext:.4f} converged={ledger.converged} "
             f"residual_max={summary['residual_max']:.2e} "
+            f"synthesis_leak={_sci(summary['synthesis_leak'])} "
             f"captured_right={profiles['right']['captured']:.5f} "
             f"captured_left={profiles['left']['captured']:.5f} "
             f"wall_s={time.perf_counter() - tic:.1f} "

@@ -14,6 +14,12 @@ returns the same weight.
 
 A resolvent sweep returns both fields on the detuning grid
 (ResolventSet.outgoing), so a swept M is read off, not summed over the atoms.
+Its leading term, sum_a e^{ik(z_N - z_a)} psi0_a / (delta - lam0), is the set
+of pulse fronts: delayed steps -i e^{-i lam0 (tau - tau_a)} theta(tau - tau_a)
+with tau_a = (z_N - z_a) / v_g.  The profile and outflow transforms subtract
+it and its next order (delayed ramps, see spectral.DelayedTerms) on the grid
+and add both back exactly, so the fronts are sharp and only a remainder of
+O(1/delta^3) feels the finite span.
 A modal expansion of the resonant H gives M in closed form,
 M(delta) = sum_j A_j / (delta - lambda_j), and with it the exact weight and
 profile (see PoleSpectrum).
@@ -22,7 +28,7 @@ profile (see PoleSpectrum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Union
 
@@ -30,7 +36,7 @@ import numpy as np
 
 from .dynamics import ModalExpansion, ProbabilitySeries
 from .model import AtomArray, PhysParams
-from .spectral import ResolventSet, SpectralGrid
+from .spectral import DelayedTerms, ResolventSet, SpectralGrid
 
 CAPTURE_THRESHOLD = 0.99
 # Grid points per block of the pole sum that samples M on the grid.
@@ -39,22 +45,39 @@ CHUNK = 128
 
 @dataclass
 class DirectionalSpectrum:
-    """Complex M(delta) sampled on the grid, for one direction."""
+    """Complex M(delta) sampled on the grid, for one direction; lead is the
+    part of it whose exact transform is fronts (None: no such part)."""
 
     grid: SpectralGrid
     values: np.ndarray
     weight: float  # integral |M|^2 d delta / 2 pi
+    lead: Optional[np.ndarray] = None
+    fronts: Optional[DelayedTerms] = None
 
     @property
     def deltas(self) -> np.ndarray:
         return self.grid.deltas
 
     def amplitude(self, tau: np.ndarray) -> np.ndarray:
-        """alpha(tau) = (1 / 2 pi) int d delta M(delta) e^{-i delta tau}, by the
-        grid's apodised Fourier sum (a non-uniform FFT at any tau)."""
-        alpha = self.grid.fourier_sum(self.values, tau)
-        alpha *= 1.0 / (2.0 * math.pi)
-        return alpha
+        """alpha(tau) = (1 / 2 pi) int d delta M(delta) e^{-i delta tau} (see
+        sampled_amplitudes)."""
+        return sampled_amplitudes([self], tau)[:, 0]
+
+
+def sampled_amplitudes(spectra: list[DirectionalSpectrum], tau: np.ndarray) -> np.ndarray:
+    """alpha(tau) of sampled spectra on one grid, one column each, by one
+    apodised Fourier sum (a non-uniform FFT at any tau) of M less its lead,
+    plus the exact transform of the lead."""
+    tau = np.asarray(tau, dtype=float)
+    values = np.stack(
+        [s.values if s.lead is None else s.values - s.lead for s in spectra], axis=1
+    )
+    alpha = spectra[0].grid.fourier_sum(values, tau)
+    for i, s in enumerate(spectra):
+        if s.fronts is not None:
+            alpha[:, i] += s.fronts.transform(tau)[:, 0]
+    alpha *= 1.0 / (2.0 * math.pi)
+    return alpha
 
 
 class PoleTable:
@@ -190,7 +213,8 @@ def emission_spectrum(
     kernel) or from the modal expansion of a resonant H, which takes the grid
     to report.
 
-    On slices M is the sweep's outgoing field in that direction.  The pole
+    On slices M is the sweep's outgoing field in that direction, with the
+    sweep's lead and fronts in that direction.  The pole
     form's residues are A_j = sqrt(Gamma_wg/2) (sum_a P_a V_aj) c_j, with P_a
     the phase e^{ik_wg(z_N - z_a)} (right) or e^{ik_wg(z_a - z_1)} (left) of
     the same field.  On slices the weight is a
@@ -208,7 +232,8 @@ def emission_spectrum(
             source.pole_table = PoleTable(source.evals)
         return PoleSpectrum(grid, source.evals, residues, source.pole_table)
     deltas = source.deltas
-    values = math.sqrt(0.5 * params.gamma_wg) * source.outgoing[:, end]
+    scale = math.sqrt(0.5 * params.gamma_wg)
+    values = scale * source.outgoing[:, end]
     weight = float(np.trapezoid(np.abs(values) ** 2, deltas) / (2.0 * math.pi))
     # |M|^2 falls off as C/delta^2 outside the span; complete the weight with
     # the analytic tail, estimating C from the outer five percent of each edge.
@@ -216,7 +241,19 @@ def emission_spectrum(
     c_lo = float(np.mean(np.abs(values[:n_edge]) ** 2 * deltas[:n_edge] ** 2))
     c_hi = float(np.mean(np.abs(values[-n_edge:]) ** 2 * deltas[-n_edge:] ** 2))
     weight += (c_lo / abs(deltas[0]) + c_hi / deltas[-1]) / (2.0 * math.pi)
-    return DirectionalSpectrum(grid=source.grid, values=values, weight=weight)
+    fronts = source.fronts
+    return DirectionalSpectrum(
+        grid=source.grid,
+        values=values,
+        weight=weight,
+        lead=scale * source.lead[:, end],
+        fronts=replace(
+            fronts,
+            delays=fronts.delays[end : end + 1],
+            steps=scale * fronts.steps[end : end + 1],
+            ramps=scale * fronts.ramps[end : end + 1],
+        ),
+    )
 
 
 def spatial_profile(spectrum: DirectionalSpectrum, tau_grid: np.ndarray) -> SpatialProfile:
@@ -224,9 +261,10 @@ def spatial_profile(spectrum: DirectionalSpectrum, tau_grid: np.ndarray) -> Spat
 
     The tau-integral of |alpha|^2 returns the spectral weight (Plancherel).
     From a sampled spectrum, alpha is apodised like the time synthesis, which
-    smears the causal pulse front over roughly the inverse taper width, so
-    grids should avoid sampling tau = 0 exactly (see default_tau_grid).  From
-    a pole spectrum, alpha is exact.
+    smears whatever steps the lead does not carry over roughly the inverse
+    taper width; from a swept one the pulse fronts are exact.  From a pole
+    spectrum, alpha is exact.  A step is worth its midpoint where it falls on
+    the grid, so grids should avoid the fronts (see default_tau_grid).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     alpha = spectrum.amplitude(tau_grid)

@@ -141,8 +141,8 @@ class DisorderSpec:
     density: float = 1.0
 
     def __post_init__(self):
-        if not self.density > 0:
-            raise ConfigError(f"disorder density must be positive, got {self.density}")
+        if not (math.isfinite(self.density) and self.density > 0):
+            raise ConfigError(f"disorder density must be finite and positive, got {self.density}")
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,10 @@ class ChainSpec:
                 "chain needs n_left, n_right >= 0 and n_center >= 1, got "
                 f"{self.n_left}/{self.n_center}/{self.n_right}"
             )
-        if self.spacing is not None and not self.spacing > 0:
-            raise ConfigError(f"segment spacing must be positive, got {self.spacing}")
+        if self.spacing is not None and not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ConfigError(f"segment spacing must be finite and positive, got {self.spacing}")
+        if not math.isfinite(self.gap_d0):
+            raise ConfigError(f"gap_d0 must be finite, got {self.gap_d0}")
         if (self.n_left or self.n_right) and not self.gap_d0 > 0:
             raise ConfigError("gap_d0 must be positive when more than one segment is present")
 

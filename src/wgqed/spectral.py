@@ -8,21 +8,27 @@ real axis with no +i0 shift and the trapezoid sum converges exponentially in
 the grid spacing; the finite span is handled by subtracting the two leading
 terms of the large-E expansion
 
-    x(E) ~ psi0/(E - lam0) + (H0 - lam0) psi0 / (E - lam0)^2 ,   lam0 = H_aa,
+    x(E) ~ psi0/(E - lam0) + [H(E) - lam0] psi0 / (E - lam0)^2 ,   lam0 = H_aa,
 
-whose transform is known in closed form.  Only the O(1/E^3) remainder is
-synthesised with the raised-cosine apodised discrete sum; as that sum is
-linear, the two terms are subtracted after it, as the sums of the two grid
-columns 1/(E - lam0) and 1/(E - lam0)^2 times psi0 and (H0 - lam0) psi0, so
-no remainder array is ever formed.
+whose transforms are known in closed form.  On the retarded kernel the second
+term carries the delays of the couplings, H_ab(E) = H_ab(0) e^{i E tau_ab}
+with tau_ab = |z_a - z_b| / v_g, so its transform is a set of delayed ramps
+-i (t - tau_ab) e^{-i lam0 (t - tau_ab)} theta(t - tau_ab) (DelayedTerms).
+The sweep subtracts that term on the grid, from one more O(N) guided pass of
+psi0 per detuning, and keeps only the difference; the first term is removed
+after the raised-cosine apodised discrete sum, which is linear, as the sum of
+the grid column 1/(E - lam0) times psi0.  So only the O(1/E^3) remainder is
+synthesised numerically, and no other M x N array is ever formed.  The fields
+leaving the chain lead with the delayed steps of psi0 itself, the pulse fronts,
+which the sweep samples on the grid for the same treatment (see emission).
 
 Both kernels are solved by one scattering recursion, in O(N) per detuning
 (see scattering_sweep): the resonant kernel is the retarded one with k held at
-k_wg.  The recursion takes the gap phases once per distinct gap (an ordered
-chain has a few) and runs its passes in place on per-chunk buffers.  It knows
-only the guided exchange, so an H carrying the free-space term is refused.
-The sweep also returns the guided fields leaving the chain through its two
-ends, from which the emission spectra follow.
+k_wg, and all its delays are zero.  The recursion takes the gap phases once
+per distinct gap (an ordered chain has a few) and runs its passes in place on
+per-chunk buffers.  It knows only the guided exchange, so an H carrying the
+free-space term is refused.  The sweep also returns the guided fields leaving
+the chain through its two ends, from which the emission spectra follow.
 """
 
 from __future__ import annotations
@@ -149,29 +155,105 @@ class SpectralGrid:
         return out.reshape((len(times),) + values.shape[1:])
 
 
+@dataclass(frozen=True)
+class DelayedTerms:
+    """Delayed poles, one sum per row r over its terms j:
+
+        f_r(delta) = sum_j e^{i delta d_rj} [s_rj / (delta - lam0) + q_rj / (delta - lam0)^2]
+
+    with delays d_rj >= 0, step weights s, ramp weights q and Im(lam0) < 0.
+    transform gives their exact Fourier integral, the limit of
+    SpectralGrid.fourier_sum over an infinite span:
+
+        int d delta e^{-i delta t} f_r(delta)
+            = -2 pi i sum_j [s_rj - i q_rj (t - d_rj)] e^{-i lam0 (t - d_rj)} theta(t - d_rj),
+
+    a set of delayed steps and ramps.
+    """
+
+    delays: np.ndarray  # shape (rows, terms), like steps and ramps
+    steps: np.ndarray
+    ramps: np.ndarray
+    lam0: complex
+
+    def samples(self, deltas: np.ndarray) -> np.ndarray:
+        """f_r at each detuning, shape (len(deltas), rows): a direct sum over
+        the terms, for small grids."""
+        deltas = np.asarray(deltas, dtype=float)
+        inv = 1.0 / (deltas - self.lam0)
+        out = np.empty((len(deltas), len(self.delays)), dtype=complex)
+        for r, (d, s, q) in enumerate(zip(self.delays, self.steps, self.ramps)):
+            phases = np.exp(1j * np.outer(deltas, d))
+            out[:, r] = inv * (phases @ s + inv * (phases @ q))
+        return out
+
+    def transform(self, times: np.ndarray) -> np.ndarray:
+        """The exact transform at each time, shape (len(times), rows).
+
+        e^{-i lam0 (t - d)} = e^{-i lam0 t} e^{i lam0 d}, so with each row's
+        delays sorted, a time reads the cumulative sums of s e^{i lam0 d},
+        q e^{i lam0 d} and q d e^{i lam0 d} over the delays below it:
+        O(rows (terms + n_t) log terms), with no rows x terms x n_t array.  A
+        delay equal to a time counts half, a step's midpoint (a ramp is zero
+        there).
+        """
+        times = np.asarray(times, dtype=float)
+        t_last = float(np.max(times, initial=0.0))
+        sort = np.argsort(self.delays, axis=1)
+        d = np.take_along_axis(self.delays, sort, axis=1)
+        # a term starting after the last time is never read; capping its delay
+        # in the exponent keeps |e^{i lam0 d}| below e^{-Im(lam0) t_last}
+        grow = np.exp(1j * self.lam0 * np.minimum(d, t_last))
+        s = np.take_along_axis(self.steps, sort, axis=1) * grow
+        q = np.take_along_axis(self.ramps, sort, axis=1) * grow
+        sums = np.zeros((len(d), 3, d.shape[1] + 1), dtype=complex)
+        np.cumsum(np.stack([s, q, q * d], axis=1), axis=2, out=sums[:, :, 1:])
+        out = np.empty((len(times), len(d)), dtype=complex)
+        for r in range(len(d)):
+            lo, hi = (np.searchsorted(d[r], times, side=side) for side in ("left", "right"))
+            s_sum, q_sum, qd_sum = np.take(sums[r], lo, axis=1) + np.take(sums[r], hi, axis=1)
+            out[:, r] = s_sum - 1j * (times * q_sum - qd_sum)
+        out *= -1j * math.pi * np.exp(-1j * self.lam0 * times)[:, None]
+        return out
+
+
 @dataclass
 class ResolventSet:
-    """Resolvent solutions x[i] = x(deltas[i]) on the grid of the sweep.
+    """The resolvent sweep over a grid, in the form the time synthesis reads.
+
+    x[i] is the resolvent x(deltas[i]) less its delayed second-order term
+    [H(delta) - lam0] psi0 / (delta - lam0)^2, whose exact transform is ramps
+    (rows: atoms; terms: the atoms psi0 occupies); resolvent() restores it.
+    x is the (M, N) transpose view of one atom-major block, so a column of x
+    is a contiguous row in memory.
 
     outgoing[i] holds the guided fields leaving the chain at deltas[i]:
     sum_a e^{ik(z_N - z_a)} x_a past the last atom (column 0) and
     sum_a e^{ik(z_a - z_1)} x_a past the first (column 1), with k the
-    wavenumber of the sweep's kernel.  The rest is the data the time synthesis
-    needs for the pole subtraction: the initial state, the uniform pole
-    lam0 = H_aa, and (H(0) - lam0) psi0.
+    wavenumber of the sweep's kernel.  lead[i] is their leading term, the same
+    fields of psi0 over (deltas[i] - lam0): the pulse fronts, whose exact
+    transform is fronts (row 0 right, row 1 left).  lam0 = H_aa is the
+    uniform pole.
     """
 
     grid: SpectralGrid
     x: np.ndarray  # shape (n_points, n_atoms)
     outgoing: np.ndarray  # shape (n_points, 2)
+    lead: np.ndarray  # shape (n_points, 2)
     psi0: np.ndarray
     lam0: complex
-    h0_correction: np.ndarray
+    ramps: DelayedTerms
+    fronts: DelayedTerms
     residual_max: float = 0.0
 
     @property
     def deltas(self) -> np.ndarray:
         return self.grid.deltas
+
+    def resolvent(self) -> np.ndarray:
+        """The full resolvent [delta - H(delta)]^{-1} psi0, shape (M, N); its
+        second-order term is summed directly, so this is for small grids."""
+        return self.x + self.ramps.samples(self.deltas)
 
 
 def build_grid(
@@ -272,20 +354,18 @@ def scattering_sweep(
     return distinct[row], gain, drive, rho
 
 
-def _guided_matvec(
-    x: np.ndarray, phases: np.ndarray, deltas: np.ndarray, params: PhysParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """[delta - H(delta)] x in O(N) by the two guided-field recursions, and
-    the fields leaving the chain (ResolventSet.outgoing) that they end on.
+def _guided_fields(x: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The guided fields F_a = sum_{b != a} e^{ik|z_a - z_b|} x_b by the two
+    recursions, and the fields leaving the chain (ResolventSet.outgoing) that
+    they end on.
 
-    x has one row per atom and one column per detuning; phases are the gap
-    phases e_a of the same detunings.
+    x has one row per atom and one column per detuning, phases are the gap
+    phases e_a of the same detunings; either may hold a single column that
+    broadcasts over the other's.
     """
-    u = deltas + 0.5j * params.gamma_tot
-    c = 0.5j * params.gamma_wg
-    n = len(x)
-    fields = np.zeros_like(x)
-    right = np.zeros(x.shape[1], dtype=complex)
+    n, m = len(x), max(x.shape[1], phases.shape[1])
+    fields = np.zeros((n, m), dtype=complex)
+    right = np.zeros(m, dtype=complex)
     left = np.zeros_like(right)
     for a in range(1, n):
         b = n - 1 - a
@@ -295,9 +375,31 @@ def _guided_matvec(
         np.add(left, x[b + 1], out=left)
         np.multiply(phases[b], left, out=left)
         np.add(fields[b], left, out=fields[b])
-    np.multiply(c, fields, out=fields)
-    resid = np.add(np.multiply(u, x), fields, out=fields)
-    return resid, np.stack([right + x[-1], left + x[0]], axis=1)
+    return fields, np.stack([right + x[-1], left + x[0]], axis=1)
+
+
+def _leaving(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The fields of x leaving the chain (as ResolventSet.outgoing), by one
+    Horner pass from each end; shapes as in _guided_fields."""
+    n = len(x)
+    right, left = x[0].copy(), x[-1].copy()
+    for a in range(1, n):
+        np.multiply(phases[a - 1], right, out=right)
+        np.add(right, x[a], out=right)
+        np.multiply(phases[n - 1 - a], left, out=left)
+        np.add(left, x[n - 1 - a], out=left)
+    return np.stack([right, left], axis=1)
+
+
+def _guided_matvec(
+    x: np.ndarray, phases: np.ndarray, deltas: np.ndarray, params: PhysParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """[delta - H(delta)] x = u x + c F in O(N) (see _guided_fields), and the
+    fields leaving the chain."""
+    fields, outgoing = _guided_fields(x, phases)
+    np.multiply(0.5j * params.gamma_wg, fields, out=fields)
+    resid = np.add(np.multiply(deltas + 0.5j * params.gamma_tot, x), fields, out=fields)
+    return resid, outgoing
 
 
 def _scatter_chunk(
@@ -306,14 +408,19 @@ def _scatter_chunk(
     positions: np.ndarray,
     params: PhysParams,
     psi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
     """Scattering solves of [delta - H(delta)] x = psi0 with the guided
-    wavenumber k (see scattering_sweep).
+    wavenumber k (see scattering_sweep), and the two leading terms the
+    synthesis subtracts.
 
     The backward pass carries the left-going field F-_a from the last atom,
     writing x over drive row by row; the residual is the O(N) matvec with the
-    same gap phases, which also yields the outgoing fields.  Returns
-    (x, outgoing, residual).
+    same gap phases, which also yields the outgoing fields.  One more guided
+    pass, of psi0, gives [H(delta) - lam0] psi0 = -c F(psi0) (u = delta - lam0)
+    and the fields of psi0 leaving the chain.  Returns (x, outgoing, residual,
+    second, lead): x and second = -c F(psi0) / u^2 with one row per atom, and
+    lead the two leading terms of outgoing, the fields of psi0 leaving the
+    chain over u plus those of second.
     """
     phases, gain, x, _ = scattering_sweep(positions, params, deltas, k, psi)
     left = np.zeros(len(deltas), dtype=complex)
@@ -327,7 +434,10 @@ def _scatter_chunk(
     resid, outgoing = _guided_matvec(x, phases, deltas, params)
     resid -= psi[:, None]
     res_max = float(np.sqrt(np.max(np.sum(resid.real**2 + resid.imag**2, axis=0))))
-    return x.T, outgoing, res_max
+    inv = 1.0 / (deltas + 0.5j * params.gamma_tot)
+    second, lead = _guided_fields(psi[:, None], phases)
+    second = second * (-0.5j * params.gamma_wg * inv**2)  # (N, 1) on the resonant kernel
+    return x, outgoing, res_max, second, lead * inv[:, None] + _leaving(second, phases)
 
 
 def check_residual(residual: float, psi: np.ndarray) -> None:
@@ -364,8 +474,10 @@ def resolvent_sweep(
     psi = psi0.amplitudes
     h0 = (effective_hamiltonian(array, params) if ham is None else ham).matrix
 
-    x = np.empty((len(deltas), len(psi)), dtype=complex)
+    # atom-major, so each chunk fills contiguous row segments
+    block = np.empty((len(psi), len(deltas)), dtype=complex)
     outgoing = np.empty((len(deltas), 2), dtype=complex)
+    lead = np.empty_like(outgoing)
 
     def work(lo):
         chunk = deltas[lo : lo + SCATTER_CHUNK]
@@ -377,20 +489,46 @@ def resolvent_sweep(
     # the pool starts no thread unless a chunk is submitted to it
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
         results = pool.map(work, chunks) if workers > 1 else map(work, chunks)
-        for lo, (sol, out, res) in results:
-            x[lo : lo + len(sol)] = sol
-            outgoing[lo : lo + len(sol)] = out
+        for lo, (sol, out, res, second, front) in results:
+            hi = lo + sol.shape[1]
+            np.subtract(sol, second, out=block[:, lo:hi])
+            outgoing[lo:hi] = out
+            lead[lo:hi] = front
             res_max = max(res_max, res)
 
     check_residual(res_max, psi)
     lam0 = complex(h0[0, 0])  # every atom carries the same width
+    # The couplings H_ab(delta) = H_ab(0) e^{i delta |z_a - z_b| / v_g} delay
+    # the second-order term by |z_a - z_b| / v_g, over the atoms b psi0
+    # occupies; none are delayed on the resonant kernel.  The fields leaving
+    # the chain are those of psi0 from b (steps), and of the second-order term
+    # from a (ramps), one path b -> a -> end for each pair.
+    z = array.positions
+    occupied = np.flatnonzero(psi)
+    slowness = 1.0 / params.v_g if retarded else 0.0
+    pair = np.abs(z[:, None] - z[occupied])
+    couplings = h0[:, occupied] * psi[occupied]
+    couplings[occupied, np.arange(len(occupied))] = 0.0  # (H0 - lam0)_aa = 0
+    to_end = np.stack([z[-1] - z, z - z[0]])
+    path = np.concatenate(
+        [to_end[:, occupied], (to_end[:, :, None] + pair).reshape(2, -1)], axis=1
+    )
+    front_steps = np.exp(1j * params.k_wg * to_end[:, occupied]) * psi[occupied]
+    front_ramps = (np.exp(1j * params.k_wg * to_end)[:, :, None] * couplings).reshape(2, -1)
     return ResolventSet(
         grid=grid,
-        x=x,
+        x=block.T,
         outgoing=outgoing,
+        lead=lead,
         psi0=psi.copy(),
         lam0=lam0,
-        h0_correction=h0 @ psi - lam0 * psi,
+        ramps=DelayedTerms(slowness * pair, np.zeros_like(couplings), couplings, lam0),
+        fronts=DelayedTerms(
+            slowness * path,
+            np.concatenate([front_steps, np.zeros_like(front_ramps)], axis=1),
+            np.concatenate([np.zeros_like(front_steps), front_ramps], axis=1),
+            lam0,
+        ),
         residual_max=res_max,
     )
 
@@ -402,8 +540,9 @@ def time_domain(slices: ResolventSet, t_grid: np.ndarray) -> AmplitudeTrajectory
     The two leading large-detuning terms of x(delta) are removed and restored
     analytically (see module docstring), so only the O(1/delta^3) remainder is
     summed numerically; b(0+) = psi0 holds by construction and negative times
-    probe pure window leakage (causality).  The sum is linear, so the two
-    terms are subtracted after it and no M x N array is formed.
+    probe pure window leakage (causality).  The sweep has already removed the
+    delayed second-order term from x; the sum is linear, so the first term is
+    subtracted after it and no M x N array is formed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     grid = slices.grid
@@ -412,16 +551,24 @@ def time_domain(slices: ResolventSet, t_grid: np.ndarray) -> AmplitudeTrajectory
         raise ValueError(
             f"requested times extend beyond the alias-free window +/-{half_window:.3g}"
         )
-    inv_pole = 1.0 / (slices.deltas - slices.lam0)
-    s1, s2 = grid.fourier_sum(np.stack([inv_pole, inv_pole**2], axis=1), t_grid).T
+    s1 = grid.fourier_sum(1.0 / (slices.deltas - slices.lam0), t_grid)
     amps = grid.fourier_sum(slices.x, t_grid)
     amps -= np.outer(s1, slices.psi0)
-    amps -= np.outer(s2, slices.h0_correction)
+    amps += slices.ramps.transform(t_grid)
     amps *= -1.0 / (2.0j * math.pi)
     causal = t_grid >= 0.0
-    ref = np.exp(-1j * slices.lam0 * t_grid[causal])[:, None] * (
-        slices.psi0[None, :]
-        - 1j * t_grid[causal][:, None] * slices.h0_correction[None, :]
-    )
-    amps[causal] += ref
+    amps[causal] += np.exp(-1j * slices.lam0 * t_grid[causal])[:, None] * slices.psi0
     return AmplitudeTrajectory(t=t_grid, amplitudes=amps)
+
+
+def synthesis_leak(slices: ResolventSet, trajectory: AmplitudeTrajectory) -> float:
+    """The largest |b_a(t)| of a synthesised trajectory at its times t before
+    the excitation can reach atom a, at min_b |z_a - z_b| / v_g over the
+    atoms b psi0 occupies (0 for those, and for every atom on the resonant
+    kernel).  b_a vanishes there exactly, so this is pure window error: the
+    negative times for every atom, and on the retarded kernel the times before
+    the light reaches each atom psi0 does not occupy.
+    """
+    arrival = slices.ramps.delays.min(axis=1)
+    early = trajectory.t[:, None] < arrival
+    return float(np.max(np.abs(trajectory.amplitudes), where=early, initial=0.0))

@@ -258,7 +258,15 @@ right_disorder_density = 2.0
 
 
 @pytest.mark.parametrize(
-    "body", ["n_left = -3\nn_center = 5\n", "n_center = 0\n"], ids=["negative", "no-emitter"]
+    "body",
+    [
+        "n_left = -3\nn_center = 5\n",
+        "n_center = 0\n",
+        "n_center = 3\nspacing = inf\n",
+        "n_center = 3\nn_right = 3\ngap_d0 = inf\n",
+        "n_center = 3\ngap_d0 = nan\n",
+    ],
+    ids=["negative", "no-emitter", "spacing-inf", "gap-inf", "gap-nan"],
 )
 def test_bad_chain_counts_exit_with_an_error(tmp_path, capsys, body):
     path = tmp_path / "chain.cfg"
@@ -306,7 +314,7 @@ def test_chain_echo_is_pinned(tmp_path):
         "rng_seed": 2,
         "segments": [
             {"role": "emitter", "count": 3, "spacing": 0.4, "disorder_density": None},
-            {"role": "right_mirror", "count": 4, "spacing": 0.4, "disorder_density": 2.0},
+            {"role": "right_mirror", "count": 4, "spacing": None, "disorder_density": 2.0},
         ],
     }
 
@@ -325,6 +333,11 @@ def test_chain_echo_is_pinned(tmp_path):
         ("[run]\nscenario = fig2\n[chain]\nn_center = 4\n", "exclude each other"),
         ("[chain]\nn_left = -3\nn_center = 5\n", "bad value '-3' for 'n_left'"),
         ("[chain]\nn_center = 5\nn_right = -2\n", "bad value '-2' for 'n_right'"),
+        ("[chain]\nn_center = 3\nspacing = inf\n", "bad value 'inf' for 'spacing'"),
+        ("[chain]\nn_center = 3\nn_right = 3\ngap_d0 = inf\n", "bad value 'inf' for 'gap_d0'"),
+        ("[chain]\nn_center = 3\ngap_d0 = nan\n", "bad value 'nan' for 'gap_d0'"),
+        ("[chain]\nn_center = 3\nn_left = 2\nleft_disorder_density = nan\n",
+         "bad value 'nan' for 'left_disorder_density'"),
     ],
 )
 def test_config_file_errors_are_line_anchored(tmp_path, body, fragment):

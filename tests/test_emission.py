@@ -79,8 +79,13 @@ def test_profile_uses_the_grid_apodization(params):
     tau = default_tau_grid(8.0, n=64)
     profile = spatial_profile(spectrum, tau)
     phases = np.exp(-1j * np.outer(tau, grid.deltas))
-    summand = spectrum.values * grid.apodization() * grid.spacing
-    expected = np.abs(phases @ summand / (2 * np.pi)) ** 2
+    # the lead A / (delta - lam0), A = sqrt(Gamma_wg / 2) psi0, is summed
+    # exactly: the causal step -i A e^{-i lam0 tau}
+    amp = np.sqrt(0.5 * params.gamma_wg) * psi0.amplitudes[0]
+    lam0 = -0.5j * params.gamma_tot
+    assert_allclose(spectrum.lead, amp / (grid.deltas - lam0), rtol=1e-12)
+    summand = (spectrum.values - spectrum.lead) * grid.apodization() * grid.spacing
+    expected = np.abs(phases @ summand / (2 * np.pi) - 1j * amp * np.exp(-1j * lam0 * tau)) ** 2
     assert_allclose(profile.alpha2, expected, rtol=1e-9, atol=1e-12 * expected.max())
 
 
@@ -214,19 +219,23 @@ def test_profile_weight_parseval(case1_run):
 
 @pytest.mark.parametrize("fixture", CAVITY_FIXTURES)
 def test_sampled_profile_weight_parseval(fixture, request):
-    # Plancherel for a swept spectrum: over a grid extended past the
-    # (apodization-smeared) front, the tau-integral of |alpha|^2 equals the
-    # windowed spectral energy
-    rec = request.getfixturevalue(fixture).record
+    # Plancherel for a swept spectrum: its pulse fronts are exact steps, so
+    # over a fine grid extended before tau = 0 that breaks at every front,
+    # the tau-integral of |alpha|^2 returns the spectral weight
+    result = request.getfixturevalue(fixture)
+    rec = result.record
+    t_max = result.summary.data["config"]["t_max"]
+    tau = default_tau_grid(t_max, 4 * len(rec.profile_right.tau))
+    step = tau[1] - tau[0]
     for profile, spectrum in (
         (rec.profile_left, rec.spectrum_left),
         (rec.profile_right, rec.spectrum_right),
     ):
-        integral = _extended_profile_integral(profile, spectrum)
-        windowed = np.trapezoid(
-            spectrum.grid.apodization() ** 2 * np.abs(spectrum.values) ** 2, spectrum.deltas
-        ) / (2 * np.pi)
-        assert integral == pytest.approx(windowed, rel=1e-3)
+        fronts = spectrum.fronts.delays[0]
+        breaks = np.concatenate([fronts * (1 - 1e-12), fronts * (1 + 1e-12)])
+        tau_ext = np.sort(np.concatenate([-step * (np.arange(200) + 0.5), tau, breaks]))
+        integral = np.trapezoid(spatial_profile(spectrum, tau_ext).alpha2, tau_ext)
+        assert integral == pytest.approx(spectrum.weight, rel=1e-3)
         assert 0.99 <= profile.captured <= 1.0 + 1e-6
 
 

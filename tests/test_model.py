@@ -1,6 +1,8 @@
 import csv
 from dataclasses import replace
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -129,6 +131,16 @@ def test_chain_spec_validation():
         ChainSpec(0, 2, 0, spacing=0.0)
     with pytest.raises(ConfigError):
         DisorderSpec(0.0)
+    # non-finite lengths and densities raise, gap_d0 also without mirrors
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite"):
+            ChainSpec(0, 2, 0, spacing=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            ChainSpec(2, 2, 0, gap_d0=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            ChainSpec(0, 2, 0, gap_d0=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            DisorderSpec(bad)
 
 
 def test_counts():

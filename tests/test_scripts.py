@@ -40,6 +40,11 @@ def test_run_all_figures_writes_every_scenario(tmp_path):
         assert line.split()[0] == name
         assert fields["route"] == summary["route"]
         assert float(fields["residual_max"]) == pytest.approx(summary["residual_max"], rel=1e-2)
+        leak = summary["synthesis_leak"]
+        if summary["config"]["method"] == "spectral":
+            assert float(fields["synthesis_leak"]) == pytest.approx(leak, rel=1e-2)
+        else:
+            assert fields["synthesis_leak"] == "None" and leak is None
         for side in ("right", "left"):
             captured = summary["profiles"][side]["captured"]
             assert float(fields[f"captured_{side}"]) == pytest.approx(captured, abs=1e-5)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,19 +19,22 @@ from wgqed import (
     time_domain,
     transfer_matrix_reflectance,
 )
-from wgqed.cli import SCENARIOS
+from wgqed.analytic import collective_rate
+from wgqed.cli import SCENARIOS, SPAN_FACTOR_RETARDED
 from wgqed.dynamics import default_time_grid
-from wgqed.emission import default_tau_grid
+from wgqed.emission import default_tau_grid, emission_spectrum, sampled_amplitudes
 from wgqed.hamiltonian import pair_distances
 from wgqed.spectral import (
     FFT_COLUMNS,
     OVERSAMPLING,
     SCATTER_CHUNK,
     GridResolutionError,
+    DelayedTerms,
     SpectralGrid,
     _guided_matvec,
     _scatter_chunk,
     scattering_sweep,
+    synthesis_leak,
 )
 from test_hamiltonian import random_array
 
@@ -166,11 +170,12 @@ def test_retardation_disabled_equals_markovian_resolvent(params):
     psi0 = StateVector(np.ones(12) / np.sqrt(12))
     grid = SpectralGrid(-30.0, 30.0, 128, 0.0)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
+    full = slices.resolvent()
     h0 = effective_hamiltonian(arr, params).matrix
     for idx in (0, 31, 64, 127):
         delta = grid.deltas[idx]
         direct = np.linalg.solve(delta * np.eye(12) - h0, psi0.amplitudes)
-        assert_allclose(slices.x[idx], direct, atol=1e-11)
+        assert_allclose(full[idx], direct, atol=1e-11)
 
 
 def _long_cavity_sweep(params):
@@ -199,11 +204,12 @@ def _retarded_hamiltonian(arr, params, deltas):
 def test_retarded_sweep_matches_dense_solve(params):
     # the sweep against the dense H(delta) at each probe
     arr, psi0, grid, slices = _long_cavity_sweep(params)
+    full = slices.resolvent()
     for idx in (0, 101, 256, 383, 511):
         delta = grid.deltas[idx]
         h = _retarded_hamiltonian(arr, params, delta)
         direct = np.linalg.solve(delta * np.eye(arr.n_atoms) - h, psi0.amplitudes)
-        assert_allclose(slices.x[idx], direct, rtol=1e-8)
+        assert_allclose(full[idx], direct, rtol=1e-8)
 
 
 def _dense_retarded_solve(arr, params, psi, deltas):
@@ -262,7 +268,7 @@ def test_scattering_solve_matches_dense_on_random_geometries(params, retarded, m
             slices = resolvent_sweep(arr, params, psi0, grid, retarded=retarded)
         assert slices.residual_max <= 1e-10
         expected = _dense_solve(retarded)(arr, params, psi0.amplitudes, grid.deltas)
-        assert_allclose(slices.x, expected, rtol=1e-8)
+        assert_allclose(slices.resolvent(), expected, rtol=1e-8)
 
 
 def _bragg_chain(params):
@@ -277,9 +283,9 @@ def test_scattering_solve_matches_dense_on_a_bragg_chain(params, retarded):
     psi = psi0.amplitudes
     deltas = np.array([-0.3, 0.0, 0.05, 2.0])
     k = params.k_of(deltas) if retarded else params.k_wg
-    x, _, residual = _scatter_chunk(deltas, k, arr.positions, params, psi)
+    x, _, residual, _, _ = _scatter_chunk(deltas, k, arr.positions, params, psi)
     assert residual <= 1e-12
-    assert_allclose(x, _dense_solve(retarded)(arr, params, psi, deltas), rtol=1e-12)
+    assert_allclose(x.T, _dense_solve(retarded)(arr, params, psi, deltas), rtol=1e-12)
 
 
 def _reference_sweep(positions, params, deltas, psi=None):
@@ -358,13 +364,13 @@ def _recursion_cases(params):
 
 def test_grouped_recursion_matches_the_per_gap_recursion(params):
     for name, positions, psi, deltas in _recursion_cases(params):
-        x, outgoing, residual = _scatter_chunk(
+        x, outgoing, residual, _, _ = _scatter_chunk(
             deltas, params.k_of(deltas), positions, params, psi
         )
         x_ref, outgoing_ref, residual_ref = _reference_scatter_chunk(
             deltas, positions, params, psi
         )
-        assert_allclose(x, x_ref, rtol=1e-12, err_msg=name)
+        assert_allclose(x.T, x_ref, rtol=1e-12, err_msg=name)
         assert_allclose(outgoing, outgoing_ref, rtol=1e-12, err_msg=name)
         assert_allclose(residual, residual_ref, rtol=1e-12, err_msg=name)
         assert residual <= 1e-10, name
@@ -384,7 +390,7 @@ def _direct_outgoing(slices, arr, params, retarded):
     for direction in (+1, -1):
         z = arr.positions - arr.positions[-1 if direction > 0 else 0]
         phases = np.exp(-1j * direction * k[:, None] * z[None, :])
-        columns.append(np.sum(phases * slices.x, axis=1))
+        columns.append(np.sum(phases * slices.resolvent(), axis=1))
     return np.stack(columns, axis=1)
 
 
@@ -399,22 +405,30 @@ def test_outgoing_matches_the_direct_phase_sum(params, retarded):
         assert_allclose(slices.outgoing, expected, rtol=1e-10, atol=0)
 
 
-def _remainder_time_domain(slices, t):
-    # the route time_domain replaced: the M x N remainder of x after the two
-    # pole terms, one Fourier sum of it, then the closed-form terms; kept as
-    # the oracle
+def _remainder_time_domain(slices, arr, params, t):
+    # the direct route: the M x N remainder of the full resolvent after its two
+    # leading terms, the delayed second one summed pair by pair on the grid,
+    # one Fourier sum of it, then the closed-form step and delayed ramps summed
+    # pair by pair; kept as the oracle
     pole = slices.deltas - slices.lam0
+    occupied = np.flatnonzero(slices.psi0)
+    h0 = effective_hamiltonian(arr, params).matrix - slices.lam0 * np.eye(arr.n_atoms)
+    coupling = h0[:, occupied] * slices.psi0[occupied]
+    delay = pair_distances(arr)[:, occupied] / params.v_g
+    second = np.stack(
+        [np.exp(1j * np.outer(slices.deltas, d)) @ w for d, w in zip(delay, coupling)], axis=1
+    )
     remainder = (
-        slices.x
+        slices.resolvent()
         - slices.psi0[None, :] / pole[:, None]
-        - slices.h0_correction[None, :] / (pole**2)[:, None]
+        - second / (pole**2)[:, None]
     )
     amps = (-1.0 / (2.0j * np.pi)) * slices.grid.fourier_sum(remainder, t)
     causal = t >= 0.0
-    amps[causal] += np.exp(-1j * slices.lam0 * t[causal])[:, None] * (
-        slices.psi0[None, :] - 1j * t[causal][:, None] * slices.h0_correction[None, :]
-    )
-    return amps
+    amps[causal] += np.exp(-1j * slices.lam0 * t[causal])[:, None] * slices.psi0[None, :]
+    lag = t[:, None, None] - delay[None]
+    ramps = np.where(lag >= 0.0, -1j * lag * np.exp(-1j * slices.lam0 * lag), 0.0)
+    return amps + np.einsum("tab,ab->ta", ramps, coupling)
 
 
 def test_time_domain_matches_the_remainder_sum(params):
@@ -424,9 +438,130 @@ def test_time_domain_matches_the_remainder_sum(params):
         slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
         half = 0.45 * grid.alias_window
         t = np.concatenate([np.linspace(-half, 0.0, 60), default_time_grid(1.0, half, n=200)])
-        expected = _remainder_time_domain(slices, t)
+        expected = _remainder_time_domain(slices, arr, params, t)
         fast = time_domain(slices, t).amplitudes
         assert np.max(np.abs(fast - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def test_delayed_terms_transform_matches_the_direct_sum():
+    # the sorted cumulative sums against every term evaluated at every time,
+    # with a delay on a time (its step counts half), negative times, and a
+    # delay so far past the last time that e^{i lam0 d} would overflow
+    rng = np.random.default_rng(8)
+    lam0 = 0.3 - 0.6j
+    delays = rng.uniform(0.0, 2.0, size=(3, 7))
+    delays[0, 2] = 1.0
+    delays[1, 4] = 5000.0
+    steps, ramps = (rng.normal(size=(2, 3, 7)) + 1j * rng.normal(size=(2, 3, 7)))
+    terms = DelayedTerms(delays, steps, ramps, lam0)
+    t = np.concatenate([[-0.5, 0.0, 1.0], np.linspace(0.01, 3.0, 50)])
+    lag = t[:, None, None] - delays[None]
+    theta = np.where(lag > 0, 1.0, np.where(lag == 0, 0.5, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = -2j * np.pi * theta * (steps - 1j * ramps * lag) * np.exp(-1j * lam0 * lag)
+    direct = np.where(theta > 0, direct, 0.0)
+    with np.errstate(over="raise", invalid="raise"):
+        fast = terms.transform(t)
+    assert_allclose(fast, direct.sum(axis=2), rtol=1e-12, atol=1e-13)
+    # and the transform is the infinite-span limit of the grid's Fourier sum
+    # of the samples: far from every delay the two agree to the window error
+    grid = SpectralGrid(-4000.0, 4000.0, 2**17, 0.1)
+    probe = np.array([-0.7, 0.45, 2.6])
+    windowed = grid.fourier_sum(terms.samples(grid.deltas), probe)
+    assert np.max(np.abs(windowed - terms.transform(probe))) <= 1e-3
+
+
+@_KERNELS
+def test_lead_is_the_fronts_on_the_grid(params, retarded):
+    # the sweep's grid samples of the outgoing lead against the direct sum of
+    # the fronts it hands to emission, on the fig7b geometry and on random ones
+    arr = build_chain(SCENARIOS["fig7b"].build(0.02, 0, params), params)
+    cases = [
+        (arr, dicke_initial_state(arr, params), SpectralGrid(-60.0, 60.0, 301, 0.0)),
+        *list(_random_geometries(params))[:3],
+    ]
+    for arr, psi0, grid in cases:
+        slices = resolvent_sweep(arr, params, psi0, grid, retarded=retarded)
+        # the recursion multiplies gap phases, the fronts take e^{i k L} whole:
+        # both are good to the rounding of k L, 4e7 rad across the cavity
+        rtol = 1e-12 + 1e-15 * params.k_wg * np.ptp(arr.positions)
+        assert_allclose(slices.lead, slices.fronts.samples(grid.deltas), rtol=rtol)
+
+
+@pytest.fixture(scope="module")
+def converged_cavity(params):
+    # fig7b at scale 0.02 (10/2/10 atoms, the long-cavity gap) over t_max = 8:
+    # a reference from test-local dense retarded solves on a span-800 grid,
+    # with the outgoing fields as direct phase sums of them
+    arr = build_chain(SCENARIOS["fig7b"].build(0.02, 0, params), params)
+    psi0 = dicke_initial_state(arr, params)
+    gamma_fast = collective_rate(10, params)
+    t_max = 8.0
+    big = resolvent_sweep(arr, params, psi0, build_grid(gamma_fast, t_max, 800), retarded=True)
+    deltas = big.deltas
+    x = np.concatenate(
+        [
+            _dense_retarded_solve(arr, params, psi0.amplitudes, deltas[lo : lo + 4096])
+            for lo in range(0, len(deltas), 4096)
+        ]
+    )
+    z = arr.positions
+    k = params.k_of(deltas)[:, None]
+    outgoing = np.stack(
+        [np.sum(np.exp(1j * k * (z[-1] - z)) * x, 1), np.sum(np.exp(1j * k * (z - z[0])) * x, 1)],
+        axis=1,
+    )
+    reference = replace(big, x=x - big.ramps.samples(deltas), outgoing=outgoing)
+    t = default_time_grid(gamma_fast, t_max)
+    times = np.concatenate([-t[:0:-64], t])
+    return arr, psi0, gamma_fast, t_max, times, reference
+
+
+def _synthesis(arr, psi0, gamma_fast, t_max, span, times, params):
+    slices = resolvent_sweep(
+        arr, params, psi0, build_grid(gamma_fast, t_max, span), retarded=True
+    )
+    return slices, time_domain(slices, times)
+
+
+@pytest.mark.parametrize("span, tol", [(SPAN_FACTOR_RETARDED, 1e-6), (200.0, 1e-7)])
+def test_retarded_trajectory_matches_a_converged_dense_reference(
+    converged_cavity, params, span, tol
+):
+    # the delayed subtraction makes the truncation error fall as 1/span^2;
+    # subtracting H(0) in its place left 4e-5 at span 200 on fig7b
+    arr, psi0, gamma_fast, t_max, times, reference = converged_cavity
+    exact = time_domain(reference, times).amplitudes
+    _, traj = _synthesis(arr, psi0, gamma_fast, t_max, span, times, params)
+    assert np.max(np.abs(traj.amplitudes - exact)) <= tol
+
+
+def test_synthesis_leak_tracks_the_trajectory_error(converged_cavity, params):
+    # the window error where b vanishes exactly (before t = 0, and before the
+    # light reaches each mirror atom) reads the error of the whole trajectory
+    arr, psi0, gamma_fast, t_max, times, reference = converged_cavity
+    exact = time_domain(reference, times).amplitudes
+    slices, traj = _synthesis(arr, psi0, gamma_fast, t_max, SPAN_FACTOR_RETARDED, times, params)
+    error = np.max(np.abs(traj.amplitudes - exact))
+    leak = synthesis_leak(slices, traj)
+    assert error / 3 <= leak <= 3 * error
+    # negative times alone see only the window error of the short delays
+    assert synthesis_leak(slices, replace(traj, t=np.where(times < 0, times, np.inf))) < leak
+
+
+def test_retarded_profiles_and_outflow_match_a_converged_reference(converged_cavity, params):
+    # the pulse fronts are exact, so the profiles and the outflow agree with
+    # the span-800 dense reference to 1e-3 of their peak (the windowed front
+    # was 10-20% off on fig7b before)
+    arr, psi0, gamma_fast, t_max, times, reference = converged_cavity
+    slices, _ = _synthesis(arr, psi0, gamma_fast, t_max, SPAN_FACTOR_RETARDED, times, params)
+    for tau in (default_tau_grid(t_max), times[times >= 0]):
+        intensity = []
+        for source in (reference, slices):
+            spectra = [emission_spectrum(source, arr, params, d) for d in (+1, -1)]
+            intensity.append(np.abs(sampled_amplitudes(spectra, tau)) ** 2)
+        exact, swept = intensity
+        assert np.max(np.abs(swept - exact)) <= 1e-3 * exact.max()
 
 
 def test_time_domain_allocates_less_than_the_sweep(params):
@@ -454,7 +589,7 @@ def test_retarded_reduces_to_markovian_at_infinite_vg():
     grid = SpectralGrid(-30.0, 30.0, 128, 0.0)
     retarded = resolvent_sweep(arr, params, psi0, grid, retarded=True)
     resonant = resolvent_sweep(arr, params, psi0, grid, retarded=False)
-    assert_allclose(retarded.x, resonant.x, rtol=1e-10, atol=0)
+    assert_allclose(retarded.resolvent(), resonant.resolvent(), rtol=1e-10, atol=0)
     assert_allclose(retarded.outgoing, resonant.outgoing, rtol=1e-10, atol=0)
 
 
