@@ -9,7 +9,9 @@ Full scale reproduces the published geometries (300 to 1100 atoms); expect the
 long-cavity scenarios to take a while at that size.  Each scenario prints one
 line: its method and route, the ledger, the largest resolvent residual, the
 synthesis leak (the window error of a synthesised trajectory; None on the
-poles route), the captured fractions of the right and left profiles, the wall
+poles route), the vacuum-Rabi oscillation frequency of p0 and the cavity model
+read off the poles (g, kappa, gamma_e and the pencil's pole_rms; None without
+an oscillation), the captured fractions of the right and left profiles, the wall
 time, the seconds of the resolvent sweep and of the evolution (summed over the
 ensemble members), the seconds spent writing the CSV artifacts and the peak
 resident set size of the process so far.
@@ -54,12 +56,18 @@ def main() -> int:
         summary = result.summary.data
         profiles = summary["profiles"]
         members = summary["timings"]["members"]
+        oscillation = summary["oscillation"] or {}
+        jc = summary["jc_fit"] or {}
+        cavity = " ".join(
+            f"{key}={_sci(jc.get(key))}" for key in ("g", "kappa", "gamma_e", "pole_rms")
+        )
         print(
             f"{name:6s} method={summary['config']['method']:9s} route={summary['route']:5s} "
             f"P_left={ledger.p_left:.4f} P_right={ledger.p_right:.4f} "
             f"P_ext={ledger.p_ext:.4f} converged={ledger.converged} "
             f"residual_max={summary['residual_max']:.2e} "
             f"synthesis_leak={_sci(summary['synthesis_leak'])} "
+            f"oscillation={_sci(oscillation.get('frequency'))} {cavity} "
             f"captured_right={profiles['right']['captured']:.5f} "
             f"captured_left={profiles['left']['captured']:.5f} "
             f"wall_s={time.perf_counter() - tic:.1f} "

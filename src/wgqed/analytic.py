@@ -4,7 +4,9 @@ Contains the damped vacuum-Rabi population of a two-level emitter coupled to
 a leaky cavity mode, the narrow-band Lorentzian reflectance of an atomic
 Bragg mirror, the exact reflection and transmission of finite mirrors, the
 cavity loss estimate kappa = (1 - R) v_g / L, and the Markovian/cavity condition
-checks used to pick the simulation method.
+checks used to pick the simulation method.  A run's cavity numbers (g, kappa,
+gamma_e) come from the poles of its Dicke amplitude: a matrix-pencil harmonic
+inversion, linear algebra only, and the closed form of the two-loss model.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ DOMINANCE_RATIO = 2.0
 # "Retardation negligible" cut for the Markovian flag.
 MARKOVIAN_RATIO = 0.1
 
-# Relative distance from a bound within which a fitted JC parameter is at it.
-BOUND_TOL = 1e-9
+# Singular values of the Hankel matrix below PENCIL_CUT of the largest are
+# noise: they set the number of poles harmonic_inversion keeps.
+PENCIL_CUT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,14 +79,6 @@ def jc_population(params: JCParams, t) -> np.ndarray:
     sinhc = np.sinc(1j * z / math.pi)  # sin(i z)/(i z) = sinh(z)/z
     alpha = np.exp(-0.25 * kappa * t) * (np.cosh(z) + 0.25 * kappa * t * sinhc)
     return alpha.real**2 + alpha.imag**2
-
-
-def jc_frequency(g: float, kappa: float) -> float:
-    """Angular frequency of the population oscillation; 0 below threshold."""
-    disc = 16.0 * g**2 - kappa**2
-    if disc <= 0:
-        return 0.0
-    return 0.5 * math.sqrt(disc)
 
 
 def mirror_reflectance_lorentzian(gamma_m: float, delta) -> np.ndarray:
@@ -145,8 +140,9 @@ class RegimeReport:
     """Markovian/cavity condition checks plus the numbers behind them.
 
     Flags are None where not applicable (e.g. cavity conditions without two
-    mirrors).  strong_coupling stays None until an oscillation fit supplies
-    g_C; the classifier never predicts it from first principles.
+    mirrors).  strong_coupling stays None until the cavity model of the run's
+    Dicke amplitude (fit_jc_trace) supplies g_C; the classifier never predicts
+    it from first principles.
     """
 
     markovian: Optional[bool]
@@ -231,73 +227,78 @@ def classify_regime(chain: ChainSpec, params: PhysParams) -> RegimeReport:
     )
 
 
-def extrema(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the strict interior local maxima and minima of y."""
-    inner = np.arange(1, len(y) - 1)
-    maxima = inner[(y[inner] > y[inner - 1]) & (y[inner] > y[inner + 1])]
-    minima = inner[(y[inner] < y[inner - 1]) & (y[inner] < y[inner + 1])]
-    return maxima, minima
+def harmonic_inversion(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Poles lam_k and amplitudes A_k of y(t) = sum_k A_k e^{-i lam_k t}, and
+    the rms of that sum against y, from samples on uniform times.
+
+    The matrix pencil of Hua and Sarkar (IEEE Trans. ASSP 38, 814, 1990): the
+    rows of the Hankel matrix y[i + j] span the powers z_k^j of
+    z_k = e^{-i lam_k dt}, so its right singular vectors above PENCIL_CUT,
+    shifted by one row, have the z_k as eigenvalues.  The amplitudes are then
+    linear least squares.  A pole is resolved within |Re lam| < pi/dt.
+    """
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=complex)
+    dt = t[1] - t[0]
+    if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
+        raise ValueError("harmonic inversion needs uniformly spaced times")
+    hankel = np.lib.stride_tricks.sliding_window_view(y, len(y) // 2 + 1)
+    _, sv, vh = np.linalg.svd(hankel, full_matrices=False)
+    rows = vh[sv > PENCIL_CUT * sv[0]].T
+    z = np.linalg.eigvals(np.linalg.lstsq(rows[:-1], rows[1:], rcond=None)[0])
+    poles = 1j * np.log(z) / dt
+    basis = np.exp(-1j * np.outer(t, poles))
+    amps = np.linalg.lstsq(basis, y, rcond=None)[0]
+    return poles, amps, float(np.sqrt(np.mean(np.abs(basis @ amps - y) ** 2)))
 
 
 @dataclass
 class JCFit:
+    """The two-loss cavity model of a Dicke amplitude, in units of gamma.
+
+    a' = -(gamma_e/2) a - i g c,  c' = -(kappa/2) c - i g a,  a(0) = 1: an
+    emitter losing gamma_e outside the cavity, coupled with g to a cavity mode
+    that leaks kappa (Chang, Jiang, Gorshkov and Kimble, New J. Phys. 14,
+    063003, 2012, for a cavity of atomic mirrors).  frequency is the vacuum-
+    Rabi splitting Omega of its doublet.
+    """
+
     g: float
     kappa: float
-    envelope_rate: float
+    gamma_e: float
     frequency: float
-    residual: float  # rms of the fit
-    at_bound: tuple[str, ...] = ()  # parameters within BOUND_TOL of a fit bound
+    residual: float  # rms of |doublet|^2 against |a0|^2
+    pole_rms: float  # rms of the whole pole sum against a0
 
 
-def fit_jc_trace(t: np.ndarray, p: np.ndarray) -> Optional[JCFit]:
-    """Least-squares fit of p(t) ~ e^{-gamma_e t} jc_population(g, kappa; t).
+def fit_jc_trace(t: np.ndarray, a0: np.ndarray) -> Optional[JCFit]:
+    """The two-loss model of the doublet of a0(t) = <psi0|b(t)> on uniform t.
 
-    The extra envelope rate absorbs the non-cavity losses of the physical
-    emitter (external and Raman channels) that the two-parameter cavity model
-    does not contain.  Returns None when no oscillation is present or the fit
-    does not converge.  at_bound names the parameters (envelope_rate, g,
-    kappa) that end within BOUND_TOL of a bound, relative to the bound (to the
-    unit rate for the zero bound): such a value is set by the bound, not
-    measured.
+    The doublet is the two poles of largest |A| (harmonic_inversion).  The
+    model has the poles lam_+/- = +/-Omega/2 - i (gamma_e + kappa)/4 and the
+    amplitudes (1 +/- i r)/2 with r = (kappa - gamma_e)/(2 Omega), so
+    Omega = Re(lam_+ - lam_-), gamma_e + kappa = -2 Im(lam_+ + lam_-),
+    kappa - gamma_e = 2 Omega tan(arg(A_+/A_-)/2) and
+    g^2 = Omega^2/4 + (kappa - gamma_e)^2/16.  Returns None when a0 has fewer
+    than two poles or its doublet does not split.
     """
-    t = np.asarray(t, dtype=float)
-    p = np.asarray(p, dtype=float)
-    maxima, minima = extrema(p)
-    turning = np.sort(np.concatenate([maxima, minima]))
-    if len(turning) < 2:
+    poles, amps, pole_rms = harmonic_inversion(t, a0)
+    if len(poles) < 2:
         return None
-    gaps = np.diff(t[turning])
-    omega0 = math.pi / float(np.mean(gaps))
-    if len(maxima) >= 2 and p[maxima[-1]] > 0 and p[maxima[0]] > 0:
-        env = math.log(p[maxima[0]] / p[maxima[-1]]) / (t[maxima[-1]] - t[maxima[0]])
-        env = max(env, 1e-3)
-    else:
-        env = 1.0
-    kappa0 = env
-    g0 = 0.25 * math.sqrt(4.0 * omega0**2 + kappa0**2)
-
-    def model(tt, gamma_e, g, kappa):
-        return np.exp(-gamma_e * tt) * jc_population(JCParams(g, kappa), tt)
-
-    from scipy.optimize import curve_fit  # only oscillating traces pay for scipy
-
-    bounds = ([0.0, 1e-6, 1e-6], [20.0, 50.0, 50.0])
-    try:
-        popt, _ = curve_fit(model, t, p, p0=[0.5 * env, g0, kappa0], bounds=bounds, maxfev=20000)
-    except (RuntimeError, ValueError):
+    pair = np.argsort(-np.abs(amps))[:2]
+    pair = pair[np.argsort(-poles[pair].real)]
+    (lam_p, lam_m), (amp_p, amp_m) = poles[pair], amps[pair]
+    omega = float((lam_p - lam_m).real)
+    if not omega > 0:
         return None
-    gamma_e, g, kappa = popt
-    resid = float(np.sqrt(np.mean((model(t, *popt) - p) ** 2)))
-    at_bound = tuple(
-        name
-        for name, value, lo, hi in zip(("envelope_rate", "g", "kappa"), popt, *bounds)
-        if any(abs(value - b) <= BOUND_TOL * (abs(b) or 1.0) for b in (lo, hi))
-    )
+    total = float(-2.0 * (lam_p + lam_m).imag)
+    diff = 2.0 * omega * math.tan(0.5 * np.angle(amp_p / amp_m))
+    doublet = np.exp(-1j * np.outer(t, poles[pair])) @ amps[pair]
     return JCFit(
-        g=float(g),
-        kappa=float(kappa),
-        envelope_rate=float(gamma_e),
-        frequency=jc_frequency(float(g), float(kappa)),
-        residual=resid,
-        at_bound=at_bound,
+        g=math.sqrt(0.25 * omega**2 + diff**2 / 16.0),
+        kappa=0.5 * (total + diff),
+        gamma_e=0.5 * (total - diff),
+        frequency=omega,
+        residual=float(np.sqrt(np.mean((np.abs(doublet) ** 2 - np.abs(a0) ** 2) ** 2))),
+        pole_rms=pole_rms,
     )

@@ -4,7 +4,9 @@ Binds the whole pipeline together: build the chain, classify the regime,
 evolve (eigendecomposition or resolvent sweep), integrate the probability
 ledger, compute directional spectra and pulse profiles, fit the early/late
 decay rates and any vacuum-Rabi oscillation, and write the run artifacts
-(`probabilities.csv`, `profiles.csv`, `positions.csv`, `summary.json`).
+(`probabilities.csv`, `profiles.csv`, `positions.csv`, `summary.json`).  An
+oscillating run also reports its cavity model, read off the poles of the
+Dicke amplitude <psi0|b(t)> on uniform times (analytic.fit_jc_trace).
 
 A Markovian run takes its spectra, weights and profiles in closed form from
 the modal expansion its evolution uses (the "poles" route).  The retarded
@@ -20,13 +22,13 @@ import math
 import resource
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .analytic import RegimeReport, classify_regime, collective_rate, extrema, fit_jc_trace
+from .analytic import RegimeReport, classify_regime, collective_rate, fit_jc_trace
 from .dynamics import (
     AmplitudeTrajectory,
     DecayFit,
@@ -93,6 +95,10 @@ SPAN_FACTOR_RETARDED = 50.0
 # A synthesised trajectory is also evaluated at this many negative times, log
 # spaced down to -t_max, where b vanishes exactly (synthesis_leak).
 LEAK_PROBES = 16
+# The Dicke amplitude <psi0|b(t)> is sampled on at least this many uniform
+# times over [0, t_max], and densely enough that pi/dt >= 2 Gamma_fast, for
+# the harmonic inversion of fit_jc_trace.
+DICKE_SAMPLES = 256
 
 # The poles route checks its modal resolvent against the resolvent at this many
 # detunings over +/- Gamma_fast, and falls back to the sweep when the largest
@@ -191,6 +197,7 @@ class MemberRun:
     expm_fallback: bool
     pole_check_error: Optional[float]  # None when the check did not run
     synthesis_leak: Optional[float]  # None unless the trajectory was synthesised
+    dicke: tuple[np.ndarray, np.ndarray]  # (t, <psi0|b(t)>) on uniform times
 
 
 @dataclass
@@ -271,50 +278,38 @@ SCENARIOS: dict[str, Scenario] = {
 # ---------------------------------------------------------------------------
 
 
-def oscillation_fit(series: ProbabilitySeries, which: str = "p0") -> Optional[OscillationFit]:
-    """Frequency and first-revival contrast of an oscillating probability.
+def extrema(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the strict interior local maxima and minima of y."""
+    inner = np.arange(1, len(y) - 1)
+    maxima = inner[(y[inner] > y[inner - 1]) & (y[inner] > y[inner + 1])]
+    minima = inner[(y[inner] < y[inner - 1]) & (y[inner] < y[inner + 1])]
+    return maxima, minima
 
-    The frequency seed comes from the mean spacing of interior extrema
-    (population extrema recur every pi/omega) and is refined by a damped-cosine
-    least squares; fewer than three extrema means no oscillation to fit.
+
+def oscillation_fit(series: ProbabilitySeries) -> Optional[OscillationFit]:
+    """Angular frequency and first-revival contrast of an oscillating p0.
+
+    The minima of p0 recur every 2 pi/omega, so omega is 2 pi over the
+    least-squares slope of the minima times against their index; with a
+    single minimum it is pi over the mean spacing of the interior extrema.
+    Fewer than three extrema, or no revival after the first minimum, means no
+    oscillation.  This reads the time series alone, independently of the
+    cavity model that fit_jc_trace reads off the poles.
     """
-    y = {"p": series.p, "p0": series.p0, "pa": series.pa}[which]
-    t = series.t
+    y, t = series.p0, series.t
     maxima, minima = extrema(y)
     turning = np.sort(np.concatenate([maxima, minima]))
-    if len(turning) < 3:
+    if len(turning) < 3 or len(minima) == 0:
         return None
-    omega = math.pi / float(np.mean(np.diff(t[turning])))
-
-    lo, hi = 0.7 * omega, 1.3 * omega
-    safe = np.clip(y, 1e-300, None)
-
-    def model(tt, log_a, rate, om, phase, c):
-        return log_a - rate * tt + np.log1p(np.clip(c * np.cos(om * tt + phase), -0.999, None))
-
-    from scipy.optimize import curve_fit  # only oscillating runs pay for scipy
-
-    try:
-        popt, _ = curve_fit(
-            model,
-            t,
-            np.log(safe),
-            p0=[0.0, 1.0, omega, 0.0, 0.5],
-            bounds=([-50, 0, lo, -math.pi, 0], [10, 50, hi, math.pi, 0.999]),
-            maxfev=10000,
-        )
-        omega = float(popt[2])
-    except (RuntimeError, ValueError):
-        pass  # keep the extrema-spacing estimate
-
-    if len(minima) == 0:
-        return None
-    first_min = minima[0]
-    later_maxima = maxima[maxima > first_min]
+    later_maxima = maxima[maxima > minima[0]]
     if len(later_maxima) == 0:
         return None
+    if len(minima) >= 2:
+        omega = 2.0 * math.pi / float(np.polyfit(np.arange(len(minima)), t[minima], 1)[0])
+    else:
+        omega = math.pi / float(np.mean(np.diff(t[turning])))
     y_max = float(y[later_maxima[0]])
-    y_min = float(y[first_min])
+    y_min = float(y[minima[0]])
     contrast = (y_max - y_min) / (y_max + y_min)
     return OscillationFit(frequency=omega, contrast=contrast)
 
@@ -473,17 +468,29 @@ def _member_pipeline(
     spectrum_left = emission_spectrum(source, array, params, -1, grid)
     timings["emission_spectra"] = time.perf_counter() - tic
 
+    # the Dicke amplitude a0 = <psi0|b(t)> on uniform times: the pole sum, or
+    # the synthesis from the sweep the run took
+    tic = time.perf_counter()
+    n_dicke = max(DICKE_SAMPLES, math.ceil(2.0 * gamma_fast * t_max / math.pi) + 1)
+    t_dicke = np.linspace(0.0, t_max, n_dicke)
+    bra = np.conj(psi0.amplitudes)
     leak = None
     if retarded:
-        tic = time.perf_counter()
         probe = -default_time_grid(gamma_fast, t_max, n=LEAK_PROBES)[:0:-1]
-        synthesis = time_domain(source, np.concatenate([probe, t_grid]))
-        leak = synthesis_leak(source, synthesis)
-        trajectory = AmplitudeTrajectory(t_grid, synthesis.amplitudes[len(probe) :])
+        times = np.concatenate([probe, t_grid, t_dicke])
+        amps = time_domain(source, times).amplitudes
+        n_log = len(probe) + len(t_grid)
+        leak = synthesis_leak(source, AmplitudeTrajectory(times[:n_log], amps[:n_log]))
+        trajectory = AmplitudeTrajectory(t_grid, amps[len(probe) : n_log])
+        dicke = amps[n_log:] @ bra
         # the guided outflow |alpha(t)|^2 of the fields leaving the chain
         alpha = sampled_amplitudes([spectrum_right, spectrum_left], t_grid)
         fluxes = tuple(np.abs(alpha.T) ** 2)
-        timings["evolution"] = time.perf_counter() - tic
+    elif source is modes:
+        dicke = np.exp(-1j * np.outer(t_dicke, modes.evals)) @ ((bra @ modes.vecs) * modes.coeffs)
+    else:
+        dicke = time_domain(source, t_dicke).amplitudes @ bra
+    timings["evolution"] += time.perf_counter() - tic
 
     series = probabilities(trajectory, psi0, array, params, fluxes, ham.free_space_decay)
 
@@ -517,6 +524,7 @@ def _member_pipeline(
         expm_fallback=modes is not None and modes.coeffs is None,
         pole_check_error=check_error,
         synthesis_leak=leak,
+        dicke=(t_dicke, dicke),
     )
 
 
@@ -609,15 +617,14 @@ def run(config: RunConfig) -> RunResult:
     tic = time.perf_counter()
     rates = fit_early_late(series)
     stage = fast_stage_end(series, rates["late"])
-    oscillation = oscillation_fit(series, which="p0")
-    jc_fit = None
-    if oscillation is not None:
-        jc_fit = fit_jc_trace(series.t, series.p0)
+    oscillation = oscillation_fit(series)
+    # an ensemble's cavity model is the first member's, as the record's complex
+    # spectra are
+    jc_fit = None if oscillation is None else fit_jc_trace(*first.dicke)
     fits = time.perf_counter() - tic
     if jc_fit is not None and regime.numbers.get("kappa") is not None:
         regime.numbers["g_c"] = jc_fit.g
-        if "kappa" not in jc_fit.at_bound:
-            regime.strong_coupling = jc_fit.g > 0.25 * jc_fit.kappa
+        regime.strong_coupling = jc_fit.g > 0.25 * jc_fit.kappa
 
     total = time.perf_counter() - wall_start
     checks = [m.pole_check_error for m in members if m.pole_check_error is not None]
@@ -643,19 +650,8 @@ def run(config: RunConfig) -> RunResult:
             "rates": rates,
             "fast_stage": stage,
             "superradiant_overlap": first.overlap,
-            "oscillation": None
-            if oscillation is None
-            else {"frequency": oscillation.frequency, "contrast": oscillation.contrast},
-            "jc_fit": None
-            if jc_fit is None
-            else {
-                "g": jc_fit.g,
-                "kappa": jc_fit.kappa,
-                "envelope_rate": jc_fit.envelope_rate,
-                "frequency": jc_fit.frequency,
-                "residual": jc_fit.residual,
-                "at_bound": jc_fit.at_bound,
-            },
+            "oscillation": None if oscillation is None else asdict(oscillation),
+            "jc_fit": None if jc_fit is None else asdict(jc_fit),
             "ledger": record.ledger.as_dict(),
             "converged": record.ledger.converged,
             "grid": {

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from wgqed import (
     ChainSpec,
@@ -16,7 +17,7 @@ from wgqed import (
     mirror_reflectance_lorentzian,
     transfer_matrix_reflectance,
 )
-from wgqed.analytic import fit_jc_trace, jc_frequency
+from wgqed.analytic import fit_jc_trace
 
 
 def jc_population_ode(g, kappa, t_grid):
@@ -275,16 +276,57 @@ def test_classify_bare_emitter(params):
     assert report.numbers["kappa"] is None
 
 
-def test_fit_jc_trace_recovers_parameters():
-    rng_t = np.linspace(0, 12, 900)
-    g_true, kappa_true, env_true = 1.2, 0.6, 0.35
-    p = np.exp(-env_true * rng_t) * jc_population(JCParams(g_true, kappa_true), rng_t)
-    fit = fit_jc_trace(rng_t, p)
+def two_loss_amplitude(g, kappa, gamma_e, t):
+    """Independent oracle: a(t) of a' = -(gamma_e/2) a - i g c,
+    c' = -(kappa/2) c - i g a from a(0) = 1, by one matrix exponential per time."""
+    gen = np.array([[-0.5 * gamma_e, -1j * g], [-1j * g, -0.5 * kappa]])
+    return np.array([expm(gen * tt)[0, 0] for tt in t])
+
+
+TWO_LOSS = (1.2, 0.9, 0.35)  # g, kappa, gamma_e
+
+
+def _assert_two_loss(fit, g, kappa, gamma_e):
     assert fit is not None
-    assert fit.frequency == pytest.approx(jc_frequency(g_true, kappa_true), rel=0.02)
-    assert fit.g == pytest.approx(g_true, rel=0.05)
+    assert (fit.g, fit.kappa, fit.gamma_e) == pytest.approx((g, kappa, gamma_e), abs=1e-6)
+
+
+def test_fit_jc_trace_reads_the_two_loss_model_off_its_doublet():
+    t = np.linspace(0, 12, 300)
+    fit = fit_jc_trace(t, two_loss_amplitude(*TWO_LOSS, t))
+    _assert_two_loss(fit, *TWO_LOSS)
+    g, kappa, gamma_e = TWO_LOSS
+    assert fit.frequency == pytest.approx(2 * np.sqrt(g**2 - (kappa - gamma_e) ** 2 / 16), abs=1e-6)
+    assert fit.pole_rms < 1e-12 and fit.residual < 1e-12
+
+
+def test_fit_jc_trace_ignores_fast_decoy_poles():
+    # a common detuning of the doublet changes nothing either
+    t = np.linspace(0, 12, 300)
+    decoys = 0.05 * np.exp(-1j * (3 - 5j) * t) + 0.03 * np.exp(-1j * (-4 - 8j) * t)
+    fit = fit_jc_trace(t, two_loss_amplitude(*TWO_LOSS, t) * np.exp(-0.7j * t) + decoys)
+    _assert_two_loss(fit, *TWO_LOSS)
+    assert fit.pole_rms < 1e-12
+    assert fit.residual > 1e-4  # the decoys are in a0 and not in the doublet
+
+
+def test_fit_jc_trace_recovers_parameters():
+    # the old fitted form e^{-gamma t} JC(g, kappa) is the two-loss model with
+    # gamma_e = gamma and a cavity loss kappa + gamma
+    t = np.linspace(0, 12, 300)
+    g, kappa, gamma = 1.2, 0.6, 0.35
+    gen = np.array([[0.0, -1j * g], [-1j * g, -0.5 * kappa]])
+    a0 = np.exp(-0.5 * gamma * t) * np.array([expm(gen * tt)[0, 0] for tt in t])
+    assert_allclose(np.abs(a0) ** 2, np.exp(-gamma * t) * jc_population(JCParams(g, kappa), t),
+                    atol=1e-12)
+    fit = fit_jc_trace(t, a0)
+    _assert_two_loss(fit, g, kappa + gamma, gamma)
+    assert fit.frequency == pytest.approx(0.5 * np.sqrt(16 * g**2 - kappa**2), rel=1e-6)
+    assert fit.g == pytest.approx(g, rel=1e-6)
 
 
 def test_fit_jc_trace_none_for_monotone():
+    # a single pole: |a0|^2 decays without a beat
     t = np.linspace(0, 5, 200)
+    assert fit_jc_trace(t, np.exp(-1j * (0.3 - 0.5j) * t)) is None
     assert fit_jc_trace(t, np.exp(-t)) is None

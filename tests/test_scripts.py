@@ -45,6 +45,14 @@ def test_run_all_figures_writes_every_scenario(tmp_path):
             assert float(fields["synthesis_leak"]) == pytest.approx(leak, rel=1e-2)
         else:
             assert fields["synthesis_leak"] == "None" and leak is None
+        jc = summary["jc_fit"] or {}
+        printed = {key: jc.get(key) for key in ("g", "kappa", "gamma_e", "pole_rms")}
+        printed["oscillation"] = (summary["oscillation"] or {}).get("frequency")
+        for key, value in printed.items():
+            if value is None:
+                assert fields[key] == "None"
+            else:
+                assert float(fields[key]) == pytest.approx(value, rel=1e-2)
         for side in ("right", "left"):
             captured = summary["profiles"][side]["captured"]
             assert float(fields[f"captured_{side}"]) == pytest.approx(captured, abs=1e-5)
