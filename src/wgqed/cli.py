@@ -8,10 +8,11 @@ decay rates and any vacuum-Rabi oscillation, and write the run artifacts
 oscillating run also reports its cavity model, read off the poles of the
 Dicke amplitude <psi0|b(t)> on uniform times (analytic.fit_jc_trace).
 
-A Markovian run takes its spectra, weights and profiles in closed form from
-the modal expansion its evolution uses (the "poles" route).  The retarded
-kernel, and a resonant H whose eigenvectors are too ill-conditioned, take the
-resolvent sweep over the frequency grid (the "sweep" route).
+A Markovian run takes its trajectory, spectra, weights and profiles in closed
+form from one modal expansion (the "poles" route).  The retarded kernel, and a
+resonant H whose expansion is unusable or fails its check, take the resolvent
+sweep over the frequency grid and synthesise the trajectory from it too (the
+"sweep" route).
 """
 
 from __future__ import annotations
@@ -194,7 +195,6 @@ class MemberRun:
     residual_max: float
     route: str  # "poles" or "sweep"
     eig_condition: Optional[float]  # None on the retarded route
-    expm_fallback: bool
     pole_check_error: Optional[float]  # None when the check did not run
     synthesis_leak: Optional[float]  # None unless the trajectory was synthesised
     dicke: tuple[np.ndarray, np.ndarray]  # (t, <psi0|b(t)>) on uniform times
@@ -450,11 +450,8 @@ def _member_pipeline(
     span = SPAN_FACTOR_RETARDED if retarded else SPAN_FACTOR_RESONANT
     grid = build_grid(gamma_fast, t_max, span_factor=span)
     timings: dict[str, float] = {}
-    modes = fluxes = None
     tic = time.perf_counter()
-    if not retarded:
-        modes = modal_expansion(ham, psi0)
-        trajectory = evolve_markovian(ham, psi0, t_grid, modes)
+    modes = None if retarded else modal_expansion(ham, psi0)
     timings["evolution"] = time.perf_counter() - tic
 
     tic = time.perf_counter()
@@ -468,14 +465,17 @@ def _member_pipeline(
     spectrum_left = emission_spectrum(source, array, params, -1, grid)
     timings["emission_spectra"] = time.perf_counter() - tic
 
-    # the Dicke amplitude a0 = <psi0|b(t)> on uniform times: the pole sum, or
-    # the synthesis from the sweep the run took
+    # the trajectory and the Dicke amplitude a0 = <psi0|b(t)> on uniform times:
+    # the pole sums, or the synthesis from the sweep the run took
     tic = time.perf_counter()
     n_dicke = max(DICKE_SAMPLES, math.ceil(2.0 * gamma_fast * t_max / math.pi) + 1)
     t_dicke = np.linspace(0.0, t_max, n_dicke)
     bra = np.conj(psi0.amplitudes)
-    leak = None
-    if retarded:
+    leak = fluxes = None
+    if source is modes:
+        trajectory = evolve_markovian(ham, psi0, t_grid, modes)
+        dicke = np.exp(-1j * np.outer(t_dicke, modes.evals)) @ ((bra @ modes.vecs) * modes.coeffs)
+    else:
         probe = -default_time_grid(gamma_fast, t_max, n=LEAK_PROBES)[:0:-1]
         times = np.concatenate([probe, t_grid, t_dicke])
         amps = time_domain(source, times).amplitudes
@@ -483,13 +483,11 @@ def _member_pipeline(
         leak = synthesis_leak(source, AmplitudeTrajectory(times[:n_log], amps[:n_log]))
         trajectory = AmplitudeTrajectory(t_grid, amps[len(probe) : n_log])
         dicke = amps[n_log:] @ bra
-        # the guided outflow |alpha(t)|^2 of the fields leaving the chain
+    if retarded:
+        # the guided outflow |alpha(t)|^2 of the fields leaving the chain; the
+        # resonant kernel takes the directional fluxes of b on either route
         alpha = sampled_amplitudes([spectrum_right, spectrum_left], t_grid)
         fluxes = tuple(np.abs(alpha.T) ** 2)
-    elif source is modes:
-        dicke = np.exp(-1j * np.outer(t_dicke, modes.evals)) @ ((bra @ modes.vecs) * modes.coeffs)
-    else:
-        dicke = time_domain(source, t_dicke).amplitudes @ bra
     timings["evolution"] += time.perf_counter() - tic
 
     series = probabilities(trajectory, psi0, array, params, fluxes, ham.free_space_decay)
@@ -521,7 +519,6 @@ def _member_pipeline(
         residual,
         route="poles" if source is modes else "sweep",
         eig_condition=None if modes is None else modes.condition,
-        expm_fallback=modes is not None and modes.coeffs is None,
         pole_check_error=check_error,
         synthesis_leak=leak,
         dicke=(t_dicke, dicke),
@@ -664,7 +661,6 @@ def run(config: RunConfig) -> RunResult:
             "eig_condition": None
             if method == "spectral"
             else max(m.eig_condition for m in members),
-            "expm_fallback": any(m.expm_fallback for m in members),
             "pole_check_error": max(checks) if checks else None,
             "synthesis_leak": max(leaks) if leaks else None,
             "profiles": {
@@ -873,7 +869,7 @@ def main(argv=None) -> int:
             config = RunConfig(scenario=args.scenario)
         config = _apply_flags(config, args)
         result = run(config)
-    except (ConfigError, GeometryError, GridResolutionError) as exc:
+    except (ConfigError, GeometryError, GridResolutionError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ledger = result.record.ledger

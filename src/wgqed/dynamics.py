@@ -1,8 +1,8 @@
 """Markovian time evolution and the excitation-probability bookkeeping.
 
 b(t) = exp(-i H t) psi0 via eigendecomposition of the complex symmetric H;
-a scaling-and-squaring matrix exponential takes over when the eigenvector
-matrix is too ill-conditioned.  The probability series tracks p, p0, p_a and
+when the eigenvectors are too ill-conditioned the runner synthesises b(t) from
+the resolvent sweep instead.  The probability series tracks p, p0, p_a and
 the cumulative energy emitted into each decay channel.  Under the resonant
 kernel the directional guided fluxes follow from the rank-2 structure of the
 coherent channel:
@@ -17,7 +17,8 @@ and 1 - p - sum E is the photon still inside the chain.
 
 The fluxes are integrated by the cumulative Simpson rule for unequal
 intervals (Cartwright, J. Math. Sci. Math. Educ. 12, 2017), written here in
-numpy; scipy is imported only by the matrix-exponential fallback.
+numpy.  No run imports scipy; only _evolve_expm, the stepwise matrix
+exponential that the tests use as the dense oracle, does.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .model import AtomArray, PhysParams, StateVector, write_csv
 if TYPE_CHECKING:
     from .emission import PoleTable
 
-# Eigenvector condition number beyond which evolve_markovian falls back to the
-# stepwise matrix exponential (near-defective spectra; correctness over speed).
+# Eigenvector condition number beyond which the modal expansion is unusable
+# (near-defective spectra) and the run takes the resolvent sweep instead.
 CONDITION_FALLBACK = 1e8
 
 # Relative gap below which superradiant_overlap treats the fastest decay rates
@@ -45,7 +46,7 @@ DEGENERACY_TOL = 1e-8
 
 
 class NumericalError(RuntimeError):
-    """Eigensolver and fallback both failed; diagnostics in the message."""
+    """No trustworthy route: an unusable expansion, or a residual over its gate."""
 
 
 @dataclass
@@ -109,7 +110,7 @@ def default_time_grid(gamma_fast: float, t_max: float, n: int = 2048) -> np.ndar
 
 
 def _evolve_expm(ham: EffectiveHamiltonian, psi0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Stepwise scaling-and-squaring propagation (fallback path)."""
+    """Stepwise scaling-and-squaring propagation: the tests' oracle; no run calls it."""
     from scipy.linalg import expm
 
     amps = np.empty((len(t_grid), len(psi0)), dtype=complex)
@@ -176,26 +177,19 @@ def evolve_markovian(
     """Propagate the initial state under the resonant effective Hamiltonian.
 
     modes is the run's expansion of psi0 (built here when not given); an
-    unusable one, or a failed eigensolver, switches to the stepwise matrix
-    exponential.
+    unusable one raises NumericalError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must start at 0 and be strictly increasing")
-    try:
-        if modes is None:
-            modes = modal_expansion(ham, psi0)
-        if modes.coeffs is None:
-            raise np.linalg.LinAlgError(f"eigenvector condition number {modes.condition:.3g}")
-        phases = np.exp(-1j * np.outer(t_grid, modes.evals))
-        amps = (phases * modes.coeffs) @ modes.vecs.T
-    except np.linalg.LinAlgError:
-        try:
-            amps = _evolve_expm(ham, psi0.amplitudes, t_grid)
-        except Exception as exc:  # pragma: no cover - defensive
-            raise NumericalError(
-                f"eigendecomposition and matrix-exponential fallback both failed: {exc}"
-            ) from exc
+    if modes is None:
+        modes = modal_expansion(ham, psi0)
+    if modes.coeffs is None:
+        raise NumericalError(
+            f"eigenvector condition number {modes.condition:.3g} exceeds {CONDITION_FALLBACK:g}"
+        )
+    phases = np.exp(-1j * np.outer(t_grid, modes.evals))
+    amps = (phases * modes.coeffs) @ modes.vecs.T
     return AmplitudeTrajectory(t=t_grid, amplitudes=amps)
 
 

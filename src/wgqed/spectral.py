@@ -40,7 +40,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import AmplitudeTrajectory
+from .dynamics import AmplitudeTrajectory, NumericalError
 from .hamiltonian import EffectiveHamiltonian, effective_hamiltonian
 from .model import AtomArray, PhysParams, StateVector
 
@@ -443,7 +443,7 @@ def _scatter_chunk(
 def check_residual(residual: float, psi: np.ndarray) -> None:
     """Raise when a resolvent (or modal) residual exceeds RESIDUAL_TOL * |psi0|."""
     if residual > RESIDUAL_TOL * float(np.linalg.norm(psi)):
-        raise RuntimeError(
+        raise NumericalError(
             f"resolvent residual {residual:.3g} exceeds {RESIDUAL_TOL:g} * |psi0|; "
             "the frequency-domain Hamiltonian is inconsistent"
         )

@@ -543,7 +543,7 @@ def test_markovian_run_never_sweeps_its_grid(monkeypatch):
     # the only sweep is the check of the modal resolvent
     assert sizes == [POLE_CHECK_POINTS]
     assert summary["route"] == "poles"
-    assert summary["expm_fallback"] is False
+    assert summary["synthesis_leak"] is None
     assert 1.0 <= summary["eig_condition"] < 1e8
     assert summary["pole_check_error"] <= 1e-8
     assert summary["grid"]["n_points"] == len(result.record.spectrum_right.deltas)
@@ -555,24 +555,28 @@ def test_retarded_run_reports_the_sweep_route():
     assert summary["route"] == "sweep"
     assert summary["eig_condition"] is None
     assert summary["pole_check_error"] is None
-    assert summary["expm_fallback"] is False
 
 
 def test_ill_conditioned_eigenvectors_fall_back_to_the_sweep(monkeypatch):
+    # the fallback synthesises its trajectory from the sweep it takes for the
+    # spectra, and keeps the resonant directional fluxes of b
     import wgqed.dynamics
 
     cfg = dict(scenario="fig2", scale=0.1, method="markovian")
-    poles = run(RunConfig(**cfg)).summary.data
+    poles = run(RunConfig(**cfg))
     monkeypatch.setattr(wgqed.dynamics, "CONDITION_FALLBACK", 1.0)
     sizes = _record_sweeps(monkeypatch)
-    fallback = run(RunConfig(**cfg)).summary.data
-    assert poles["route"] == "poles" and poles["expm_fallback"] is False
-    assert fallback["route"] == "sweep" and fallback["expm_fallback"] is True
-    assert sizes == [fallback["grid"]["n_points"]]
-    assert fallback["pole_check_error"] is None
-    assert fallback["eig_condition"] == poles["eig_condition"]
-    for key in ("P_left", "P_right", "P_raman", "P_ext", "residual"):
-        assert fallback["ledger"][key] == pytest.approx(poles["ledger"][key], abs=1e-6)
+    fallback = run(RunConfig(**cfg))
+    ref, got = poles.summary.data, fallback.summary.data
+    assert ref["route"] == "poles" and got["route"] == "sweep"
+    assert sizes == [got["grid"]["n_points"]]
+    assert got["pole_check_error"] is None
+    assert got["eig_condition"] == ref["eig_condition"]
+    assert got["synthesis_leak"] is not None and got["synthesis_leak"] <= 1e-6
+    assert np.max(np.abs(fallback.series.p - poles.series.p)) <= 1e-6
+    assert np.max(np.abs(fallback.series.p0 - poles.series.p0)) <= 1e-6
+    for key in ("P_left", "P_right", "P_raman", "P_ext", "residual", "guided_route_discrepancy"):
+        assert got["ledger"][key] == pytest.approx(ref["ledger"][key], abs=1e-6)
 
 
 def test_failed_pole_check_falls_back_to_the_sweep(monkeypatch):
@@ -581,14 +585,15 @@ def test_failed_pole_check_falls_back_to_the_sweep(monkeypatch):
     monkeypatch.setattr(wgqed.cli, "POLE_CHECK_TOL", 0.0)
     summary = run(RunConfig(scenario="bare", scale=0.05, method="markovian")).summary.data
     assert summary["route"] == "sweep"
-    assert summary["expm_fallback"] is False
+    assert summary["synthesis_leak"] is not None
     assert summary["pole_check_error"] > 0.0
     assert summary["ledger"]["converged"] is True
 
 
 def test_free_space_run_that_needs_the_sweep_raises(monkeypatch):
     # the pole check solves the free-space H densely; the fallback sweep's
-    # recursion has no free-space term
+    # recursion has no free-space term, and the run raises before it evolves
+    import wgqed.cli
     import wgqed.dynamics
 
     cfg = RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=True)
@@ -596,8 +601,29 @@ def test_free_space_run_that_needs_the_sweep_raises(monkeypatch):
     assert summary["route"] == "poles"
     assert summary["pole_check_error"] <= 1e-8
     monkeypatch.setattr(wgqed.dynamics, "CONDITION_FALLBACK", 1.0)
+    evolved = []
+    original = wgqed.cli.evolve_markovian
+    monkeypatch.setattr(
+        wgqed.cli, "evolve_markovian", lambda *a, **k: evolved.append(a) or original(*a, **k)
+    )
     with pytest.raises(NumericalError, match="eigenvector condition number .* no free-space term"):
         run(cfg)
+    assert evolved == []
+
+
+@pytest.mark.parametrize(
+    "target, value, argv, fragment",
+    [
+        ("wgqed.dynamics.CONDITION_FALLBACK", 1.0, ["--free-space"], "no free-space term"),
+        ("wgqed.spectral.RESIDUAL_TOL", 0.0, [], "resolvent residual"),
+    ],
+    ids=["free-space-fallback", "residual-gate"],
+)
+def test_numerical_errors_exit_with_an_error(monkeypatch, capsys, target, value, argv, fragment):
+    monkeypatch.setattr(target, value)
+    assert main(["--scenario", "bare", "--scale", "0.05", "--method", "markovian", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
 
 
 def test_free_space_run_that_fails_the_pole_check_raises(monkeypatch):

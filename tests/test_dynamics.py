@@ -16,7 +16,16 @@ from wgqed import (
     probabilities,
     superradiant_overlap,
 )
-from wgqed.dynamics import ProbabilitySeries, _cumulative, _evolve_expm, directional_fluxes
+from wgqed.cli import SPAN_FACTOR_RESONANT
+from wgqed.dynamics import (
+    ModalExpansion,
+    NumericalError,
+    ProbabilitySeries,
+    _cumulative,
+    _evolve_expm,
+    directional_fluxes,
+)
+from wgqed.spectral import build_grid, resolvent_sweep, time_domain
 from test_hamiltonian import guided_channel, random_array
 
 
@@ -70,7 +79,7 @@ def test_rejects_retarded_and_bad_grid(params):
         evolve_markovian(effective_hamiltonian(arr, params), psi0, np.array([0.5, 1.0]))
 
 
-def test_expm_fallback_agrees_with_eigendecomposition(params):
+def test_expm_oracle_agrees_with_eigendecomposition(params):
     rng = np.random.default_rng(20)
     arr = random_array(rng, 20)
     psi0 = StateVector(np.ones(20) / np.sqrt(20))
@@ -79,6 +88,29 @@ def test_expm_fallback_agrees_with_eigendecomposition(params):
     a = evolve_markovian(ham, psi0, t).amplitudes
     b = _evolve_expm(ham, psi0.amplitudes, t)
     assert np.max(np.abs(a - b)) < 1e-8
+
+
+def test_unusable_expansion_raises(params):
+    arr = build_chain(ChainSpec(0, 3, 0), params)
+    psi0 = dicke_initial_state(arr, params)
+    ham = effective_hamiltonian(arr, params)
+    evals, vecs = ham.eigensystem
+    with pytest.raises(NumericalError, match="eigenvector condition number"):
+        evolve_markovian(ham, psi0, np.linspace(0, 1, 5), ModalExpansion(evals, vecs, 1e12))
+
+
+def test_resonant_sweep_synthesis_matches_the_expm_oracle(params):
+    # the trajectory an ill-conditioned resonant run synthesises from its sweep
+    rng = np.random.default_rng(21)
+    arr = random_array(rng, 20)
+    psi0 = StateVector(np.ones(20) / np.sqrt(20))
+    ham = effective_hamiltonian(arr, params)
+    gamma_fast = float(np.max(-2.0 * ham.eigensystem[0].imag))
+    t = default_time_grid(gamma_fast, 6.0, n=64)
+    grid = build_grid(gamma_fast, 6.0, span_factor=SPAN_FACTOR_RESONANT)
+    slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
+    b = time_domain(slices, t).amplitudes
+    assert np.max(np.abs(b - _evolve_expm(ham, psi0.amplitudes, t))) < 1e-6
 
 
 def test_norm_balance_and_monotonicity(params):
