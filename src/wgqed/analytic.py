@@ -152,16 +152,6 @@ class RegimeReport:
     strong_coupling: Optional[bool]
     numbers: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "markovian": self.markovian,
-            "cavity_retardation": self.cavity_retardation,
-            "coherence_fit": self.coherence_fit,
-            "mirror_dominance": self.mirror_dominance,
-            "strong_coupling": self.strong_coupling,
-            "numbers": {k: v for k, v in self.numbers.items()},
-        }
-
 
 def classify_regime(chain: ChainSpec, params: PhysParams) -> RegimeReport:
     """Evaluate the Markovian and cavity conditions for a chain layout.
@@ -172,7 +162,7 @@ def classify_regime(chain: ChainSpec, params: PhysParams) -> RegimeReport:
     distance; kappa uses the exact finite-mirror reflectance at
     resonance rather than the idealised 1.
     """
-    array = build_chain(chain, params)
+    array = build_chain(chain)
     z = array.positions
     n_mirror = max(chain.n_left, chain.n_right)
     gamma_c = collective_rate(chain.n_center, params)

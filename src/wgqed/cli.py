@@ -173,9 +173,6 @@ class RunSummary:
     def __post_init__(self):
         self.data = _plain(self.data)
 
-    def as_dict(self) -> dict:
-        return self.data
-
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
@@ -226,10 +223,10 @@ def _cavity_gap(
     gamma_c = collective_rate(n_center, params)
     gamma_m = collective_rate(n_mirror, params)
     l_target = params.v_g / math.sqrt(gamma_c * gamma_m)
-    span_c = (n_center - 1) * 0.5 * params.lambda_wg
-    d0 = max(1, round((l_target - span_c) / params.lambda_wg)) * 0.5 * params.lambda_wg
+    span_c = (n_center - 1) * 0.5
+    d0 = max(1, round(l_target - span_c)) * 0.5
     if antinode:
-        d0 += 0.25 * params.lambda_wg
+        d0 += 0.25
     return d0
 
 
@@ -254,10 +251,9 @@ class Scenario:
         chain = ChainSpec(
             *self.counts, left_disorder=left, right_disorder=right, rng_seed=seed
         ).scaled(scale)
-        if self.gap is None:
+        gap_d0 = self.gap
+        if gap_d0 is None:
             gap_d0 = _cavity_gap(chain.n_left, chain.n_center, params, self.antinode)
-        else:
-            gap_d0 = self.gap * params.lambda_wg
         return replace(chain, gap_d0=gap_d0)
 
 
@@ -436,7 +432,7 @@ def _member_pipeline(
     free_space: bool,
 ) -> MemberRun:
     """Trajectory, series and emission record for a single disorder member."""
-    array = build_chain(chain, params)
+    array = build_chain(chain)
     psi0 = dicke_initial_state(array, params)
     # the fastest segment's collective rate; collective_rate grows with n
     gamma_fast = collective_rate(max(chain.n_left, chain.n_center, chain.n_right), params)
@@ -632,7 +628,7 @@ def run(config: RunConfig) -> RunResult:
             "config": {
                 "scenario": config.scenario,
                 "chain": _chain_echo(chain),
-                "params": params.as_dict(),
+                "params": asdict(params),
                 "method": method,
                 "method_requested": config.method,
                 "scale": config.scale,
@@ -643,7 +639,7 @@ def run(config: RunConfig) -> RunResult:
                 "workers": config.workers,
                 "free_space": config.free_space,
             },
-            "regime": regime.as_dict(),
+            "regime": asdict(regime),
             "rates": rates,
             "fast_stage": stage,
             "superradiant_overlap": first.overlap,
@@ -751,8 +747,7 @@ _RUN_KEYS = {
     "out": str,
     "free_space": lambda s: _BOOLEANS[s.lower()],
 }
-_PARAM_KEYS = {"gamma": float, "beta": float, "gamma_ext": float, "v_g": float,
-               "lambda_wg": float, "lambda0": float}
+_PARAM_KEYS = {"beta": float, "gamma_ext": float, "v_g": float, "lambda0": float}
 
 
 def _count(text: str) -> int:
@@ -808,17 +803,12 @@ def config_from_file(path) -> RunConfig:
             )
         if "n_center" not in chain_raw:
             raise ConfigFileError(f"{path}: [chain] section needs n_center")
-        left_dis = chain_raw.get("left_disorder_density")
-        right_dis = chain_raw.get("right_disorder_density")
-        chain = ChainSpec(
-            chain_raw.get("n_left", 0),
-            chain_raw["n_center"],
-            chain_raw.get("n_right", 0),
-            gap_d0=chain_raw.get("gap_d0", 0.5 * params.lambda_wg),
-            spacing=chain_raw.get("spacing"),
-            left_disorder=None if left_dis is None else DisorderSpec(left_dis),
-            right_disorder=None if right_dis is None else DisorderSpec(right_dis),
-        )
+        disorder = {
+            f"{side}_disorder": DisorderSpec(chain_raw.pop(f"{side}_disorder_density"))
+            for side in ("left", "right")
+            if f"{side}_disorder_density" in chain_raw
+        }
+        chain = ChainSpec(**{"n_left": 0, "n_right": 0, **chain_raw, **disorder})
     if "out" in run_raw:
         run_raw["out_dir"] = run_raw.pop("out")
     return RunConfig(chain=chain, params=params, **run_raw)

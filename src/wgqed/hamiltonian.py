@@ -67,29 +67,29 @@ def add_free_space_coupling(
     perpendicular to the chain axis (off-diagonal only, config-gated).
 
     With xi = k0 |z_a - z_b|:
-      Gamma_fs = (3 gamma / 2) [sin xi / xi + cos xi / xi^2 - sin xi / xi^3]
-      J        = (3 gamma / 4) [-cos xi / xi + sin xi / xi^2 + cos xi / xi^3]
-    and the off-diagonal gains J - (i/2) Gamma_fs.  The xi -> 0 limit of
-    Gamma_fs is the full free-space rate gamma; the floor on pair separations
-    keeps the 1/xi^3 term finite.
+      Gamma_fs = (3/2) [sin xi / xi + cos xi / xi^2 - sin xi / xi^3]
+      J        = (3/4) [-cos xi / xi + sin xi / xi^2 + cos xi / xi^3]
+    in units of gamma, and the off-diagonal gains J - (i/2) Gamma_fs.  The
+    xi -> 0 limit of Gamma_fs is the full free-space rate 1; the floor on pair
+    separations keeps the 1/xi^3 term finite.
     """
     dist = pair_distances(array)
-    floor = MIN_SEPARATION * params.lambda_wg
     off = ~np.eye(array.n_atoms, dtype=bool)
-    if np.any(dist[off] < floor):
+    if np.any(dist[off] < MIN_SEPARATION):
         raise GeometryError("pair separation below the minimum floor")
     k0 = 2.0 * np.pi / params.lambda0
     xi = np.where(off, k0 * dist, 1.0)  # dummy 1.0 on the diagonal
-    gamma_fs, j_fs = free_space_rates(xi, params.gamma)
+    gamma_fs, j_fs = free_space_rates(xi)
     gamma_fs = np.where(off, gamma_fs, 0.0)
     term = np.where(off, j_fs, 0.0) - 0.5j * gamma_fs
     return EffectiveHamiltonian(matrix=ham.matrix + term, free_space_decay=gamma_fs)
 
 
-def free_space_rates(xi: np.ndarray, gamma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """(Gamma_fs, J) for scalar perpendicular dipoles at reduced distance xi."""
+def free_space_rates(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Gamma_fs, J) in units of gamma for scalar perpendicular dipoles at
+    reduced distance xi."""
     xi = np.asarray(xi, dtype=float)
     sin, cos = np.sin(xi), np.cos(xi)
-    gamma_fs = 1.5 * gamma * (sin / xi + cos / xi**2 - sin / xi**3)
-    j_fs = 0.75 * gamma * (-cos / xi + sin / xi**2 + cos / xi**3)
+    gamma_fs = 1.5 * (sin / xi + cos / xi**2 - sin / xi**3)
+    j_fs = 0.75 * (-cos / xi + sin / xi**2 + cos / xi**3)
     return gamma_fs, j_fs

@@ -1,9 +1,10 @@
 """Chain geometry, physical rate constants, and the phased collective initial state.
 
-All rates are expressed in units of the free-space linewidth gamma (so times are
-in 1/gamma) and all lengths in units of the guided-mode wavelength lambda_wg.
-The default group velocity is anchored to the Rb D2 line so that runs with
-centimetre-scale cavities map onto realistic retardation times.
+The units are fixed, not configured: every rate is in units of the free-space
+linewidth gamma (so times are in 1/gamma) and every length in units of the
+guided-mode wavelength lambda_wg; both are 1.  The default group velocity is
+anchored to the Rb D2 line so that runs with centimetre-scale cavities map
+onto realistic retardation times.
 
 write_csv, at the end, writes every CSV artifact of a run.
 """
@@ -54,51 +55,40 @@ class SegmentRole(enum.Enum):
 
 @dataclass(frozen=True)
 class PhysParams:
-    """Physical rate and wavelength constants of the atom-waveguide system.
+    """Physical rates and wavelengths of the atom-waveguide system, in the
+    reduced units: the free-space decay rate gamma and the guided wavelength
+    lambda_wg are 1 and are not parameters.
 
-    gamma      free-space decay rate; the unit of inverse time (default 1).
     beta       coupling ratio gamma_1d / gamma.
-    gamma_ext  decay rate into external (non-guided) modes, units of gamma.
-    v_g        group velocity of the guided mode, units of lambda_wg * gamma.
-    lambda_wg  guided-mode wavelength; the unit of length (default 1).
+    gamma_ext  decay rate into external (non-guided) modes.
+    v_g        group velocity of the guided mode.
     lambda0    vacuum wavelength, used only by the optional free-space
-               dipole-dipole correction.  Defaults to mode-index * lambda_wg.
+               dipole-dipole correction; the default is the mode index.
     """
 
-    gamma: float = 1.0
     beta: float = 0.1
     gamma_ext: float = 0.95
     v_g: float = DEFAULT_V_G
-    lambda_wg: float = 1.0
-    lambda0: Optional[float] = None
+    lambda0: float = DEFAULT_MODE_INDEX
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
         if not 0 < self.beta < 1:
             raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
         if not self.gamma_ext > 0:
             raise ConfigError(f"gamma_ext must be positive, got {self.gamma_ext}")
         if not self.v_g > 0:
             raise ConfigError(f"v_g must be positive, got {self.v_g}")
-        if not self.lambda_wg > 0:
-            raise ConfigError(f"lambda_wg must be positive, got {self.lambda_wg}")
-        if self.lambda0 is None:
-            object.__setattr__(self, "lambda0", DEFAULT_MODE_INDEX * self.lambda_wg)
-        if not self.gamma_ext < self.gamma:
-            raise ConfigError(
-                f"gamma_ext={self.gamma_ext} must stay below gamma={self.gamma}"
-            )
+        if not self.gamma_ext < 1:
+            raise ConfigError(f"gamma_ext={self.gamma_ext} must stay below gamma = 1")
         # Purcell condition: waveguide plus external modes beat free space.
-        if not self.gamma_ext + self.beta * self.gamma > self.gamma:
+        if not self.gamma_ext + self.beta > 1:
             raise ConfigError(
-                f"gamma_ext + gamma_1d = {self.gamma_ext + self.beta * self.gamma} "
-                f"must exceed gamma = {self.gamma}"
+                f"gamma_ext + gamma_1d = {self.gamma_ext + self.beta} must exceed gamma = 1"
             )
 
     @property
     def gamma_1d(self) -> float:
-        return self.beta * self.gamma
+        return self.beta
 
     @property
     def gamma_wg(self) -> float:
@@ -117,21 +107,11 @@ class PhysParams:
 
     @property
     def k_wg(self) -> float:
-        return 2.0 * math.pi / self.lambda_wg
+        return 2.0 * math.pi
 
     def k_of(self, delta):
         """Guided wavenumber k(delta) = k_wg + delta / v_g at detuning delta."""
         return self.k_wg + delta / self.v_g
-
-    def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "gamma_ext": self.gamma_ext,
-            "v_g": self.v_g,
-            "lambda_wg": self.lambda_wg,
-            "lambda0": self.lambda0,
-        }
 
 
 @dataclass(frozen=True)
@@ -244,23 +224,21 @@ def _segment_positions(
     disorder: Optional[DisorderSpec],
     spacing: Optional[float],
     z_start: float,
-    params: PhysParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
     """Return the segment's atom positions and the coordinate of its far edge."""
-    half_wave = 0.5 * params.lambda_wg
     if disorder is None:
-        spacing = half_wave if spacing is None else spacing
+        spacing = 0.5 if spacing is None else spacing
         pos = z_start + spacing * np.arange(count)
         return pos, z_start + spacing * (count - 1)
     # Disordered segment: uniform draws over the nominal length count/density
     # half-waves; the nominal span (not the last atom) defines the far edge.
-    length = count / disorder.density * half_wave
+    length = count / disorder.density * 0.5
     pos = np.sort(rng.uniform(z_start, z_start + length, size=count))
     return pos, z_start + length
 
 
-def build_chain(spec: ChainSpec, params: PhysParams) -> AtomArray:
+def build_chain(spec: ChainSpec) -> AtomArray:
     """Place every segment along the axis, first atom at z = 0.
 
     Lattice segments are exactly periodic; disordered segments consume the
@@ -273,19 +251,18 @@ def build_chain(spec: ChainSpec, params: PhysParams) -> AtomArray:
     far_edge = None
     for role, count, disorder in spec.segments():
         z_start = 0.0 if far_edge is None else far_edge + spec.gap_d0
-        pos, far_edge = _segment_positions(count, disorder, spec.spacing, z_start, params, rng)
+        pos, far_edge = _segment_positions(count, disorder, spec.spacing, z_start, rng)
         positions.append(pos)
         roles.extend([role] * count)
 
     z = np.concatenate(positions)
     z = z - z[0]  # absolute origin at the first atom
     gaps = np.diff(z)
-    floor = MIN_SEPARATION * params.lambda_wg
-    if np.any(gaps < floor):
-        bad = int(np.argmax(gaps < floor))
+    if np.any(gaps < MIN_SEPARATION):
+        bad = int(np.argmax(gaps < MIN_SEPARATION))
         raise GeometryError(
             f"atoms {bad} and {bad + 1} are separated by {gaps[bad]:.4g} lambda_wg, "
-            f"below the floor {floor:.4g}"
+            f"below the floor {MIN_SEPARATION:.4g}"
         )
     return AtomArray(z, spec.n_left, spec.n_left + spec.n_center, tuple(roles))
 

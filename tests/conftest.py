@@ -65,16 +65,12 @@ def spectral_on_markovian_run():
 
 @pytest.fixture(scope="session")
 def fig7a_run():
-    return run(
-        RunConfig(scenario="fig7a", scale=0.1, method="spectral", workers=4)
-    )
+    return run(RunConfig(scenario="fig7a", scale=0.1, method="spectral"))
 
 
 @pytest.fixture(scope="session")
 def fig7b_run():
-    return run(
-        RunConfig(scenario="fig7b", scale=0.1, method="spectral", workers=4)
-    )
+    return run(RunConfig(scenario="fig7b", scale=0.1, method="spectral"))
 
 
 MARKOVIAN_FIXTURES = [

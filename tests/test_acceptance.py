@@ -48,7 +48,7 @@ def test_criterion_1_base_case_rate(params):
     worst_eig = 0.0
     worst_fit = 0.0
     for n_c in (2, 5, 10, 30):
-        arr = build_chain(ChainSpec(0, n_c, 0), params)
+        arr = build_chain(ChainSpec(0, n_c, 0))
         expected = collective_rate(n_c, params)
         rates = -2.0 * np.linalg.eigvals(effective_hamiltonian(arr, params).matrix).imag
         worst_eig = max(worst_eig, abs(rates.max() - expected))
@@ -331,7 +331,7 @@ def test_criterion_10_parseval(fixture, request):
 )
 def test_criterion_10_decay_matrix_psd(scenario, scale, seed, params):
     chain = SCENARIOS[scenario].build(scale, seed, params)
-    arr = build_chain(chain, params)
+    arr = build_chain(chain)
     ham = effective_hamiltonian(arr, params)
     evals = np.linalg.eigvalsh(-2.0 * ham.matrix.imag)
     scale_rate = np.trace(-2.0 * ham.matrix.imag).real / arr.n_atoms

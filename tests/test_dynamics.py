@@ -30,7 +30,7 @@ from test_hamiltonian import guided_channel, random_array
 
 
 def _pipeline(params, spec, t_max=8.0):
-    arr = build_chain(spec, params)
+    arr = build_chain(spec)
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
     t = default_time_grid(2.5, t_max)
@@ -56,7 +56,7 @@ def test_single_atom_closed_form(params):
 
 
 def test_two_atom_dicke_pure_exponential(params):
-    arr = build_chain(ChainSpec(0, 2, 0), params)
+    arr = build_chain(ChainSpec(0, 2, 0))
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
     t = np.linspace(0, 5, 101)
@@ -73,7 +73,7 @@ def test_zero_hamiltonian_is_identity_evolution():
 
 
 def test_rejects_retarded_and_bad_grid(params):
-    arr = build_chain(ChainSpec(0, 2, 0), params)
+    arr = build_chain(ChainSpec(0, 2, 0))
     psi0 = dicke_initial_state(arr, params)
     with pytest.raises(ValueError):
         evolve_markovian(effective_hamiltonian(arr, params), psi0, np.array([0.5, 1.0]))
@@ -91,7 +91,7 @@ def test_expm_oracle_agrees_with_eigendecomposition(params):
 
 
 def test_unusable_expansion_raises(params):
-    arr = build_chain(ChainSpec(0, 3, 0), params)
+    arr = build_chain(ChainSpec(0, 3, 0))
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
     evals, vecs = ham.eigensystem
@@ -173,14 +173,14 @@ def test_cumulative_matches_scipy_simpson(n, grid):
 
 
 def test_overlap_equal_segments_is_third(params):
-    arr = build_chain(ChainSpec(10, 10, 10), params)
+    arr = build_chain(ChainSpec(10, 10, 10))
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
     assert superradiant_overlap(ham, psi0) == pytest.approx(1.0 / 3.0, rel=1e-9)
 
 
 def test_overlap_bare_emitter_is_unity(params):
-    arr = build_chain(ChainSpec(0, 12, 0), params)
+    arr = build_chain(ChainSpec(0, 12, 0))
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
     assert superradiant_overlap(ham, psi0) == pytest.approx(1.0, abs=1e-3)
@@ -189,7 +189,7 @@ def test_overlap_bare_emitter_is_unity(params):
 def test_overlap_single_emitter_in_three_chain(params):
     # brute-force oracle: the half-wave chain's superradiant mode is the
     # alternating-sign vector, so the middle atom projects to exactly 1/3
-    arr = build_chain(ChainSpec(1, 1, 1), params)
+    arr = build_chain(ChainSpec(1, 1, 1))
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
     assert superradiant_overlap(ham, psi0) == pytest.approx(1.0 / 3.0, rel=1e-9)

@@ -20,7 +20,7 @@ from conftest import CAVITY_FIXTURES
 
 
 def _sweep(params, spec, gamma_fast, t_max=12.0 / 0.95, span=400):
-    arr = build_chain(spec, params)
+    arr = build_chain(spec)
     psi0 = dicke_initial_state(arr, params)
     grid = build_grid(gamma_fast, t_max, span_factor=span)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
@@ -71,7 +71,7 @@ def test_bare_emitter_profile_length(params):
 
 def test_profile_uses_the_grid_apodization(params):
     # a non-default taper on the run's grid must reach the profile transform
-    arr = build_chain(ChainSpec(0, 1, 0), params)
+    arr = build_chain(ChainSpec(0, 1, 0))
     psi0 = dicke_initial_state(arr, params)
     grid = replace(build_grid(1.05, 8.0), apod_fraction=0.3)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
@@ -266,7 +266,7 @@ def _assert_poles_match_sweep(params, arr, psi0, gamma_fast, t_max):
 def test_poles_match_the_sweep_on_a_bragg_chain(params):
     from wgqed.cli import SCENARIOS
 
-    arr = build_chain(SCENARIOS["fig2"].build(0.1, 0, params), params)
+    arr = build_chain(SCENARIOS["fig2"].build(0.1, 0, params))
     psi0 = dicke_initial_state(arr, params)
     _assert_poles_match_sweep(params, arr, psi0, 1.05 + 9 * 0.05, 12.0 / 0.95)
 
@@ -294,7 +294,7 @@ def test_pole_outflow_is_the_directional_flux(scenario, seed, params):
     from wgqed.cli import SCENARIOS
     from wgqed.dynamics import default_time_grid, directional_fluxes, modal_expansion
 
-    arr = build_chain(SCENARIOS[scenario].build(0.1, seed, params), params)
+    arr = build_chain(SCENARIOS[scenario].build(0.1, seed, params))
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
     modes = modal_expansion(ham, psi0)

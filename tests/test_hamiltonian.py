@@ -31,7 +31,7 @@ positions_strategy = st.lists(
 
 
 def test_single_atom(params):
-    arr = build_chain(ChainSpec(0, 1, 0), params)
+    arr = build_chain(ChainSpec(0, 1, 0))
     ham = effective_hamiltonian(arr, params)
     assert ham.matrix.shape == (1, 1)
     assert ham.matrix[0, 0] == -0.5j * 1.05
@@ -40,7 +40,7 @@ def test_single_atom(params):
 
 
 def test_two_atoms_half_wave(params):
-    arr = build_chain(ChainSpec(0, 2, 0), params)
+    arr = build_chain(ChainSpec(0, 2, 0))
     ham = effective_hamiltonian(arr, params)
     # e^{i pi} = -1 flips the sign of the exchange term
     assert ham.matrix[0, 1] == pytest.approx(+0.5j * params.gamma_wg, abs=1e-15)
@@ -51,7 +51,7 @@ def test_two_atoms_half_wave(params):
 
 @pytest.mark.parametrize("n_c", [2, 3, 5, 10])
 def test_half_wave_superradiant_eigenvalue(params, n_c):
-    arr = build_chain(ChainSpec(0, n_c, 0), params)
+    arr = build_chain(ChainSpec(0, n_c, 0))
     ham = effective_hamiltonian(arr, params)
     rates = -2 * np.linalg.eigvals(ham.matrix).imag
     expected = params.gamma_ext + params.gamma_1d + (n_c - 1) * params.gamma_wg
@@ -68,7 +68,7 @@ def test_complex_symmetry_exact(pos):
 
 
 def test_diagonal_value(params):
-    arr = build_chain(ChainSpec(2, 2, 2, gap_d0=0.3), params)
+    arr = build_chain(ChainSpec(2, 2, 2, gap_d0=0.3))
     ham = effective_hamiltonian(arr, params)
     assert np.all(np.diag(ham.matrix) == -0.5j * (params.gamma_ext + params.gamma_1d))
 
@@ -93,7 +93,7 @@ def guided_channel(ham, params):
 
 
 def test_partition_single_atom(params):
-    arr = build_chain(ChainSpec(0, 1, 0), params)
+    arr = build_chain(ChainSpec(0, 1, 0))
     ham = effective_hamiltonian(arr, params)
     assert ham.free_space_decay is None
     assert guided_channel(ham, params)[0, 0] == pytest.approx(params.gamma_wg)
@@ -101,7 +101,7 @@ def test_partition_single_atom(params):
 
 
 def test_partition_two_atoms(params):
-    arr = build_chain(ChainSpec(0, 2, 0), params)
+    arr = build_chain(ChainSpec(0, 2, 0))
     guided = guided_channel(effective_hamiltonian(arr, params), params)
     expected = params.gamma_wg * np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert_allclose(guided, expected, atol=1e-12)
@@ -127,7 +127,7 @@ def test_partition_carries_the_free_space_rates(params):
     arr = random_array(rng, 18)
     ham = add_free_space_coupling(effective_hamiltonian(arr, params), arr, params)
     xi = 2 * np.pi / params.lambda0 * pair_distances(arr) + np.eye(18)  # 1 on the diagonal
-    gamma_fs, _ = free_space_rates(xi, params.gamma)
+    gamma_fs, _ = free_space_rates(xi)
     np.fill_diagonal(gamma_fs, 0.0)
     assert_allclose(ham.free_space_decay, gamma_fs, atol=1e-12)
     total = _three_channels(arr, params) + ham.free_space_decay
@@ -164,7 +164,7 @@ def test_free_space_half_wavelength_value():
 def test_free_space_case1_shift(params):
     # full-scale ordered chain: the correction moves the superradiant rate
     # by a few percent only (regression: 6.2 percent at 100/100/100)
-    arr = build_chain(ChainSpec(100, 100, 100, gap_d0=0.5), params)
+    arr = build_chain(ChainSpec(100, 100, 100, gap_d0=0.5))
     h0 = effective_hamiltonian(arr, params)
     h1 = add_free_space_coupling(h0, arr, params)
     assert h1.includes_free_space

@@ -29,7 +29,6 @@ from wgqed.model import (
 
 def test_default_params():
     p = PhysParams()
-    assert p.gamma == 1.0
     assert p.gamma_1d == pytest.approx(0.1)
     assert p.gamma_wg == pytest.approx(0.05)
     assert p.gamma_raman == pytest.approx(0.05)
@@ -43,14 +42,12 @@ def test_default_params():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"gamma": 0.0},
         {"beta": 0.0},
         {"beta": 1.0},
         {"gamma_ext": -0.1},
         {"v_g": 0.0},
-        {"lambda_wg": -1.0},
-        {"gamma_ext": 1.0},          # must stay below gamma
-        {"gamma_ext": 0.85},         # Purcell: gamma_ext + gamma_1d must exceed gamma
+        {"gamma_ext": 1.0},          # must stay below gamma = 1
+        {"gamma_ext": 0.85},         # Purcell: gamma_ext + gamma_1d must exceed 1
     ],
 )
 def test_params_invariants(kwargs):
@@ -58,16 +55,16 @@ def test_params_invariants(kwargs):
         PhysParams(**kwargs)
 
 
-def test_lattice_emitter_only(params):
+def test_lattice_emitter_only():
     spec = ChainSpec(0, 3, 0)
-    arr = build_chain(spec, params)
+    arr = build_chain(spec)
     assert_allclose(arr.positions, [0.0, 0.5, 1.0], atol=0)
     assert arr.emitter_start == 0 and arr.emitter_stop == 3
 
 
-def test_lattice_with_gap(params):
+def test_lattice_with_gap():
     spec = ChainSpec(0, 2, 2, gap_d0=0.25)
-    arr = build_chain(spec, params)
+    arr = build_chain(spec)
     assert_allclose(arr.positions, [0.0, 0.5, 0.75, 1.25], atol=0)
     assert arr.roles == (
         SegmentRole.EMITTER,
@@ -77,9 +74,9 @@ def test_lattice_with_gap(params):
     )
 
 
-def test_lattice_exactly_periodic(params):
+def test_lattice_exactly_periodic():
     spec = ChainSpec(0, 200, 0)
-    arr = build_chain(spec, params)
+    arr = build_chain(spec)
     gaps = np.diff(arr.positions)
     assert np.all(gaps == gaps[0])
 
@@ -88,9 +85,9 @@ def _disordered_mirror_spec(seed):
     return ChainSpec(100, 1, 0, gap_d0=0.5, left_disorder=DisorderSpec(1.0), rng_seed=seed)
 
 
-def test_disorder_deterministic_and_matches_reference_stream(params):
-    arr1 = build_chain(_disordered_mirror_spec(2), params)
-    arr2 = build_chain(_disordered_mirror_spec(2), params)
+def test_disorder_deterministic_and_matches_reference_stream():
+    arr1 = build_chain(_disordered_mirror_spec(2))
+    arr2 = build_chain(_disordered_mirror_spec(2))
     assert np.array_equal(arr1.positions, arr2.positions)
 
     mirror = arr1.positions[:100]
@@ -104,20 +101,20 @@ def test_disorder_deterministic_and_matches_reference_stream(params):
     assert arr1.positions[-1] == pytest.approx(50.16072667592585, abs=1e-12)
 
 
-def test_disorder_seed_changes_draw(params):
-    a = build_chain(_disordered_mirror_spec(2), params)
-    b = build_chain(_disordered_mirror_spec(5), params)
+def test_disorder_seed_changes_draw():
+    a = build_chain(_disordered_mirror_spec(2))
+    b = build_chain(_disordered_mirror_spec(5))
     assert not np.array_equal(a.positions, b.positions)
 
 
-def test_min_separation_floor(params):
+def test_min_separation_floor():
     spec = ChainSpec(0, 3, 0, spacing=0.5 * MIN_SEPARATION)
     with pytest.raises(GeometryError):
-        build_chain(spec, params)
+        build_chain(spec)
     # a too-small inter-segment gap is rejected the same way
     spec = ChainSpec(0, 2, 2, gap_d0=0.5 * MIN_SEPARATION)
     with pytest.raises(GeometryError):
-        build_chain(spec, params)
+        build_chain(spec)
 
 
 def test_chain_spec_validation():
@@ -152,7 +149,7 @@ def test_counts():
         (SegmentRole.RIGHT_MIRROR, 7, dis),
     ]
     assert ChainSpec(0, 3, 0, left_disorder=dis).segments() == [(SegmentRole.EMITTER, 3, None)]
-    assert build_chain(ChainSpec(0, 3, 5), PhysParams()).emitter_stop == 3
+    assert build_chain(ChainSpec(0, 3, 5)).emitter_stop == 3
 
 
 def test_scaled_counts():
@@ -166,26 +163,26 @@ def test_scaled_counts():
 
 
 def test_dicke_half_wave_phases(params):
-    arr = build_chain(ChainSpec(0, 3, 0), params)
+    arr = build_chain(ChainSpec(0, 3, 0))
     state = dicke_initial_state(arr, params)
     expected = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
     assert_allclose(state.amplitudes, expected, atol=1e-12)
 
 
 def test_dicke_single_atom(params):
-    arr = build_chain(ChainSpec(0, 1, 0), params)
+    arr = build_chain(ChainSpec(0, 1, 0))
     state = dicke_initial_state(arr, params)
     assert_allclose(state.amplitudes, [1.0], atol=1e-15)
 
 
 def test_dicke_full_wave_spacing(params):
-    arr = build_chain(ChainSpec(0, 4, 0, spacing=1.0), params)
+    arr = build_chain(ChainSpec(0, 4, 0, spacing=1.0))
     state = dicke_initial_state(arr, params)
     assert_allclose(state.amplitudes, np.full(4, 0.5), atol=1e-12)
 
 
 def test_dicke_zero_outside_emitter(params):
-    arr = build_chain(ChainSpec(3, 2, 3), params)
+    arr = build_chain(ChainSpec(3, 2, 3))
     state = dicke_initial_state(arr, params)
     assert np.all(state.amplitudes[:3] == 0)
     assert np.all(state.amplitudes[5:] == 0)
@@ -195,7 +192,7 @@ def test_dicke_zero_outside_emitter(params):
 @given(n_c=st.integers(min_value=2, max_value=60), n_l=st.integers(min_value=0, max_value=40))
 def test_dicke_phase_alternation_property(n_c, n_l):
     params = PhysParams()
-    arr = build_chain(ChainSpec(n_l, n_c, 0, gap_d0=0.5), params)
+    arr = build_chain(ChainSpec(n_l, n_c, 0, gap_d0=0.5))
     state = dicke_initial_state(arr, params)
     amps = state.amplitudes[arr.emitter_start : arr.emitter_stop]
     ratios = amps[1:] / amps[:-1]
@@ -219,8 +216,8 @@ def _csv_oracle(path, header, rows):
     return path.read_bytes()
 
 
-def test_positions_csv(tmp_path, params):
-    arr = build_chain(ChainSpec(1, 2, 0, gap_d0=0.5), params)
+def test_positions_csv(tmp_path):
+    arr = build_chain(ChainSpec(1, 2, 0, gap_d0=0.5))
     path = tmp_path / "positions.csv"
     arr.to_csv(path)
     with open(path) as fh:

@@ -140,7 +140,7 @@ def test_fourier_sum_matches_direct_sum(grid, times, n_columns, monkeypatch):
 
 
 def _single_atom(params):
-    arr = build_chain(ChainSpec(0, 1, 0), params)
+    arr = build_chain(ChainSpec(0, 1, 0))
     psi0 = dicke_initial_state(arr, params)
     return arr, psi0
 
@@ -181,7 +181,7 @@ def test_retardation_disabled_equals_markovian_resolvent(params):
 def _long_cavity_sweep(params):
     # retarded kernel over a 60-atom atomic cavity
     gap = 174000.25  # about 0.04 gamma^-1 of one-way retardation
-    arr = build_chain(ChainSpec(25, 10, 25, gap_d0=gap), params)
+    arr = build_chain(ChainSpec(25, 10, 25, gap_d0=gap))
     psi0 = dicke_initial_state(arr, params)
     grid = SpectralGrid(-40.0, 40.0, 512, 0.0)
     return arr, psi0, grid, resolvent_sweep(arr, params, psi0, grid, retarded=True)
@@ -273,7 +273,7 @@ def test_scattering_solve_matches_dense_on_random_geometries(params, retarded, m
 
 def _bragg_chain(params):
     # half-wave mirrors of 250 atoms: deep stop band around resonance
-    arr = build_chain(ChainSpec(250, 10, 250, gap_d0=0.5), params)
+    arr = build_chain(ChainSpec(250, 10, 250, gap_d0=0.5))
     return arr, dicke_initial_state(arr, params)
 
 
@@ -344,7 +344,7 @@ def _recursion_cases(params):
         yield f"random-{i}", arr.positions, psi0.amplitudes, grid.deltas[::64]
     arr, psi0 = _bragg_chain(params)
     yield "bragg", arr.positions, psi0.amplitudes, np.array([-0.3, 0.0, 0.05, 2.0])
-    arr = build_chain(SCENARIOS["fig7b"].build(0.05, 7, params), params)
+    arr = build_chain(SCENARIOS["fig7b"].build(0.05, 7, params))
     assert len(np.unique(np.diff(arr.positions))) == 2
     yield "fig7b", arr.positions, dicke_initial_state(arr, params).amplitudes, np.linspace(
         -300.0, 300.0, 257
@@ -475,7 +475,7 @@ def test_delayed_terms_transform_matches_the_direct_sum():
 def test_lead_is_the_fronts_on_the_grid(params, retarded):
     # the sweep's grid samples of the outgoing lead against the direct sum of
     # the fronts it hands to emission, on the fig7b geometry and on random ones
-    arr = build_chain(SCENARIOS["fig7b"].build(0.02, 0, params), params)
+    arr = build_chain(SCENARIOS["fig7b"].build(0.02, 0, params))
     cases = [
         (arr, dicke_initial_state(arr, params), SpectralGrid(-60.0, 60.0, 301, 0.0)),
         *list(_random_geometries(params))[:3],
@@ -493,7 +493,7 @@ def converged_cavity(params):
     # fig7b at scale 0.02 (10/2/10 atoms, the long-cavity gap) over t_max = 8:
     # a reference from test-local dense retarded solves on a span-800 grid,
     # with the outgoing fields as direct phase sums of them
-    arr = build_chain(SCENARIOS["fig7b"].build(0.02, 0, params), params)
+    arr = build_chain(SCENARIOS["fig7b"].build(0.02, 0, params))
     psi0 = dicke_initial_state(arr, params)
     gamma_fast = collective_rate(10, params)
     t_max = 8.0
@@ -567,7 +567,7 @@ def test_retarded_profiles_and_outflow_match_a_converged_reference(converged_cav
 def test_time_domain_allocates_less_than_the_sweep(params):
     # after the sweep no M x N array is allocated: the pole terms are removed
     # after the transform, whose FFT blocks are FFT_COLUMNS wide
-    arr = build_chain(ChainSpec(25, 10, 25, gap_d0=174000.25), params)
+    arr = build_chain(ChainSpec(25, 10, 25, gap_d0=174000.25))
     psi0 = dicke_initial_state(arr, params)
     grid = SpectralGrid(-40.0, 40.0, 2**15, 0.1)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
@@ -584,7 +584,7 @@ def test_time_domain_allocates_less_than_the_sweep(params):
 
 def test_retarded_reduces_to_markovian_at_infinite_vg():
     params = PhysParams(v_g=1e30)
-    arr = build_chain(ChainSpec(3, 3, 3, gap_d0=0.25), params)
+    arr = build_chain(ChainSpec(3, 3, 3, gap_d0=0.25))
     psi0 = dicke_initial_state(arr, params)
     grid = SpectralGrid(-30.0, 30.0, 128, 0.0)
     retarded = resolvent_sweep(arr, params, psi0, grid, retarded=True)
@@ -597,7 +597,7 @@ def test_retarded_reduces_to_markovian_at_infinite_vg():
 def test_retarded_sweep_rejects_the_free_space_term(params, retarded):
     from wgqed import add_free_space_coupling
 
-    arr = build_chain(ChainSpec(0, 3, 0), params)
+    arr = build_chain(ChainSpec(0, 3, 0))
     ham = add_free_space_coupling(effective_hamiltonian(arr, params), arr, params)
     grid = SpectralGrid(-5.0, 5.0, 16, 0.0)
     psi0 = dicke_initial_state(arr, params)
@@ -655,7 +655,7 @@ def test_times_beyond_alias_window_rejected(params):
 
 
 def test_grid_refinement_convergence(params):
-    arr = build_chain(ChainSpec(10, 10, 10), params)
+    arr = build_chain(ChainSpec(10, 10, 10))
     psi0 = dicke_initial_state(arr, params)
     t = np.linspace(0.0, 8.0, 100)
     pops = []
