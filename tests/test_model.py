@@ -42,10 +42,12 @@ def test_default_params():
 @pytest.mark.parametrize(
     "kwargs",
     [
+        {"beta": float("nan")},
         {"beta": 0.0},
         {"beta": 1.0},
         {"gamma_ext": -0.1},
         {"v_g": 0.0},
+        {"v_g": float("nan")},
         {"gamma_ext": 1.0},          # must stay below gamma = 1
         {"gamma_ext": 0.85},         # Purcell: gamma_ext + gamma_1d must exceed 1
     ],
