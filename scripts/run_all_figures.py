@@ -8,13 +8,16 @@ Example:
 Full scale reproduces the published geometries (300 to 1100 atoms); expect the
 long-cavity scenarios to take a while at that size.  Each scenario prints one
 line: its method and route, the ledger, the largest resolvent residual, the
-synthesis leak (the window error of a synthesised trajectory; None on the
-poles route), the vacuum-Rabi oscillation frequency of p0 and the cavity model
-read off the poles (g, kappa, gamma_e and the pencil's pole_rms; None without
-an oscillation), the captured fractions of the right and left profiles, the wall
-time, the seconds of the resolvent sweep and of the evolution (summed over the
-ensemble members), the seconds spent writing the CSV artifacts and the peak
-resident set size of the process so far.
+eigenvector condition number and the pole check's deviation (None on the
+sweep route; a run near their limits, CONDITION_MAX and POLE_CHECK_TOL, is
+close to raising NumericalError), the synthesis leak (the window error of a
+synthesised trajectory; None on the poles route), the vacuum-Rabi
+oscillation frequency of p0 and the cavity model read off the poles (g, kappa,
+gamma_e and the pencil's pole_rms; None without an oscillation), the captured
+fractions of the right and left profiles, the wall time, the seconds of the
+resolvent sweep and of the evolution (summed over the ensemble members), the
+seconds spent writing the CSV artifacts and the peak resident set size of the
+process so far.
 """
 
 import argparse
@@ -66,6 +69,8 @@ def main() -> int:
             f"P_left={ledger.p_left:.4f} P_right={ledger.p_right:.4f} "
             f"P_ext={ledger.p_ext:.4f} converged={ledger.converged} "
             f"residual_max={summary['residual_max']:.2e} "
+            f"eig_condition={_sci(summary['eig_condition'])} "
+            f"pole_check_error={_sci(summary['pole_check_error'])} "
             f"synthesis_leak={_sci(summary['synthesis_leak'])} "
             f"oscillation={_sci(oscillation.get('frequency'))} {cavity} "
             f"captured_right={profiles['right']['captured']:.5f} "

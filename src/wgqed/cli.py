@@ -8,11 +8,12 @@ decay rates and any vacuum-Rabi oscillation, and write the run artifacts
 oscillating run also reports its cavity model, read off the poles of the
 Dicke amplitude <psi0|b(t)> on uniform times (analytic.fit_jc_trace).
 
-A Markovian run takes its trajectory, spectra, weights and profiles in closed
-form from one modal expansion (the "poles" route).  The retarded kernel, and a
-resonant H whose expansion is unusable or fails its check, take the resolvent
-sweep over the frequency grid and synthesise the trajectory from it too (the
-"sweep" route).
+The kernel picks the route.  A Markovian run takes its trajectory, spectra,
+weights and profiles in closed form from one modal expansion (the "poles"
+route); an expansion that is unusable or fails its check raises
+NumericalError.  A retarded run takes the resolvent sweep over the frequency
+grid and synthesises the trajectory from it (the "sweep" route), with no
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -71,7 +72,6 @@ from .model import (
 )
 from .spectral import (
     GridResolutionError,
-    ResolventSet,
     SpectralGrid,
     build_grid,
     check_residual,
@@ -82,10 +82,10 @@ from .spectral import (
 
 FORMAT_VERSION = 1
 
-# Grid half-span (in units of the fastest collective rate) for the emission
-# sweep.  The resonant kernel needs the wide span for 1e-3 spectral-weight
-# accuracy; on the poles route its grid is only reported (and swept if the
-# route falls back).  The retarded synthesis subtracts the delayed
+# Grid half-span (in units of the fastest collective rate).  The resonant
+# kernel's grid is only reported, and the pole spectra sample it when read; it
+# keeps the span a resonant sweep needs for 1e-3 spectral-weight accuracy.
+# The retarded kernel is swept on its grid.  Its synthesis subtracts the delayed
 # second-order term of x and the two leading terms of the outgoing fields and
 # adds their transforms back exactly, so its truncation error falls as
 # 1/span^2: at 50, b(t) is within 1e-6 and the profiles within 2e-5 of their
@@ -102,8 +102,8 @@ LEAK_PROBES = 16
 DICKE_SAMPLES = 256
 
 # The poles route checks its modal resolvent against the resolvent at this many
-# detunings over +/- Gamma_fast, and falls back to the sweep when the largest
-# deviation exceeds POLE_CHECK_TOL of the largest |x| there.
+# detunings over +/- Gamma_fast, and raises when the largest deviation exceeds
+# POLE_CHECK_TOL of the largest |x| there.
 POLE_CHECK_POINTS = 9
 POLE_CHECK_TOL = 1e-8
 
@@ -186,13 +186,12 @@ class MemberRun:
     array: AtomArray
     series: ProbabilitySeries
     record: EmissionRecord
-    overlap: float
+    overlap: Optional[float]  # None on the retarded route
     timings: dict
     grid: SpectralGrid
     residual_max: float
-    route: str  # "poles" or "sweep"
     eig_condition: Optional[float]  # None on the retarded route
-    pole_check_error: Optional[float]  # None when the check did not run
+    pole_check_error: Optional[float]  # None on the retarded route
     synthesis_leak: Optional[float]  # None unless the trajectory was synthesised
     dicke: tuple[np.ndarray, np.ndarray]  # (t, <psi0|b(t)>) on uniform times
 
@@ -376,51 +375,39 @@ def _resolve_chain(config: RunConfig) -> tuple[ChainSpec, float]:
     return chain, t_ext
 
 
-def _spectral_source(
-    modes: Optional[ModalExpansion],
+def _pole_check(
+    modes: ModalExpansion,
     ham: EffectiveHamiltonian,
     array: AtomArray,
     params: PhysParams,
     psi0: StateVector,
-    grid: SpectralGrid,
     gamma_fast: float,
-    workers: int,
-) -> tuple[Union[ModalExpansion, ResolventSet], float, Optional[float]]:
-    """What the spectra come from, its residual, and the pole check's deviation.
+) -> float:
+    """The deviation of the modal resolvent from the run's own.
 
-    A usable modal expansion (modes is None on the retarded route) must match
-    the resolvent of the run's H at POLE_CHECK_POINTS detunings: the sweep's,
-    or dense solves when H carries the free-space term, which the sweep lacks
-    (such a run raises where it would fall back).  Otherwise the grid is swept.
+    The expansion must be usable and match the resolvent of the run's H at
+    POLE_CHECK_POINTS detunings over +/- gamma_fast (the sweep's, or dense
+    solves when H carries the free-space term, which the sweep lacks), and
+    its residual must pass check_residual; otherwise NumericalError.
     """
-    check_error = None
-    if modes is not None and modes.coeffs is not None:
-        check_grid = SpectralGrid(-gamma_fast, gamma_fast, POLE_CHECK_POINTS, 0.0)
-        if ham.includes_free_space:
-            mats = check_grid.deltas[:, None, None] * np.eye(array.n_atoms) - ham.matrix
-            exact = np.linalg.solve(mats, psi0.amplitudes)
-        else:
-            exact = resolvent_sweep(
-                array, params, psi0, check_grid, retarded=False, ham=ham
-            ).resolvent()
-        deviation = np.max(np.abs(modes.resolvent(check_grid.deltas) - exact))
-        check_error = float(deviation / np.max(np.abs(exact)))
-        if check_error <= POLE_CHECK_TOL:
-            check_residual(modes.residual, psi0.amplitudes)
-            return modes, modes.residual, check_error
+    modes.check_usable()
+    check_grid = SpectralGrid(-gamma_fast, gamma_fast, POLE_CHECK_POINTS, 0.0)
     if ham.includes_free_space:
-        why = (
-            f"eigenvector condition number {modes.condition:.3g}"
-            if check_error is None
-            else f"pole check deviation {check_error:.3g}"
-        )
+        mats = check_grid.deltas[:, None, None] * np.eye(array.n_atoms) - ham.matrix
+        exact = np.linalg.solve(mats, psi0.amplitudes)
+    else:
+        exact = resolvent_sweep(
+            array, params, psi0, check_grid, retarded=False, ham=ham
+        ).resolvent()
+    deviation = np.max(np.abs(modes.resolvent(check_grid.deltas) - exact))
+    check_error = float(deviation / np.max(np.abs(exact)))
+    if not check_error <= POLE_CHECK_TOL:
         raise NumericalError(
-            f"{why} and no fallback sweep: the scattering recursion has no free-space term"
+            f"pole check deviation {check_error:.3g} exceeds POLE_CHECK_TOL = "
+            f"{POLE_CHECK_TOL:g} of the largest |x|"
         )
-    slices = resolvent_sweep(
-        array, params, psi0, grid, retarded=modes is None, workers=workers, ham=ham
-    )
-    return slices, slices.residual_max, check_error
+    check_residual(modes.residual, psi0.amplitudes)
+    return check_error
 
 
 def _member_pipeline(
@@ -441,70 +428,71 @@ def _member_pipeline(
     if free_space:
         ham = add_free_space_coupling(ham, array, params)
     t_grid = default_time_grid(gamma_fast, t_max)
+    # the Dicke amplitude a0 = <psi0|b(t)> on uniform times
+    n_dicke = max(DICKE_SAMPLES, math.ceil(2.0 * gamma_fast * t_max / math.pi) + 1)
+    t_dicke = np.linspace(0.0, t_max, n_dicke)
+    bra = np.conj(psi0.amplitudes)
 
     retarded = method == "spectral"
     span = SPAN_FACTOR_RETARDED if retarded else SPAN_FACTOR_RESONANT
     grid = build_grid(gamma_fast, t_max, span_factor=span)
     timings: dict[str, float] = {}
     tic = time.perf_counter()
-    modes = None if retarded else modal_expansion(ham, psi0)
-    timings["evolution"] = time.perf_counter() - tic
 
-    tic = time.perf_counter()
-    source, residual, check_error = _spectral_source(
-        modes, ham, array, params, psi0, grid, gamma_fast, workers
-    )
-    timings["resolvent_sweep"] = time.perf_counter() - tic
+    def lap(stage: str) -> None:
+        """Add the seconds since the last lap to the stage's timing."""
+        nonlocal tic
+        now = time.perf_counter()
+        timings[stage] = timings.get(stage, 0.0) + now - tic
+        tic = now
 
-    tic = time.perf_counter()
-    spectrum_right = emission_spectrum(source, array, params, +1, grid)
-    spectrum_left = emission_spectrum(source, array, params, -1, grid)
-    timings["emission_spectra"] = time.perf_counter() - tic
-
-    # the trajectory and the Dicke amplitude a0 = <psi0|b(t)> on uniform times:
-    # the pole sums, or the synthesis from the sweep the run took
-    tic = time.perf_counter()
-    n_dicke = max(DICKE_SAMPLES, math.ceil(2.0 * gamma_fast * t_max / math.pi) + 1)
-    t_dicke = np.linspace(0.0, t_max, n_dicke)
-    bra = np.conj(psi0.amplitudes)
-    leak = fluxes = None
-    if source is modes:
-        trajectory = evolve_markovian(ham, psi0, t_grid, modes)
-        dicke = np.exp(-1j * np.outer(t_dicke, modes.evals)) @ ((bra @ modes.vecs) * modes.coeffs)
-    else:
+    if retarded:
+        # the sweep route: the spectra from the fields leaving the chain, b and
+        # a0 synthesised from the resolvent, and the guided outflow |alpha|^2
+        sweep = resolvent_sweep(array, params, psi0, grid, workers=workers, ham=ham)
+        lap("resolvent_sweep")
+        spectra = [emission_spectrum(sweep, array, params, d, grid) for d in (+1, -1)]
+        lap("emission_spectra")
         probe = -default_time_grid(gamma_fast, t_max, n=LEAK_PROBES)[:0:-1]
         times = np.concatenate([probe, t_grid, t_dicke])
-        amps = time_domain(source, times).amplitudes
+        amps = time_domain(sweep, times).amplitudes
         n_log = len(probe) + len(t_grid)
-        leak = synthesis_leak(source, AmplitudeTrajectory(times[:n_log], amps[:n_log]))
+        leak = synthesis_leak(sweep, AmplitudeTrajectory(times[:n_log], amps[:n_log]))
         trajectory = AmplitudeTrajectory(t_grid, amps[len(probe) : n_log])
         dicke = amps[n_log:] @ bra
-    if retarded:
-        # the guided outflow |alpha(t)|^2 of the fields leaving the chain; the
-        # resonant kernel takes the directional fluxes of b on either route
-        alpha = sampled_amplitudes([spectrum_right, spectrum_left], t_grid)
+        alpha = sampled_amplitudes(spectra, t_grid)
         fluxes = tuple(np.abs(alpha.T) ** 2)
-    timings["evolution"] += time.perf_counter() - tic
+        lap("evolution")
+        residual, condition, check_error, overlap = sweep.residual_max, None, None, None
+    else:
+        # the poles route: everything in closed form from the checked modal
+        # expansion; the guided fluxes are the directional fluxes of b
+        modes = modal_expansion(ham, psi0)
+        lap("evolution")
+        check_error = _pole_check(modes, ham, array, params, psi0, gamma_fast)
+        lap("resolvent_sweep")
+        spectra = [emission_spectrum(modes, array, params, d, grid) for d in (+1, -1)]
+        lap("emission_spectra")
+        trajectory = evolve_markovian(ham, psi0, t_grid, modes)
+        dicke = np.exp(-1j * np.outer(t_dicke, modes.evals)) @ ((bra @ modes.vecs) * modes.coeffs)
+        lap("evolution")
+        overlap = superradiant_overlap(ham, psi0)
+        lap("superradiant_overlap")
+        residual, condition, leak, fluxes = modes.residual, modes.condition, None, None
 
     series = probabilities(trajectory, psi0, array, params, fluxes, ham.free_space_decay)
 
     tic = time.perf_counter()
     tau = default_tau_grid(t_max)
-    profile_right = spatial_profile(spectrum_right, tau)
-    profile_left = spatial_profile(spectrum_left, tau)
-    ledger = energy_ledger(series, spectrum_right.weight, spectrum_left.weight)
-    timings["profiles_ledger"] = time.perf_counter() - tic
-
+    spectrum_right, spectrum_left = spectra
     record = EmissionRecord(
         spectrum_right=spectrum_right,
         spectrum_left=spectrum_left,
-        profile_right=profile_right,
-        profile_left=profile_left,
-        ledger=ledger,
+        profile_right=spatial_profile(spectrum_right, tau),
+        profile_left=spatial_profile(spectrum_left, tau),
+        ledger=energy_ledger(series, spectrum_right.weight, spectrum_left.weight),
     )
-    tic = time.perf_counter()
-    overlap = superradiant_overlap(ham, psi0)
-    timings["superradiant_overlap"] = time.perf_counter() - tic
+    lap("profiles_ledger")
     return MemberRun(
         array,
         series,
@@ -513,8 +501,7 @@ def _member_pipeline(
         timings,
         grid,
         residual,
-        route="poles" if source is modes else "sweep",
-        eig_condition=None if modes is None else modes.condition,
+        eig_condition=condition,
         pole_check_error=check_error,
         synthesis_leak=leak,
         dicke=(t_dicke, dicke),
@@ -620,8 +607,7 @@ def run(config: RunConfig) -> RunResult:
         regime.strong_coupling = jc_fit.g > 0.25 * jc_fit.kappa
 
     total = time.perf_counter() - wall_start
-    checks = [m.pole_check_error for m in members if m.pole_check_error is not None]
-    leaks = [m.synthesis_leak for m in members if m.synthesis_leak is not None]
+    swept = method == "spectral"
     summary = RunSummary(
         {
             "format_version": FORMAT_VERSION,
@@ -653,12 +639,10 @@ def run(config: RunConfig) -> RunResult:
                 "alias_window": first.grid.alias_window,
             },
             "residual_max": max(m.residual_max for m in members),
-            "route": "poles" if all(m.route == "poles" for m in members) else "sweep",
-            "eig_condition": None
-            if method == "spectral"
-            else max(m.eig_condition for m in members),
-            "pole_check_error": max(checks) if checks else None,
-            "synthesis_leak": max(leaks) if leaks else None,
+            "route": "sweep" if swept else "poles",
+            "eig_condition": None if swept else max(m.eig_condition for m in members),
+            "pole_check_error": None if swept else max(m.pole_check_error for m in members),
+            "synthesis_leak": max(m.synthesis_leak for m in members) if swept else None,
             "profiles": {
                 name: {"captured": profile.captured, "covers_support": profile.covers_support}
                 for name, profile in (

@@ -1,11 +1,11 @@
 """Markovian time evolution and the excitation-probability bookkeeping.
 
 b(t) = exp(-i H t) psi0 via eigendecomposition of the complex symmetric H;
-when the eigenvectors are too ill-conditioned the runner synthesises b(t) from
-the resolvent sweep instead.  The probability series tracks p, p0, p_a and
-the cumulative energy emitted into each decay channel.  Under the resonant
-kernel the directional guided fluxes follow from the rank-2 structure of the
-coherent channel:
+eigenvectors too ill-conditioned for it (CONDITION_MAX) raise NumericalError,
+as the resonant kernel has no other route.  The probability series tracks p,
+p0, p_a and the cumulative energy emitted into each decay channel.  Under the
+resonant kernel the directional guided fluxes follow from the rank-2
+structure of the coherent channel:
 
     Phi_+/- (t) = (Gamma_wg / 2) |sum_a e^{-/+ i k_wg z_a} b_a(t)|^2 ,
 
@@ -37,8 +37,8 @@ if TYPE_CHECKING:
     from .emission import PoleTable
 
 # Eigenvector condition number beyond which the modal expansion is unusable
-# (near-defective spectra) and the run takes the resolvent sweep instead.
-CONDITION_FALLBACK = 1e8
+# (near-defective spectra).
+CONDITION_MAX = 1e8
 
 # Relative gap below which superradiant_overlap treats the fastest decay rates
 # as one degenerate cluster.
@@ -46,7 +46,8 @@ DEGENERACY_TOL = 1e-8
 
 
 class NumericalError(RuntimeError):
-    """No trustworthy route: an unusable expansion, or a residual over its gate."""
+    """No trustworthy result: an unusable expansion, a failed pole check, or a
+    residual over its gate."""
 
 
 @dataclass
@@ -133,7 +134,7 @@ class ModalExpansion:
     Every resonant quantity is a pole sum over it: b(t) = V e^{-i Lambda t} c
     and x(delta) = [delta - H]^-1 psi0 = V (delta - Lambda)^-1 c.  coeffs is
     None, and the expansion unusable, when the eigenvector condition number
-    exceeds CONDITION_FALLBACK.  residual is max(|H V - V Lambda|, |V c - psi0|),
+    exceeds CONDITION_MAX.  residual is max(|H V - V Lambda|, |V c - psi0|),
     the largest column norm of the first.  pole_table is the emission
     PoleTable that the directional spectra built on this expansion share.
     """
@@ -150,6 +151,15 @@ class ModalExpansion:
         deltas = np.asarray(deltas, dtype=float)
         return (self.coeffs / (deltas[:, None] - self.evals)) @ self.vecs.T
 
+    def check_usable(self) -> None:
+        """Raise NumericalError when the expansion is unusable."""
+        if self.coeffs is None:
+            raise NumericalError(
+                f"eigenvector condition number {self.condition:.3g} exceeds "
+                f"CONDITION_MAX = {CONDITION_MAX:g}: the modal expansion is unusable; "
+                "--method spectral takes the resolvent sweep, which needs no eig"
+            )
+
 
 def modal_expansion(ham: EffectiveHamiltonian, psi0: StateVector) -> ModalExpansion:
     """Expand psi0 on the cached eigenvectors of a resonant H."""
@@ -157,7 +167,7 @@ def modal_expansion(ham: EffectiveHamiltonian, psi0: StateVector) -> ModalExpans
         raise NumericalError("effective Hamiltonian contains non-finite entries")
     evals, vecs = ham.eigensystem
     cond = float(np.linalg.cond(vecs))
-    if not np.isfinite(cond) or cond > CONDITION_FALLBACK:
+    if not np.isfinite(cond) or cond > CONDITION_MAX:
         return ModalExpansion(evals, vecs, cond)
     psi = psi0.amplitudes
     coeffs = np.linalg.solve(vecs, psi)
@@ -184,10 +194,7 @@ def evolve_markovian(
         raise ValueError("time grid must start at 0 and be strictly increasing")
     if modes is None:
         modes = modal_expansion(ham, psi0)
-    if modes.coeffs is None:
-        raise NumericalError(
-            f"eigenvector condition number {modes.condition:.3g} exceeds {CONDITION_FALLBACK:g}"
-        )
+    modes.check_usable()
     phases = np.exp(-1j * np.outer(t_grid, modes.evals))
     amps = (phases * modes.coeffs) @ modes.vecs.T
     return AmplitudeTrajectory(t=t_grid, amplitudes=amps)

@@ -275,6 +275,17 @@ def test_bad_chain_counts_exit_with_an_error(tmp_path, capsys, body):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["0", "-1.2", "nan"])
+def test_bad_lambda0_exits_with_an_error(tmp_path, capsys, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        f"[run]\nscenario = bare\nscale = 0.05\nfree_space = true\n[params]\nlambda0 = {value}\n"
+    )
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lambda0 must be finite and positive" in err
+
+
 def test_scale_applies_to_a_custom_chain(tmp_path):
     path = tmp_path / "chain.cfg"
     path.write_text("[run]\nmethod = markovian\n[chain]\nn_left = 4\nn_center = 4\nn_right = 4\n")
@@ -519,7 +530,7 @@ def test_ensemble_captures_follow_the_averaged_profiles():
         assert profile.covers_support == (expected >= 0.99)
 
 
-# --- the poles route and its fallbacks ---------------------------------------------
+# --- the poles route and its checks ------------------------------------------------
 
 
 def _record_sweeps(monkeypatch):
@@ -560,82 +571,66 @@ def test_retarded_run_reports_the_sweep_route():
     assert summary["pole_check_error"] is None
 
 
-def test_ill_conditioned_eigenvectors_fall_back_to_the_sweep(monkeypatch):
-    # the fallback synthesises its trajectory from the sweep it takes for the
-    # spectra, and keeps the resonant directional fluxes of b
-    import wgqed.dynamics
-
-    cfg = dict(scenario="fig2", scale=0.1, method="markovian")
-    poles = run(RunConfig(**cfg))
-    monkeypatch.setattr(wgqed.dynamics, "CONDITION_FALLBACK", 1.0)
-    sizes = _record_sweeps(monkeypatch)
-    fallback = run(RunConfig(**cfg))
-    ref, got = poles.summary.data, fallback.summary.data
-    assert ref["route"] == "poles" and got["route"] == "sweep"
-    assert sizes == [got["grid"]["n_points"]]
-    assert got["pole_check_error"] is None
-    assert got["eig_condition"] == ref["eig_condition"]
-    assert got["synthesis_leak"] is not None and got["synthesis_leak"] <= 1e-6
-    assert np.max(np.abs(fallback.series.p - poles.series.p)) <= 1e-6
-    assert np.max(np.abs(fallback.series.p0 - poles.series.p0)) <= 1e-6
-    for key in ("P_left", "P_right", "P_raman", "P_ext", "residual", "guided_route_discrepancy"):
-        assert got["ledger"][key] == pytest.approx(ref["ledger"][key], abs=1e-6)
+def test_retarded_run_makes_no_eig(monkeypatch):
+    # the overlap belongs to the Markovian model: a retarded run reports none
+    # and makes no O(N^3) step
+    calls = []
+    original = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: calls.append(1) or original(*a, **k))
+    summary = run(RunConfig(scenario="fig7b", scale=0.05)).summary.data
+    assert summary["config"]["method"] == "spectral"
+    assert calls == []
+    assert summary["superradiant_overlap"] is None
+    assert all("superradiant_overlap" not in m for m in summary["timings"]["members"])
 
 
-def test_failed_pole_check_falls_back_to_the_sweep(monkeypatch):
+@pytest.mark.parametrize(
+    "target, value, fragment",
+    [
+        ("wgqed.dynamics.CONDITION_MAX", 1.0,
+         "eigenvector condition number .* exceeds CONDITION_MAX = 1: .* --method spectral"),
+        ("wgqed.cli.POLE_CHECK_TOL", 0.0, "pole check deviation .* exceeds POLE_CHECK_TOL = 0"),
+        # the modal residual's gate; the guided check's sweep meets it first
+        ("wgqed.spectral.RESIDUAL_TOL", 0.0, "resolvent residual"),
+    ],
+    ids=["ill-conditioned", "pole-check", "residual-gate"],
+)
+@pytest.mark.parametrize("free_space", [False, True], ids=["guided", "free-space"])
+def test_untrusted_expansion_raises_before_it_evolves(
+    monkeypatch, free_space, target, value, fragment
+):
+    # the resonant kernel has one route: an expansion that is unusable or
+    # fails its check raises, and nothing is evolved from it
     import wgqed.cli
 
-    monkeypatch.setattr(wgqed.cli, "POLE_CHECK_TOL", 0.0)
-    summary = run(RunConfig(scenario="bare", scale=0.05, method="markovian")).summary.data
-    assert summary["route"] == "sweep"
-    assert summary["synthesis_leak"] is not None
-    assert summary["pole_check_error"] > 0.0
-    assert summary["ledger"]["converged"] is True
-
-
-def test_free_space_run_that_needs_the_sweep_raises(monkeypatch):
-    # the pole check solves the free-space H densely; the fallback sweep's
-    # recursion has no free-space term, and the run raises before it evolves
-    import wgqed.cli
-    import wgqed.dynamics
-
-    cfg = RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=True)
+    cfg = RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=free_space)
     summary = run(cfg).summary.data
     assert summary["route"] == "poles"
     assert summary["pole_check_error"] <= 1e-8
-    monkeypatch.setattr(wgqed.dynamics, "CONDITION_FALLBACK", 1.0)
+    monkeypatch.setattr(target, value)
     evolved = []
     original = wgqed.cli.evolve_markovian
     monkeypatch.setattr(
         wgqed.cli, "evolve_markovian", lambda *a, **k: evolved.append(a) or original(*a, **k)
     )
-    with pytest.raises(NumericalError, match="eigenvector condition number .* no free-space term"):
+    with pytest.raises(NumericalError, match=fragment):
         run(cfg)
     assert evolved == []
 
 
 @pytest.mark.parametrize(
-    "target, value, argv, fragment",
+    "target, value, fragment",
     [
-        ("wgqed.dynamics.CONDITION_FALLBACK", 1.0, ["--free-space"], "no free-space term"),
-        ("wgqed.spectral.RESIDUAL_TOL", 0.0, [], "resolvent residual"),
+        ("wgqed.dynamics.CONDITION_MAX", 1.0, "eigenvector condition number"),
+        ("wgqed.spectral.RESIDUAL_TOL", 0.0, "resolvent residual"),
     ],
-    ids=["free-space-fallback", "residual-gate"],
+    ids=["ill-conditioned", "residual-gate"],
 )
-def test_numerical_errors_exit_with_an_error(monkeypatch, capsys, target, value, argv, fragment):
+def test_numerical_errors_exit_with_an_error(monkeypatch, capsys, target, value, fragment):
     monkeypatch.setattr(target, value)
-    assert main(["--scenario", "bare", "--scale", "0.05", "--method", "markovian", *argv]) == 2
+    assert main(["--scenario", "bare", "--scale", "0.05", "--method", "markovian"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
-
-
-def test_free_space_run_that_fails_the_pole_check_raises(monkeypatch):
-    import wgqed.cli
-
-    cfg = RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=True)
-    monkeypatch.setattr(wgqed.cli, "POLE_CHECK_TOL", 0.0)
-    with pytest.raises(NumericalError, match="pole check deviation .* no free-space term"):
-        run(cfg)
 
 
 def test_free_space_weights_come_from_the_run_hamiltonian():

@@ -1,10 +1,9 @@
 """Runs load no scipy module: numpy is the whole import graph.
 
-That holds for Markovian runs, for oscillating runs on either route, whose
-cavity model is linear algebra on the poles of the Dicke amplitude, and for
-a resonant run whose ill-conditioned eigenvectors send it to the sweep, which
-synthesises its trajectory.  scipy is a test dependency only.  Each case runs
-in a fresh interpreter, so no other test's imports leak in.
+That holds for Markovian runs, and for oscillating runs on either route,
+whose cavity model is linear algebra on the poles of the Dicke amplitude.
+scipy is a test dependency only.  Each case runs in a fresh interpreter, so no
+other test's imports leak in.
 """
 
 import json
@@ -15,35 +14,26 @@ from pathlib import Path
 
 import pytest
 
-from wgqed.dynamics import CONDITION_FALLBACK
-
 ROOT = Path(__file__).resolve().parent.parent
 
 PROGRAM = """
 import json, sys
 import wgqed
-import wgqed.cli
-import wgqed.dynamics
 from wgqed.cli import RunConfig, run
-
-wgqed.dynamics.CONDITION_FALLBACK = {condition_fallback!r}
 
 result = run(RunConfig(scenario={scenario!r}, scale={scale!r}, seed={seed!r}))
 print(json.dumps({{
     "method": result.summary.data["config"]["method"],
-    "route": result.summary.data["route"],
     "jc_fit": result.summary.data["jc_fit"] is not None,
     "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
 }}))
 """
 
 
-def _report(scenario, scale, seed=0, condition_fallback=CONDITION_FALLBACK) -> dict:
+def _report(scenario, scale, seed=0) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    program = PROGRAM.format(
-        scenario=scenario, scale=scale, seed=seed, condition_fallback=condition_fallback
-    )
+    program = PROGRAM.format(scenario=scenario, scale=scale, seed=seed)
     proc = subprocess.run(
         [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=120
     )
@@ -67,9 +57,3 @@ def test_oscillating_run_loads_no_scipy(scenario, scale, method):
     assert report["jc_fit"] is True
     assert report["scipy"] == []
 
-
-def test_ill_conditioned_run_loads_no_scipy():
-    report = _report("fig2", 0.05, condition_fallback=1.0)
-    assert report["method"] == "markovian"
-    assert report["route"] == "sweep"
-    assert report["scipy"] == []

@@ -50,6 +50,9 @@ def test_default_params():
         {"v_g": float("nan")},
         {"gamma_ext": 1.0},          # must stay below gamma = 1
         {"gamma_ext": 0.85},         # Purcell: gamma_ext + gamma_1d must exceed 1
+        {"lambda0": 0.0},
+        {"lambda0": -1.2},
+        {"lambda0": float("nan")},
     ],
 )
 def test_params_invariants(kwargs):
