@@ -10,8 +10,10 @@ long-cavity scenarios to take a while at that size.  Each scenario prints one
 line: its method and route, the ledger, the largest resolvent residual, the
 eigenvector condition number and the pole check's deviation (None on the
 sweep route; a run near their limits, CONDITION_MAX and POLE_CHECK_TOL, is
-close to raising NumericalError), the synthesis leak (the window error of a
-synthesised trajectory; None on the poles route), the vacuum-Rabi
+close to raising NumericalError), the frequency grid's number of points and
+alias-free window (swept on the sweep route, only reported on the poles
+route), the synthesis leak (the window error of a synthesised trajectory, at
+most LEAK_TOL in a converged run; None on the poles route), the vacuum-Rabi
 oscillation frequency of p0 and the cavity model read off the poles (g, kappa,
 gamma_e and the pencil's pole_rms; None without an oscillation), the captured
 fractions of the right and left profiles, the wall time, the seconds of the
@@ -71,6 +73,8 @@ def main() -> int:
             f"residual_max={summary['residual_max']:.2e} "
             f"eig_condition={_sci(summary['eig_condition'])} "
             f"pole_check_error={_sci(summary['pole_check_error'])} "
+            f"grid_points={summary['grid']['n_points']} "
+            f"alias_window={summary['grid']['alias_window']:.4g} "
             f"synthesis_leak={_sci(summary['synthesis_leak'])} "
             f"oscillation={_sci(oscillation.get('frequency'))} {cavity} "
             f"captured_right={profiles['right']['captured']:.5f} "

@@ -90,12 +90,18 @@ FORMAT_VERSION = 1
 # adds their transforms back exactly, so its truncation error falls as
 # 1/span^2: at 50, b(t) is within 1e-6 and the profiles within 2e-5 of their
 # peak on fig7b at scales 0.05 and 0.1.  Every grid takes SpectralGrid's
-# default 0.1 taper per edge.
+# default 0.1 taper per edge, and an alias-free window of at least 2 t_max
+# (build_grid), which holds the run only if b has decayed by t_max: the leak
+# probes check that.
 SPAN_FACTOR_RESONANT = 400.0
 SPAN_FACTOR_RETARDED = 50.0
 # A synthesised trajectory is also evaluated at this many negative times, log
-# spaced down to -t_max, where b vanishes exactly (synthesis_leak).
+# spaced down to -t_max, where b vanishes exactly (synthesis_leak).  A probe at
+# -t reads the alias b(W - t) of the window W, so a swept run is converged only
+# if its leak is at most LEAK_TOL: a decade over the 2-6e-7 that the shipped
+# cavities read, and far under what a t_max shorter than the decay reads.
 LEAK_PROBES = 16
+LEAK_TOL = 1e-5
 # The Dicke amplitude <psi0|b(t)> is sampled on at least this many uniform
 # times over [0, t_max], and densely enough that pi/dt >= 2 Gamma_fast, for
 # the harmonic inversion of fit_jc_trace.
@@ -594,6 +600,10 @@ def run(config: RunConfig) -> RunResult:
             np.mean([m.record.profile_left.alpha2 for m in members], axis=0),
             record.ledger.p_left,
         )
+    swept = method == "spectral"
+    leak = max(m.synthesis_leak for m in members) if swept else None
+    if swept and not leak <= LEAK_TOL:
+        record.ledger.converged = False
     tic = time.perf_counter()
     rates = fit_early_late(series)
     stage = fast_stage_end(series, rates["late"])
@@ -607,7 +617,6 @@ def run(config: RunConfig) -> RunResult:
         regime.strong_coupling = jc_fit.g > 0.25 * jc_fit.kappa
 
     total = time.perf_counter() - wall_start
-    swept = method == "spectral"
     summary = RunSummary(
         {
             "format_version": FORMAT_VERSION,
@@ -642,7 +651,7 @@ def run(config: RunConfig) -> RunResult:
             "route": "sweep" if swept else "poles",
             "eig_condition": None if swept else max(m.eig_condition for m in members),
             "pole_check_error": None if swept else max(m.pole_check_error for m in members),
-            "synthesis_leak": max(m.synthesis_leak for m in members) if swept else None,
+            "synthesis_leak": leak,
             "profiles": {
                 name: {"captured": profile.captured, "covers_support": profile.covers_support}
                 for name, profile in (

@@ -134,7 +134,10 @@ class SpectralGrid:
         stencil = np.floor(x / node).astype(int)[:, None] + np.arange(
             1 - HALF_WIDTH, HALF_WIDTH + 1
         )
-        kernel = np.exp(-((x[:, None] - node * stencil) ** 2) / (4.0 * tau)) / length
+        # one (1, 2 HALF_WIDTH) row per time, for a real batched matmul against
+        # the float view of the gathered (2 HALF_WIDTH, columns) nodes
+        kernel = np.exp(-((x[:, None, None] - node * stencil[:, None]) ** 2) / (4.0 * tau))
+        kernel /= length
         stencil %= length
         shift = np.exp(-1j * (self.delta_min + h * self.spacing) * times)
 
@@ -150,7 +153,10 @@ class SpectralGrid:
             block[:, m - h : length - h] = 0.0
             np.multiply(cols[:, :h], weights[:h], out=block[:, length - h :])
             np.fft.fft(block, axis=1, out=block)
-            out[:, lo : lo + FFT_COLUMNS] = np.einsum("js,cjs->jc", kernel, block[:, stencil])
+            # no name holds the gathered nodes, so one group's are freed
+            # before the next group's are gathered
+            interpolated = (kernel @ block.T[stencil].view(float)).view(complex)
+            out[:, lo : lo + FFT_COLUMNS] = interpolated[:, 0]
         out *= shift[:, None]
         return out.reshape((len(times),) + values.shape[1:])
 
@@ -264,8 +270,13 @@ def build_grid(
     """Smallest power-of-two grid satisfying the span and spacing rules.
 
     Span: at least +/- span_factor * Gamma_fast, with span_factor at least
-    MIN_SPAN_FACTOR.  Spacing: at most 2 pi / (8 t_max) so the alias-free
-    window is 8 t_max.  The grid takes SpectralGrid's default taper.
+    MIN_SPAN_FACTOR.  Spacing: at most 2 pi / (2 t_max), so that the
+    alias-free window is at least 2 t_max.  The discrete sum aliases
+    b(t + W) onto t, so for a decaying b the window need only hold
+    [-t_max, t_max]: a leak probe at -t reads b(W - t), t_max <= W - t < W,
+    which bounds the alias at positive times (synthesis_leak).  The window is
+    compared as time_domain computes it, so that +/- t_max are accepted in
+    floating point too.  The grid takes SpectralGrid's default taper.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
@@ -274,14 +285,14 @@ def build_grid(
     if not span_factor >= MIN_SPAN_FACTOR:
         raise ValueError(f"span_factor must be at least {MIN_SPAN_FACTOR:g}")
     half_span = span_factor * gamma_fast
-    spacing_max = 2.0 * math.pi / (8.0 * t_max)
-    n_req = math.ceil(2.0 * half_span / spacing_max) + 1
-    n_points = 1 << max(math.ceil(math.log2(n_req)), 4)
-    if n_points > MAX_GRID_POINTS:
-        raise GridResolutionError(
-            f"{n_points} grid points exceed the cap {MAX_GRID_POINTS}; "
-            "reduce t_max or the system size"
-        )
+    n_points = 16
+    while SpectralGrid(-half_span, half_span, n_points).alias_window < 2.0 * t_max:
+        if n_points >= MAX_GRID_POINTS:
+            raise GridResolutionError(
+                f"the grid points for an alias-free window of {2.0 * t_max:.3g} "
+                f"exceed the cap {MAX_GRID_POINTS}; reduce t_max or the system size"
+            )
+        n_points *= 2
     return SpectralGrid(-half_span, half_span, n_points)
 
 
@@ -543,6 +554,11 @@ def time_domain(slices: ResolventSet, t_grid: np.ndarray) -> AmplitudeTrajectory
     probe pure window leakage (causality).  The sweep has already removed the
     delayed second-order term from x; the sum is linear, so the first term is
     subtracted after it and no M x N array is formed.
+
+    The times must lie within half the alias-free window W, which build_grid
+    makes at least 2 t_max.  The sum is periodic in W, so it adds b(t + W) to
+    b(t): small only if b has decayed by t_max, which the leak at -t, b(W - t),
+    bounds (synthesis_leak).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     grid = slices.grid

@@ -732,3 +732,59 @@ def test_oscillating_run_fits_the_cavity_model():
     assert summary["oscillation"] is not None
     assert summary["jc_fit"] is not None
     assert summary["jc_fit"]["g"] > 0
+
+
+# --- the retarded grid: a 2 t_max window, checked by the leak probes ---------------
+
+
+def _grid_of_the_8_t_max_window(gamma_fast, t_max, span_factor):
+    """The oracle: the power-of-two grid spaced at most 2 pi / (8 t_max)."""
+    from wgqed.spectral import SpectralGrid
+
+    half_span = span_factor * gamma_fast
+    n_req = math.ceil(2.0 * half_span * 8.0 * t_max / (2.0 * math.pi)) + 1
+    return SpectralGrid(-half_span, half_span, 1 << max(math.ceil(math.log2(n_req)), 4))
+
+
+@pytest.mark.parametrize("scenario", ["fig7a", "fig7b"])
+def test_retarded_run_matches_the_8_t_max_window(scenario, tmp_path, monkeypatch):
+    import wgqed.cli
+    from wgqed.spectral import SpectralGrid
+
+    out = tmp_path / scenario
+    result = run(RunConfig(scenario=scenario, scale=0.02, out_dir=str(out)))
+    summary = json.loads((out / "summary.json").read_text())
+    grid, t_max = summary["grid"], summary["config"]["t_max"]
+    n = grid["n_points"]
+    assert summary["route"] == "sweep" and summary["converged"] is True
+    # the smallest power of two whose alias-free window holds +/- t_max
+    assert grid["alias_window"] >= 2 * t_max
+    assert SpectralGrid(0.0, grid["spacing"] * (n - 1), n // 2).alias_window < 2 * t_max
+
+    monkeypatch.setattr(wgqed.cli, "build_grid", _grid_of_the_8_t_max_window)
+    oracle = run(RunConfig(scenario=scenario, scale=0.02))
+    assert oracle.summary.data["grid"]["n_points"] == 4 * n
+    for field in ("p", "p0"):
+        got, expected = getattr(result.series, field), getattr(oracle.series, field)
+        assert np.max(np.abs(got - expected)) <= 1e-8
+    ledger, expected = result.record.ledger.as_dict(), oracle.record.ledger.as_dict()
+    for key, value in expected.items():
+        if key == "converged":
+            assert ledger[key] is value
+        else:
+            assert abs(ledger[key] - value) <= 1e-8, key
+
+
+def test_a_t_max_shorter_than_the_decay_is_not_converged():
+    from wgqed.cli import LEAK_TOL
+
+    # at t_max = 7 the cavity still holds p = 2.2e-3: the 2 t_max window aliases
+    # it, which only the leak probes see; both ledger gates pass
+    short = run(RunConfig(scenario="fig7b", scale=0.05, t_max=7.0)).summary.data
+    assert short["synthesis_leak"] > 100 * LEAK_TOL
+    assert short["ledger"]["balance_error"] <= 1e-2
+    assert short["ledger"]["guided_route_discrepancy"] <= 1e-2
+    assert short["converged"] is False and short["ledger"]["converged"] is False
+    default = run(RunConfig(scenario="fig7b", scale=0.05)).summary.data
+    assert default["synthesis_leak"] <= LEAK_TOL
+    assert default["converged"] is True

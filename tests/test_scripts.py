@@ -40,6 +40,10 @@ def test_run_all_figures_writes_every_scenario(tmp_path):
         assert line.split()[0] == name
         assert fields["route"] == summary["route"]
         assert float(fields["residual_max"]) == pytest.approx(summary["residual_max"], rel=1e-2)
+        assert int(fields["grid_points"]) == summary["grid"]["n_points"]
+        assert float(fields["alias_window"]) == pytest.approx(
+            summary["grid"]["alias_window"], rel=1e-3
+        )
         # each route prints its own diagnostics and None for the other's
         swept = summary["config"]["method"] == "spectral"
         for key in ("synthesis_leak", "eig_condition", "pole_check_error"):

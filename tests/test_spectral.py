@@ -20,7 +20,7 @@ from wgqed import (
     transfer_matrix_reflectance,
 )
 from wgqed.analytic import collective_rate
-from wgqed.cli import SCENARIOS, SPAN_FACTOR_RETARDED
+from wgqed.cli import LEAK_TOL, SCENARIOS, SPAN_FACTOR_RETARDED
 from wgqed.dynamics import default_time_grid
 from wgqed.emission import default_tau_grid, emission_spectrum, sampled_amplitudes
 from wgqed.hamiltonian import pair_distances
@@ -40,16 +40,16 @@ from test_hamiltonian import random_array
 
 
 def test_grid_rule_worked_example():
-    # Gamma_fast = 5, t_max = 12: span at least [-100, 100], spacing <= 2 pi/96
+    # Gamma_fast = 5, t_max = 12: span at least [-100, 100], spacing <= 2 pi/24
     grid = build_grid(5.0, t_max=12.0)
-    assert grid.n_points == 4096
+    assert grid.n_points == 1024
     assert grid.delta_min == -100.0 and grid.delta_max == 100.0
-    assert grid.spacing <= 2 * np.pi / 96
+    assert grid.spacing <= 2 * np.pi / 24
 
 
 def test_grid_rule_scales_with_t_max():
     grid = build_grid(5.0, t_max=24.0)
-    assert grid.n_points == 8192
+    assert grid.n_points == 2048
 
 
 def test_grid_rule_errors():
@@ -490,13 +490,14 @@ def test_lead_is_the_fronts_on_the_grid(params, retarded):
 
 @pytest.fixture(scope="module")
 def converged_cavity(params):
-    # fig7b at scale 0.02 (10/2/10 atoms, the long-cavity gap) over t_max = 8:
-    # a reference from test-local dense retarded solves on a span-800 grid,
-    # with the outgoing fields as direct phase sums of them
+    # fig7b at scale 0.02 (10/2/10 atoms, the long-cavity gap) over its default
+    # t_max = 30, by which p has decayed to 6e-13, as the 2 t_max window of
+    # build_grid needs: a reference from test-local dense retarded solves on a
+    # span-800 grid, with the outgoing fields as direct phase sums of them
     arr = build_chain(SCENARIOS["fig7b"].build(0.02, 0, params))
     psi0 = dicke_initial_state(arr, params)
     gamma_fast = collective_rate(10, params)
-    t_max = 8.0
+    t_max = SCENARIOS["fig7b"].t_max_in_ext_lifetimes / params.gamma_ext
     big = resolvent_sweep(arr, params, psi0, build_grid(gamma_fast, t_max, 800), retarded=True)
     deltas = big.deltas
     x = np.concatenate(
@@ -547,6 +548,20 @@ def test_synthesis_leak_tracks_the_trajectory_error(converged_cavity, params):
     assert error / 3 <= leak <= 3 * error
     # negative times alone see only the window error of the short delays
     assert synthesis_leak(slices, replace(traj, t=np.where(times < 0, times, np.inf))) < leak
+
+
+def test_synthesis_leak_reads_the_alias_of_a_short_window(converged_cavity, params):
+    # over t_max = 8 the cavity still holds p = 4.5e-4, so the 2 t_max window
+    # aliases b(t + W) onto t: the leak probes read that error, over LEAK_TOL
+    arr, psi0, gamma_fast, _, _, reference = converged_cavity
+    t = default_time_grid(gamma_fast, 8.0)
+    times = np.concatenate([-t[:0:-64], t])
+    exact = time_domain(reference, times).amplitudes
+    slices, traj = _synthesis(arr, psi0, gamma_fast, 8.0, SPAN_FACTOR_RETARDED, times, params)
+    error = np.max(np.abs(traj.amplitudes - exact))
+    leak = synthesis_leak(slices, traj)
+    assert error / 3 <= leak <= 3 * error
+    assert leak > 100 * LEAK_TOL
 
 
 def test_retarded_profiles_and_outflow_match_a_converged_reference(converged_cavity, params):
@@ -652,6 +667,21 @@ def test_times_beyond_alias_window_rejected(params):
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     with pytest.raises(ValueError, match="alias"):
         time_domain(slices, np.array([0.0, grid.alias_window]))
+
+
+def test_grid_window_holds_t_max_at_the_exact_boundary(params):
+    # 2 half_span / (pi / t_max) = 1023 exactly, so 1024 points would space the
+    # grid at pi / t_max; here that spacing rounds to a window one ulp under
+    # 2 t_max, and the run's own +/- t_max would be rejected
+    gamma_fast = 1.299
+    t_max = np.pi * 1023 / (40.0 * gamma_fast)
+    assert SpectralGrid(-20.0 * gamma_fast, 20.0 * gamma_fast, 1024).alias_window < 2 * t_max
+    grid = build_grid(gamma_fast, t_max)
+    assert grid.alias_window / 2 >= t_max and grid.n_points == 2048
+    arr, psi0 = _single_atom(params)
+    slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
+    traj = time_domain(slices, np.array([-t_max, t_max]))
+    assert np.max(np.abs(traj.amplitudes)) < 1e-10
 
 
 def test_grid_refinement_convergence(params):
