@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dynamics import pole_sums
 from .model import ChainSpec, PhysParams, build_chain
 from .spectral import scattering_sweep
 
@@ -283,7 +284,7 @@ def fit_jc_trace(t: np.ndarray, a0: np.ndarray) -> Optional[JCFit]:
         return None
     total = float(-2.0 * (lam_p + lam_m).imag)
     diff = 2.0 * omega * math.tan(0.5 * np.angle(amp_p / amp_m))
-    doublet = np.exp(-1j * np.outer(t, poles[pair])) @ amps[pair]
+    doublet = pole_sums(poles[pair], amps[pair], t)[:, 0]
     return JCFit(
         g=math.sqrt(0.25 * omega**2 + diff**2 / 16.0),
         kappa=0.5 * (total + diff),

@@ -41,6 +41,7 @@ from .dynamics import (
     evolve_markovian,
     fit_decay_rate,
     modal_expansion,
+    pole_sums,
     probabilities,
     superradiant_overlap,
 )
@@ -480,7 +481,7 @@ def _member_pipeline(
         spectra = [emission_spectrum(modes, array, params, d, grid) for d in (+1, -1)]
         lap("emission_spectra")
         trajectory = evolve_markovian(ham, psi0, t_grid, modes)
-        dicke = np.exp(-1j * np.outer(t_dicke, modes.evals)) @ ((bra @ modes.vecs) * modes.coeffs)
+        dicke = pole_sums(modes.evals, (bra @ modes.vecs) * modes.coeffs, t_dicke)[:, 0]
         lap("evolution")
         overlap = superradiant_overlap(ham, psi0)
         lap("superradiant_overlap")

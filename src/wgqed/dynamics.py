@@ -25,16 +25,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .hamiltonian import EffectiveHamiltonian
 from .model import AtomArray, PhysParams, StateVector, write_csv
-
-if TYPE_CHECKING:
-    from .emission import PoleTable
 
 # Eigenvector condition number beyond which the modal expansion is unusable
 # (near-defective spectra).
@@ -43,6 +40,10 @@ CONDITION_MAX = 1e8
 # Relative gap below which superradiant_overlap treats the fastest decay rates
 # as one degenerate cluster.
 DEGENERACY_TOL = 1e-8
+
+# Rows per block of a table over the poles built directly (pole_sums on a
+# non-uniform grid, the sampling of a pole spectrum).
+CHUNK = 128
 
 
 class NumericalError(RuntimeError):
@@ -127,6 +128,49 @@ def _evolve_expm(ham: EffectiveHamiltonian, psi0: np.ndarray, t_grid: np.ndarray
     return amps
 
 
+def _uniform_step(t: np.ndarray) -> Optional[float]:
+    """The step s of a grid that t[0] + s * arange(n) reproduces to a few ulps
+    of max |t|; None for any other grid."""
+    n = len(t)
+    step = (t[-1] - t[0]) / (n - 1) if n > 1 else 0.0
+    tol = 4.0 * np.spacing(np.max(np.abs(t)))
+    return step if np.all(np.abs(t[0] + step * np.arange(n) - t) <= tol) else None
+
+
+def pole_sums(poles: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_j W_rj e^{-i lambda_j t} at each time, shape (len(t), rows).
+
+    weights W has one row per sum (a 1-D W is one row) and one column per
+    pole.  On a uniform grid t_m = t_0 + m s, with m = b K + k and
+    K = ceil(sqrt(n)), every phase factorises as
+    e^{-i lambda (t_0 + b K s)} e^{-i lambda k s}: two tables of about
+    sqrt(n) rows each, and one product of them per row of W.  Any other grid
+    builds the direct e^{-i lambda t} table CHUNK rows at a time.  Neither
+    path holds a len(t) x len(poles) table.
+    """
+    poles = np.asarray(poles)
+    weights = np.atleast_2d(weights)
+    t = np.asarray(t, dtype=float)
+    n = len(t)
+    out = np.empty((n, len(weights)), dtype=complex)
+    if n == 0:
+        return out
+    step = _uniform_step(t)
+    if step is None:
+        for lo in range(0, n, CHUNK):
+            block = np.outer(t[lo : lo + CHUNK], -1j * poles)
+            np.exp(block, out=block)
+            out[lo : lo + CHUNK] = block @ weights.T
+        return out
+    size = math.isqrt(n - 1) + 1
+    fine = np.exp(np.outer(step * np.arange(size), -1j * poles))
+    coarse = np.exp(np.outer(t[0] + step * np.arange(0, n, size), -1j * poles))
+    for r, w in enumerate(weights):
+        # entry (b, k) is the sum at t_{bK+k}; the last block overhangs t
+        out[:, r] = (coarse @ (fine * w).T).ravel()[:n]
+    return out
+
+
 @dataclass
 class ModalExpansion:
     """psi0 = V c over the right eigenvectors V of a resonant H = V Lambda V^-1.
@@ -135,8 +179,8 @@ class ModalExpansion:
     and x(delta) = [delta - H]^-1 psi0 = V (delta - Lambda)^-1 c.  coeffs is
     None, and the expansion unusable, when the eigenvector condition number
     exceeds CONDITION_MAX.  residual is max(|H V - V Lambda|, |V c - psi0|),
-    the largest column norm of the first.  pole_table is the emission
-    PoleTable that the directional spectra built on this expansion share.
+    the largest column norm of the first.  Each sum over the poles is taken
+    by pole_sums on its own time grid; nothing is cached here.
     """
 
     evals: np.ndarray
@@ -144,7 +188,6 @@ class ModalExpansion:
     condition: float
     coeffs: Optional[np.ndarray] = None
     residual: float = math.inf
-    pole_table: Optional[PoleTable] = field(default=None, repr=False, compare=False)
 
     def resolvent(self, deltas: np.ndarray) -> np.ndarray:
         """x(delta) at each detuning, shape (len(deltas), n_atoms)."""
@@ -187,7 +230,8 @@ def evolve_markovian(
     """Propagate the initial state under the resonant effective Hamiltonian.
 
     modes is the run's expansion of psi0 (built here when not given); an
-    unusable one raises NumericalError.
+    unusable one raises NumericalError.  b(t) is the pole sum with weights
+    V_aj c_j, one row per atom, taken by pole_sums on t_grid itself.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
@@ -195,8 +239,7 @@ def evolve_markovian(
     if modes is None:
         modes = modal_expansion(ham, psi0)
     modes.check_usable()
-    phases = np.exp(-1j * np.outer(t_grid, modes.evals))
-    amps = (phases * modes.coeffs) @ modes.vecs.T
+    amps = pole_sums(modes.evals, modes.vecs * modes.coeffs, t_grid)
     return AmplitudeTrajectory(t=t_grid, amplitudes=amps)
 
 

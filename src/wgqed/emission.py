@@ -34,13 +34,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import ModalExpansion, ProbabilitySeries
+from .dynamics import CHUNK, ModalExpansion, ProbabilitySeries, pole_sums
 from .model import AtomArray, PhysParams
 from .spectral import DelayedTerms, ResolventSet, SpectralGrid
 
 CAPTURE_THRESHOLD = 0.99
-# Grid points per block of the pole sum that samples M on the grid.
-CHUNK = 128
 
 
 @dataclass
@@ -80,28 +78,6 @@ def sampled_amplitudes(spectra: list[DirectionalSpectrum], tau: np.ndarray) -> n
     return alpha
 
 
-class PoleTable:
-    """Causal pole sums -i sum_j A_j e^{-i lambda_j tau} over one set of poles
-    lambda, one for every residue vector A in residues.
-
-    The two directions of a modal expansion share their poles, so one
-    e^{-i lambda tau} table per tau grid serves both, with a mat-vec each.
-    The sums on the last grid are kept, the table is not.
-    """
-
-    def __init__(self, poles: np.ndarray):
-        self.poles = poles
-        self.residues: list[np.ndarray] = []
-        self._tau: Optional[np.ndarray] = None
-        self._sums: list[np.ndarray] = []
-
-    def sums(self, tau: np.ndarray) -> list[np.ndarray]:
-        if len(self._sums) != len(self.residues) or not np.array_equal(self._tau, tau):
-            table = np.exp(-1j * np.outer(tau, self.poles))
-            self._tau, self._sums = tau, [-1j * (table @ a) for a in self.residues]
-        return self._sums
-
-
 class PoleSpectrum(DirectionalSpectrum):
     """M(delta) = sum_j A_j / (delta - lambda_j): residues A, poles lambda,
     every pole below the real axis.
@@ -109,19 +85,16 @@ class PoleSpectrum(DirectionalSpectrum):
     Closing the contours gives the weight and the profile exactly:
     weight = sum_jk A_j A_k* / (i (lambda_j - lambda_k*)), and
     alpha(tau) = -i sum_j A_j e^{-i lambda_j tau} for tau > 0, zero before.
-    values samples M on the grid only when read.  Spectra over the same
-    poles may share one PoleTable, built on those poles.
+    values samples M on the grid only when read; each amplitude is its own
+    pole_sums call on that tau grid.
     """
 
-    def __init__(self, grid: SpectralGrid, poles, residues, table: Optional[PoleTable] = None):
+    def __init__(self, grid: SpectralGrid, poles, residues):
         self.grid = grid
         self.poles = np.asarray(poles)
         self.residues = np.asarray(residues)
         gram = 1.0 / (1j * (self.poles[:, None] - np.conj(self.poles)[None, :]))
         self.weight = float(np.real(self.residues @ gram @ np.conj(self.residues)))
-        self.table = PoleTable(self.poles) if table is None else table
-        self._index = len(self.table.residues)
-        self.table.residues.append(self.residues)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -137,7 +110,7 @@ class PoleSpectrum(DirectionalSpectrum):
         tau = np.asarray(tau, dtype=float)
         alpha = np.zeros(len(tau), dtype=complex)
         after = tau >= 0.0
-        alpha[after] = self.table.sums(tau[after])[self._index]
+        alpha[after] = -1j * pole_sums(self.poles, self.residues, tau[after])[:, 0]
         alpha[tau == 0.0] *= 0.5
         return alpha
 
@@ -228,9 +201,7 @@ def emission_spectrum(
         z = array.positions
         phase = np.exp(1j * params.k_wg * (z[-1] - z if direction > 0 else z - z[0]))
         residues = math.sqrt(0.5 * params.gamma_wg) * (phase @ source.vecs) * source.coeffs
-        if source.pole_table is None:
-            source.pole_table = PoleTable(source.evals)
-        return PoleSpectrum(grid, source.evals, residues, source.pole_table)
+        return PoleSpectrum(grid, source.evals, residues)
     deltas = source.deltas
     scale = math.sqrt(0.5 * params.gamma_wg)
     values = scale * source.outgoing[:, end]

@@ -679,10 +679,20 @@ def test_ensemble_keeps_every_member_timing():
 
 
 def test_published_scale_fig2_runs_on_the_poles_route(monkeypatch):
+    # and in bounded memory: no time x pole table (two of 19 MiB each, about
+    # 50 MiB traced) is held by the trajectory, the Dicke amplitude or the profiles
+    import tracemalloc
+
     from wgqed.cli import POLE_CHECK_POINTS
 
     sizes = _record_sweeps(monkeypatch)
-    result = run(RunConfig(scenario="fig2", scale=1.0))
+    tracemalloc.start()
+    try:
+        result = run(RunConfig(scenario="fig2", scale=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20
     summary = result.summary.data
     assert summary["config"]["method"] == "markovian"
     assert sum(s["count"] for s in summary["config"]["chain"]["segments"]) == 300

@@ -23,8 +23,11 @@ from wgqed.dynamics import (
     ProbabilitySeries,
     _cumulative,
     _evolve_expm,
+    _uniform_step,
     directional_fluxes,
+    pole_sums,
 )
+from wgqed.emission import default_tau_grid
 from wgqed.spectral import build_grid, resolvent_sweep, synthesis_leak, time_domain
 from test_hamiltonian import guided_channel, random_array
 
@@ -180,6 +183,49 @@ def test_cumulative_matches_scipy_simpson(n, grid):
 
 
 # --- superradiant overlap -----------------------------------------------------
+
+
+def _decaying_poles(rng, n_poles=40, rows=3):
+    poles = rng.uniform(-5.0, 5.0, n_poles) - 1j * rng.uniform(0.01, 3.0, n_poles)
+    weights = rng.normal(size=(rows, n_poles)) + 1j * rng.normal(size=(rows, n_poles))
+    return poles, weights
+
+
+def _assert_matches_the_direct_table(poles, weights, t):
+    # the dense e^{-i lambda t} table is the oracle; the bound is rounding of
+    # the largest sum of |W_rj e^{-i lambda_j t}|, which grows before t = 0
+    terms = np.exp(-1j * np.outer(t, poles))
+    sums = pole_sums(poles, weights, t)
+    assert sums.shape == (len(t), len(weights))
+    scale = np.max(np.abs(terms) @ np.abs(weights).T, initial=1.0)
+    assert np.max(np.abs(sums - terms @ weights.T), initial=0.0) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 97, 4096])
+@pytest.mark.parametrize("start", [-2.0, 0.0, 0.75])
+def test_pole_sums_factorise_on_a_uniform_grid(n, start):
+    poles, weights = _decaying_poles(np.random.default_rng(n))
+    t = np.linspace(start, start + 12.0, n)
+    assert n == 0 or _uniform_step(t) is not None
+    _assert_matches_the_direct_table(poles, weights, t)
+
+
+def test_pole_sums_take_the_direct_table_off_a_uniform_grid():
+    # a factorised sum would evaluate the moved sample 1e-9 off, about 1e-8
+    # away from its direct value
+    poles, weights = _decaying_poles(np.random.default_rng(7))
+    moved = np.linspace(0.0, 12.0, 4096)
+    moved[1000] += 1e-9
+    for t in (default_time_grid(2.5, 12.0), moved):
+        assert _uniform_step(t) is None
+        _assert_matches_the_direct_table(poles, weights, t)
+
+
+@pytest.mark.parametrize("t_max", [1.0, 12.0 / 0.95, 28.5 / 0.95, 1234.5])
+def test_profile_and_dicke_grids_are_uniform(t_max):
+    # the run's tau grid and its Dicke times take the factorised path
+    assert _uniform_step(default_tau_grid(t_max)) is not None
+    assert _uniform_step(np.linspace(0.0, t_max, 257)) is not None
 
 
 def test_overlap_equal_segments_is_third(params):
