@@ -113,8 +113,8 @@ def transfer_matrix_reflectance(mirror, params: PhysParams, delta):
     positions = _mirror_positions(mirror)
     delta_arr = np.atleast_1d(np.asarray(delta, dtype=float))
     k = params.k_of(delta_arr)
-    phases, gain, _, r = scattering_sweep(positions[::-1], params, delta_arr, k)
-    t = np.prod(1.0 - gain, axis=0) * np.prod(phases, axis=0)
+    distinct, row, gain, _, r = scattering_sweep(positions[::-1], params, delta_arr, k)
+    t = np.prod(1.0 - gain, axis=0) * np.prod(distinct[row], axis=0)
     if np.isscalar(delta) or np.ndim(delta) == 0:
         return complex(r[0]), complex(t[0])
     return r, t

@@ -73,7 +73,7 @@ def sampled_amplitudes(spectra: list[DirectionalSpectrum], tau: np.ndarray) -> n
     alpha = spectra[0].grid.fourier_sum(values, tau)
     for i, s in enumerate(spectra):
         if s.fronts is not None:
-            alpha[:, i] += s.fronts.transform(tau)[:, 0]
+            s.fronts.transform(tau, into=alpha[:, i : i + 1])
     alpha *= 1.0 / (2.0 * math.pi)
     return alpha
 

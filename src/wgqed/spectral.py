@@ -18,17 +18,22 @@ The sweep subtracts that term on the grid, from one more O(N) guided pass of
 psi0 per detuning, and keeps only the difference; the first term is removed
 after the raised-cosine apodised discrete sum, which is linear, as the sum of
 the grid column 1/(E - lam0) times psi0.  So only the O(1/E^3) remainder is
-synthesised numerically, and no other M x N array is ever formed.  The fields
-leaving the chain lead with the delayed steps of psi0 itself, the pulse fronts,
-which the sweep samples on the grid for the same treatment (see emission).
+synthesised numerically.  A sweep holds x (M x N) and, per worker, one
+N x SCATTER_CHUNK work buffer: each chunk is solved in its own slice of x.
+The synthesis adds its closed-form terms in place to its (times x N) output,
+and the non-uniform FFT gathers its nodes TIME_BLOCK times at a time, so no
+other array of M or n_t rows by N is formed.  The fields leaving the chain
+lead with the delayed steps of psi0 itself, the pulse fronts, which the sweep
+samples on the grid for the same treatment (see emission).
 
 Both kernels are solved by one scattering recursion, in O(N) per detuning
 (see scattering_sweep): the resonant kernel is the retarded one with k held at
 k_wg, and all its delays are zero.  The recursion takes the gap phases once
-per distinct gap (an ordered chain has a few) and runs its passes in place on
-per-chunk buffers.  It knows only the guided exchange, so an H carrying the
-free-space term is refused.  The sweep also returns the guided fields leaving
-the chain through its two ends, from which the emission spectra follow.
+per distinct gap (an ordered chain has a few) and runs its passes in place,
+in the chunk's slice of x and its work buffer.  It knows only the guided
+exchange, so an H carrying the free-space term is refused.  The sweep also
+returns the guided fields leaving the chain through its two ends, from which
+the emission spectra follow.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -53,10 +58,12 @@ SCATTER_CHUNK = 2048
 # Gaussian gridding of the Fourier sum: an FFT grid OVERSAMPLING x M long and
 # 2 * HALF_WIDTH nodes per time, for an error of about e^{-8 pi} ~ 1e-11 of
 # sum_k |summand_k| (see SpectralGrid.fourier_sum).  FFT_COLUMNS columns share
-# one reused FFT block of FFT_COLUMNS x OVERSAMPLING x M elements.
+# one reused FFT block of FFT_COLUMNS x OVERSAMPLING x M elements, and
+# TIME_BLOCK times share one gather of their nodes.
 OVERSAMPLING = 2
 HALF_WIDTH = 12
 FFT_COLUMNS = 8
+TIME_BLOCK = 512
 
 
 class GridResolutionError(ValueError):
@@ -118,7 +125,9 @@ class SpectralGrid:
         aliasing of the FFT grid against the truncated kernel, and the error
         is about e^{-pi HALF_WIDTH (R - 1) / (R - 1/2)} = e^{-8 pi} ~ 1e-11 of
         sum_k |w_k d values_k|.  The columns are transformed FFT_COLUMNS at a
-        time, in place, in one block that is reused for every group.
+        time, in place, in one block that is reused for every group, and
+        interpolated TIME_BLOCK times at a time, so the gathered nodes never
+        exceed TIME_BLOCK x 2 HALF_WIDTH x FFT_COLUMNS.
         """
         times = np.asarray(times, dtype=float)
         m = self.n_points
@@ -153,10 +162,13 @@ class SpectralGrid:
             block[:, m - h : length - h] = 0.0
             np.multiply(cols[:, :h], weights[:h], out=block[:, length - h :])
             np.fft.fft(block, axis=1, out=block)
-            # no name holds the gathered nodes, so one group's are freed
-            # before the next group's are gathered
-            interpolated = (kernel @ block.T[stencil].view(float)).view(complex)
-            out[:, lo : lo + FFT_COLUMNS] = interpolated[:, 0]
+            nodes = block.T
+            for t0 in range(0, len(times), TIME_BLOCK):
+                span = slice(t0, t0 + TIME_BLOCK)
+                # no name holds the gathered nodes, so one time block's are
+                # freed before the next block's are gathered
+                interpolated = (kernel[span] @ nodes[stencil[span]].view(float)).view(complex)
+                out[span, lo : lo + FFT_COLUMNS] = interpolated[:, 0]
         out *= shift[:, None]
         return out.reshape((len(times),) + values.shape[1:])
 
@@ -193,8 +205,9 @@ class DelayedTerms:
             out[:, r] = inv * (phases @ s + inv * (phases @ q))
         return out
 
-    def transform(self, times: np.ndarray) -> np.ndarray:
-        """The exact transform at each time, shape (len(times), rows).
+    def transform(self, times: np.ndarray, into: Optional[np.ndarray] = None) -> np.ndarray:
+        """The exact transform at each time, shape (len(times), rows); added
+        in place to into, and into returned, when it is given.
 
         e^{-i lam0 (t - d)} = e^{-i lam0 t} e^{i lam0 d}, so with each row's
         delays sorted, a time reads the cumulative sums of s e^{i lam0 d},
@@ -214,13 +227,16 @@ class DelayedTerms:
         q = np.take_along_axis(self.ramps, sort, axis=1) * grow
         sums = np.zeros((len(d), 3, d.shape[1] + 1), dtype=complex)
         np.cumsum(np.stack([s, q, q * d], axis=1), axis=2, out=sums[:, :, 1:])
-        out = np.empty((len(times), len(d)), dtype=complex)
+        if into is None:
+            into = np.zeros((len(times), len(d)), dtype=complex)
+        factor = -1j * math.pi * np.exp(-1j * self.lam0 * times)
         for r in range(len(d)):
             lo, hi = (np.searchsorted(d[r], times, side=side) for side in ("left", "right"))
             s_sum, q_sum, qd_sum = np.take(sums[r], lo, axis=1) + np.take(sums[r], hi, axis=1)
-            out[:, r] = s_sum - 1j * (times * q_sum - qd_sum)
-        out *= -1j * math.pi * np.exp(-1j * self.lam0 * times)[:, None]
-        return out
+            column = s_sum - 1j * (times * q_sum - qd_sum)
+            column *= factor
+            into[:, r] += column
+        return into
 
 
 @dataclass
@@ -302,7 +318,9 @@ def scattering_sweep(
     deltas: np.ndarray,
     k: Union[float, np.ndarray],
     psi: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+    gain: Optional[np.ndarray] = None,
+    drive: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
     """Forward pass of the scattering recursion over the atoms in the given order.
 
     k is the guided wavenumber: params.k_of(deltas) on the retarded kernel, or
@@ -323,13 +341,15 @@ def scattering_sweep(
     across a stop band.  1 - gain_a is atom a's transmission with the prefix
     behind it.
 
-    The phases e_a and e_a^2 are evaluated once per distinct gap (exact float
-    equality: a disordered chain keeps one row per gap) and indexed per atom,
-    and the recursion runs in place on per-chunk buffers.
+    The phases are evaluated once per distinct gap (exact float equality: a
+    disordered chain keeps one row per gap): gap a's phase e_a is
+    distinct[row[a]], and no per-gap array is formed.  gain and drive have
+    one row per atom and one column per detuning, and their rows are written
+    in place: gain into a new array unless one is given, drive (with psi only)
+    into the one given.
 
-    Returns (phases e_a, gain, drive, reflection of the whole chain at its
-    last atom), with one row per gap or atom and one column per detuning;
-    drive is None without psi.
+    Returns (distinct, row, gain, drive, reflection of the whole chain at its
+    last atom); drive is None without psi.
     """
     deltas = np.asarray(deltas, dtype=float)
     gaps, row = np.unique(np.abs(np.diff(positions)), return_inverse=True)
@@ -338,8 +358,8 @@ def scattering_sweep(
     u = deltas + 0.5j * params.gamma_tot
     c = 0.5j * params.gamma_wg
     n, m = len(positions), len(deltas)
-    gain = np.empty((n, m), dtype=complex)
-    drive = None if psi is None else np.empty_like(gain)
+    if gain is None:
+        gain = np.empty((n, m), dtype=complex)
     p, q, inv, one_p, rho, sigma = np.zeros((6, m), dtype=complex)
     for a in range(n):
         if a:
@@ -362,55 +382,85 @@ def scattering_sweep(
             np.multiply(d, inv, out=d)
             np.multiply(one_p, d, out=sigma)
             np.add(q, sigma, out=sigma)
-    return distinct[row], gain, drive, rho
+    return distinct, row, gain, drive, rho
 
 
-def _guided_fields(x: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The guided fields F_a = sum_{b != a} e^{ik|z_a - z_b|} x_b by the two
-    recursions, and the fields leaving the chain (ResolventSet.outgoing) that
-    they end on.
+def _guided_fields(
+    x: np.ndarray,
+    distinct: np.ndarray,
+    row: np.ndarray,
+    out: np.ndarray,
+    finish: Optional[Callable[[int], None]] = None,
+) -> np.ndarray:
+    """Write the guided fields F_a = sum_{b != a} e^{ik|z_a - z_b|} x_b into
+    out by two recursions, and return the fields leaving the chain
+    (ResolventSet.outgoing) that they end on.
 
-    x has one row per atom and one column per detuning, phases are the gap
-    phases e_a of the same detunings; either may hold a single column that
-    broadcasts over the other's.
+    x has one row per atom and one column per detuning, and gap a's phase is
+    distinct[row[a]] (see scattering_sweep); either may hold a single column
+    that broadcasts over the other's, and out holds the detunings of both.
+    The left-going pass writes F-_a, the right-going pass adds F+_a; finish(a),
+    if given, is called as soon as row a of out is complete, in atom order.
     """
-    n, m = len(x), max(x.shape[1], phases.shape[1])
-    fields = np.zeros((n, m), dtype=complex)
-    right = np.zeros(m, dtype=complex)
-    left = np.zeros_like(right)
-    for a in range(1, n):
-        b = n - 1 - a
-        np.add(right, x[a - 1], out=right)
-        np.multiply(phases[a - 1], right, out=right)
-        np.add(fields[a], right, out=fields[a])
+    n, m = len(x), max(x.shape[1], distinct.shape[1])
+    left = np.zeros(m, dtype=complex)
+    out[n - 1] = 0.0
+    for b in range(n - 2, -1, -1):
         np.add(left, x[b + 1], out=left)
-        np.multiply(phases[b], left, out=left)
-        np.add(fields[b], left, out=fields[b])
-    return fields, np.stack([right + x[-1], left + x[0]], axis=1)
+        np.multiply(distinct[row[b]], left, out=left)
+        out[b] = left
+    right = np.zeros_like(left)
+    for a in range(n):
+        if a:
+            np.add(right, x[a - 1], out=right)
+            np.multiply(distinct[row[a - 1]], right, out=right)
+            np.add(out[a], right, out=out[a])
+        if finish is not None:
+            finish(a)
+    return np.stack([right + x[-1], left + x[0]], axis=1)
 
 
-def _leaving(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def _leaving(x: np.ndarray, distinct: np.ndarray, row: np.ndarray) -> np.ndarray:
     """The fields of x leaving the chain (as ResolventSet.outgoing), by one
     Horner pass from each end; shapes as in _guided_fields."""
     n = len(x)
     right, left = x[0].copy(), x[-1].copy()
     for a in range(1, n):
-        np.multiply(phases[a - 1], right, out=right)
+        np.multiply(distinct[row[a - 1]], right, out=right)
         np.add(right, x[a], out=right)
-        np.multiply(phases[n - 1 - a], left, out=left)
+        np.multiply(distinct[row[n - 1 - a]], left, out=left)
         np.add(left, x[n - 1 - a], out=left)
     return np.stack([right, left], axis=1)
 
 
 def _guided_matvec(
-    x: np.ndarray, phases: np.ndarray, deltas: np.ndarray, params: PhysParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """[delta - H(delta)] x = u x + c F in O(N) (see _guided_fields), and the
-    fields leaving the chain."""
-    fields, outgoing = _guided_fields(x, phases)
-    np.multiply(0.5j * params.gamma_wg, fields, out=fields)
-    resid = np.add(np.multiply(deltas + 0.5j * params.gamma_tot, x), fields, out=fields)
-    return resid, outgoing
+    x: np.ndarray,
+    distinct: np.ndarray,
+    row: np.ndarray,
+    deltas: np.ndarray,
+    params: PhysParams,
+    psi: np.ndarray,
+    out: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Write the residual [delta - H(delta)] x - psi = u x + c F - psi into
+    out in O(N) (see _guided_fields), each row as soon as its field is
+    complete; returns the largest column norm of the residual and the fields
+    leaving the chain."""
+    u = deltas + 0.5j * params.gamma_tot
+    c = 0.5j * params.gamma_wg
+    norm = np.zeros(len(deltas))
+    ux = np.empty(len(deltas), dtype=complex)
+
+    def finish(a):
+        r = out[a]
+        np.multiply(c, r, out=r)
+        np.multiply(u, x[a], out=ux)
+        np.add(ux, r, out=r)
+        np.subtract(r, psi[a], out=r)
+        np.add(norm, r.real**2 + r.imag**2, out=norm)
+
+    outgoing = _guided_fields(x, distinct, row, out, finish)
+    return float(np.sqrt(np.max(norm))), outgoing
 
 
 def _scatter_chunk(
@@ -419,21 +469,28 @@ def _scatter_chunk(
     positions: np.ndarray,
     params: PhysParams,
     psi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
+    x: np.ndarray,
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Scattering solves of [delta - H(delta)] x = psi0 with the guided
-    wavenumber k (see scattering_sweep), and the two leading terms the
-    synthesis subtracts.
+    wavenumber k (see scattering_sweep), less the delayed second-order term
+    the synthesis subtracts, written into x: one row per atom, one column per
+    detuning (a row-wise view, such as the chunk's slice of the sweep).
 
-    The backward pass carries the left-going field F-_a from the last atom,
-    writing x over drive row by row; the residual is the O(N) matvec with the
-    same gap phases, which also yields the outgoing fields.  One more guided
-    pass, of psi0, gives [H(delta) - lam0] psi0 = -c F(psi0) (u = delta - lam0)
-    and the fields of psi0 leaving the chain.  Returns (x, outgoing, residual,
-    second, lead): x and second = -c F(psi0) / u^2 with one row per atom, and
-    lead the two leading terms of outgoing, the fields of psi0 leaving the
-    chain over u plus those of second.
+    The chunk holds x and one work buffer of its shape.  The forward pass
+    writes drive into x and gain into the buffer; the backward pass carries
+    the left-going field F-_a from the last atom and turns drive into x row by
+    row.  The buffer then takes the residual, the O(N) matvec with the same
+    gap phases, whose two field recursions also give the outgoing fields.
+    Last it takes second = [H(delta) - lam0] psi0 / u^2 = -c F(psi0) / u^2
+    (u = delta - lam0), from one more guided pass of psi0 that also gives the
+    fields of psi0 leaving the chain; second is subtracted from x.  Returns
+    (outgoing, residual, lead): lead is the two leading terms of outgoing, the
+    fields of psi0 leaving the chain over u plus those of second.
     """
-    phases, gain, x, _ = scattering_sweep(positions, params, deltas, k, psi)
+    work = np.empty(x.shape, dtype=complex)
+    distinct, row, gain, _, _ = scattering_sweep(
+        positions, params, deltas, k, psi, gain=work, drive=x
+    )
     left = np.zeros(len(deltas), dtype=complex)
     for a in range(len(psi) - 1, -1, -1):
         x_a, g = x[a], gain[a]
@@ -441,14 +498,13 @@ def _scatter_chunk(
         np.subtract(x_a, g, out=x_a)
         if a:
             np.add(left, x_a, out=left)
-            np.multiply(phases[a - 1], left, out=left)
-    resid, outgoing = _guided_matvec(x, phases, deltas, params)
-    resid -= psi[:, None]
-    res_max = float(np.sqrt(np.max(np.sum(resid.real**2 + resid.imag**2, axis=0))))
+            np.multiply(distinct[row[a - 1]], left, out=left)
+    res_max, outgoing = _guided_matvec(x, distinct, row, deltas, params, psi, work)
     inv = 1.0 / (deltas + 0.5j * params.gamma_tot)
-    second, lead = _guided_fields(psi[:, None], phases)
-    second = second * (-0.5j * params.gamma_wg * inv**2)  # (N, 1) on the resonant kernel
-    return x, outgoing, res_max, second, lead * inv[:, None] + _leaving(second, phases)
+    lead = _guided_fields(psi[:, None], distinct, row, work)
+    second = np.multiply(work, -0.5j * params.gamma_wg * inv**2, out=work)
+    np.subtract(x, second, out=x)
+    return outgoing, res_max, lead * inv[:, None] + _leaving(second, distinct, row)
 
 
 def check_residual(residual: float, psi: np.ndarray) -> None:
@@ -475,9 +531,12 @@ def resolvent_sweep(
     Both kernels take the O(N) scattering solve (scattering_sweep); retarded
     only picks the wavenumber, k(delta) or the constant k_wg.  ham is the
     run's H0, which must not carry the free-space term; by default the
-    waveguide-only H0 of the array.  Grid points are independent; with
-    workers > 1 the chunks run on a thread pool (numpy releases the GIL) and
-    are written back by index, so assembly is deterministic.
+    waveguide-only H0 of the array.  The sweep holds x and, while a chunk of
+    SCATTER_CHUNK detunings is solved in its slice of x (_scatter_chunk), one
+    N x SCATTER_CHUNK work buffer.  Grid points are independent; with
+    workers > 1 the chunks run on a thread pool (numpy releases the GIL), each
+    task writing a disjoint slice with its own buffer, so assembly is
+    deterministic and a sweep holds one buffer per worker.
     """
     if ham is not None and ham.includes_free_space:
         raise ValueError("the scattering recursion has no free-space term")
@@ -491,21 +550,18 @@ def resolvent_sweep(
     lead = np.empty_like(outgoing)
 
     def work(lo):
-        chunk = deltas[lo : lo + SCATTER_CHUNK]
+        span = slice(lo, lo + SCATTER_CHUNK)
+        chunk = deltas[span]
         k = params.k_of(chunk) if retarded else params.k_wg
-        return lo, _scatter_chunk(chunk, k, array.positions, params, psi)
+        outgoing[span], res, lead[span] = _scatter_chunk(
+            chunk, k, array.positions, params, psi, block[:, span]
+        )
+        return res
 
-    res_max = 0.0
     chunks = range(0, len(deltas), SCATTER_CHUNK)
     # the pool starts no thread unless a chunk is submitted to it
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        results = pool.map(work, chunks) if workers > 1 else map(work, chunks)
-        for lo, (sol, out, res, second, front) in results:
-            hi = lo + sol.shape[1]
-            np.subtract(sol, second, out=block[:, lo:hi])
-            outgoing[lo:hi] = out
-            lead[lo:hi] = front
-            res_max = max(res_max, res)
+        res_max = max(pool.map(work, chunks) if workers > 1 else map(work, chunks))
 
     check_residual(res_max, psi)
     lam0 = complex(h0[0, 0])  # every atom carries the same width
@@ -553,7 +609,10 @@ def time_domain(slices: ResolventSet, t_grid: np.ndarray) -> AmplitudeTrajectory
     summed numerically; b(0+) = psi0 holds by construction and negative times
     probe pure window leakage (causality).  The sweep has already removed the
     delayed second-order term from x; the sum is linear, so the first term is
-    subtracted after it and no M x N array is formed.
+    subtracted after it.  The closed-form terms (that pole, the delayed ramps
+    and the step at t = 0) are added in place to the transform, the pole and
+    the step on the columns psi0 occupies only, so no M x N or n_t x N array
+    besides the result is formed.
 
     The times must lie within half the alias-free window W, which build_grid
     makes at least 2 t_max.  The sum is periodic in W, so it adds b(t + W) to
@@ -569,11 +628,15 @@ def time_domain(slices: ResolventSet, t_grid: np.ndarray) -> AmplitudeTrajectory
         )
     s1 = grid.fourier_sum(1.0 / (slices.deltas - slices.lam0), t_grid)
     amps = grid.fourier_sum(slices.x, t_grid)
-    amps -= np.outer(s1, slices.psi0)
-    amps += slices.ramps.transform(t_grid)
+    occupied = np.flatnonzero(slices.psi0)
+    for a in occupied:
+        amps[:, a] -= s1 * slices.psi0[a]
+    slices.ramps.transform(t_grid, into=amps)
     amps *= -1.0 / (2.0j * math.pi)
     causal = t_grid >= 0.0
-    amps[causal] += np.exp(-1j * slices.lam0 * t_grid[causal])[:, None] * slices.psi0
+    step = np.exp(-1j * slices.lam0 * t_grid[causal])
+    for a in occupied:
+        amps[causal, a] += step * slices.psi0[a]
     return AmplitudeTrajectory(t=t_grid, amplitudes=amps)
 
 

@@ -20,14 +20,16 @@ from wgqed import (
     transfer_matrix_reflectance,
 )
 from wgqed.analytic import collective_rate
-from wgqed.cli import LEAK_TOL, SCENARIOS, SPAN_FACTOR_RETARDED
+from wgqed.cli import LEAK_TOL, SCENARIOS, SPAN_FACTOR_RETARDED, RunConfig, run
 from wgqed.dynamics import default_time_grid
 from wgqed.emission import default_tau_grid, emission_spectrum, sampled_amplitudes
 from wgqed.hamiltonian import pair_distances
 from wgqed.spectral import (
     FFT_COLUMNS,
+    HALF_WIDTH,
     OVERSAMPLING,
     SCATTER_CHUNK,
+    TIME_BLOCK,
     GridResolutionError,
     DelayedTerms,
     SpectralGrid,
@@ -262,6 +264,12 @@ def test_scattering_solve_matches_dense_on_random_geometries(params, retarded, m
     for n in (1, 2):
         psi0 = StateVector(np.ones(n) / np.sqrt(n))
         cases.append((random_array(rng, n), psi0, SpectralGrid(-30.0, 30.0, 257, 0.0)))
+    # a last chunk of 300 detunings, solved in place in its slice of x, with
+    # psi0 on 3 of 9 atoms, so the second-order term carries unoccupied rows
+    psi0 = StateVector(np.concatenate([np.zeros(3), np.ones(3) / np.sqrt(3), np.zeros(3)]))
+    partial = SpectralGrid(-60.0, 60.0, 2 * SCATTER_CHUNK + 300, 0.0)
+    cases.append((random_array(rng, 9), psi0, partial))
+    assert partial.n_points % SCATTER_CHUNK == 300
     for arr, psi0, grid in cases:
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "solve", refuse)
@@ -277,15 +285,27 @@ def _bragg_chain(params):
     return arr, dicke_initial_state(arr, params)
 
 
+def _dense_second(arr, params, psi, deltas, retarded):
+    # the second-order term [H(delta) - lam0] psi0 / (delta - lam0)^2 the
+    # chunk subtracts in place, from the dense H(delta)
+    h0 = effective_hamiltonian(arr, params).matrix
+    lam0 = h0[0, 0]
+    h = _retarded_hamiltonian(arr, params, deltas) if retarded else h0
+    coupled = (h - lam0 * np.eye(len(psi))) @ psi
+    return coupled / ((np.asarray(deltas) - lam0) ** 2)[:, None]
+
+
 @_KERNELS
 def test_scattering_solve_matches_dense_on_a_bragg_chain(params, retarded):
     arr, psi0 = _bragg_chain(params)
     psi = psi0.amplitudes
     deltas = np.array([-0.3, 0.0, 0.05, 2.0])
     k = params.k_of(deltas) if retarded else params.k_wg
-    x, _, residual, _, _ = _scatter_chunk(deltas, k, arr.positions, params, psi)
+    x = np.empty((len(psi), len(deltas)), dtype=complex)
+    _, residual, _ = _scatter_chunk(deltas, k, arr.positions, params, psi, x)
     assert residual <= 1e-12
-    assert_allclose(x.T, _dense_solve(retarded)(arr, params, psi, deltas), rtol=1e-12)
+    solved = x.T + _dense_second(arr, params, psi, deltas, retarded)
+    assert_allclose(solved, _dense_solve(retarded)(arr, params, psi, deltas), rtol=1e-12)
 
 
 def _reference_sweep(positions, params, deltas, psi=None):
@@ -313,7 +333,25 @@ def _reference_sweep(positions, params, deltas, psi=None):
     return phases, gain, drive, rho
 
 
+def _reference_fields(x, phases):
+    # the guided fields of x and the fields leaving the chain, by the two
+    # interleaved per-gap recursions on a fresh fields array
+    n = len(x)
+    fields = np.zeros_like(x)
+    right = np.zeros(x.shape[1], dtype=complex)
+    left = np.zeros_like(right)
+    for a in range(1, n):
+        right = phases[a - 1] * (right + x[a - 1])
+        fields[a] += right
+        b = n - 1 - a
+        left = phases[b] * (left + x[b + 1])
+        fields[b] += left
+    return fields, np.stack([right + x[-1], left + x[0]], axis=1)
+
+
 def _reference_scatter_chunk(deltas, positions, params, psi):
+    # (x, outgoing, residual, second-order term, lead) with a new array for
+    # every stage, which the in-place chunk replaced
     phases, gain, drive, _ = _reference_sweep(positions, params, deltas, psi)
     n = len(psi)
     x = np.empty_like(gain)
@@ -323,18 +361,14 @@ def _reference_scatter_chunk(deltas, positions, params, psi):
         if a:
             left = phases[a - 1] * (left + x[a])
     u = deltas + 0.5j * params.gamma_tot
-    fields = np.zeros_like(x)
-    right = np.zeros(len(deltas), dtype=complex)
-    left = np.zeros_like(right)
-    for a in range(1, n):
-        right = phases[a - 1] * (right + x[a - 1])
-        fields[a] += right
-        b = n - 1 - a
-        left = phases[b] * (left + x[b + 1])
-        fields[b] += left
-    resid = u * x + 0.5j * params.gamma_wg * fields - psi[:, None]
+    c = 0.5j * params.gamma_wg
+    fields, outgoing = _reference_fields(x, phases)
+    resid = u * x + c * fields - psi[:, None]
     res_max = float(np.sqrt(np.max(np.sum(resid.real**2 + resid.imag**2, axis=0))))
-    return x.T, np.stack([right + x[-1], left + x[0]], axis=1), res_max
+    psi_fields, psi_outgoing = _reference_fields(np.outer(psi, np.ones(len(deltas))), phases)
+    second = -c * psi_fields / u**2
+    lead = psi_outgoing / u[:, None] + _reference_fields(second, phases)[1]
+    return x.T, outgoing, res_max, second.T, lead
 
 
 def _recursion_cases(params):
@@ -364,15 +398,18 @@ def _recursion_cases(params):
 
 def test_grouped_recursion_matches_the_per_gap_recursion(params):
     for name, positions, psi, deltas in _recursion_cases(params):
-        x, outgoing, residual, _, _ = _scatter_chunk(
-            deltas, params.k_of(deltas), positions, params, psi
+        x = np.empty((len(psi), len(deltas)), dtype=complex)
+        outgoing, residual, lead = _scatter_chunk(
+            deltas, params.k_of(deltas), positions, params, psi, x
         )
-        x_ref, outgoing_ref, residual_ref = _reference_scatter_chunk(
+        x_ref, outgoing_ref, residual_ref, second_ref, lead_ref = _reference_scatter_chunk(
             deltas, positions, params, psi
         )
-        assert_allclose(x.T, x_ref, rtol=1e-12, err_msg=name)
+        # x holds the solve less its second-order term
+        assert_allclose(x.T + second_ref, x_ref, rtol=1e-12, err_msg=name)
         assert_allclose(outgoing, outgoing_ref, rtol=1e-12, err_msg=name)
         assert_allclose(residual, residual_ref, rtol=1e-12, err_msg=name)
+        assert_allclose(lead, lead_ref, rtol=1e-12, err_msg=name)
         assert residual <= 1e-10, name
         r, t = transfer_matrix_reflectance(positions, params, deltas)
         phases, gain, _, r_ref = _reference_sweep(positions[::-1], params, deltas)
@@ -597,6 +634,52 @@ def test_time_domain_allocates_less_than_the_sweep(params):
     assert peak < slices.x.nbytes
 
 
+def test_sweep_holds_x_and_one_chunk_buffer(monkeypatch):
+    # on fig7b --scale 0.05 (N = 55, M = 4096) every chunk solves in its slice
+    # of x with one N x SCATTER_CHUNK work buffer, and 1.5 MiB covers the
+    # chunk's vectors, outgoing and lead (about 1 MiB); one more chunk-sized
+    # array breaks the bound, and the per-stage arrays this replaced traced
+    # 18.1 MiB
+    import wgqed.cli as cli
+
+    sweep, traced = cli.resolvent_sweep, []
+
+    def traced_sweep(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            slices = sweep(*args, **kwargs)
+            traced.append((slices, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return slices
+
+    monkeypatch.setattr(cli, "resolvent_sweep", traced_sweep)
+    run(RunConfig(scenario="fig7b", scale=0.05))
+    [(slices, peak)] = traced
+    assert slices.x.shape == (4096, 55)
+    assert peak < slices.x.nbytes + 55 * SCATTER_CHUNK * 16 + 1.5 * 2**20
+
+
+def test_fourier_sum_gathers_one_time_block_at_a_time():
+    # a (4096, 55) block at the 2321 synthesis times of fig7b --scale 0.05:
+    # besides its output and the FFT block, the sum holds its kernel tables
+    # (0.9 MiB) and the gathered nodes of TIME_BLOCK times (1.5 MiB), where
+    # gathering every time's took 7.1 MiB
+    grid = SpectralGrid(-200.0, 200.0, 4096, 0.1)
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(4096, 55)) + 1j * rng.normal(size=(4096, 55))
+    times = np.linspace(-2.0, 30.0, 2321)
+    tracemalloc.start()
+    try:
+        out = grid.fourier_sum(values, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fft_block = FFT_COLUMNS * OVERSAMPLING * grid.n_points * 16
+    assert TIME_BLOCK * 2 * HALF_WIDTH * FFT_COLUMNS * 16 <= 1.5 * 2**20
+    assert peak < out.nbytes + fft_block + 3.5 * 2**20
+
+
 def test_retarded_reduces_to_markovian_at_infinite_vg():
     params = PhysParams(v_g=1e30)
     arr = build_chain(ChainSpec(3, 3, 3, gap_d0=0.25))
@@ -625,11 +708,16 @@ def test_retarded_matvec_matches_the_dense_operator(params):
     arr = random_array(rng, 15)
     deltas = np.array([-7.0, 0.0, 0.3, 11.0])
     x = rng.normal(size=(15, 4)) + 1j * rng.normal(size=(15, 4))
-    phases, _, _, _ = scattering_sweep(arr.positions, params, deltas, params.k_of(deltas))
-    fast, _ = _guided_matvec(x, phases, deltas, params)
+    psi = rng.normal(size=15) + 1j * rng.normal(size=15)
+    distinct, row, _, _, _ = scattering_sweep(
+        arr.positions, params, deltas, params.k_of(deltas)
+    )
+    fast = np.empty_like(x)
+    norm, _ = _guided_matvec(x, distinct, row, deltas, params, psi, fast)
     for i, delta in enumerate(deltas):
         h = _retarded_hamiltonian(arr, params, delta)
-        assert_allclose(fast[:, i], (delta * np.eye(15) - h) @ x[:, i], rtol=1e-12)
+        assert_allclose(fast[:, i], (delta * np.eye(15) - h) @ x[:, i] - psi, rtol=1e-12)
+    assert_allclose(norm, np.max(np.linalg.norm(fast, axis=0)), rtol=1e-12)
 
 
 def test_cross_method_oracle_20_atoms(params):
