@@ -13,7 +13,7 @@ weights and profiles in closed form from one modal expansion (the "poles"
 route); an expansion that is unusable or fails its check raises
 NumericalError.  A retarded run takes the resolvent sweep over the frequency
 grid and synthesises the trajectory from it (the "sweep" route), with no
-eigendecomposition.
+eigendecomposition and no N x N matrix: only the poles route builds H.
 """
 
 from __future__ import annotations
@@ -399,13 +399,11 @@ def _pole_check(
     """
     modes.check_usable()
     check_grid = SpectralGrid(-gamma_fast, gamma_fast, POLE_CHECK_POINTS, 0.0)
-    if ham.includes_free_space:
+    if ham.free_space_decay is not None:
         mats = check_grid.deltas[:, None, None] * np.eye(array.n_atoms) - ham.matrix
         exact = np.linalg.solve(mats, psi0.amplitudes)
     else:
-        exact = resolvent_sweep(
-            array, params, psi0, check_grid, retarded=False, ham=ham
-        ).resolvent()
+        exact = resolvent_sweep(array, params, psi0, check_grid, retarded=False).resolvent()
     deviation = np.max(np.abs(modes.resolvent(check_grid.deltas) - exact))
     check_error = float(deviation / np.max(np.abs(exact)))
     if not check_error <= POLE_CHECK_TOL:
@@ -431,9 +429,6 @@ def _member_pipeline(
     # the fastest segment's collective rate; collective_rate grows with n
     gamma_fast = collective_rate(max(chain.n_left, chain.n_center, chain.n_right), params)
 
-    ham = effective_hamiltonian(array, params)
-    if free_space:
-        ham = add_free_space_coupling(ham, array, params)
     t_grid = default_time_grid(gamma_fast, t_max)
     # the Dicke amplitude a0 = <psi0|b(t)> on uniform times
     n_dicke = max(DICKE_SAMPLES, math.ceil(2.0 * gamma_fast * t_max / math.pi) + 1)
@@ -456,7 +451,7 @@ def _member_pipeline(
     if retarded:
         # the sweep route: the spectra from the fields leaving the chain, b and
         # a0 synthesised from the resolvent, and the guided outflow |alpha|^2
-        sweep = resolvent_sweep(array, params, psi0, grid, workers=workers, ham=ham)
+        sweep = resolvent_sweep(array, params, psi0, grid, workers=workers)
         lap("resolvent_sweep")
         spectra = [emission_spectrum(sweep, array, params, d, grid) for d in (+1, -1)]
         lap("emission_spectra")
@@ -471,9 +466,13 @@ def _member_pipeline(
         fluxes = tuple(np.abs(alpha.T) ** 2)
         lap("evolution")
         residual, condition, check_error, overlap = sweep.residual_max, None, None, None
+        series = probabilities(trajectory, psi0, array, params, fluxes)
     else:
         # the poles route: everything in closed form from the checked modal
-        # expansion; the guided fluxes are the directional fluxes of b
+        # expansion of H; the guided fluxes are the directional fluxes of b
+        ham = effective_hamiltonian(array, params)
+        if free_space:
+            ham = add_free_space_coupling(ham, array, params)
         modes = modal_expansion(ham, psi0)
         lap("evolution")
         check_error = _pole_check(modes, ham, array, params, psi0, gamma_fast)
@@ -483,11 +482,10 @@ def _member_pipeline(
         trajectory = evolve_markovian(ham, psi0, t_grid, modes)
         dicke = pole_sums(modes.evals, (bra @ modes.vecs) * modes.coeffs, t_dicke)[:, 0]
         lap("evolution")
-        overlap = superradiant_overlap(ham, psi0)
+        overlap = superradiant_overlap(modes, psi0)
         lap("superradiant_overlap")
-        residual, condition, leak, fluxes = modes.residual, modes.condition, None, None
-
-    series = probabilities(trajectory, psi0, array, params, fluxes, ham.free_space_decay)
+        residual, condition, leak = modes.residual, modes.condition, None
+        series = probabilities(trajectory, psi0, array, params, None, ham.free_space_decay)
 
     tic = time.perf_counter()
     tau = default_tau_grid(t_max)
@@ -605,6 +603,10 @@ def run(config: RunConfig) -> RunResult:
     leak = max(m.synthesis_leak for m in members) if swept else None
     if swept and not leak <= LEAK_TOL:
         record.ledger.converged = False
+    if np.any(series.p == 0.0):
+        # every pole has Im(lambda) <= -gamma_ext/2: a long window underflows p
+        t_zero = series.t[np.argmax(series.p == 0.0)]
+        raise NumericalError(f"p underflows to 0 at t = {t_zero:.4g}; choose a shorter t_max")
     tic = time.perf_counter()
     rates = fit_early_late(series)
     stage = fast_stage_end(series, rates["late"])

@@ -1,6 +1,7 @@
 """Markovian time evolution and the excitation-probability bookkeeping.
 
-b(t) = exp(-i H t) psi0 via eigendecomposition of the complex symmetric H;
+b(t) = exp(-i H t) psi0 via the one eigendecomposition of the complex
+symmetric H (modal_expansion), which the superradiant overlap reads too;
 eigenvectors too ill-conditioned for it (CONDITION_MAX) raise NumericalError,
 as the resonant kernel has no other route.  The probability series tracks p,
 p0, p_a and the cumulative energy emitted into each decay channel.  Under the
@@ -205,10 +206,10 @@ class ModalExpansion:
 
 
 def modal_expansion(ham: EffectiveHamiltonian, psi0: StateVector) -> ModalExpansion:
-    """Expand psi0 on the cached eigenvectors of a resonant H."""
+    """Expand psi0 on the right eigenvectors of a resonant H, from its one eig."""
     if not np.all(np.isfinite(ham.matrix)):
         raise NumericalError("effective Hamiltonian contains non-finite entries")
-    evals, vecs = ham.eigensystem
+    evals, vecs = np.linalg.eig(ham.matrix)
     cond = float(np.linalg.cond(vecs))
     if not np.isfinite(cond) or cond > CONDITION_MAX:
         return ModalExpansion(evals, vecs, cond)
@@ -322,8 +323,9 @@ def probabilities(
     return ProbabilitySeries(traj.t, p, p0, pa, e_left, e_right, e_raman, e_ext)
 
 
-def superradiant_overlap(ham: EffectiveHamiltonian, psi0: StateVector) -> float:
-    """Weight of the initial state on the fastest-decaying collective mode.
+def superradiant_overlap(modes: ModalExpansion, psi0: StateVector) -> float:
+    """Weight of the initial state on the fastest-decaying collective mode of
+    the expansion's eigensystem.
 
     Modal amplitudes of the non-Hermitian H come from the biorthogonal (left
     eigenvector) expansion; with right eigenvectors v normalised to unit
@@ -332,8 +334,7 @@ def superradiant_overlap(ham: EffectiveHamiltonian, psi0: StateVector) -> float:
     degenerate fastest decay rate (within DEGENERACY_TOL, relative) sums the
     projection over the cluster and emits a warning.
     """
-    evals, vecs = ham.eigensystem
-    rates = -2.0 * evals.imag
+    rates = -2.0 * modes.evals.imag
     top = rates.max()
     cluster = np.nonzero(rates >= top * (1.0 - DEGENERACY_TOL))[0]
     if len(cluster) > 1:
@@ -345,7 +346,7 @@ def superradiant_overlap(ham: EffectiveHamiltonian, psi0: StateVector) -> float:
     psi = psi0.amplitudes
     total = 0.0
     for idx in cluster:
-        v = vecs[:, idx]
+        v = modes.vecs[:, idx]
         v = v / np.linalg.norm(v)
         vtv = v @ v
         if abs(vtv) < 1e-12:

@@ -1,18 +1,18 @@
 """Non-Hermitian effective Hamiltonian of the single-excitation manifold.
 
 The waveguide mediates an infinite-range exchange -(i/2) Gamma_wg e^{i k |z_a - z_b|}
-between atoms; the diagonal carries the full single-atom width.  Frequencies are
-detunings from the bare atomic resonance, so identical atoms have zero real
-diagonal.  The anti-Hermitian part splits exactly into three decay channels:
-a rank-2 coherent guided matrix, a per-atom guided Raman rate, and the
-per-atom external rate, to which the optional free-space term adds its
-off-diagonal rates.
+between atoms (guided_exchange); the diagonal carries the full single-atom
+width.  Frequencies are detunings from the bare atomic resonance, so identical
+atoms have zero real diagonal.  The anti-Hermitian part splits exactly into
+three decay channels: a rank-2 coherent guided matrix, a per-atom guided Raman
+rate, and the per-atom external rate, to which the optional free-space term
+adds its off-diagonal rates.  Only the Markovian poles route builds H; the
+resolvent sweep reads the positions and guided_exchange.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,27 +24,22 @@ from .model import AtomArray, GeometryError, MIN_SEPARATION, PhysParams
 class EffectiveHamiltonian:
     """Complex symmetric N x N resonant matrix.  free_space_decay holds the
     off-diagonal free-space rates Gamma_fs when H carries the optional
-    free-space term (zero diagonal), else None."""
+    free-space term (zero diagonal), else None.  Its one eigendecomposition
+    is dynamics.modal_expansion's."""
 
     matrix: np.ndarray
     free_space_decay: Optional[np.ndarray] = None
-
-    @property
-    def includes_free_space(self) -> bool:
-        return self.free_space_decay is not None
-
-    @cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, right eigenvectors) of the matrix, computed once.
-
-        The Markovian evolution and the superradiant overlap share it.
-        """
-        return np.linalg.eig(self.matrix)
 
 
 def pair_distances(array: AtomArray) -> np.ndarray:
     z = array.positions
     return np.abs(z[:, None] - z[None, :])
+
+
+def guided_exchange(distances: np.ndarray, params: PhysParams) -> np.ndarray:
+    """The guided exchange -(i/2) Gamma_wg e^{i k_wg d} at each pair distance d,
+    at the resonant wavenumber."""
+    return -0.5j * params.gamma_wg * np.exp(1j * params.k_wg * distances)
 
 
 def effective_hamiltonian(array: AtomArray, params: PhysParams) -> EffectiveHamiltonian:
@@ -54,8 +49,7 @@ def effective_hamiltonian(array: AtomArray, params: PhysParams) -> EffectiveHami
     The retarded kernel k(delta) enters only the resolvent sweep, which
     applies it by a scattering recursion (spectral.scattering_sweep).
     """
-    dist = pair_distances(array)
-    h = -0.5j * params.gamma_wg * np.exp(1j * params.k_wg * dist)
+    h = guided_exchange(pair_distances(array), params)
     np.fill_diagonal(h, -0.5j * params.gamma_tot)
     return EffectiveHamiltonian(matrix=h)
 

@@ -76,8 +76,8 @@ class PhysParams:
             raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
         if not self.gamma_ext > 0:
             raise ConfigError(f"gamma_ext must be positive, got {self.gamma_ext}")
-        if not self.v_g > 0:
-            raise ConfigError(f"v_g must be positive, got {self.v_g}")
+        if not (math.isfinite(self.v_g) and self.v_g > 0):
+            raise ConfigError(f"v_g must be finite and positive, got {self.v_g}")
         if not (math.isfinite(self.lambda0) and self.lambda0 > 0):
             raise ConfigError(f"lambda0 must be finite and positive, got {self.lambda0}")
         if not self.gamma_ext < 1:

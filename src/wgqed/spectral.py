@@ -31,9 +31,9 @@ Both kernels are solved by one scattering recursion, in O(N) per detuning
 k_wg, and all its delays are zero.  The recursion takes the gap phases once
 per distinct gap (an ordered chain has a few) and runs its passes in place,
 in the chunk's slice of x and its work buffer.  It knows only the guided
-exchange, so an H carrying the free-space term is refused.  The sweep also
-returns the guided fields leaving the chain through its two ends, from which
-the emission spectra follow.
+exchange, which it reads off the atom positions with no N x N matrix.  The
+sweep also returns the guided fields leaving the chain through its two ends,
+from which the emission spectra follow.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .dynamics import AmplitudeTrajectory, NumericalError
-from .hamiltonian import EffectiveHamiltonian, effective_hamiltonian
+# effective_hamiltonian is unused here: perfbench/tracer.py patches this name
+from .hamiltonian import effective_hamiltonian, guided_exchange  # noqa: F401
 from .model import AtomArray, PhysParams, StateVector
 
 MAX_GRID_POINTS = 2**20
@@ -523,26 +524,24 @@ def resolvent_sweep(
     grid: SpectralGrid,
     retarded: bool = True,
     workers: int = 1,
-    ham: Optional[EffectiveHamiltonian] = None,
 ) -> ResolventSet:
     """One verified resolvent solve, and the fields leaving the chain, per
     grid point.
 
-    Both kernels take the O(N) scattering solve (scattering_sweep); retarded
-    only picks the wavenumber, k(delta) or the constant k_wg.  ham is the
-    run's H0, which must not carry the free-space term; by default the
-    waveguide-only H0 of the array.  The sweep holds x and, while a chunk of
-    SCATTER_CHUNK detunings is solved in its slice of x (_scatter_chunk), one
+    Both kernels take the O(N) scattering solve (scattering_sweep) of the
+    guided-only H(delta) of the array; retarded only picks the wavenumber,
+    k(delta) or the constant k_wg.  No N x N matrix is formed: the uniform
+    pole lam0 = -i gamma_tot/2 and the delayed couplings (guided_exchange of
+    the pair distances to the atoms psi0 occupies) are all the second-order
+    term needs.  The sweep holds x and, while a chunk of SCATTER_CHUNK
+    detunings is solved in its slice of x (_scatter_chunk), one
     N x SCATTER_CHUNK work buffer.  Grid points are independent; with
     workers > 1 the chunks run on a thread pool (numpy releases the GIL), each
     task writing a disjoint slice with its own buffer, so assembly is
     deterministic and a sweep holds one buffer per worker.
     """
-    if ham is not None and ham.includes_free_space:
-        raise ValueError("the scattering recursion has no free-space term")
     deltas = grid.deltas
     psi = psi0.amplitudes
-    h0 = (effective_hamiltonian(array, params) if ham is None else ham).matrix
 
     # atom-major, so each chunk fills contiguous row segments
     block = np.empty((len(psi), len(deltas)), dtype=complex)
@@ -564,7 +563,7 @@ def resolvent_sweep(
         res_max = max(pool.map(work, chunks) if workers > 1 else map(work, chunks))
 
     check_residual(res_max, psi)
-    lam0 = complex(h0[0, 0])  # every atom carries the same width
+    lam0 = -0.5j * params.gamma_tot  # every atom carries the same width
     # The couplings H_ab(delta) = H_ab(0) e^{i delta |z_a - z_b| / v_g} delay
     # the second-order term by |z_a - z_b| / v_g, over the atoms b psi0
     # occupies; none are delayed on the resonant kernel.  The fields leaving
@@ -574,7 +573,7 @@ def resolvent_sweep(
     occupied = np.flatnonzero(psi)
     slowness = 1.0 / params.v_g if retarded else 0.0
     pair = np.abs(z[:, None] - z[occupied])
-    couplings = h0[:, occupied] * psi[occupied]
+    couplings = guided_exchange(pair, params) * psi[occupied]
     couplings[occupied, np.arange(len(occupied))] = 0.0  # (H0 - lam0)_aa = 0
     to_end = np.stack([z[-1] - z, z - z[0]])
     path = np.concatenate(

@@ -286,6 +286,15 @@ def test_bad_lambda0_exits_with_an_error(tmp_path, capsys, value):
     assert err.startswith("error: ") and "lambda0 must be finite and positive" in err
 
 
+def test_infinite_v_g_exits_with_an_error(tmp_path, capsys):
+    # the long-cavity gap reads v_g, so an infinite one must stop at the config
+    path = tmp_path / "run.cfg"
+    path.write_text("[run]\nscenario = fig7a\nscale = 0.05\n[params]\nv_g = inf\n")
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "v_g must be finite and positive" in err
+
+
 def test_scale_applies_to_a_custom_chain(tmp_path):
     path = tmp_path / "chain.cfg"
     path.write_text("[run]\nmethod = markovian\n[chain]\nn_left = 4\nn_center = 4\nn_right = 4\n")
@@ -396,8 +405,10 @@ def test_invalid_run_values_exit_with_an_error(tmp_path, capsys, flags):
         (["--scenario", "fig3b", "--scale", "1", "--seed", "0"], "below the floor"),
         # the window needs more grid points than the cap
         (["--scenario", "fig7b", "--scale", "0.05", "--t-max", "20000"], "exceed the cap"),
+        # every pole decays at least at gamma_ext/2, so p underflows before t = 900
+        (["--scenario", "fig2", "--scale", "0.1", "--t-max", "900"], "p underflows to 0 at t = "),
     ],
-    ids=["geometry", "grid-cap"],
+    ids=["geometry", "grid-cap", "underflow"],
 )
 def test_run_errors_exit_with_an_error(capsys, argv, fragment):
     assert main(argv) == 2
@@ -571,17 +582,46 @@ def test_retarded_run_reports_the_sweep_route():
     assert summary["pole_check_error"] is None
 
 
+def _count_calls(monkeypatch, calls, module, name):
+    """Record in calls each call of module.name, which still runs."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or original(*a, **k))
+
+
 def test_retarded_run_makes_no_eig(monkeypatch):
     # the overlap belongs to the Markovian model: a retarded run reports none
-    # and makes no O(N^3) step
+    # and makes no O(N^3) step; H belongs to the poles route, so it builds none
+    import wgqed.hamiltonian
+    import wgqed.spectral
+
     calls = []
-    original = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: calls.append(1) or original(*a, **k))
+    _count_calls(monkeypatch, calls, np.linalg, "eig")
+    for module in (wgqed.hamiltonian, wgqed.spectral, wgqed.cli):
+        _count_calls(monkeypatch, calls, module, "effective_hamiltonian")
     summary = run(RunConfig(scenario="fig7b", scale=0.05)).summary.data
     assert summary["config"]["method"] == "spectral"
     assert calls == []
     assert summary["superradiant_overlap"] is None
     assert all("superradiant_overlap" not in m for m in summary["timings"]["members"])
+
+
+@pytest.mark.parametrize(
+    "cfg, n_members",
+    [
+        (dict(scenario="fig2", scale=0.05), 1),
+        (dict(scenario="fig3b", scale=0.05, seed=3, ensemble=3), 3),
+    ],
+    ids=["fig2", "fig3b-ensemble"],
+)
+def test_markovian_member_makes_one_eig(monkeypatch, cfg, n_members):
+    # the evolution, the spectra, the pole check and the overlap all read the
+    # one eigendecomposition of the member's H
+    calls = []
+    _count_calls(monkeypatch, calls, np.linalg, "eig")
+    summary = run(RunConfig(**cfg)).summary.data
+    assert summary["route"] == "poles"
+    assert len(summary["timings"]["members"]) == n_members
+    assert calls == ["eig"] * n_members
 
 
 @pytest.mark.parametrize(

@@ -167,7 +167,7 @@ def test_free_space_case1_shift(params):
     arr = build_chain(ChainSpec(100, 100, 100, gap_d0=0.5))
     h0 = effective_hamiltonian(arr, params)
     h1 = add_free_space_coupling(h0, arr, params)
-    assert h1.includes_free_space
+    assert h1.free_space_decay is not None
     r0 = np.max(-2 * np.linalg.eigvals(h0.matrix).imag)
     r1 = np.max(-2 * np.linalg.eigvals(h1.matrix).imag)
     shift = abs(r1 - r0) / r0

@@ -48,6 +48,7 @@ def test_default_params():
         {"gamma_ext": -0.1},
         {"v_g": 0.0},
         {"v_g": float("nan")},
+        {"v_g": float("inf")},
         {"gamma_ext": 1.0},          # must stay below gamma = 1
         {"gamma_ext": 0.85},         # Purcell: gamma_ext + gamma_1d must exceed 1
         {"lambda0": 0.0},

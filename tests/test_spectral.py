@@ -691,18 +691,6 @@ def test_retarded_reduces_to_markovian_at_infinite_vg():
     assert_allclose(retarded.outgoing, resonant.outgoing, rtol=1e-10, atol=0)
 
 
-@_KERNELS
-def test_retarded_sweep_rejects_the_free_space_term(params, retarded):
-    from wgqed import add_free_space_coupling
-
-    arr = build_chain(ChainSpec(0, 3, 0))
-    ham = add_free_space_coupling(effective_hamiltonian(arr, params), arr, params)
-    grid = SpectralGrid(-5.0, 5.0, 16, 0.0)
-    psi0 = dicke_initial_state(arr, params)
-    with pytest.raises(ValueError, match="scattering recursion has no free-space term"):
-        resolvent_sweep(arr, params, psi0, grid, retarded=retarded, ham=ham)
-
-
 def test_retarded_matvec_matches_the_dense_operator(params):
     rng = np.random.default_rng(4)
     arr = random_array(rng, 15)
