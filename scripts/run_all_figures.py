@@ -7,20 +7,16 @@ Example:
 
 Full scale reproduces the published geometries (300 to 1100 atoms); there the
 long-cavity scenarios (1100 atoms) take about 5 s and 0.7 GB each on 2 cores
-with one BLAS thread.  Each scenario prints one
-line: its method and route, the ledger, the largest resolvent residual, the
-eigenvector condition number and the pole check's deviation (None on the
-sweep route; a run near their limits, CONDITION_MAX and POLE_CHECK_TOL, is
-close to raising NumericalError), the frequency grid's number of points and
-alias-free window (swept on the sweep route, only reported on the poles
-route), the synthesis leak (the window error of a synthesised trajectory, at
-most LEAK_TOL in a converged run; None on the poles route), the vacuum-Rabi
+with one BLAS thread.  Each scenario prints one line: its method and route,
+the ledger, converged and the checks table it is decided from (name=value/limit),
+the frequency grid's number of points and alias-free window, the vacuum-Rabi
 oscillation frequency of p0 and the cavity model read off the poles (g, kappa,
 gamma_e and the pencil's pole_rms; None without an oscillation), the captured
 fractions of the right and left profiles, the wall time, the seconds of the
 resolvent sweep and of the evolution (summed over the ensemble members), the
 seconds spent writing the CSV artifacts and the peak resident set size of the
-process so far.
+process so far.  The exit status is 1 if a run is not converged; its failing
+checks are named on stderr after the last scenario.
 """
 
 import argparse
@@ -46,6 +42,7 @@ def main() -> int:
     )
     args = parser.parse_args()
 
+    failures = []
     for name in args.scenarios:
         out_dir = Path(args.out) / f"{name}_scale{args.scale:g}"
         tic = time.perf_counter()
@@ -70,13 +67,10 @@ def main() -> int:
         print(
             f"{name:6s} method={summary['config']['method']:9s} route={summary['route']:5s} "
             f"P_left={ledger.p_left:.4f} P_right={ledger.p_right:.4f} "
-            f"P_ext={ledger.p_ext:.4f} converged={ledger.converged} "
-            f"residual_max={summary['residual_max']:.2e} "
-            f"eig_condition={_sci(summary['eig_condition'])} "
-            f"pole_check_error={_sci(summary['pole_check_error'])} "
-            f"grid_points={summary['grid']['n_points']} "
+            f"P_ext={ledger.p_ext:.4f} converged={summary['converged']} "
+            + "".join(f"{k}={c['value']:.2e}/{c['limit']:.0e} " for k, c in summary["checks"].items())
+            + f"grid_points={summary['grid']['n_points']} "
             f"alias_window={summary['grid']['alias_window']:.4g} "
-            f"synthesis_leak={_sci(summary['synthesis_leak'])} "
             f"oscillation={_sci(oscillation.get('frequency'))} {cavity} "
             f"captured_right={profiles['right']['captured']:.5f} "
             f"captured_left={profiles['left']['captured']:.5f} "
@@ -86,7 +80,10 @@ def main() -> int:
             f"artifacts_s={summary['timings']['artifacts']:.3f} "
             f"peak_rss_mb={summary['timings']['peak_rss_mb']:.0f} -> {out_dir}"
         )
-    return 0
+        failures += [f"{name}.{k}" for k, c in summary["checks"].items() if not c["ok"]]
+    if failures:
+        print(f"not converged: {' '.join(failures)}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

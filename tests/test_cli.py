@@ -163,9 +163,9 @@ def test_artifact_formats(tmp_path):
     # t = 0 plus 2048 log-spaced times; 4096 tau midpoints; one row per atom
     assert row_counts == {"probabilities.csv": 2049, "profiles.csv": 4096, "positions.csv": 5}
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["format_version"] == 1
+    assert summary["format_version"] == 2
     assert summary["config"]["method"] == "markovian"
-    assert summary["ledger"]["converged"] is True
+    assert summary["converged"] is True
     assert summary["config"]["member_seeds"] == [0]
     # the echoed configuration is complete enough to rebuild the run
     assert summary["config"]["chain"]["segments"][0]["count"] == 5
@@ -175,7 +175,7 @@ def test_artifact_formats(tmp_path):
     assert summary["grid"]["alias_window"] == pytest.approx(
         2 * np.pi / summary["grid"]["spacing"], rel=1e-12
     )
-    assert 0.0 <= summary["residual_max"] <= 1e-10
+    assert 0.0 <= summary["checks"]["residual_max"]["value"] <= 1e-10
     peak_rss = summary["timings"]["peak_rss_mb"]
     assert math.isfinite(peak_rss) and peak_rss > 0
     fits = summary["timings"]["fits"]
@@ -568,9 +568,10 @@ def test_markovian_run_never_sweeps_its_grid(monkeypatch):
     # the only sweep is the check of the modal resolvent
     assert sizes == [POLE_CHECK_POINTS]
     assert summary["route"] == "poles"
-    assert summary["synthesis_leak"] is None
-    assert 1.0 <= summary["eig_condition"] < 1e8
-    assert summary["pole_check_error"] <= 1e-8
+    checks = summary["checks"]
+    assert "synthesis_leak" not in checks
+    assert 1.0 <= checks["eig_condition"]["value"] < 1e8
+    assert checks["pole_check_error"]["value"] <= 1e-8
     assert summary["grid"]["n_points"] == len(result.record.spectrum_right.deltas)
     assert summary["grid"]["n_points"] > POLE_CHECK_POINTS
 
@@ -578,8 +579,8 @@ def test_markovian_run_never_sweeps_its_grid(monkeypatch):
 def test_retarded_run_reports_the_sweep_route():
     summary = run(RunConfig(scenario="fig2", scale=0.05, method="spectral")).summary.data
     assert summary["route"] == "sweep"
-    assert summary["eig_condition"] is None
-    assert summary["pole_check_error"] is None
+    assert "eig_condition" not in summary["checks"]
+    assert "pole_check_error" not in summary["checks"]
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -646,7 +647,7 @@ def test_untrusted_expansion_raises_before_it_evolves(
     cfg = RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=free_space)
     summary = run(cfg).summary.data
     assert summary["route"] == "poles"
-    assert summary["pole_check_error"] <= 1e-8
+    assert summary["checks"]["pole_check_error"]["value"] <= 1e-8
     monkeypatch.setattr(target, value)
     evolved = []
     original = wgqed.cli.evolve_markovian
@@ -817,12 +818,10 @@ def test_retarded_run_matches_the_8_t_max_window(scenario, tmp_path, monkeypatch
     for field in ("p", "p0"):
         got, expected = getattr(result.series, field), getattr(oracle.series, field)
         assert np.max(np.abs(got - expected)) <= 1e-8
+    assert oracle.summary.data["converged"] is True
     ledger, expected = result.record.ledger.as_dict(), oracle.record.ledger.as_dict()
     for key, value in expected.items():
-        if key == "converged":
-            assert ledger[key] is value
-        else:
-            assert abs(ledger[key] - value) <= 1e-8, key
+        assert abs(ledger[key] - value) <= 1e-8, key
 
 
 def test_a_t_max_shorter_than_the_decay_is_not_converged():
@@ -831,10 +830,86 @@ def test_a_t_max_shorter_than_the_decay_is_not_converged():
     # at t_max = 7 the cavity still holds p = 2.2e-3: the 2 t_max window aliases
     # it, which only the leak probes see; both ledger gates pass
     short = run(RunConfig(scenario="fig7b", scale=0.05, t_max=7.0)).summary.data
-    assert short["synthesis_leak"] > 100 * LEAK_TOL
-    assert short["ledger"]["balance_error"] <= 1e-2
-    assert short["ledger"]["guided_route_discrepancy"] <= 1e-2
-    assert short["converged"] is False and short["ledger"]["converged"] is False
+    checks = short["checks"]
+    assert checks["synthesis_leak"]["value"] > 100 * LEAK_TOL
+    assert checks["balance_error"]["value"] <= 1e-2
+    assert checks["guided_route_discrepancy"]["value"] <= 1e-2
+    assert short["converged"] is False
+    assert [name for name, check in checks.items() if not check["ok"]] == ["synthesis_leak"]
     default = run(RunConfig(scenario="fig7b", scale=0.05)).summary.data
-    assert default["synthesis_leak"] <= LEAK_TOL
+    assert default["checks"]["synthesis_leak"]["value"] <= LEAK_TOL
     assert default["converged"] is True
+
+
+# --- the gate table: every check and the one verdict -------------------------------
+
+
+ROUTE_CHECKS = {
+    "poles": ["balance_error", "guided_route_discrepancy", "residual_max", "eig_condition",
+              "pole_check_error"],
+    "sweep": ["balance_error", "guided_route_discrepancy", "residual_max", "synthesis_leak"],
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, scale", [("fig2", 0.1), ("fig7b", 0.05)], ids=["poles", "sweep"]
+)
+def test_converged_is_every_check_of_the_route(scenario, scale):
+    result = run(RunConfig(scenario=scenario, scale=scale))
+    summary = result.summary.data
+    checks = summary["checks"]
+    assert list(checks) == ROUTE_CHECKS[summary["route"]]
+    for check in checks.values():
+        assert set(check) == {"value", "limit", "ok"}
+        assert check["ok"] is (check["value"] <= check["limit"])
+    assert summary["converged"] is all(check["ok"] for check in checks.values())
+    assert summary["converged"] is True
+    assert result.record.ledger.converged is summary["converged"]
+    # the ledger's two values are the run-level ledger's
+    for name in ("balance_error", "guided_route_discrepancy"):
+        assert checks[name]["value"] == summary["ledger"][name]
+
+
+@pytest.fixture(scope="module")
+def sweep_checks():
+    return run(RunConfig(scenario="fig7b", scale=0.05)).summary.data["checks"]
+
+
+@pytest.mark.parametrize(
+    "limit, name",
+    [
+        ("BALANCE_TOL", "balance_error"),
+        ("DISCREPANCY_TOL", "guided_route_discrepancy"),
+        ("LEAK_TOL", "synthesis_leak"),
+    ],
+)
+def test_a_soft_limit_under_its_value_flips_only_its_check(monkeypatch, sweep_checks, limit, name):
+    import wgqed.cli
+
+    lowered = 0.5 * sweep_checks[name]["value"]
+    monkeypatch.setattr(wgqed.cli, limit, lowered)
+    result = run(RunConfig(scenario="fig7b", scale=0.05))
+    summary = result.summary.data
+    checks = summary["checks"]
+    assert [key for key, check in checks.items() if not check["ok"]] == [name]
+    assert checks[name]["limit"] == lowered
+    assert checks[name]["value"] == sweep_checks[name]["value"]
+    assert summary["converged"] is False and result.record.ledger.converged is False
+
+
+def test_a_raised_residual_gate_is_the_limit_in_the_table(monkeypatch):
+    monkeypatch.setattr("wgqed.spectral.RESIDUAL_TOL", 1e-6)
+    summary = run(RunConfig(scenario="fig2", scale=0.05)).summary.data
+    assert summary["checks"]["residual_max"]["limit"] == 1e-6
+    assert summary["converged"] is True
+
+
+def test_main_names_the_failing_checks(monkeypatch, capsys):
+    monkeypatch.setattr("wgqed.cli.LEAK_TOL", 0.0)
+    assert main(["--scenario", "fig7b", "--scale", "0.02"]) == 0
+    out = capsys.readouterr().out
+    assert "converged=False failing=synthesis_leak" in out
+    monkeypatch.undo()
+    assert main(["--scenario", "fig7b", "--scale", "0.02"]) == 0
+    out = capsys.readouterr().out
+    assert "converged=True" in out and "failing" not in out

@@ -14,6 +14,7 @@ from wgqed import (
     resolvent_sweep,
     spatial_profile,
 )
+from wgqed.cli import BALANCE_TOL, DISCREPANCY_TOL
 from wgqed.emission import DirectionalSpectrum, default_tau_grid
 from wgqed.spectral import SpectralGrid
 from conftest import CAVITY_FIXTURES
@@ -121,7 +122,8 @@ def test_single_atom_ledger_branching(params):
     assert ledger.p_ext == pytest.approx(0.95 / 1.05, rel=1e-4)
     assert ledger.p_raman == pytest.approx(0.05 / 1.05, rel=1e-4)
     assert ledger.balance_error < 1e-4
-    assert ledger.converged
+    assert ledger.balance_error <= BALANCE_TOL
+    assert ledger.guided_route_discrepancy <= DISCREPANCY_TOL
 
 
 # --- scenario-level emission physics (session fixtures) -----------------------
@@ -192,7 +194,8 @@ def test_cavity_outflow_matches_the_spectral_weights(fixture, request):
     assert abs(guided_time - guided_spec) <= 5e-3 * guided_spec
     in_flight = 1.0 - series.p - series.e_left - series.e_right - series.e_raman - series.e_ext
     assert in_flight.min() >= -1e-6
-    assert ledger.converged
+    assert ledger.balance_error <= BALANCE_TOL
+    assert ledger.guided_route_discrepancy <= DISCREPANCY_TOL
 
 
 def _extended_profile_integral(profile, spectrum):
