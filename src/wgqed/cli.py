@@ -447,18 +447,17 @@ def _member_pipeline(
 
     if retarded:
         # the sweep route: the spectra from the fields leaving the chain, b and
-        # a0 synthesised from the resolvent, and the guided outflow |alpha|^2
+        # a0 synthesised from the resolvent (a0 from its projection on psi0),
+        # and the guided outflow |alpha|^2
         sweep = resolvent_sweep(array, params, psi0, grid, workers=workers)
         lap("resolvent_sweep")
         spectra = [emission_spectrum(sweep, array, params, d, grid) for d in (+1, -1)]
         lap("emission_spectra")
         probe = -default_time_grid(gamma_fast, t_max, n=LEAK_PROBES)[:0:-1]
-        times = np.concatenate([probe, t_grid, t_dicke])
-        amps = time_domain(sweep, times).amplitudes
-        n_log = len(probe) + len(t_grid)
-        leak = synthesis_leak(sweep, AmplitudeTrajectory(times[:n_log], amps[:n_log]))
-        trajectory = AmplitudeTrajectory(t_grid, amps[len(probe) : n_log])
-        dicke = amps[n_log:] @ bra
+        synthesis = time_domain(sweep, np.concatenate([probe, t_grid]))
+        leak = synthesis_leak(sweep, synthesis)
+        trajectory = AmplitudeTrajectory(t_grid, synthesis.amplitudes[len(probe) :])
+        dicke = time_domain(sweep.projected(bra), t_dicke).amplitudes[:, 0]
         alpha = sampled_amplitudes(spectra, t_grid)
         fluxes = tuple(np.abs(alpha.T) ** 2)
         lap("evolution")

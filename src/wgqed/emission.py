@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import CHUNK, ModalExpansion, ProbabilitySeries, pole_sums
+from .dynamics import ModalExpansion, ProbabilitySeries, pole_sums
 from .model import AtomArray, PhysParams
 from .spectral import DelayedTerms, ResolventSet, SpectralGrid
 
@@ -84,9 +83,9 @@ class PoleSpectrum(DirectionalSpectrum):
 
     Closing the contours gives the weight and the profile exactly:
     weight = sum_jk A_j A_k* / (i (lambda_j - lambda_k*)), and
-    alpha(tau) = -i sum_j A_j e^{-i lambda_j tau} for tau > 0, zero before.
-    values samples M on the grid only when read; each amplitude is its own
-    pole_sums call on that tau grid.
+    alpha(tau) = -i sum_j A_j e^{-i lambda_j tau} for tau >= 0, zero before.
+    M is not sampled on the grid; each amplitude is its own pole_sums call on
+    that tau grid.
     """
 
     def __init__(self, grid: SpectralGrid, poles, residues):
@@ -96,22 +95,12 @@ class PoleSpectrum(DirectionalSpectrum):
         gram = 1.0 / (1j * (self.poles[:, None] - np.conj(self.poles)[None, :]))
         self.weight = float(np.real(self.residues @ gram @ np.conj(self.residues)))
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        deltas = self.deltas
-        out = np.empty(len(deltas), dtype=complex)
-        for lo in range(0, len(deltas), CHUNK):
-            block = deltas[lo : lo + CHUNK, None] - self.poles
-            out[lo : lo + CHUNK] = (1.0 / block) @ self.residues
-        return out
-
     def amplitude(self, tau: np.ndarray) -> np.ndarray:
-        """The causal pole sum; tau = 0 gets the midpoint of the front's jump."""
+        """The causal pole sum, on from tau = 0 (the front's right limit)."""
         tau = np.asarray(tau, dtype=float)
         alpha = np.zeros(len(tau), dtype=complex)
         after = tau >= 0.0
         alpha[after] = -1j * pole_sums(self.poles, self.residues, tau[after])[:, 0]
-        alpha[tau == 0.0] *= 0.5
         return alpha
 
 
@@ -233,8 +222,8 @@ def spatial_profile(spectrum: DirectionalSpectrum, tau_grid: np.ndarray) -> Spat
     From a sampled spectrum, alpha is apodised like the time synthesis, which
     smears whatever steps the lead does not carry over roughly the inverse
     taper width; from a swept one the pulse fronts are exact.  From a pole
-    spectrum, alpha is exact.  A step is worth its midpoint where it falls on
-    the grid, so grids should avoid the fronts (see default_tau_grid).
+    spectrum, alpha is exact.  Either way a front is causal: a step that
+    falls on the grid takes its right limit.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     alpha = spectrum.amplitude(tau_grid)
@@ -244,10 +233,9 @@ def spatial_profile(spectrum: DirectionalSpectrum, tau_grid: np.ndarray) -> Spat
 def default_tau_grid(t_max: float, n: int = 4096) -> np.ndarray:
     """Retarded-coordinate grid spanning (0, t_max) at half-sample offsets.
 
-    The offset keeps the causal pulse front (a step at tau = 0, which the
-    Fourier sum reconstructs as its midpoint) off the grid, and makes the
-    samples the midpoints of n equal cells that tile [0, t_max], which the
-    capture integrates by the midpoint rule.
+    The offset keeps the causal pulse front (a step at tau = 0) off the grid,
+    and makes the samples the midpoints of n equal cells that tile
+    [0, t_max], which the capture integrates by the midpoint rule.
     """
     step = t_max / n
     return step * (np.arange(n) + 0.5)

@@ -12,19 +12,20 @@ terms of the large-E expansion
 
 whose transforms are known in closed form.  On the retarded kernel the second
 term carries the delays of the couplings, H_ab(E) = H_ab(0) e^{i E tau_ab}
-with tau_ab = |z_a - z_b| / v_g, so its transform is a set of delayed ramps
--i (t - tau_ab) e^{-i lam0 (t - tau_ab)} theta(t - tau_ab) (DelayedTerms).
-The sweep subtracts that term on the grid, from one more O(N) guided pass of
-psi0 per detuning, and keeps only the difference; the first term is removed
-after the raised-cosine apodised discrete sum, which is linear, as the sum of
-the grid column 1/(E - lam0) times psi0.  So only the O(1/E^3) remainder is
-synthesised numerically.  A sweep holds x (M x N) and, per worker, one
-N x SCATTER_CHUNK work buffer: each chunk is solved in its own slice of x.
-The synthesis adds its closed-form terms in place to its (times x N) output,
-and the non-uniform FFT gathers its nodes TIME_BLOCK times at a time, so no
-other array of M or n_t rows by N is formed.  The fields leaving the chain
-lead with the delayed steps of psi0 itself, the pulse fronts, which the sweep
-samples on the grid for the same treatment (see emission).
+with tau_ab = |z_a - z_b| / v_g.  The sweep subtracts both terms on the grid,
+the second from one more O(N) guided pass of psi0 per detuning, so only the
+O(1/E^3) remainder is synthesised numerically; the terms add back as their
+exact transform (DelayedTerms): a step e^{-i lam0 t} theta(t) on each atom
+psi0 occupies, and delayed ramps -i (t - tau_ab) e^{-i lam0 (t - tau_ab)}
+theta(t - tau_ab).  Both parts are linear, so <bra|b(t)> is synthesised from
+the one column x bra (ResolventSet.projected).  A sweep holds x (M x N) and,
+per worker, one N x SCATTER_CHUNK work buffer: each chunk is solved in its
+own slice of x.  The synthesis adds the delayed terms in place to its
+(times x N) output, and the non-uniform FFT gathers its nodes TIME_BLOCK
+times at a time, so no other array of M or n_t rows by N is formed.  The
+fields leaving the chain lead with the delayed steps of psi0 itself, the
+pulse fronts, which the sweep samples on the grid for the same treatment
+(see emission).
 
 Both kernels are solved by one scattering recursion, in O(N) per detuning
 (see scattering_sweep): the resonant kernel is the retarded one with k held at
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -187,7 +188,8 @@ class DelayedTerms:
         int d delta e^{-i delta t} f_r(delta)
             = -2 pi i sum_j [s_rj - i q_rj (t - d_rj)] e^{-i lam0 (t - d_rj)} theta(t - d_rj),
 
-    a set of delayed steps and ramps.
+    a set of delayed steps and ramps.  Each step is causal: on from its delay,
+    theta(0) = 1 (a ramp is zero there).
     """
 
     delays: np.ndarray  # shape (rows, terms), like steps and ramps
@@ -206,6 +208,16 @@ class DelayedTerms:
             out[:, r] = inv * (phases @ s + inv * (phases @ q))
         return out
 
+    def projected(self, weights: np.ndarray) -> DelayedTerms:
+        """The single row sum_r weights_r f_r, whose terms are every row's."""
+        w = np.asarray(weights)[:, None]
+        return DelayedTerms(
+            self.delays.reshape(1, -1),
+            (w * self.steps).reshape(1, -1),
+            (w * self.ramps).reshape(1, -1),
+            self.lam0,
+        )
+
     def transform(self, times: np.ndarray, into: Optional[np.ndarray] = None) -> np.ndarray:
         """The exact transform at each time, shape (len(times), rows); added
         in place to into, and into returned, when it is given.
@@ -214,8 +226,7 @@ class DelayedTerms:
         delays sorted, a time reads the cumulative sums of s e^{i lam0 d},
         q e^{i lam0 d} and q d e^{i lam0 d} over the delays below it:
         O(rows (terms + n_t) log terms), with no rows x terms x n_t array.  A
-        delay equal to a time counts half, a step's midpoint (a ramp is zero
-        there).
+        delay equal to a time counts whole (theta(0) = 1).
         """
         times = np.asarray(times, dtype=float)
         t_last = float(np.max(times, initial=0.0))
@@ -230,10 +241,10 @@ class DelayedTerms:
         np.cumsum(np.stack([s, q, q * d], axis=1), axis=2, out=sums[:, :, 1:])
         if into is None:
             into = np.zeros((len(times), len(d)), dtype=complex)
-        factor = -1j * math.pi * np.exp(-1j * self.lam0 * times)
+        factor = -2j * math.pi * np.exp(-1j * self.lam0 * times)
         for r in range(len(d)):
-            lo, hi = (np.searchsorted(d[r], times, side=side) for side in ("left", "right"))
-            s_sum, q_sum, qd_sum = np.take(sums[r], lo, axis=1) + np.take(sums[r], hi, axis=1)
+            on = np.searchsorted(d[r], times, side="right")
+            s_sum, q_sum, qd_sum = np.take(sums[r], on, axis=1)
             column = s_sum - 1j * (times * q_sum - qd_sum)
             column *= factor
             into[:, r] += column
@@ -244,27 +255,26 @@ class DelayedTerms:
 class ResolventSet:
     """The resolvent sweep over a grid, in the form the time synthesis reads.
 
-    x[i] is the resolvent x(deltas[i]) less its delayed second-order term
-    [H(delta) - lam0] psi0 / (delta - lam0)^2, whose exact transform is ramps
-    (rows: atoms; terms: the atoms psi0 occupies); resolvent() restores it.
+    x[i] is the resolvent x(deltas[i]) less its pole psi0 / (delta - lam0)
+    and delayed second-order term [H(delta) - lam0] psi0 / (delta - lam0)^2,
+    whose exact transform is ramps (rows: atoms; terms: the atoms psi0
+    occupies, the pole their zero-delay steps); resolvent() restores them.
     x is the (M, N) transpose view of one atom-major block, so a column of x
     is a contiguous row in memory.
 
     outgoing[i] holds the guided fields leaving the chain at deltas[i]:
     sum_a e^{ik(z_N - z_a)} x_a past the last atom (column 0) and
     sum_a e^{ik(z_a - z_1)} x_a past the first (column 1), with k the
-    wavenumber of the sweep's kernel.  lead[i] is their leading term, the same
-    fields of psi0 over (deltas[i] - lam0): the pulse fronts, whose exact
-    transform is fronts (row 0 right, row 1 left).  lam0 = H_aa is the
-    uniform pole.
+    wavenumber of the sweep's kernel.  lead[i] is the same fields of the
+    subtracted terms, whose exact transform is fronts (row 0 right, row 1
+    left): the pulse fronts, the fields of psi0 over (deltas[i] - lam0), and
+    their next order.
     """
 
     grid: SpectralGrid
     x: np.ndarray  # shape (n_points, n_atoms)
     outgoing: np.ndarray  # shape (n_points, 2)
     lead: np.ndarray  # shape (n_points, 2)
-    psi0: np.ndarray
-    lam0: complex
     ramps: DelayedTerms
     fronts: DelayedTerms
     residual_max: float = 0.0
@@ -275,8 +285,13 @@ class ResolventSet:
 
     def resolvent(self) -> np.ndarray:
         """The full resolvent [delta - H(delta)]^{-1} psi0, shape (M, N); its
-        second-order term is summed directly, so this is for small grids."""
+        leading terms are summed directly, so this is for small grids."""
         return self.x + self.ramps.samples(self.deltas)
+
+    def projected(self, bra: np.ndarray) -> ResolventSet:
+        """The sweep of the one amplitude <bra|b> = sum_a bra_a b_a: the column
+        x bra, with ramps projected the same way."""
+        return replace(self, x=(self.x @ bra)[:, None], ramps=self.ramps.projected(bra))
 
 
 def build_grid(
@@ -482,11 +497,11 @@ def _scatter_chunk(
     the left-going field F-_a from the last atom and turns drive into x row by
     row.  The buffer then takes the residual, the O(N) matvec with the same
     gap phases, whose two field recursions also give the outgoing fields.
-    Last it takes second = [H(delta) - lam0] psi0 / u^2 = -c F(psi0) / u^2
-    (u = delta - lam0), from one more guided pass of psi0 that also gives the
-    fields of psi0 leaving the chain; second is subtracted from x.  Returns
-    (outgoing, residual, lead): lead is the two leading terms of outgoing, the
-    fields of psi0 leaving the chain over u plus those of second.
+    Last it takes the two leading terms of x, in place: the second-order
+    [H(delta) - lam0] psi0 / u^2 = -c F(psi0) / u^2 (u = delta - lam0), from
+    one more guided pass of psi0, and on the rows psi0 occupies the pole
+    psi0 / u; they are subtracted from x.  Returns (outgoing, residual, lead):
+    lead is the fields of the subtracted terms leaving the chain.
     """
     work = np.empty(x.shape, dtype=complex)
     distinct, row, gain, _, _ = scattering_sweep(
@@ -502,10 +517,12 @@ def _scatter_chunk(
             np.multiply(distinct[row[a - 1]], left, out=left)
     res_max, outgoing = _guided_matvec(x, distinct, row, deltas, params, psi, work)
     inv = 1.0 / (deltas + 0.5j * params.gamma_tot)
-    lead = _guided_fields(psi[:, None], distinct, row, work)
-    second = np.multiply(work, -0.5j * params.gamma_wg * inv**2, out=work)
-    np.subtract(x, second, out=x)
-    return outgoing, res_max, lead * inv[:, None] + _leaving(second, distinct, row)
+    _guided_fields(psi[:, None], distinct, row, work)
+    np.multiply(work, -0.5j * params.gamma_wg * inv**2, out=work)
+    for a in np.flatnonzero(psi):
+        work[a] += psi[a] * inv
+    np.subtract(x, work, out=x)
+    return outgoing, res_max, _leaving(work, distinct, row)
 
 
 def check_residual(residual: float, psi: np.ndarray) -> None:
@@ -532,8 +549,8 @@ def resolvent_sweep(
     guided-only H(delta) of the array; retarded only picks the wavenumber,
     k(delta) or the constant k_wg.  No N x N matrix is formed: the uniform
     pole lam0 = -i gamma_tot/2 and the delayed couplings (guided_exchange of
-    the pair distances to the atoms psi0 occupies) are all the second-order
-    term needs.  The sweep holds x and, while a chunk of SCATTER_CHUNK
+    the pair distances to the atoms psi0 occupies) are all the two leading
+    terms need.  The sweep holds x and, while a chunk of SCATTER_CHUNK
     detunings is solved in its slice of x (_scatter_chunk), one
     N x SCATTER_CHUNK work buffer.  Grid points are independent; with
     workers > 1 the chunks run on a thread pool (numpy releases the GIL), each
@@ -566,15 +583,19 @@ def resolvent_sweep(
     lam0 = -0.5j * params.gamma_tot  # every atom carries the same width
     # The couplings H_ab(delta) = H_ab(0) e^{i delta |z_a - z_b| / v_g} delay
     # the second-order term by |z_a - z_b| / v_g, over the atoms b psi0
-    # occupies; none are delayed on the resonant kernel.  The fields leaving
-    # the chain are those of psi0 from b (steps), and of the second-order term
-    # from a (ramps), one path b -> a -> end for each pair.
+    # occupies; none are delayed on the resonant kernel.  The pole is the
+    # undelayed step psi0_b on atom b itself.  The fields leaving the chain
+    # are those of psi0 from b (steps), and of the second-order term from a
+    # (ramps), one path b -> a -> end for each pair.
     z = array.positions
     occupied = np.flatnonzero(psi)
     slowness = 1.0 / params.v_g if retarded else 0.0
     pair = np.abs(z[:, None] - z[occupied])
     couplings = guided_exchange(pair, params) * psi[occupied]
-    couplings[occupied, np.arange(len(occupied))] = 0.0  # (H0 - lam0)_aa = 0
+    steps = np.zeros_like(couplings)
+    diagonal = occupied, np.arange(len(occupied))
+    couplings[diagonal] = 0.0  # (H0 - lam0)_aa = 0
+    steps[diagonal] = psi[occupied]
     to_end = np.stack([z[-1] - z, z - z[0]])
     path = np.concatenate(
         [to_end[:, occupied], (to_end[:, :, None] + pair).reshape(2, -1)], axis=1
@@ -586,9 +607,7 @@ def resolvent_sweep(
         x=block.T,
         outgoing=outgoing,
         lead=lead,
-        psi0=psi.copy(),
-        lam0=lam0,
-        ramps=DelayedTerms(slowness * pair, np.zeros_like(couplings), couplings, lam0),
+        ramps=DelayedTerms(slowness * pair, steps, couplings, lam0),
         fronts=DelayedTerms(
             slowness * path,
             np.concatenate([front_steps, np.zeros_like(front_ramps)], axis=1),
@@ -603,15 +622,13 @@ def time_domain(slices: ResolventSet, t_grid: np.ndarray) -> AmplitudeTrajectory
     """Synthesise b(t) from the resolvent slices by the windowed discrete sum,
     evaluated at any t_grid by the grid's non-uniform FFT (fourier_sum).
 
-    The two leading large-detuning terms of x(delta) are removed and restored
-    analytically (see module docstring), so only the O(1/delta^3) remainder is
-    summed numerically; b(0+) = psi0 holds by construction and negative times
-    probe pure window leakage (causality).  The sweep has already removed the
-    delayed second-order term from x; the sum is linear, so the first term is
-    subtracted after it.  The closed-form terms (that pole, the delayed ramps
-    and the step at t = 0) are added in place to the transform, the pole and
-    the step on the columns psi0 occupies only, so no M x N or n_t x N array
-    besides the result is formed.
+    The sweep has removed the two leading large-detuning terms of x(delta)
+    (see module docstring), so only the O(1/delta^3) remainder is summed
+    numerically, and the exact transform of the removed terms, slices.ramps,
+    is added in place to the sum: b(0) = psi0 holds by construction (the
+    steps are causal) and negative times probe pure window leakage
+    (causality).  No M x N or n_t x N array besides the result is formed.
+    A projected sweep (ResolventSet.projected) gives its one amplitude.
 
     The times must lie within half the alias-free window W, which build_grid
     makes at least 2 t_max.  The sum is periodic in W, so it adds b(t + W) to
@@ -619,23 +636,14 @@ def time_domain(slices: ResolventSet, t_grid: np.ndarray) -> AmplitudeTrajectory
     bounds (synthesis_leak).
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    grid = slices.grid
-    half_window = 0.5 * grid.alias_window
+    half_window = 0.5 * slices.grid.alias_window
     if np.any(np.abs(t_grid) > half_window):
         raise ValueError(
             f"requested times extend beyond the alias-free window +/-{half_window:.3g}"
         )
-    s1 = grid.fourier_sum(1.0 / (slices.deltas - slices.lam0), t_grid)
-    amps = grid.fourier_sum(slices.x, t_grid)
-    occupied = np.flatnonzero(slices.psi0)
-    for a in occupied:
-        amps[:, a] -= s1 * slices.psi0[a]
+    amps = slices.grid.fourier_sum(slices.x, t_grid)
     slices.ramps.transform(t_grid, into=amps)
     amps *= -1.0 / (2.0j * math.pi)
-    causal = t_grid >= 0.0
-    step = np.exp(-1j * slices.lam0 * t_grid[causal])
-    for a in occupied:
-        amps[causal, a] += step * slices.psi0[a]
     return AmplitudeTrajectory(t=t_grid, amplitudes=amps)
 
 

@@ -262,7 +262,8 @@ def _assert_poles_match_sweep(params, arr, psi0, gamma_fast, t_max):
         poles = emission_spectrum(modes, arr, params, direction, grid)
         swept = emission_spectrum(slices, arr, params, direction)
         assert isinstance(poles, PoleSpectrum)
-        assert np.max(np.abs(poles.values - swept.values)) <= 1e-8 * np.abs(swept.values).max()
+        values = (1.0 / (grid.deltas[:, None] - poles.poles)) @ poles.residues
+        assert np.max(np.abs(values - swept.values)) <= 1e-8 * np.abs(swept.values).max()
         assert poles.weight == pytest.approx(swept.weight, rel=1e-7)
         exact = spatial_profile(poles, tau).alpha2
         sampled = spatial_profile(swept, tau).alpha2
@@ -314,8 +315,8 @@ def test_pole_outflow_is_the_directional_flux(scenario, seed, params):
 
 
 def test_pole_profile_is_causal_and_exact(params):
-    # one atom: alpha(tau) = -i A e^{-i lambda tau}, a step at the front whose
-    # midpoint sits at tau = 0; its tau-integral is the closed-form weight
+    # one atom: alpha(tau) = -i A e^{-i lambda tau}, a causal step at the
+    # front, on from tau = 0; its tau-integral is the closed-form weight
     from wgqed.emission import PoleSpectrum
 
     grid = SpectralGrid(-10.0, 10.0, 64)
@@ -324,7 +325,7 @@ def test_pole_profile_is_causal_and_exact(params):
     tau = np.array([-1.0, 0.0, 0.5])
     alpha2 = spatial_profile(spectrum, tau).alpha2
     assert alpha2[0] == 0.0
-    assert alpha2[1] == pytest.approx(0.25 * 0.09, rel=1e-14)
+    assert alpha2[1] == pytest.approx(0.09, rel=1e-14)
     assert alpha2[2] == pytest.approx(0.09 * np.exp(-0.5 * params.gamma_tot), rel=1e-14)
     tau = np.linspace(1e-12, 40.0, 40001)
     integral = np.trapezoid(spatial_profile(spectrum, tau).alpha2, tau)

@@ -152,7 +152,9 @@ def test_single_atom_slice_closed_form(params):
     grid = build_grid(1.05, t_max=8.0)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     expected = 1.0 / (slices.deltas + 0.5j * params.gamma_tot)
-    assert_allclose(slices.x[:, 0], expected, atol=1e-12)
+    # x is the resolvent less its pole, which is the whole of it here
+    assert_allclose(slices.x[:, 0], 0.0, atol=1e-12)
+    assert_allclose(slices.resolvent()[:, 0], expected, atol=1e-12)
     assert slices.x.shape == (grid.n_points, 1)
     assert slices.deltas[5] == grid.deltas[5]
 
@@ -285,14 +287,16 @@ def _bragg_chain(params):
     return arr, dicke_initial_state(arr, params)
 
 
-def _dense_second(arr, params, psi, deltas, retarded):
-    # the second-order term [H(delta) - lam0] psi0 / (delta - lam0)^2 the
-    # chunk subtracts in place, from the dense H(delta)
+def _dense_leading_terms(arr, params, psi, deltas, retarded):
+    # the pole psi0 / (delta - lam0) and the second-order term
+    # [H(delta) - lam0] psi0 / (delta - lam0)^2 the chunk subtracts in place,
+    # from the dense H(delta)
     h0 = effective_hamiltonian(arr, params).matrix
     lam0 = h0[0, 0]
     h = _retarded_hamiltonian(arr, params, deltas) if retarded else h0
     coupled = (h - lam0 * np.eye(len(psi))) @ psi
-    return coupled / ((np.asarray(deltas) - lam0) ** 2)[:, None]
+    pole = (np.asarray(deltas) - lam0)[:, None]
+    return psi / pole + coupled / pole**2
 
 
 @_KERNELS
@@ -304,7 +308,7 @@ def test_scattering_solve_matches_dense_on_a_bragg_chain(params, retarded):
     x = np.empty((len(psi), len(deltas)), dtype=complex)
     _, residual, _ = _scatter_chunk(deltas, k, arr.positions, params, psi, x)
     assert residual <= 1e-12
-    solved = x.T + _dense_second(arr, params, psi, deltas, retarded)
+    solved = x.T + _dense_leading_terms(arr, params, psi, deltas, retarded)
     assert_allclose(solved, _dense_solve(retarded)(arr, params, psi, deltas), rtol=1e-12)
 
 
@@ -350,8 +354,8 @@ def _reference_fields(x, phases):
 
 
 def _reference_scatter_chunk(deltas, positions, params, psi):
-    # (x, outgoing, residual, second-order term, lead) with a new array for
-    # every stage, which the in-place chunk replaced
+    # (x, outgoing, residual, subtracted pole and second-order term, lead)
+    # with a new array for every stage, which the in-place chunk replaced
     phases, gain, drive, _ = _reference_sweep(positions, params, deltas, psi)
     n = len(psi)
     x = np.empty_like(gain)
@@ -368,7 +372,7 @@ def _reference_scatter_chunk(deltas, positions, params, psi):
     psi_fields, psi_outgoing = _reference_fields(np.outer(psi, np.ones(len(deltas))), phases)
     second = -c * psi_fields / u**2
     lead = psi_outgoing / u[:, None] + _reference_fields(second, phases)[1]
-    return x.T, outgoing, res_max, second.T, lead
+    return x.T, outgoing, res_max, (second + psi[:, None] / u).T, lead
 
 
 def _recursion_cases(params):
@@ -402,11 +406,11 @@ def test_grouped_recursion_matches_the_per_gap_recursion(params):
         outgoing, residual, lead = _scatter_chunk(
             deltas, params.k_of(deltas), positions, params, psi, x
         )
-        x_ref, outgoing_ref, residual_ref, second_ref, lead_ref = _reference_scatter_chunk(
+        x_ref, outgoing_ref, residual_ref, leading_ref, lead_ref = _reference_scatter_chunk(
             deltas, positions, params, psi
         )
-        # x holds the solve less its second-order term
-        assert_allclose(x.T + second_ref, x_ref, rtol=1e-12, err_msg=name)
+        # x holds the solve less its pole and second-order term
+        assert_allclose(x.T + leading_ref, x_ref, rtol=1e-12, err_msg=name)
         assert_allclose(outgoing, outgoing_ref, rtol=1e-12, err_msg=name)
         assert_allclose(residual, residual_ref, rtol=1e-12, err_msg=name)
         assert_allclose(lead, lead_ref, rtol=1e-12, err_msg=name)
@@ -442,29 +446,31 @@ def test_outgoing_matches_the_direct_phase_sum(params, retarded):
         assert_allclose(slices.outgoing, expected, rtol=1e-10, atol=0)
 
 
-def _remainder_time_domain(slices, arr, params, t):
+def _remainder_time_domain(slices, arr, params, psi, t):
     # the direct route: the M x N remainder of the full resolvent after its two
     # leading terms, the delayed second one summed pair by pair on the grid,
     # one Fourier sum of it, then the closed-form step and delayed ramps summed
     # pair by pair; kept as the oracle
-    pole = slices.deltas - slices.lam0
-    occupied = np.flatnonzero(slices.psi0)
-    h0 = effective_hamiltonian(arr, params).matrix - slices.lam0 * np.eye(arr.n_atoms)
-    coupling = h0[:, occupied] * slices.psi0[occupied]
+    h0 = effective_hamiltonian(arr, params).matrix
+    lam0 = h0[0, 0]
+    pole = slices.deltas - lam0
+    occupied = np.flatnonzero(psi)
+    h0 = h0 - lam0 * np.eye(arr.n_atoms)
+    coupling = h0[:, occupied] * psi[occupied]
     delay = pair_distances(arr)[:, occupied] / params.v_g
     second = np.stack(
         [np.exp(1j * np.outer(slices.deltas, d)) @ w for d, w in zip(delay, coupling)], axis=1
     )
     remainder = (
         slices.resolvent()
-        - slices.psi0[None, :] / pole[:, None]
+        - psi[None, :] / pole[:, None]
         - second / (pole**2)[:, None]
     )
     amps = (-1.0 / (2.0j * np.pi)) * slices.grid.fourier_sum(remainder, t)
     causal = t >= 0.0
-    amps[causal] += np.exp(-1j * slices.lam0 * t[causal])[:, None] * slices.psi0[None, :]
+    amps[causal] += np.exp(-1j * lam0 * t[causal])[:, None] * psi[None, :]
     lag = t[:, None, None] - delay[None]
-    ramps = np.where(lag >= 0.0, -1j * lag * np.exp(-1j * slices.lam0 * lag), 0.0)
+    ramps = np.where(lag >= 0.0, -1j * lag * np.exp(-1j * lam0 * lag), 0.0)
     return amps + np.einsum("tab,ab->ta", ramps, coupling)
 
 
@@ -475,14 +481,14 @@ def test_time_domain_matches_the_remainder_sum(params):
         slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
         half = 0.45 * grid.alias_window
         t = np.concatenate([np.linspace(-half, 0.0, 60), default_time_grid(1.0, half, n=200)])
-        expected = _remainder_time_domain(slices, arr, params, t)
+        expected = _remainder_time_domain(slices, arr, params, psi0.amplitudes, t)
         fast = time_domain(slices, t).amplitudes
         assert np.max(np.abs(fast - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 def test_delayed_terms_transform_matches_the_direct_sum():
     # the sorted cumulative sums against every term evaluated at every time,
-    # with a delay on a time (its step counts half), negative times, and a
+    # with a delay on a time (its step counts whole), negative times, and a
     # delay so far past the last time that e^{i lam0 d} would overflow
     rng = np.random.default_rng(8)
     lam0 = 0.3 - 0.6j
@@ -493,7 +499,7 @@ def test_delayed_terms_transform_matches_the_direct_sum():
     terms = DelayedTerms(delays, steps, ramps, lam0)
     t = np.concatenate([[-0.5, 0.0, 1.0], np.linspace(0.01, 3.0, 50)])
     lag = t[:, None, None] - delays[None]
-    theta = np.where(lag > 0, 1.0, np.where(lag == 0, 0.5, 0.0))
+    theta = np.where(lag >= 0, 1.0, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         direct = -2j * np.pi * theta * (steps - 1j * ramps * lag) * np.exp(-1j * lam0 * lag)
     direct = np.where(theta > 0, direct, 0.0)
@@ -617,8 +623,8 @@ def test_retarded_profiles_and_outflow_match_a_converged_reference(converged_cav
 
 
 def test_time_domain_allocates_less_than_the_sweep(params):
-    # after the sweep no M x N array is allocated: the pole terms are removed
-    # after the transform, whose FFT blocks are FFT_COLUMNS wide
+    # after the sweep no M x N array is allocated: the pole terms were removed
+    # on the grid, and the FFT blocks are FFT_COLUMNS wide
     arr = build_chain(ChainSpec(25, 10, 25, gap_d0=174000.25))
     psi0 = dicke_initial_state(arr, params)
     grid = SpectralGrid(-40.0, 40.0, 2**15, 0.1)
@@ -658,6 +664,44 @@ def test_sweep_holds_x_and_one_chunk_buffer(monkeypatch):
     [(slices, peak)] = traced
     assert slices.x.shape == (4096, 55)
     assert peak < slices.x.nbytes + 55 * SCATTER_CHUNK * 16 + 1.5 * 2**20
+
+
+def test_sweep_route_synthesises_a0_without_an_n_dicke_by_n_block(monkeypatch):
+    # on fig7b --scale 0.05 (N = 55) the run's syntheses trace no more than
+    # the trajectory's alone plus half of the (n_dicke, N) block (225 KiB)
+    # that synthesising every amplitude at the Dicke times, only to contract
+    # them with psi0, held: a0 is synthesised from one projected column
+    import wgqed.cli as cli
+
+    config = RunConfig(scenario="fig7b", scale=0.05)
+    run(config)  # first, so that the FFT's plan caches are not traced
+    synthesis, calls = cli.time_domain, []
+
+    def traced(slices, t_grid):
+        tracemalloc.start()
+        try:
+            trajectory = synthesis(slices, t_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+            calls.append((slices, t_grid, peak, trajectory.amplitudes.shape[1]))
+        finally:
+            tracemalloc.stop()
+        return trajectory
+
+    monkeypatch.setattr(cli, "time_domain", traced)
+    result = run(config)
+    sweep, times = calls[0][0], calls[0][1]
+    times = np.concatenate([times[times < 0.0], result.series.t])
+    tracemalloc.start()
+    try:
+        synthesis(sweep, times)
+        alone = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = cli.DICKE_SAMPLES * sweep.x.shape[1] * 16
+    assert sweep.x.shape[1] == 55
+    assert max(peak for _, _, peak, _ in calls) < alone + block / 2
+    # one synthesis of the trajectory, one of the single column a0
+    assert [columns for *_, columns in calls] == [55, 1]
 
 
 def test_fourier_sum_gathers_one_time_block_at_a_time():
