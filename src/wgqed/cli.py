@@ -545,6 +545,11 @@ def _chain_echo(chain: ChainSpec) -> dict:
     }
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size so far (ru_maxrss, KiB), in MiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run(config: RunConfig) -> RunResult:
     """Execute one configured run and write its artifacts.
 
@@ -666,7 +671,7 @@ def run(config: RunConfig) -> RunResult:
                 "classify_regime": classify,
                 "fits": fits,
                 "total": total,
-                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                "peak_rss_mb": _peak_rss_mb(),
             },
         }
     )
@@ -678,7 +683,7 @@ def run(config: RunConfig) -> RunResult:
 
 def _write_artifacts(result: RunResult, array, out_dir: Path) -> None:
     """Write the three CSV files, then summary.json with their writing time
-    as timings.artifacts."""
+    as timings.artifacts and the peak RSS read again after them."""
     out_dir.mkdir(parents=True, exist_ok=True)
     tic = time.perf_counter()
     result.series.to_csv(out_dir / "probabilities.csv")
@@ -689,7 +694,9 @@ def _write_artifacts(result: RunResult, array, out_dir: Path) -> None:
         [rec.profile_left.tau, rec.profile_left.alpha2, rec.profile_right.alpha2],
     )
     array.to_csv(out_dir / "positions.csv")
-    result.summary.data["timings"]["artifacts"] = time.perf_counter() - tic
+    timings = result.summary.data["timings"]
+    timings["artifacts"] = time.perf_counter() - tic
+    timings["peak_rss_mb"] = _peak_rss_mb()
     result.summary.to_json(out_dir / "summary.json")
 
 

@@ -3,7 +3,9 @@ import hashlib
 import json
 import math
 import re
+import resource
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,6 +190,22 @@ def test_artifact_formats(tmp_path):
             "captured": profile.captured,
             "covers_support": profile.covers_support,
         }
+
+
+def test_summary_peak_rss_counts_the_artifact_writer(tmp_path, monkeypatch):
+    # a fake ru_maxrss of 1 MiB plus 1 MiB per CSV file on disk
+    out = tmp_path / "run"
+
+    def getrusage(who):
+        return SimpleNamespace(ru_maxrss=1024 * (1 + len(list(out.glob("*.csv")))))
+
+    monkeypatch.setattr(resource, "getrusage", getrusage)
+    cfg = dict(scenario="bare", scale=0.05, method="markovian")
+    timings = run(RunConfig(**cfg)).summary.data["timings"]
+    assert timings["peak_rss_mb"] == 1.0 and "artifacts" not in timings
+    run(RunConfig(out_dir=str(out), **cfg))
+    # read after the three CSV files are written
+    assert json.loads((out / "summary.json").read_text())["timings"]["peak_rss_mb"] == 4.0
 
 
 def test_seed_zero_overrides_custom_chain_seed():

@@ -1,11 +1,13 @@
 import csv
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from wgqed import (
@@ -18,6 +20,8 @@ from wgqed import (
     build_chain,
     dicke_initial_state,
 )
+from wgqed import model
+from wgqed.cli import RunConfig, _resolve_chain, run
 from wgqed.model import (
     CSV_BLOCK_ROWS,
     DEFAULT_MODE_INDEX,
@@ -256,3 +260,117 @@ def test_write_csv_matches_the_csv_module(tmp_path, n_rows):
     write_csv(path, header, [index, floats[0], floats[1], roles])
     rows = zip(index.tolist(), floats[0].tolist(), floats[1].tolist(), roles.tolist())
     assert path.read_bytes() == _csv_oracle(tmp_path / "oracle.csv", header, rows)
+
+
+def _assert_written_as_repr(path, values):
+    values = np.asarray(values, dtype=np.float64)
+    write_csv(path, ["x"], [values])
+    expected = "".join(["x\r\n"] + [repr(v) + "\r\n" for v in values.tolist()])
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200)
+@given(values=st.lists(st.floats(), min_size=1, max_size=64))
+def test_float_bytes_are_repr_on_any_float(tmp_path_factory, values):
+    _assert_written_as_repr(tmp_path_factory.mktemp("floats") / "x.csv", values)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_float_bytes_are_repr_on_any_bit_pattern(tmp_path_factory, bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    _assert_written_as_repr(tmp_path_factory.mktemp("bits") / "x.csv", values)
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_bytes_are_repr_on_a_million_bit_patterns(tmp_path):
+    rng = np.random.default_rng(20240)
+    for _ in range(8):
+        bits = rng.integers(0, 2**64, 2**17, dtype=np.uint64, endpoint=False)
+        _assert_written_as_repr(tmp_path / "x.csv", bits.view(np.float64))
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_bytes_are_repr_at_the_boundaries(tmp_path):
+    powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    edges = [
+        0.0001, 9.999999999999999e-05, 1e16, 9999999999999998.0,  # layout switches
+        1e100, 1.5e-100, 2.5e300, 1e-300,  # three-digit exponents
+        5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,  # range ends
+        0.5, 0.25, 0.1, 0.3, 1.0, 2.0, 123.456, 1e22, 1e23,  # exact and short decimals
+        1e-280, 1e280, 9.999999999999999e279,  # the kernel's range
+        0.0, -0.0, np.nan, np.inf, -np.inf,
+    ]
+    values = np.concatenate([
+        edges,
+        np.ldexp(1.0, np.arange(-1074, 1024)),  # every power of two
+        powers_of_ten,
+        np.nextafter(powers_of_ten, 0.0),
+        np.nextafter(powers_of_ten, np.inf),
+    ])
+    _assert_written_as_repr(tmp_path / "x.csv", np.concatenate([values, -values]))
+
+
+@pytest.fixture(
+    scope="module", params=[("fig2", 0.1, "poles"), ("fig7b", 0.02, "sweep")], ids=lambda p: p[0]
+)
+def artifact_run(request, tmp_path_factory):
+    """A run with artifacts, counting the values repr formats for the writer."""
+    scenario, scale, route = request.param
+    config = RunConfig(scenario=scenario, scale=scale, out_dir=str(tmp_path_factory.mktemp("run")))
+    fallbacks = []
+
+    def counting_repr(value):
+        fallbacks.append(value)
+        return repr(value)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "repr", counting_repr, raising=False)
+        result = run(config)
+    assert result.summary.data["route"] == route
+    return config, result, len(fallbacks)
+
+
+def test_run_artifacts_match_the_csv_module(artifact_run, tmp_path):
+    config, result, _ = artifact_run
+    out = Path(config.out_dir)
+    s, rec = result.series, result.record
+    array = build_chain(_resolve_chain(config)[0])
+    files = {
+        "probabilities.csv": [s.t, s.p, s.p0, s.pa, s.e_left, s.e_right, s.e_raman, s.e_ext],
+        "profiles.csv": [rec.profile_left.tau, rec.profile_left.alpha2, rec.profile_right.alpha2],
+        "positions.csv": [
+            np.arange(array.n_atoms), array.positions, [r.value for r in array.roles]
+        ],
+    }
+    for name, columns in files.items():
+        header = (out / name).read_bytes().split(b"\r\n", 1)[0].decode().split(",")
+        rows = zip(*[list(col) if isinstance(col, list) else col.tolist() for col in columns])
+        assert (out / name).read_bytes() == _csv_oracle(tmp_path / name, header, rows), name
+
+
+def test_kernel_formats_nearly_every_artifact_value(artifact_run):
+    config, result, n_repr = artifact_run
+    out = Path(config.out_dir)
+    n_floats = sum(
+        (len((out / name).read_bytes().split(b"\r\n")) - 2) * width
+        for name, width in (("probabilities.csv", 8), ("profiles.csv", 3), ("positions.csv", 1))
+    )
+    assert n_repr <= 0.01 * n_floats
+
+
+def test_profiles_write_traces_under_two_mib(artifact_run, tmp_path):
+    _, result, _ = artifact_run
+    rec = result.record
+    columns = [rec.profile_left.tau, rec.profile_left.alpha2, rec.profile_right.alpha2]
+    assert len(columns[0]) == 4096
+    write_csv(tmp_path / "warm.csv", ["a", "b", "c"], columns)
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "profiles.csv", ["a", "b", "c"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
