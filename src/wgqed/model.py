@@ -507,6 +507,36 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     return words
 
 
+# np.compress holds an 8-byte index per byte it keeps, so a block is
+# compacted this many bytes at a time.
+_PIECE_BYTES = 1 << 15
+
+
+def _write_block(fh, columns, floats: list[int], text: dict, rows: slice, width: int) -> None:
+    """Lay out the rows of a block as one byte matrix, a NUL-padded cell of
+    `width` bytes per value with its separator in its last two bytes, and
+    write it without the NULs."""
+    n = rows.stop - rows.start
+    if floats:
+        x = np.stack([columns[j][rows] for j in floats], axis=1, dtype=np.float64)
+        cells = _float_cells(x.ravel()).reshape(n, len(floats), CELL_BYTES // 8)
+    if not text:  # float columns only: the kernel's cells are the block
+        words = cells
+    else:
+        words = np.zeros((n, len(columns), width // 8), np.uint64)
+        if floats:
+            words[:, floats, : CELL_BYTES // 8] = cells
+    chars = words.view(np.uint8)
+    for j, strings in text.items():
+        strings = strings[rows]
+        chars[:, j, : strings.itemsize] = strings.view(np.uint8).reshape(n, strings.itemsize)
+    chars[..., -2:] = np.frombuffer(b",\0" * (len(columns) - 1) + b"\r\n", np.uint8).reshape(-1, 2)
+    chars = chars.ravel()
+    for start in range(0, len(chars), _PIECE_BYTES):
+        piece = chars[start : start + _PIECE_BYTES]
+        fh.write(np.compress(piece != 0, piece))
+
+
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write equal-length 1-d columns under one header row, rows ended by "\\r\\n".
 
@@ -534,22 +564,10 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     }
     if len(floats) + len(text) < len(columns):
         raise ValueError("write_csv formats float, integer and text columns")
-    width = max([CELL_BYTES] + [-(-(cells.itemsize + 2) // 8) * 8 for cells in text.values()])
-    ends = np.frombuffer(b",\0" * (len(columns) - 1) + b"\r\n", np.uint8).reshape(-1, 2)
+    width = max([CELL_BYTES] + [-(-(strings.itemsize + 2) // 8) * 8 for strings in text.values()])
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         n_blocks = max(1, -(-n_rows // CSV_BLOCK_ROWS))
         bounds = [n_rows * i // n_blocks for i in range(n_blocks + 1)]  # no short last block
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            rows, n = slice(lo, hi), hi - lo
-            words = np.zeros((n, len(columns), width // 8), np.uint64)
-            if floats:
-                x = np.stack([columns[j][rows] for j in floats], axis=1, dtype=np.float64)
-                words[:, floats, :6] = _float_cells(x.ravel()).reshape(n, len(floats), 6)
-            chars = words.view(np.uint8)
-            for j, cells in text.items():
-                cells = cells[rows]
-                chars[:, j, : cells.itemsize] = cells.view(np.uint8).reshape(n, cells.itemsize)
-            chars[..., -2:] = ends
-            chars = chars.ravel()
-            fh.write(np.compress(chars != 0, chars).tobytes())
+            _write_block(fh, columns, floats, text, slice(lo, hi), width)

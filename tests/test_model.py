@@ -361,7 +361,7 @@ def test_kernel_formats_nearly_every_artifact_value(artifact_run):
     assert n_repr <= 0.01 * n_floats
 
 
-def test_profiles_write_traces_under_two_mib(artifact_run, tmp_path):
+def test_profiles_write_traces_under_one_mib(artifact_run, tmp_path):
     _, result, _ = artifact_run
     rec = result.record
     columns = [rec.profile_left.tau, rec.profile_left.alpha2, rec.profile_right.alpha2]
@@ -373,4 +373,5 @@ def test_profiles_write_traces_under_two_mib(artifact_run, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 2**20
+    # 0.25 MiB in 512-row blocks; formatting the whole file at once takes 1.74
+    assert peak <= 2**20
