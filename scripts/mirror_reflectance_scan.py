@@ -8,12 +8,12 @@ approximation is good once N Gamma_wg dominates the per-atom loss.
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from wgqed import PhysParams, mirror_reflectance_lorentzian, transfer_matrix_reflectance
+from wgqed.model import write_csv
 
 
 def main() -> int:
@@ -24,18 +24,17 @@ def main() -> int:
     args = parser.parse_args()
 
     params = PhysParams()
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_atoms", "delta", "reflectance_tm", "reflectance_lorentzian"])
-        for n in args.sizes:
-            gamma_m = n * params.gamma_1d / 2
-            deltas = np.linspace(-2 * gamma_m, 2 * gamma_m, args.n_detunings)
-            r, _ = transfer_matrix_reflectance(0.5 * np.arange(n), params, deltas)
-            lorentz = mirror_reflectance_lorentzian(gamma_m, deltas)
-            for d, tm, lz in zip(deltas, np.abs(r) ** 2, lorentz):
-                writer.writerow([n, repr(float(d)), repr(float(tm)), repr(float(lz))])
-            on_res = np.abs(r[args.n_detunings // 2]) ** 2
-            print(f"N={n:5d}: |r(0)|^2 = {on_res:.4f}, Gamma_M = {gamma_m:g}")
+    blocks = []  # per size: n_atoms, delta, |r|^2 and the Lorentzian per detuning
+    for n in args.sizes:
+        gamma_m = n * params.gamma_1d / 2
+        deltas = np.linspace(-2 * gamma_m, 2 * gamma_m, args.n_detunings)
+        r, _ = transfer_matrix_reflectance(0.5 * np.arange(n), params, deltas)
+        lorentz = mirror_reflectance_lorentzian(gamma_m, deltas)
+        blocks.append((np.full(len(deltas), n), deltas, np.abs(r) ** 2, lorentz))
+        on_res = np.abs(r[args.n_detunings // 2]) ** 2
+        print(f"N={n:5d}: |r(0)|^2 = {on_res:.4f}, Gamma_M = {gamma_m:g}")
+    columns = [np.concatenate(column) for column in zip(*blocks)] or [np.empty(0)] * 4
+    write_csv(args.out, ["n_atoms", "delta", "reflectance_tm", "reflectance_lorentzian"], columns)
     print(f"written {args.out}")
     return 0
 

@@ -9,7 +9,8 @@ Full scale reproduces the published geometries (300 to 1100 atoms); there the
 long-cavity scenarios (1100 atoms) take about 5 s and 0.7 GB each on 2 cores
 with one BLAS thread.  Each scenario prints one line: its method and route,
 the ledger, converged and the checks table it is decided from (name=value/limit),
-the frequency grid's number of points and alias-free window, the vacuum-Rabi
+the swept frequency grid's number of points and alias-free window (None on
+the poles route, which has no grid), the vacuum-Rabi
 oscillation frequency of p0 and the cavity model read off the poles (g, kappa,
 gamma_e and the pencil's pole_rms; None without an oscillation), the captured
 fractions of the right and left profiles, the wall time, the seconds of the
@@ -27,8 +28,8 @@ from pathlib import Path
 from wgqed.cli import SCENARIOS, RunConfig, run
 
 
-def _sci(value) -> str:
-    return "None" if value is None else f"{value:.2e}"
+def _fmt(value, spec=".2e") -> str:
+    return "None" if value is None else format(value, spec)
 
 
 def main() -> int:
@@ -61,17 +62,18 @@ def main() -> int:
         members = summary["timings"]["members"]
         oscillation = summary["oscillation"] or {}
         jc = summary["jc_fit"] or {}
+        grid = summary["grid"] or {}
         cavity = " ".join(
-            f"{key}={_sci(jc.get(key))}" for key in ("g", "kappa", "gamma_e", "pole_rms")
+            f"{key}={_fmt(jc.get(key))}" for key in ("g", "kappa", "gamma_e", "pole_rms")
         )
         print(
             f"{name:6s} method={summary['config']['method']:9s} route={summary['route']:5s} "
             f"P_left={ledger.p_left:.4f} P_right={ledger.p_right:.4f} "
             f"P_ext={ledger.p_ext:.4f} converged={summary['converged']} "
             + "".join(f"{k}={c['value']:.2e}/{c['limit']:.0e} " for k, c in summary["checks"].items())
-            + f"grid_points={summary['grid']['n_points']} "
-            f"alias_window={summary['grid']['alias_window']:.4g} "
-            f"oscillation={_sci(oscillation.get('frequency'))} {cavity} "
+            + f"grid_points={grid.get('n_points')} "
+            f"alias_window={_fmt(grid.get('alias_window'), '.4g')} "
+            f"oscillation={_fmt(oscillation.get('frequency'))} {cavity} "
             f"captured_right={profiles['right']['captured']:.5f} "
             f"captured_left={profiles['left']['captured']:.5f} "
             f"wall_s={time.perf_counter() - tic:.1f} "

@@ -51,6 +51,7 @@ from .emission import (
     EmissionRecord,
     EnergyLedger,
     SpatialProfile,
+    Spectrum,
     default_tau_grid,
     emission_spectrum,
     energy_ledger,
@@ -84,20 +85,17 @@ from .spectral import (
     time_domain,
 )
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-# Grid half-span (in units of the fastest collective rate).  The resonant
-# kernel's grid is only reported, and the pole spectra sample it when read; it
-# keeps the span a resonant sweep needs for 1e-3 spectral-weight accuracy.
-# The retarded kernel is swept on its grid.  Its synthesis subtracts the delayed
-# second-order term of x and the two leading terms of the outgoing fields and
-# adds their transforms back exactly, so its truncation error falls as
-# 1/span^2: at 50, b(t) is within 1e-6 and the profiles within 2e-5 of their
-# peak on fig7b at scales 0.05 and 0.1.  Every grid takes SpectralGrid's
-# default 0.1 taper per edge, and an alias-free window of at least 2 t_max
+# Half-span of the sweep route's frequency grid (in units of the fastest
+# collective rate); the poles route has no grid.  The synthesis subtracts the
+# delayed second-order term of x and the two leading terms of the outgoing
+# fields and adds their transforms back exactly, so its truncation error falls
+# as 1/span^2: at 50, b(t) is within 1e-6 and the profiles within 2e-5 of their
+# peak on fig7b at scales 0.05 and 0.1.  The grid takes SpectralGrid's default
+# 0.1 taper per edge, and an alias-free window of at least 2 t_max
 # (build_grid), which holds the run only if b has decayed by t_max: the leak
 # probes check that.
-SPAN_FACTOR_RESONANT = 400.0
 SPAN_FACTOR_RETARDED = 50.0
 # A synthesised trajectory is also evaluated at this many negative times, log
 # spaced down to -t_max, where b vanishes exactly (synthesis_leak).  A probe at
@@ -195,14 +193,16 @@ class RunSummary:
 
 @dataclass
 class MemberRun:
-    """One disorder member's pipeline output."""
+    """One disorder member's pipeline output: its series, and its spectra and
+    profiles (right, left), which cli.run averages into the run's record."""
 
     array: AtomArray
     series: ProbabilitySeries
-    record: EmissionRecord
+    spectra: tuple[Spectrum, Spectrum]
+    profiles: tuple[SpatialProfile, SpatialProfile]
     overlap: Optional[float]  # None on the retarded route
     timings: dict
-    grid: SpectralGrid
+    grid: Optional[SpectralGrid]  # the swept grid; None on the poles route
     checks: dict  # this member's value of each gate its route measures (_checks)
     dicke: tuple[np.ndarray, np.ndarray]  # (t, <psi0|b(t)>) on uniform times
 
@@ -420,7 +420,7 @@ def _member_pipeline(
     workers: int,
     free_space: bool,
 ) -> MemberRun:
-    """Trajectory, series and emission record for a single disorder member."""
+    """Trajectory, series, spectra and profiles for a single disorder member."""
     array = build_chain(chain)
     psi0 = dicke_initial_state(array, params)
     # the fastest segment's collective rate; collective_rate grows with n
@@ -433,8 +433,6 @@ def _member_pipeline(
     bra = np.conj(psi0.amplitudes)
 
     retarded = method == "spectral"
-    span = SPAN_FACTOR_RETARDED if retarded else SPAN_FACTOR_RESONANT
-    grid = build_grid(gamma_fast, t_max, span_factor=span)
     timings: dict[str, float] = {}
     tic = time.perf_counter()
 
@@ -449,9 +447,10 @@ def _member_pipeline(
         # the sweep route: the spectra from the fields leaving the chain, b and
         # a0 synthesised from the resolvent (a0 from its projection on psi0),
         # and the guided outflow |alpha|^2
+        grid = build_grid(gamma_fast, t_max, span_factor=SPAN_FACTOR_RETARDED)
         sweep = resolvent_sweep(array, params, psi0, grid, workers=workers)
         lap("resolvent_sweep")
-        spectra = [emission_spectrum(sweep, array, params, d, grid) for d in (+1, -1)]
+        spectra = tuple(emission_spectrum(sweep, array, params, d) for d in (+1, -1))
         lap("emission_spectra")
         probe = -default_time_grid(gamma_fast, t_max, n=LEAK_PROBES)[:0:-1]
         synthesis = time_domain(sweep, np.concatenate([probe, t_grid]))
@@ -466,6 +465,7 @@ def _member_pipeline(
     else:
         # the poles route: everything in closed form from the checked modal
         # expansion of H; the guided fluxes are the directional fluxes of b
+        grid = None
         ham = effective_hamiltonian(array, params)
         if free_space:
             ham = add_free_space_coupling(ham, array, params)
@@ -473,7 +473,7 @@ def _member_pipeline(
         lap("evolution")
         check_error = _pole_check(modes, ham, array, params, psi0, gamma_fast)
         lap("resolvent_sweep")
-        spectra = [emission_spectrum(modes, array, params, d, grid) for d in (+1, -1)]
+        spectra = tuple(emission_spectrum(modes, array, params, d) for d in (+1, -1))
         lap("emission_spectra")
         trajectory = evolve_markovian(ham, psi0, t_grid, modes)
         dicke = pole_sums(modes.evals, (bra @ modes.vecs) * modes.coeffs, t_dicke)[:, 0]
@@ -489,16 +489,11 @@ def _member_pipeline(
 
     tic = time.perf_counter()
     tau = default_tau_grid(t_max)
-    spectrum_right, spectrum_left = spectra
-    record = EmissionRecord(
-        spectrum_right=spectrum_right,
-        spectrum_left=spectrum_left,
-        profile_right=spatial_profile(spectrum_right, tau),
-        profile_left=spatial_profile(spectrum_left, tau),
-        ledger=energy_ledger(series, spectrum_right.weight, spectrum_left.weight),
+    profiles = tuple(spatial_profile(spectrum, tau) for spectrum in spectra)
+    lap("profiles")
+    return MemberRun(
+        array, series, spectra, profiles, overlap, timings, grid, checks, (t_dicke, dicke)
     )
-    lap("profiles_ledger")
-    return MemberRun(array, series, record, overlap, timings, grid, checks, (t_dicke, dicke))
 
 
 def _average_series(members: list[ProbabilitySeries]) -> ProbabilitySeries:
@@ -553,8 +548,11 @@ def _peak_rss_mb() -> float:
 def run(config: RunConfig) -> RunResult:
     """Execute one configured run and write its artifacts.
 
-    Returns the summary plus the in-memory series/emission record; with
-    ensemble > 1 the member series and profiles are averaged in seed order.
+    Returns the summary plus the in-memory series/emission record.  The
+    series, the directional weights and the profile intensities are the
+    means over the ensemble members in seed order (one member is its own
+    mean), the ledger and the captures follow from those means, and the
+    complex spectra kept in the record are the first member's.
     """
     wall_start = time.perf_counter()
     chain, t_ext_default = _resolve_chain(config)
@@ -585,28 +583,15 @@ def run(config: RunConfig) -> RunResult:
         )
     first = members[0]
     series = _average_series([m.series for m in members])
-    record = first.record
-    if config.ensemble > 1:
-        # intensities and weights average member by member, and the captures
-        # follow from the averages; the complex spectra kept in the record
-        # are the first realisation's
-        ledgers = [m.record.ledger for m in members]
-        record.ledger = energy_ledger(
-            series,
-            float(np.mean([l.p_right for l in ledgers])),
-            float(np.mean([l.p_left for l in ledgers])),
+    weights = [float(np.mean([m.spectra[i].weight for m in members])) for i in (0, 1)]
+    tau = first.profiles[0].tau
+    profiles = [
+        SpatialProfile.from_intensity(
+            tau, np.mean([m.profiles[i].alpha2 for m in members], axis=0), weights[i]
         )
-        tau = record.profile_right.tau
-        record.profile_right = SpatialProfile.from_intensity(
-            tau,
-            np.mean([m.record.profile_right.alpha2 for m in members], axis=0),
-            record.ledger.p_right,
-        )
-        record.profile_left = SpatialProfile.from_intensity(
-            tau,
-            np.mean([m.record.profile_left.alpha2 for m in members], axis=0),
-            record.ledger.p_left,
-        )
+        for i in (0, 1)
+    ]
+    record = EmissionRecord(*first.spectra, *profiles, energy_ledger(series, *weights))
     checks = _checks(record.ledger, members)
     # the one verdict; the ledger's copy is read by perfbench/workloads.py
     converged = record.ledger.converged = all(check["ok"] for check in checks.values())
@@ -653,7 +638,7 @@ def run(config: RunConfig) -> RunResult:
             "ledger": record.ledger.as_dict(),
             "converged": converged,
             "checks": checks,
-            "grid": {
+            "grid": None if first.grid is None else {
                 "n_points": first.grid.n_points,
                 "spacing": first.grid.spacing,
                 "alias_window": first.grid.alias_window,

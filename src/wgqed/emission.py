@@ -28,7 +28,7 @@ profile (see PoleSpectrum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -43,13 +43,13 @@ CAPTURE_THRESHOLD = 0.99
 @dataclass
 class DirectionalSpectrum:
     """Complex M(delta) sampled on the grid, for one direction; lead is the
-    part of it whose exact transform is fronts (None: no such part)."""
+    part of it whose exact transform is fronts."""
 
     grid: SpectralGrid
     values: np.ndarray
     weight: float  # integral |M|^2 d delta / 2 pi
-    lead: Optional[np.ndarray] = None
-    fronts: Optional[DelayedTerms] = None
+    lead: np.ndarray
+    fronts: DelayedTerms
 
     @property
     def deltas(self) -> np.ndarray:
@@ -66,34 +66,40 @@ def sampled_amplitudes(spectra: list[DirectionalSpectrum], tau: np.ndarray) -> n
     apodised Fourier sum (a non-uniform FFT at any tau) of M less its lead,
     plus the exact transform of the lead."""
     tau = np.asarray(tau, dtype=float)
-    values = np.stack(
-        [s.values if s.lead is None else s.values - s.lead for s in spectra], axis=1
-    )
+    values = np.stack([s.values - s.lead for s in spectra], axis=1)
     alpha = spectra[0].grid.fourier_sum(values, tau)
     for i, s in enumerate(spectra):
-        if s.fronts is not None:
-            s.fronts.transform(tau, into=alpha[:, i : i + 1])
+        s.fronts.transform(tau, into=alpha[:, i : i + 1])
     alpha *= 1.0 / (2.0 * math.pi)
     return alpha
 
 
-class PoleSpectrum(DirectionalSpectrum):
+@dataclass
+class PoleSpectrum:
     """M(delta) = sum_j A_j / (delta - lambda_j): residues A, poles lambda,
     every pole below the real axis.
 
     Closing the contours gives the weight and the profile exactly:
     weight = sum_jk A_j A_k* / (i (lambda_j - lambda_k*)), and
     alpha(tau) = -i sum_j A_j e^{-i lambda_j tau} for tau >= 0, zero before.
-    M is not sampled on the grid; each amplitude is its own pole_sums call on
-    that tau grid.
+    M is never sampled; each amplitude is its own pole_sums call on its tau
+    grid.
     """
 
-    def __init__(self, grid: SpectralGrid, poles, residues):
-        self.grid = grid
-        self.poles = np.asarray(poles)
-        self.residues = np.asarray(residues)
+    poles: np.ndarray
+    residues: np.ndarray
+    weight: float = field(init=False)  # integral |M|^2 d delta / 2 pi
+
+    def __post_init__(self):
+        self.poles = np.asarray(self.poles)
+        self.residues = np.asarray(self.residues)
         gram = 1.0 / (1j * (self.poles[:, None] - np.conj(self.poles)[None, :]))
         self.weight = float(np.real(self.residues @ gram @ np.conj(self.residues)))
+
+    @property
+    def deltas(self) -> np.ndarray:
+        """The detunings M is sampled on: none."""
+        return np.empty(0)
 
     def amplitude(self, tau: np.ndarray) -> np.ndarray:
         """The causal pole sum, on from tau = 0 (the front's right limit)."""
@@ -102,6 +108,9 @@ class PoleSpectrum(DirectionalSpectrum):
         after = tau >= 0.0
         alpha[after] = -1j * pole_sums(self.poles, self.residues, tau[after])[:, 0]
         return alpha
+
+
+Spectrum = Union[DirectionalSpectrum, PoleSpectrum]
 
 
 @dataclass
@@ -156,11 +165,11 @@ class EnergyLedger:
 
 @dataclass
 class EmissionRecord:
-    spectrum_right: DirectionalSpectrum
-    spectrum_left: DirectionalSpectrum
+    spectrum_right: Spectrum
+    spectrum_left: Spectrum
     profile_right: SpatialProfile
     profile_left: SpatialProfile
-    ledger: Optional[EnergyLedger] = None
+    ledger: EnergyLedger
 
 
 def emission_spectrum(
@@ -168,11 +177,10 @@ def emission_spectrum(
     array: AtomArray,
     params: PhysParams,
     direction: int,
-    grid: Optional[SpectralGrid] = None,
-) -> DirectionalSpectrum:
+) -> Spectrum:
     """Directional spectrum (+1 right, -1 left) from resolvent slices (either
-    kernel) or from the modal expansion of a resonant H, which takes the grid
-    to report.
+    kernel), sampled on their grid, or from the modal expansion of a resonant
+    H, in closed form with no grid (PoleSpectrum).
 
     On slices M is the sweep's outgoing field in that direction, with the
     sweep's lead and fronts in that direction.  The pole
@@ -189,7 +197,7 @@ def emission_spectrum(
         z = array.positions
         phase = np.exp(1j * params.k_wg * (z[-1] - z if direction > 0 else z - z[0]))
         residues = math.sqrt(0.5 * params.gamma_wg) * (phase @ source.vecs) * source.coeffs
-        return PoleSpectrum(grid, source.evals, residues)
+        return PoleSpectrum(source.evals, residues)
     deltas = source.deltas
     scale = math.sqrt(0.5 * params.gamma_wg)
     values = scale * source.outgoing[:, end]
@@ -215,7 +223,7 @@ def emission_spectrum(
     )
 
 
-def spatial_profile(spectrum: DirectionalSpectrum, tau_grid: np.ndarray) -> SpatialProfile:
+def spatial_profile(spectrum: Spectrum, tau_grid: np.ndarray) -> SpatialProfile:
     """|alpha(tau)|^2 on the retarded-coordinate grid.
 
     The tau-integral of |alpha|^2 returns the spectral weight (Plancherel).
@@ -245,9 +253,9 @@ def energy_ledger(series: ProbabilitySeries, p_right: float, p_left: float) -> E
     """Fill the left/right/Raman/external ledger and cross-check the routes.
 
     Directional weights p_right, p_left come from the spectral (asymptotic)
-    route, the spectrum weights or their ensemble mean; Raman and external
-    losses from the time-integrated fluxes; the residual is p at the end of
-    the window.  The time route's guided totals integrate the outflow past
+    route, the members' mean spectrum weights; Raman and external losses
+    from the time-integrated fluxes; the residual is p at the end of the
+    window.  The time route's guided totals integrate the outflow past
     the chain ends on either kernel, so they must match the spectral weights;
     their gap and the end-state balance are numbers here; cli.run gates them.
     """

@@ -165,18 +165,17 @@ def test_artifact_formats(tmp_path):
     # t = 0 plus 2048 log-spaced times; 4096 tau midpoints; one row per atom
     assert row_counts == {"probabilities.csv": 2049, "profiles.csv": 4096, "positions.csv": 5}
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["format_version"] == 2
+    assert summary["format_version"] == 3
     assert summary["config"]["method"] == "markovian"
     assert summary["converged"] is True
     assert summary["config"]["member_seeds"] == [0]
     # the echoed configuration is complete enough to rebuild the run
     assert summary["config"]["chain"]["segments"][0]["count"] == 5
     assert result.summary.data["rates"]["late"] > 0
-    # run diagnostics: the grid, the sweep residual and the profile captures
-    assert summary["grid"]["n_points"] == len(result.record.spectrum_right.deltas)
-    assert summary["grid"]["alias_window"] == pytest.approx(
-        2 * np.pi / summary["grid"]["spacing"], rel=1e-12
-    )
+    # run diagnostics: no grid on the poles route, the residual and the captures
+    assert summary["route"] == "poles"
+    assert summary["grid"] is None
+    assert len(result.record.spectrum_right.deltas) == 0
     assert 0.0 <= summary["checks"]["residual_max"]["value"] <= 1e-10
     peak_rss = summary["timings"]["peak_rss_mb"]
     assert math.isfinite(peak_rss) and peak_rss > 0
@@ -421,7 +420,7 @@ def test_invalid_run_values_exit_with_an_error(tmp_path, capsys, flags):
     [
         # a random draw puts two mirror atoms under the separation floor
         (["--scenario", "fig3b", "--scale", "1", "--seed", "0"], "below the floor"),
-        # the window needs more grid points than the cap
+        # the sweep route's window needs more grid points than the cap
         (["--scenario", "fig7b", "--scale", "0.05", "--t-max", "20000"], "exceed the cap"),
         # every pole decays at least at gamma_ext/2, so p underflows before t = 900
         (["--scenario", "fig2", "--scale", "0.1", "--t-max", "900"], "p underflows to 0 at t = "),
@@ -590,8 +589,30 @@ def test_markovian_run_never_sweeps_its_grid(monkeypatch):
     assert "synthesis_leak" not in checks
     assert 1.0 <= checks["eig_condition"]["value"] < 1e8
     assert checks["pole_check_error"]["value"] <= 1e-8
-    assert summary["grid"]["n_points"] == len(result.record.spectrum_right.deltas)
-    assert summary["grid"]["n_points"] > POLE_CHECK_POINTS
+    # and its spectra are sampled nowhere
+    assert summary["grid"] is None
+    assert len(result.record.spectrum_right.deltas) == 0
+
+
+def test_the_poles_route_sizes_no_grid(tmp_path):
+    # no grid cap can stop a poles run: a grid spanning 400 Gamma_fast, never
+    # sampled, used to hit MAX_GRID_POINTS at t_max ~ 686 here and exit 2
+    out = tmp_path / "run"
+    argv = ["--scenario", "fig2", "--scale", "1", "--t-max", "700", "--out", str(out)]
+    assert main(argv) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["route"] == "poles"
+    assert summary["grid"] is None
+    assert summary["converged"] is True
+
+
+@pytest.mark.parametrize("scenario, scale", [("fig2", 0.1), ("fig7b", 0.02)])
+def test_a_run_result_has_a_repr(scenario, scale):
+    result = run(RunConfig(scenario=scenario, scale=scale))
+    text = repr(result)
+    assert text.startswith("RunResult(summary=RunSummary(")
+    spectrum = "PoleSpectrum(poles=" if scenario == "fig2" else "DirectionalSpectrum(grid="
+    assert spectrum in text
 
 
 def test_retarded_run_reports_the_sweep_route():
@@ -730,7 +751,7 @@ def test_ensemble_keeps_every_member_timing():
     assert len(timings["members"]) == 3
     for member in timings["members"]:
         assert set(member) == {
-            "resolvent_sweep", "emission_spectra", "evolution", "profiles_ledger",
+            "resolvent_sweep", "emission_spectra", "evolution", "profiles",
             "superradiant_overlap",
         }
         assert all(value >= 0.0 for value in member.values())
@@ -826,6 +847,9 @@ def test_retarded_run_matches_the_8_t_max_window(scenario, tmp_path, monkeypatch
     grid, t_max = summary["grid"], summary["config"]["t_max"]
     n = grid["n_points"]
     assert summary["route"] == "sweep" and summary["converged"] is True
+    # the spectra are sampled on the reported grid
+    assert len(result.record.spectrum_right.deltas) == n
+    assert grid["alias_window"] == pytest.approx(2 * np.pi / grid["spacing"], rel=1e-12)
     # the smallest power of two whose alias-free window holds +/- t_max
     assert grid["alias_window"] >= 2 * t_max
     assert SpectralGrid(0.0, grid["spacing"] * (n - 1), n // 2).alias_window < 2 * t_max

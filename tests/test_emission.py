@@ -16,7 +16,7 @@ from wgqed import (
 )
 from wgqed.cli import BALANCE_TOL, DISCREPANCY_TOL
 from wgqed.emission import DirectionalSpectrum, default_tau_grid
-from wgqed.spectral import SpectralGrid
+from wgqed.spectral import DelayedTerms, SpectralGrid
 from conftest import CAVITY_FIXTURES
 
 
@@ -95,6 +95,8 @@ def test_zero_spectrum_gives_zero_profile():
         grid=SpectralGrid(-10.0, 10.0, 256, 0.0),
         values=np.zeros(256, dtype=complex),
         weight=0.0,
+        lead=np.zeros(256, dtype=complex),
+        fronts=DelayedTerms(np.zeros((1, 0)), np.zeros((1, 0)), np.zeros((1, 0)), -1j),
     )
     profile = spatial_profile(spectrum, np.linspace(0, 5, 64))
     assert np.all(profile.alpha2 == 0.0)
@@ -259,7 +261,7 @@ def _assert_poles_match_sweep(params, arr, psi0, gamma_fast, t_max):
     tau = default_tau_grid(t_max)
     late = tau >= 1.0
     for direction in (+1, -1):
-        poles = emission_spectrum(modes, arr, params, direction, grid)
+        poles = emission_spectrum(modes, arr, params, direction)
         swept = emission_spectrum(slices, arr, params, direction)
         assert isinstance(poles, PoleSpectrum)
         values = (1.0 / (grid.deltas[:, None] - poles.poles)) @ poles.residues
@@ -308,9 +310,8 @@ def test_pole_outflow_is_the_directional_flux(scenario, seed, params):
     traj = evolve_markovian(ham, psi0, default_time_grid(2.5, 12.0 / 0.95), modes)
     t = traj.t[1:]
     fluxes = dict(zip((+1, -1), directional_fluxes(traj, arr, params)))
-    grid = SpectralGrid(-10.0, 10.0, 64)
     for direction, flux in fluxes.items():
-        alpha = emission_spectrum(modes, arr, params, direction, grid).amplitude(t)
+        alpha = emission_spectrum(modes, arr, params, direction).amplitude(t)
         assert np.max(np.abs(np.abs(alpha) ** 2 - flux[1:])) <= 1e-12 * flux.max()
 
 
@@ -319,8 +320,7 @@ def test_pole_profile_is_causal_and_exact(params):
     # front, on from tau = 0; its tau-integral is the closed-form weight
     from wgqed.emission import PoleSpectrum
 
-    grid = SpectralGrid(-10.0, 10.0, 64)
-    spectrum = PoleSpectrum(grid, [-0.5j * params.gamma_tot], [0.3])
+    spectrum = PoleSpectrum([-0.5j * params.gamma_tot], [0.3])
     assert spectrum.weight == pytest.approx(0.09 / params.gamma_tot, rel=1e-14)
     tau = np.array([-1.0, 0.0, 0.5])
     alpha2 = spatial_profile(spectrum, tau).alpha2

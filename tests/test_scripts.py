@@ -45,10 +45,13 @@ def test_run_all_figures_writes_every_scenario(tmp_path):
             value, limit = fields[key].split("/")
             assert float(value) == pytest.approx(check["value"], rel=1e-2)
             assert float(limit) == pytest.approx(check["limit"], rel=1e-2)
-        assert int(fields["grid_points"]) == summary["grid"]["n_points"]
-        assert float(fields["alias_window"]) == pytest.approx(
-            summary["grid"]["alias_window"], rel=1e-3
-        )
+        grid = summary["grid"]
+        if summary["route"] == "poles":
+            assert grid is None
+            assert fields["grid_points"] == fields["alias_window"] == "None"
+        else:
+            assert int(fields["grid_points"]) == grid["n_points"]
+            assert float(fields["alias_window"]) == pytest.approx(grid["alias_window"], rel=1e-3)
         jc = summary["jc_fit"] or {}
         printed = {key: jc.get(key) for key in ("g", "kappa", "gamma_e", "pole_rms")}
         printed["oscillation"] = (summary["oscillation"] or {}).get("frequency")
