@@ -11,9 +11,10 @@ Dicke amplitude <psi0|b(t)> on uniform times (analytic.fit_jc_trace).
 
 The kernel picks the route.  A Markovian run takes its trajectory, spectra,
 weights and profiles in closed form from one modal expansion (the "poles"
-route); an expansion that is unusable or fails its check raises
-NumericalError.  A retarded run takes the resolvent sweep over the frequency
-grid and synthesises the trajectory from it (the "sweep" route), with no
+route); modal_expansion raises NumericalError on an expansion it cannot
+trust, and _pole_check on one that deviates from the run's resolvent.  A
+retarded run takes the resolvent sweep over the frequency grid and
+synthesises the trajectory from it (the "sweep" route), with no
 eigendecomposition and no N x N matrix: only the poles route builds H.
 """
 
@@ -31,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import dynamics, spectral
+from . import dynamics
 from .analytic import RegimeReport, classify_regime, collective_rate, fit_jc_trace
 from .dynamics import (
     AmplitudeTrajectory,
@@ -79,7 +80,6 @@ from .spectral import (
     GridResolutionError,
     SpectralGrid,
     build_grid,
-    check_residual,
     resolvent_sweep,
     synthesis_leak,
     time_domain,
@@ -161,29 +161,9 @@ class OscillationFit:
     contrast: float
 
 
-def _plain(value):
-    """Recursively convert numpy scalars/arrays into plain Python values."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    return value
-
-
 @dataclass
 class RunSummary:
     data: dict
-
-    def __post_init__(self):
-        self.data = _plain(self.data)
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -389,12 +369,11 @@ def _pole_check(
 ) -> float:
     """The deviation of the modal resolvent from the run's own.
 
-    The expansion must be usable and match the resolvent of the run's H at
-    POLE_CHECK_POINTS detunings over +/- gamma_fast (the sweep's, or dense
-    solves when H carries the free-space term, which the sweep lacks), and
-    its residual must pass check_residual; otherwise NumericalError.
+    The expansion (whose condition and residual modal_expansion has gated)
+    must match the resolvent of the run's H at POLE_CHECK_POINTS detunings
+    over +/- gamma_fast (the sweep's, or dense solves when H carries the
+    free-space term, which the sweep lacks); otherwise NumericalError.
     """
-    modes.check_usable()
     check_grid = SpectralGrid(-gamma_fast, gamma_fast, POLE_CHECK_POINTS, 0.0)
     if ham.free_space_decay is not None:
         mats = check_grid.deltas[:, None, None] * np.eye(array.n_atoms) - ham.matrix
@@ -408,7 +387,6 @@ def _pole_check(
             f"pole check deviation {check_error:.3g} exceeds POLE_CHECK_TOL = "
             f"{POLE_CHECK_TOL:g} of the largest |x|"
         )
-    check_residual(modes.residual, psi0.amplitudes)
     return check_error
 
 
@@ -461,7 +439,7 @@ def _member_pipeline(
         fluxes = tuple(np.abs(alpha.T) ** 2)
         lap("evolution")
         checks, overlap = {"residual_max": sweep.residual_max, "synthesis_leak": leak}, None
-        series = probabilities(trajectory, psi0, array, params, fluxes)
+        free_space_decay = None
     else:
         # the poles route: everything in closed form from the checked modal
         # expansion of H; the guided fluxes are the directional fluxes of b
@@ -485,9 +463,10 @@ def _member_pipeline(
             "eig_condition": modes.condition,
             "pole_check_error": check_error,
         }
-        series = probabilities(trajectory, psi0, array, params, None, ham.free_space_decay)
+        fluxes, free_space_decay = None, ham.free_space_decay
 
-    tic = time.perf_counter()
+    series = probabilities(trajectory, psi0, array, params, fluxes, free_space_decay)
+    lap("probabilities")
     tau = default_tau_grid(t_max)
     profiles = tuple(spatial_profile(spectrum, tau) for spectrum in spectra)
     lap("profiles")
@@ -516,7 +495,7 @@ def _checks(ledger: EnergyLedger, members: list[MemberRun]) -> dict:
     limits = {
         "balance_error": BALANCE_TOL,
         "guided_route_discrepancy": DISCREPANCY_TOL,
-        "residual_max": spectral.RESIDUAL_TOL,  # check_residual's RESIDUAL_TOL * |psi0|, |psi0| = 1
+        "residual_max": dynamics.RESIDUAL_TOL,  # check_residual's RESIDUAL_TOL * |psi0|, |psi0| = 1
         "eig_condition": dynamics.CONDITION_MAX,
         "pole_check_error": POLE_CHECK_TOL,
         "synthesis_leak": LEAK_TOL,
@@ -583,6 +562,10 @@ def run(config: RunConfig) -> RunResult:
         )
     first = members[0]
     series = _average_series([m.series for m in members])
+    if np.any(series.p == 0.0):
+        # every pole has Im(lambda) <= -gamma_ext/2: a long window underflows p
+        t_zero = series.t[np.argmax(series.p == 0.0)]
+        raise NumericalError(f"p underflows to 0 at t = {t_zero:.4g}; choose a shorter t_max")
     weights = [float(np.mean([m.spectra[i].weight for m in members])) for i in (0, 1)]
     tau = first.profiles[0].tau
     profiles = [
@@ -595,10 +578,6 @@ def run(config: RunConfig) -> RunResult:
     checks = _checks(record.ledger, members)
     # the one verdict; the ledger's copy is read by perfbench/workloads.py
     converged = record.ledger.converged = all(check["ok"] for check in checks.values())
-    if np.any(series.p == 0.0):
-        # every pole has Im(lambda) <= -gamma_ext/2: a long window underflows p
-        t_zero = series.t[np.argmax(series.p == 0.0)]
-        raise NumericalError(f"p underflows to 0 at t = {t_zero:.4g}; choose a shorter t_max")
     tic = time.perf_counter()
     rates, intercept = fit_early_late(series)
     stage = fast_stage_end(intercept)

@@ -1,12 +1,14 @@
 """Markovian time evolution and the excitation-probability bookkeeping.
 
 b(t) = exp(-i H t) psi0 via the one eigendecomposition of the complex
-symmetric H (modal_expansion), which the superradiant overlap reads too;
-eigenvectors too ill-conditioned for it (CONDITION_MAX) raise NumericalError,
-as the resonant kernel has no other route.  The probability series tracks p,
-p0, p_a and the cumulative energy emitted into each decay channel.  Under the
-resonant kernel the directional guided fluxes follow from the rank-2
-structure of the coherent channel:
+symmetric H (modal_expansion), which the superradiant overlap reads too.
+modal_expansion raises NumericalError on eigenvectors too ill-conditioned for
+it (CONDITION_MAX) and on a modal residual over RESIDUAL_TOL, as the resonant
+kernel has no other route, so every ModalExpansion is usable; the sweep's
+resolvent residual takes the same gate (check_residual).  The probability
+series tracks p, p0, p_a and the cumulative energy emitted into each decay
+channel.  Under the resonant kernel the directional guided fluxes follow from
+the rank-2 structure of the coherent channel:
 
     Phi_+/- (t) = (Gamma_wg / 2) |sum_a e^{-/+ i k_wg z_a} b_a(t)|^2 ,
 
@@ -37,6 +39,8 @@ from .model import AtomArray, PhysParams, StateVector, write_csv
 # Eigenvector condition number beyond which the modal expansion is unusable
 # (near-defective spectra).
 CONDITION_MAX = 1e8
+# Largest resolvent (or modal) residual, relative to |psi0|.
+RESIDUAL_TOL = 1e-10
 
 # Relative gap below which superradiant_overlap treats the fastest decay rates
 # as one degenerate cluster.
@@ -50,6 +54,15 @@ CHUNK = 128
 class NumericalError(RuntimeError):
     """No trustworthy result: an unusable expansion, a failed pole check, or a
     residual over its gate."""
+
+
+def check_residual(residual: float, psi: np.ndarray) -> None:
+    """Raise when a resolvent (or modal) residual exceeds RESIDUAL_TOL * |psi0|."""
+    if residual > RESIDUAL_TOL * float(np.linalg.norm(psi)):
+        raise NumericalError(
+            f"resolvent residual {residual:.3g} exceeds {RESIDUAL_TOL:g} * |psi0|; "
+            "the frequency-domain Hamiltonian is inconsistent"
+        )
 
 
 @dataclass
@@ -177,48 +190,48 @@ class ModalExpansion:
     """psi0 = V c over the right eigenvectors V of a resonant H = V Lambda V^-1.
 
     Every resonant quantity is a pole sum over it: b(t) = V e^{-i Lambda t} c
-    and x(delta) = [delta - H]^-1 psi0 = V (delta - Lambda)^-1 c.  coeffs is
-    None, and the expansion unusable, when the eigenvector condition number
-    exceeds CONDITION_MAX.  residual is max(|H V - V Lambda|, |V c - psi0|),
-    the largest column norm of the first.  Each sum over the poles is taken
-    by pole_sums on its own time grid; nothing is cached here.
+    and x(delta) = [delta - H]^-1 psi0 = V (delta - Lambda)^-1 c.  residual is
+    max(|H V - V Lambda|, |V c - psi0|), the largest column norm of the first.
+    Only modal_expansion builds one, and only once condition and residual
+    have passed their gates.  Each sum over the poles is taken by pole_sums
+    on its own time grid; nothing is cached here.
     """
 
     evals: np.ndarray
     vecs: np.ndarray
     condition: float
-    coeffs: Optional[np.ndarray] = None
-    residual: float = math.inf
+    coeffs: np.ndarray
+    residual: float
 
     def resolvent(self, deltas: np.ndarray) -> np.ndarray:
         """x(delta) at each detuning, shape (len(deltas), n_atoms)."""
         deltas = np.asarray(deltas, dtype=float)
         return (self.coeffs / (deltas[:, None] - self.evals)) @ self.vecs.T
 
-    def check_usable(self) -> None:
-        """Raise NumericalError when the expansion is unusable."""
-        if self.coeffs is None:
-            raise NumericalError(
-                f"eigenvector condition number {self.condition:.3g} exceeds "
-                f"CONDITION_MAX = {CONDITION_MAX:g}: the modal expansion is unusable; "
-                "--method spectral takes the resolvent sweep, which needs no eig"
-            )
-
 
 def modal_expansion(ham: EffectiveHamiltonian, psi0: StateVector) -> ModalExpansion:
-    """Expand psi0 on the right eigenvectors of a resonant H, from its one eig."""
+    """Expand psi0 on the right eigenvectors of a resonant H, from its one eig.
+
+    Raises NumericalError when the eigenvector condition number exceeds
+    CONDITION_MAX or the residual fails check_residual.
+    """
     if not np.all(np.isfinite(ham.matrix)):
         raise NumericalError("effective Hamiltonian contains non-finite entries")
     evals, vecs = np.linalg.eig(ham.matrix)
     cond = float(np.linalg.cond(vecs))
     if not np.isfinite(cond) or cond > CONDITION_MAX:
-        return ModalExpansion(evals, vecs, cond)
+        raise NumericalError(
+            f"eigenvector condition number {cond:.3g} exceeds "
+            f"CONDITION_MAX = {CONDITION_MAX:g}: the modal expansion is unusable; "
+            "--method spectral takes the resolvent sweep, which needs no eig"
+        )
     psi = psi0.amplitudes
     coeffs = np.linalg.solve(vecs, psi)
     residual = max(
         float(np.max(np.linalg.norm(ham.matrix @ vecs - vecs * evals, axis=0))),
         float(np.linalg.norm(vecs @ coeffs - psi)),
     )
+    check_residual(residual, psi)
     return ModalExpansion(evals, vecs, cond, coeffs, residual)
 
 
@@ -230,16 +243,15 @@ def evolve_markovian(
 ) -> AmplitudeTrajectory:
     """Propagate the initial state under the resonant effective Hamiltonian.
 
-    modes is the run's expansion of psi0 (built here when not given); an
-    unusable one raises NumericalError.  b(t) is the pole sum with weights
-    V_aj c_j, one row per atom, taken by pole_sums on t_grid itself.
+    modes is the run's expansion of psi0 (built here when not given).  b(t)
+    is the pole sum with weights V_aj c_j, one row per atom, taken by
+    pole_sums on t_grid itself.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must start at 0 and be strictly increasing")
     if modes is None:
         modes = modal_expansion(ham, psi0)
-    modes.check_usable()
     amps = pole_sums(modes.evals, modes.vecs * modes.coeffs, t_grid)
     return AmplitudeTrajectory(t=t_grid, amplitudes=amps)
 

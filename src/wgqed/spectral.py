@@ -46,13 +46,12 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .dynamics import AmplitudeTrajectory, NumericalError
+from .dynamics import AmplitudeTrajectory, check_residual
 # effective_hamiltonian is unused here: perfbench/tracer.py patches this name
 from .hamiltonian import effective_hamiltonian, guided_exchange  # noqa: F401
 from .model import AtomArray, PhysParams, StateVector
 
 MAX_GRID_POINTS = 2**20
-RESIDUAL_TOL = 1e-10
 # The grid spans at least +/- MIN_SPAN_FACTOR x the fastest collective rate.
 MIN_SPAN_FACTOR = 20.0
 # Detunings per scattering-recursion chunk.
@@ -525,15 +524,6 @@ def _scatter_chunk(
     return outgoing, res_max, _leaving(work, distinct, row)
 
 
-def check_residual(residual: float, psi: np.ndarray) -> None:
-    """Raise when a resolvent (or modal) residual exceeds RESIDUAL_TOL * |psi0|."""
-    if residual > RESIDUAL_TOL * float(np.linalg.norm(psi)):
-        raise NumericalError(
-            f"resolvent residual {residual:.3g} exceeds {RESIDUAL_TOL:g} * |psi0|; "
-            "the frequency-domain Hamiltonian is inconsistent"
-        )
-
-
 def resolvent_sweep(
     array: AtomArray,
     params: PhysParams,
@@ -543,7 +533,8 @@ def resolvent_sweep(
     workers: int = 1,
 ) -> ResolventSet:
     """One verified resolvent solve, and the fields leaving the chain, per
-    grid point.
+    grid point: the largest residual takes dynamics.check_residual's gate
+    (RESIDUAL_TOL), which raises NumericalError.
 
     Both kernels take the O(N) scattering solve (scattering_sweep) of the
     guided-only H(delta) of the array; retarded only picks the wavenumber,

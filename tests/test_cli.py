@@ -670,8 +670,8 @@ def test_markovian_member_makes_one_eig(monkeypatch, cfg, n_members):
         ("wgqed.dynamics.CONDITION_MAX", 1.0,
          "eigenvector condition number .* exceeds CONDITION_MAX = 1: .* --method spectral"),
         ("wgqed.cli.POLE_CHECK_TOL", 0.0, "pole check deviation .* exceeds POLE_CHECK_TOL = 0"),
-        # the modal residual's gate; the guided check's sweep meets it first
-        ("wgqed.spectral.RESIDUAL_TOL", 0.0, "resolvent residual"),
+        # the modal residual's gate; the expansion meets it first
+        ("wgqed.dynamics.RESIDUAL_TOL", 0.0, "resolvent residual"),
     ],
     ids=["ill-conditioned", "pole-check", "residual-gate"],
 )
@@ -702,7 +702,7 @@ def test_untrusted_expansion_raises_before_it_evolves(
     "target, value, fragment",
     [
         ("wgqed.dynamics.CONDITION_MAX", 1.0, "eigenvector condition number"),
-        ("wgqed.spectral.RESIDUAL_TOL", 0.0, "resolvent residual"),
+        ("wgqed.dynamics.RESIDUAL_TOL", 0.0, "resolvent residual"),
     ],
     ids=["ill-conditioned", "residual-gate"],
 )
@@ -751,11 +751,52 @@ def test_ensemble_keeps_every_member_timing():
     assert len(timings["members"]) == 3
     for member in timings["members"]:
         assert set(member) == {
-            "resolvent_sweep", "emission_spectra", "evolution", "profiles",
+            "resolvent_sweep", "emission_spectra", "evolution", "probabilities", "profiles",
             "superradiant_overlap",
         }
         assert all(value >= 0.0 for value in member.values())
     assert timings["total"] >= sum(sum(m.values()) for m in timings["members"])
+
+
+@pytest.mark.parametrize("scenario, scale", [("fig2", 0.1), ("fig7b", 0.02)])
+def test_every_member_times_its_probabilities(scenario, scale):
+    # the ledger integration is a stage of its own on either route
+    timings = run(RunConfig(scenario=scenario, scale=scale)).summary.data["timings"]
+    assert all(member["probabilities"] > 0.0 for member in timings["members"])
+
+
+JSON_SCALARS = (type(None), bool, int, float, str)
+
+
+def _not_plain_json(value, path="data"):
+    """(path, type) of every container in value that is not a dict with str
+    keys or a list, and of every leaf whose type is not in JSON_SCALARS."""
+    if type(value) is dict:
+        for key, item in value.items():
+            if type(key) is not str:
+                yield f"{path} key {key!r}", type(key)
+            yield from _not_plain_json(item, f"{path}.{key}")
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            yield from _not_plain_json(item, f"{path}[{i}]")
+    elif type(value) not in JSON_SCALARS:
+        yield path, type(value)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(scenario="fig2", scale=0.1),
+        dict(scenario="fig7b", scale=0.02),
+        dict(scenario="fig3b", scale=0.05, seed=3, ensemble=3),
+        dict(scenario="bare", scale=0.05, free_space=True),
+    ],
+    ids=["poles", "sweep", "ensemble", "free-space"],
+)
+def test_a_summary_is_built_of_plain_json_values(cfg):
+    # summary.json is dumped as the run builds it: no pass converts numpy
+    # scalars, arrays or tuples, so none may reach the summary
+    assert list(_not_plain_json(run(RunConfig(**cfg)).summary.data)) == []
 
 
 def test_published_scale_fig2_runs_on_the_poles_route(monkeypatch):
@@ -940,7 +981,7 @@ def test_a_soft_limit_under_its_value_flips_only_its_check(monkeypatch, sweep_ch
 
 
 def test_a_raised_residual_gate_is_the_limit_in_the_table(monkeypatch):
-    monkeypatch.setattr("wgqed.spectral.RESIDUAL_TOL", 1e-6)
+    monkeypatch.setattr("wgqed.dynamics.RESIDUAL_TOL", 1e-6)
     summary = run(RunConfig(scenario="fig2", scale=0.05)).summary.data
     assert summary["checks"]["residual_max"]["limit"] == 1e-6
     assert summary["converged"] is True

@@ -18,7 +18,6 @@ from wgqed import (
 )
 from wgqed.cli import LEAK_TOL
 from wgqed.dynamics import (
-    ModalExpansion,
     NumericalError,
     ProbabilitySeries,
     _cumulative,
@@ -94,13 +93,27 @@ def test_expm_oracle_agrees_with_eigendecomposition(params):
     assert np.max(np.abs(a - b)) < 1e-8
 
 
-def test_unusable_expansion_raises(params):
+def _expansion_raises(monkeypatch, params, limit, value, fragment):
+    # modal_expansion gates its own numbers, so no unusable expansion exists
+    import wgqed.dynamics
+
     arr = build_chain(ChainSpec(0, 3, 0))
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
-    evals, vecs = np.linalg.eig(ham.matrix)
-    with pytest.raises(NumericalError, match="eigenvector condition number"):
-        evolve_markovian(ham, psi0, np.linspace(0, 1, 5), ModalExpansion(evals, vecs, 1e12))
+    monkeypatch.setattr(wgqed.dynamics, limit, value)
+    with pytest.raises(NumericalError, match=fragment):
+        modal_expansion(ham, psi0)
+
+
+def test_unusable_expansion_raises(monkeypatch, params):
+    _expansion_raises(
+        monkeypatch, params, "CONDITION_MAX", 1.0,
+        "eigenvector condition number .* exceeds CONDITION_MAX = 1",
+    )
+
+
+def test_modal_residual_over_its_gate_raises(monkeypatch, params):
+    _expansion_raises(monkeypatch, params, "RESIDUAL_TOL", 0.0, "resolvent residual")
 
 
 def test_resonant_sweep_synthesis_matches_the_expm_oracle(params):
