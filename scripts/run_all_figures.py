@@ -12,7 +12,8 @@ the ledger, converged and the checks table it is decided from (name=value/limit)
 the swept frequency grid's number of points and alias-free window (None on
 the poles route, which has no grid), the vacuum-Rabi
 oscillation frequency of p0 and the cavity model read off the poles (g, kappa,
-gamma_e and the pencil's pole_rms; None without an oscillation), the captured
+gamma_e and the pencil's pole_rms, which is None on the poles route, whose
+poles are exact rather than fitted; all None without an oscillation), the captured
 fractions of the right and left profiles, the wall time, the seconds of the
 resolvent sweep and of the evolution (summed over the ensemble members), the
 seconds spent writing the CSV artifacts and the peak resident set size of the

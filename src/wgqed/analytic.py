@@ -5,14 +5,15 @@ a leaky cavity mode, the narrow-band Lorentzian reflectance of an atomic
 Bragg mirror, the exact reflection and transmission of finite mirrors, the
 cavity loss estimate kappa = (1 - R) v_g / L, and the Markovian/cavity condition
 checks used to pick the simulation method.  A run's cavity numbers (g, kappa,
-gamma_e) come from the poles of its Dicke amplitude: a matrix-pencil harmonic
-inversion, linear algebra only, and the closed form of the two-loss model.
+gamma_e) are the closed form of the two-loss model on the doublet of the poles
+of its Dicke amplitude (jc_model), which on the sweep route a matrix-pencil
+harmonic inversion of sampled a0 finds (fit_jc_trace).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -142,8 +143,8 @@ class RegimeReport:
 
     Flags are None where not applicable (e.g. cavity conditions without two
     mirrors).  strong_coupling stays None until the cavity model of the run's
-    Dicke amplitude (fit_jc_trace) supplies g_C; the classifier never predicts
-    it from first principles.
+    Dicke amplitude (jc_model) supplies g_C; the classifier never predicts it
+    from first principles.
     """
 
     markovian: Optional[bool]
@@ -258,38 +259,50 @@ class JCFit:
     kappa: float
     gamma_e: float
     frequency: float
-    residual: float  # rms of |doublet|^2 against |a0|^2
-    pole_rms: float  # rms of the whole pole sum against a0
+    residual: float  # sum of |A| off the doublet, or from samples rms(|doublet|^2 - |a0|^2)
+    pole_rms: Optional[float] = None  # rms of a fitted pole sum against a0
 
 
-def fit_jc_trace(t: np.ndarray, a0: np.ndarray) -> Optional[JCFit]:
-    """The two-loss model of the doublet of a0(t) = <psi0|b(t)> on uniform t.
+def _doublet(poles: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Indices of the two poles of largest |A|, the higher Re(lam) first."""
+    pair = np.argsort(-np.abs(amps))[:2]
+    return pair[np.argsort(-poles[pair].real)]
 
-    The doublet is the two poles of largest |A| (harmonic_inversion).  The
-    model has the poles lam_+/- = +/-Omega/2 - i (gamma_e + kappa)/4 and the
-    amplitudes (1 +/- i r)/2 with r = (kappa - gamma_e)/(2 Omega), so
+
+def jc_model(poles: np.ndarray, amps: np.ndarray) -> Optional[JCFit]:
+    """The two-loss model of the doublet of a0(t) = sum_j A_j e^{-i lam_j t}.
+
+    The doublet is the two poles of largest |A|.  The model has the poles
+    lam_+/- = +/-Omega/2 - i (gamma_e + kappa)/4 and the amplitudes
+    (1 +/- i r)/2 with r = (kappa - gamma_e)/(2 Omega), so
     Omega = Re(lam_+ - lam_-), gamma_e + kappa = -2 Im(lam_+ + lam_-),
     kappa - gamma_e = 2 Omega tan(arg(A_+/A_-)/2) and
-    g^2 = Omega^2/4 + (kappa - gamma_e)^2/16.  Returns None when a0 has fewer
-    than two poles or its doublet does not split.
+    g^2 = Omega^2/4 + (kappa - gamma_e)^2/16.  Every pole decays, so the
+    residual sum_{j off the pair} |A_j| bounds |a0 - doublet| at every t >= 0.
+    Returns None for fewer than two poles or a doublet that does not split.
     """
-    poles, amps, pole_rms = harmonic_inversion(t, a0)
     if len(poles) < 2:
         return None
-    pair = np.argsort(-np.abs(amps))[:2]
-    pair = pair[np.argsort(-poles[pair].real)]
+    pair = _doublet(poles, amps)
     (lam_p, lam_m), (amp_p, amp_m) = poles[pair], amps[pair]
     omega = float((lam_p - lam_m).real)
     if not omega > 0:
         return None
     total = float(-2.0 * (lam_p + lam_m).imag)
     diff = 2.0 * omega * math.tan(0.5 * np.angle(amp_p / amp_m))
-    doublet = pole_sums(poles[pair], amps[pair], t)[:, 0]
     return JCFit(
         g=math.sqrt(0.25 * omega**2 + diff**2 / 16.0),
         kappa=0.5 * (total + diff),
         gamma_e=0.5 * (total - diff),
         frequency=omega,
-        residual=float(np.sqrt(np.mean((np.abs(doublet) ** 2 - np.abs(a0) ** 2) ** 2))),
-        pole_rms=pole_rms,
+        residual=float(np.sum(np.abs(np.delete(amps, pair)))),
     )
+
+
+def fit_jc_trace(t: np.ndarray, a0: np.ndarray) -> Optional[JCFit]:
+    """jc_model of harmonic_inversion's poles of a0 on uniform t, with the samples' residual."""
+    poles, amps, pole_rms = harmonic_inversion(t, a0)
+    fit, pair = jc_model(poles, amps), _doublet(poles, amps)
+    doublet = pole_sums(poles[pair], amps[pair], t)[:, 0]
+    rms = float(np.sqrt(np.mean((np.abs(doublet) ** 2 - np.abs(a0) ** 2) ** 2)))
+    return None if fit is None else replace(fit, residual=rms, pole_rms=pole_rms)

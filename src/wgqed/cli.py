@@ -6,15 +6,15 @@ ledger, compute directional spectra and pulse profiles, judge the run from
 one table of gates (`converged`, see _checks), fit the early/late decay rates
 and any vacuum-Rabi oscillation, and write the run artifacts
 (`probabilities.csv`, `profiles.csv`, `positions.csv`, `summary.json`).  An
-oscillating run also reports its cavity model, read off the poles of the
-Dicke amplitude <psi0|b(t)> on uniform times (analytic.fit_jc_trace).
+oscillating run also reports its cavity model, the doublet of the poles of
+the Dicke amplitude <psi0|b(t)> (analytic.jc_model).
 
 The kernel picks the route.  A Markovian run takes its trajectory, spectra,
-weights and profiles in closed form from one modal expansion (the "poles"
-route); modal_expansion raises NumericalError on an expansion it cannot
+weights, profiles and cavity model in closed form from one modal expansion (the
+"poles" route); modal_expansion raises NumericalError on an expansion it cannot
 trust, and _pole_check on one that deviates from the run's resolvent.  A
-retarded run takes the resolvent sweep over the frequency grid and
-synthesises the trajectory from it (the "sweep" route), with no
+retarded run takes the resolvent sweep over the frequency grid, synthesises
+the trajectory from it and fits the poles of a0 (the "sweep" route), with no
 eigendecomposition and no N x N matrix: only the poles route builds H.
 """
 
@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import dynamics
-from .analytic import RegimeReport, classify_regime, collective_rate, fit_jc_trace
+from .analytic import JCFit, RegimeReport, classify_regime, collective_rate, fit_jc_trace, jc_model
 from .dynamics import (
     AmplitudeTrajectory,
     DecayFit,
@@ -44,7 +44,6 @@ from .dynamics import (
     evolve_markovian,
     fit_decay_rate,
     modal_expansion,
-    pole_sums,
     probabilities,
     superradiant_overlap,
 )
@@ -85,7 +84,7 @@ from .spectral import (
     time_domain,
 )
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # Half-span of the sweep route's frequency grid (in units of the fastest
 # collective rate); the poles route has no grid.  The synthesis subtracts the
@@ -108,9 +107,9 @@ LEAK_TOL = 1e-5
 # and its time and spectral guided totals agree within DISCREPANCY_TOL.
 BALANCE_TOL = 1e-2
 DISCREPANCY_TOL = 1e-2
-# The Dicke amplitude <psi0|b(t)> is sampled on at least this many uniform
-# times over [0, t_max], and densely enough that pi/dt >= 2 Gamma_fast, for
-# the harmonic inversion of fit_jc_trace.
+# On the sweep route, the Dicke amplitude <psi0|b(t)> is sampled on at least
+# this many uniform times over [0, t_max], and densely enough that
+# pi/dt >= 2 Gamma_fast, for the harmonic inversion of fit_jc_trace.
 DICKE_SAMPLES = 256
 
 # The poles route checks its modal resolvent against the resolvent at this many
@@ -184,7 +183,7 @@ class MemberRun:
     timings: dict
     grid: Optional[SpectralGrid]  # the swept grid; None on the poles route
     checks: dict  # this member's value of each gate its route measures (_checks)
-    dicke: tuple[np.ndarray, np.ndarray]  # (t, <psi0|b(t)>) on uniform times
+    jc_fit: Optional[JCFit]  # the cavity model of <psi0|b(t)>
 
 
 @dataclass
@@ -398,16 +397,13 @@ def _member_pipeline(
     workers: int,
     free_space: bool,
 ) -> MemberRun:
-    """Trajectory, series, spectra and profiles for a single disorder member."""
+    """Trajectory, series, spectra, profiles and cavity model of one disorder member."""
     array = build_chain(chain)
     psi0 = dicke_initial_state(array, params)
     # the fastest segment's collective rate; collective_rate grows with n
     gamma_fast = collective_rate(max(chain.n_left, chain.n_center, chain.n_right), params)
 
     t_grid = default_time_grid(gamma_fast, t_max)
-    # the Dicke amplitude a0 = <psi0|b(t)> on uniform times
-    n_dicke = max(DICKE_SAMPLES, math.ceil(2.0 * gamma_fast * t_max / math.pi) + 1)
-    t_dicke = np.linspace(0.0, t_max, n_dicke)
     bra = np.conj(psi0.amplitudes)
 
     retarded = method == "spectral"
@@ -423,8 +419,8 @@ def _member_pipeline(
 
     if retarded:
         # the sweep route: the spectra from the fields leaving the chain, b and
-        # a0 synthesised from the resolvent (a0 from its projection on psi0),
-        # and the guided outflow |alpha|^2
+        # a0 synthesised from the resolvent (a0 from its projection on psi0,
+        # on uniform times, for the pencil), and the guided outflow |alpha|^2
         grid = build_grid(gamma_fast, t_max, span_factor=SPAN_FACTOR_RETARDED)
         sweep = resolvent_sweep(array, params, psi0, grid, workers=workers)
         lap("resolvent_sweep")
@@ -434,7 +430,9 @@ def _member_pipeline(
         synthesis = time_domain(sweep, np.concatenate([probe, t_grid]))
         leak = synthesis_leak(sweep, synthesis)
         trajectory = AmplitudeTrajectory(t_grid, synthesis.amplitudes[len(probe) :])
-        dicke = time_domain(sweep.projected(bra), t_dicke).amplitudes[:, 0]
+        n_dicke = max(DICKE_SAMPLES, math.ceil(2.0 * gamma_fast * t_max / math.pi) + 1)
+        t_dicke = np.linspace(0.0, t_max, n_dicke)
+        jc_fit = fit_jc_trace(t_dicke, time_domain(sweep.projected(bra), t_dicke).amplitudes[:, 0])
         alpha = sampled_amplitudes(spectra, t_grid)
         fluxes = tuple(np.abs(alpha.T) ** 2)
         lap("evolution")
@@ -453,8 +451,8 @@ def _member_pipeline(
         lap("resolvent_sweep")
         spectra = tuple(emission_spectrum(modes, array, params, d) for d in (+1, -1))
         lap("emission_spectra")
-        trajectory = evolve_markovian(ham, psi0, t_grid, modes)
-        dicke = pole_sums(modes.evals, (bra @ modes.vecs) * modes.coeffs, t_dicke)[:, 0]
+        trajectory = evolve_markovian(modes, t_grid)
+        jc_fit = jc_model(modes.evals, (bra @ modes.vecs) * modes.coeffs)
         lap("evolution")
         overlap = superradiant_overlap(modes, psi0)
         lap("superradiant_overlap")
@@ -470,9 +468,7 @@ def _member_pipeline(
     tau = default_tau_grid(t_max)
     profiles = tuple(spatial_profile(spectrum, tau) for spectrum in spectra)
     lap("profiles")
-    return MemberRun(
-        array, series, spectra, profiles, overlap, timings, grid, checks, (t_dicke, dicke)
-    )
+    return MemberRun(array, series, spectra, profiles, overlap, timings, grid, checks, jc_fit)
 
 
 def _average_series(members: list[ProbabilitySeries]) -> ProbabilitySeries:
@@ -584,7 +580,7 @@ def run(config: RunConfig) -> RunResult:
     oscillation = oscillation_fit(series)
     # an ensemble's cavity model is the first member's, as the record's complex
     # spectra are
-    jc_fit = None if oscillation is None else fit_jc_trace(*first.dicke)
+    jc_fit = None if oscillation is None else first.jc_fit
     fits = time.perf_counter() - tic
     if jc_fit is not None and regime.numbers.get("kappa") is not None:
         regime.numbers["g_c"] = jc_fit.g

@@ -56,12 +56,11 @@ class NumericalError(RuntimeError):
     residual over its gate."""
 
 
-def check_residual(residual: float, psi: np.ndarray) -> None:
-    """Raise when a resolvent (or modal) residual exceeds RESIDUAL_TOL * |psi0|."""
+def check_residual(residual: float, psi: np.ndarray, source: str, cause: str) -> None:
+    """Raise when a residual exceeds RESIDUAL_TOL * |psi0|, naming its source and cause."""
     if residual > RESIDUAL_TOL * float(np.linalg.norm(psi)):
         raise NumericalError(
-            f"resolvent residual {residual:.3g} exceeds {RESIDUAL_TOL:g} * |psi0|; "
-            "the frequency-domain Hamiltonian is inconsistent"
+            f"{source} residual {residual:.3g} exceeds {RESIDUAL_TOL:g} * |psi0|; {cause}"
         )
 
 
@@ -231,27 +230,19 @@ def modal_expansion(ham: EffectiveHamiltonian, psi0: StateVector) -> ModalExpans
         float(np.max(np.linalg.norm(ham.matrix @ vecs - vecs * evals, axis=0))),
         float(np.linalg.norm(vecs @ coeffs - psi)),
     )
-    check_residual(residual, psi)
+    check_residual(residual, psi, "modal", "the eigenpairs do not reproduce H and psi0")
     return ModalExpansion(evals, vecs, cond, coeffs, residual)
 
 
-def evolve_markovian(
-    ham: EffectiveHamiltonian,
-    psi0: StateVector,
-    t_grid: np.ndarray,
-    modes: Optional[ModalExpansion] = None,
-) -> AmplitudeTrajectory:
-    """Propagate the initial state under the resonant effective Hamiltonian.
+def evolve_markovian(modes: ModalExpansion, t_grid: np.ndarray) -> AmplitudeTrajectory:
+    """Propagate psi0 under the resonant H of its modal expansion.
 
-    modes is the run's expansion of psi0 (built here when not given).  b(t)
-    is the pole sum with weights V_aj c_j, one row per atom, taken by
+    b(t) is the pole sum with weights V_aj c_j, one row per atom, taken by
     pole_sums on t_grid itself.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must start at 0 and be strictly increasing")
-    if modes is None:
-        modes = modal_expansion(ham, psi0)
     amps = pole_sums(modes.evals, modes.vecs * modes.coeffs, t_grid)
     return AmplitudeTrajectory(t=t_grid, amplitudes=amps)
 

@@ -570,7 +570,7 @@ def resolvent_sweep(
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
         res_max = max(pool.map(work, chunks) if workers > 1 else map(work, chunks))
 
-    check_residual(res_max, psi)
+    check_residual(res_max, psi, "resolvent", "the frequency-domain Hamiltonian is inconsistent")
     lam0 = -0.5j * params.gamma_tot  # every atom carries the same width
     # The couplings H_ab(delta) = H_ab(0) e^{i delta |z_a - z_b| / v_g} delay
     # the second-order term by |z_a - z_b| / v_g, over the atoms b psi0

@@ -28,7 +28,7 @@ from wgqed import (
     transfer_matrix_reflectance,
 )
 from wgqed.cli import SCENARIOS, RunConfig, run
-from wgqed.dynamics import default_time_grid, fit_decay_rate
+from wgqed.dynamics import default_time_grid, fit_decay_rate, modal_expansion
 
 from conftest import CAVITY_FIXTURES, MARKOVIAN_FIXTURES
 from test_analytic import jc_population_ode
@@ -54,7 +54,8 @@ def test_criterion_1_base_case_rate(params):
         worst_eig = max(worst_eig, abs(rates.max() - expected))
         psi0 = dicke_initial_state(arr, params)
         traj = evolve_markovian(
-            effective_hamiltonian(arr, params), psi0, default_time_grid(expected, 12.0 / 0.95)
+            modal_expansion(effective_hamiltonian(arr, params), psi0),
+            default_time_grid(expected, 12.0 / 0.95),
         )
         from wgqed import probabilities
 
@@ -212,7 +213,8 @@ def test_criterion_8_cross_method(params):
         t = np.linspace(0.0, 8.0, 160)
         spectral = time_domain(slices, t)
         markovian = evolve_markovian(
-            effective_hamiltonian(arr, params), psi0, np.concatenate([[0.0], t[1:]])
+            modal_expansion(effective_hamiltonian(arr, params), psi0),
+            np.concatenate([[0.0], t[1:]]),
         )
         worst = max(worst, float(np.max(np.abs(spectral.amplitudes - markovian.amplitudes))))
     _report(8, worst < 1e-3, f"max amplitude difference {worst:.2e} over 10 geometries (tol 1e-3)")

@@ -17,7 +17,7 @@ from wgqed import (
     mirror_reflectance_lorentzian,
     transfer_matrix_reflectance,
 )
-from wgqed.analytic import fit_jc_trace
+from wgqed.analytic import fit_jc_trace, jc_model
 
 
 def jc_population_ode(g, kappa, t_grid):
@@ -289,6 +289,25 @@ TWO_LOSS = (1.2, 0.9, 0.35)  # g, kappa, gamma_e
 def _assert_two_loss(fit, g, kappa, gamma_e):
     assert fit is not None
     assert (fit.g, fit.kappa, fit.gamma_e) == pytest.approx((g, kappa, gamma_e), abs=1e-6)
+
+
+def test_jc_model_reads_exact_poles_and_bounds_what_it_leaves_out():
+    # the doublet of the two-loss generator plus two decoys; the residual is
+    # the decoys' sum of |A|, which bounds a0 - doublet for t >= 0
+    g, kappa, gamma_e = TWO_LOSS
+    rates, vecs = np.linalg.eig(np.array([[-0.5 * gamma_e, -1j * g], [-1j * g, -0.5 * kappa]]))
+    poles = np.concatenate([1j * rates, [3 - 5j, -4 - 8j]])  # e^{-i lam t} = e^{rate t}
+    amps = np.concatenate([vecs[0] * np.linalg.inv(vecs)[:, 0], [0.05j, -0.03]])
+    model = jc_model(poles, amps)
+    assert (model.g, model.kappa, model.gamma_e) == pytest.approx(TWO_LOSS, rel=1e-12)
+    assert model.residual == pytest.approx(0.08, rel=1e-15)
+    assert model.pole_rms is None
+    t = np.linspace(0, 12, 300)
+    a0 = np.exp(-1j * np.outer(t, poles)) @ amps
+    assert np.max(np.abs(a0 - two_loss_amplitude(*TWO_LOSS, t))) <= model.residual
+    # a single pole, and a doublet that does not split
+    assert jc_model(poles[:1], amps[:1]) is None
+    assert jc_model(np.array([-0.5j, -0.7j]), np.array([0.6, 0.4])) is None
 
 
 def test_fit_jc_trace_reads_the_two_loss_model_off_its_doublet():

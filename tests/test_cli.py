@@ -10,7 +10,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wgqed import ChainSpec, ConfigError, DisorderSpec
+from wgqed import (
+    ChainSpec,
+    ConfigError,
+    DisorderSpec,
+    PhysParams,
+    build_chain,
+    dicke_initial_state,
+    effective_hamiltonian,
+)
+from wgqed.analytic import fit_jc_trace, jc_model
 from wgqed.cli import (
     _CHAIN_KEYS,
     _PARAM_KEYS,
@@ -25,7 +34,7 @@ from wgqed.cli import (
     parse_config_file,
     run,
 )
-from wgqed.dynamics import NumericalError, ProbabilitySeries
+from wgqed.dynamics import NumericalError, ProbabilitySeries, modal_expansion, pole_sums
 
 
 def _series(t, y):
@@ -165,7 +174,7 @@ def test_artifact_formats(tmp_path):
     # t = 0 plus 2048 log-spaced times; 4096 tau midpoints; one row per atom
     assert row_counts == {"probabilities.csv": 2049, "profiles.csv": 4096, "positions.csv": 5}
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["format_version"] == 3
+    assert summary["format_version"] == 4
     assert summary["config"]["method"] == "markovian"
     assert summary["converged"] is True
     assert summary["config"]["member_seeds"] == [0]
@@ -671,7 +680,7 @@ def test_markovian_member_makes_one_eig(monkeypatch, cfg, n_members):
          "eigenvector condition number .* exceeds CONDITION_MAX = 1: .* --method spectral"),
         ("wgqed.cli.POLE_CHECK_TOL", 0.0, "pole check deviation .* exceeds POLE_CHECK_TOL = 0"),
         # the modal residual's gate; the expansion meets it first
-        ("wgqed.dynamics.RESIDUAL_TOL", 0.0, "resolvent residual"),
+        ("wgqed.dynamics.RESIDUAL_TOL", 0.0, "modal residual"),
     ],
     ids=["ill-conditioned", "pole-check", "residual-gate"],
 )
@@ -698,17 +707,23 @@ def test_untrusted_expansion_raises_before_it_evolves(
     assert evolved == []
 
 
+MARKOVIAN_BARE = ["--scenario", "bare", "--scale", "0.05", "--method", "markovian"]
+
+
 @pytest.mark.parametrize(
-    "target, value, fragment",
+    "target, value, argv, fragment",
     [
-        ("wgqed.dynamics.CONDITION_MAX", 1.0, "eigenvector condition number"),
-        ("wgqed.dynamics.RESIDUAL_TOL", 0.0, "resolvent residual"),
+        ("wgqed.dynamics.CONDITION_MAX", 1.0, MARKOVIAN_BARE, "eigenvector condition number"),
+        ("wgqed.dynamics.RESIDUAL_TOL", 0.0, MARKOVIAN_BARE, "modal residual"),
+        # the sweep route's gate names the resolvent, not the modes
+        ("wgqed.dynamics.RESIDUAL_TOL", 0.0, ["--scenario", "fig7b", "--scale", "0.02"],
+         "resolvent residual"),
     ],
-    ids=["ill-conditioned", "residual-gate"],
+    ids=["ill-conditioned", "residual-gate", "sweep-residual-gate"],
 )
-def test_numerical_errors_exit_with_an_error(monkeypatch, capsys, target, value, fragment):
+def test_numerical_errors_exit_with_an_error(monkeypatch, capsys, target, value, argv, fragment):
     monkeypatch.setattr(target, value)
-    assert main(["--scenario", "bare", "--scale", "0.05", "--method", "markovian"]) == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
 
@@ -863,6 +878,58 @@ def test_oscillating_run_fits_the_cavity_model():
     assert summary["oscillation"] is not None
     assert summary["jc_fit"] is not None
     assert summary["jc_fit"]["g"] > 0
+
+
+def _dicke_poles(scenario, scale):
+    """The poles lam_j and amplitudes A_j = (psi0^dagger V)_j c_j of a
+    scenario's Dicke amplitude a0, from the modal expansion of its H."""
+    params = PhysParams()
+    array = build_chain(SCENARIOS[scenario].build(scale, 0, params))
+    psi0 = dicke_initial_state(array, params)
+    modes = modal_expansion(effective_hamiltonian(array, params), psi0)
+    return modes.evals, (np.conj(psi0.amplitudes) @ modes.vecs) * modes.coeffs
+
+
+def test_the_pencil_finds_the_cavity_model_of_the_modes():
+    # the sweep route's pencil, on a0 of a Bragg cavity sampled on 257 uniform
+    # times over the run's window, against the model of its exact poles
+    poles, amps = _dicke_poles("fig4", 0.3)
+    t = np.linspace(0.0, SCENARIOS["fig4"].t_max_in_ext_lifetimes / PhysParams().gamma_ext, 257)
+    fitted = fit_jc_trace(t, pole_sums(poles, amps, t)[:, 0])
+    exact = jc_model(poles, amps)
+    for key in ("g", "kappa", "gamma_e", "frequency"):
+        assert getattr(fitted, key) == pytest.approx(getattr(exact, key), rel=1e-12, abs=0.0)
+    assert fitted.pole_rms < 1e-12 and exact.pole_rms is None
+
+
+@pytest.mark.parametrize("scenario, scale, calls", [("fig4", 0.3, 0), ("fig7b", 0.02, 1)])
+def test_only_the_sweep_route_runs_the_pencil(monkeypatch, scenario, scale, calls):
+    # both runs oscillate and report a cavity model; only the swept one fits it
+    import wgqed.analytic
+
+    pencil, recorded = wgqed.analytic.harmonic_inversion, []
+    monkeypatch.setattr(
+        wgqed.analytic, "harmonic_inversion", lambda *a: recorded.append(a) or pencil(*a)
+    )
+    summary = run(RunConfig(scenario=scenario, scale=scale)).summary.data
+    assert summary["jc_fit"] is not None
+    assert len(recorded) == calls
+
+
+@pytest.mark.parametrize("fixture", ["fig4_run", "fig5_run"])
+def test_the_poles_route_residual_bounds_the_doublet(fixture, request):
+    # every pole decays, so the amplitudes off the doublet bound a0 - doublet
+    # at every t >= 0; no sum was fitted, so there is no pole_rms
+    result = request.getfixturevalue(fixture)
+    jc = result.summary.data["jc_fit"]
+    assert jc["pole_rms"] is None
+    poles, amps = _dicke_poles(fixture.split("_")[0], 0.3)
+    pair = np.argsort(-np.abs(amps))[:2]
+    assert abs((poles[pair[0]] - poles[pair[1]]).real) == pytest.approx(jc["frequency"], rel=1e-14)
+    t = result.series.t
+    a0 = pole_sums(poles, amps, t)[:, 0]
+    doublet = pole_sums(poles[pair], amps[pair], t)[:, 0]
+    assert np.max(np.abs(a0 - doublet)) <= jc["residual"] + 1e-14
 
 
 # --- the retarded grid: a 2 t_max window, checked by the leak probes ---------------

@@ -37,7 +37,7 @@ def _pipeline(params, spec, t_max=8.0):
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
     t = default_time_grid(2.5, t_max)
-    traj = evolve_markovian(ham, psi0, t)
+    traj = evolve_markovian(modal_expansion(ham, psi0), t)
     return traj, probabilities(traj, psi0, arr, params)
 
 
@@ -63,7 +63,7 @@ def test_two_atom_dicke_pure_exponential(params):
     psi0 = dicke_initial_state(arr, params)
     ham = effective_hamiltonian(arr, params)
     t = np.linspace(0, 5, 101)
-    traj = evolve_markovian(ham, psi0, t)
+    traj = evolve_markovian(modal_expansion(ham, psi0), t)
     rate = params.gamma_tot + params.gamma_wg  # 1.1 with defaults
     assert_allclose(traj.population, np.exp(-rate * t), atol=1e-12)
 
@@ -71,7 +71,7 @@ def test_two_atom_dicke_pure_exponential(params):
 def test_zero_hamiltonian_is_identity_evolution():
     ham = EffectiveHamiltonian(np.zeros((3, 3), dtype=complex))
     psi0 = StateVector(np.array([0.6, 0.8j, 0.0]))
-    traj = evolve_markovian(ham, psi0, np.linspace(0, 4, 9))
+    traj = evolve_markovian(modal_expansion(ham, psi0), np.linspace(0, 4, 9))
     assert_allclose(traj.amplitudes, np.tile(psi0.amplitudes, (9, 1)), atol=1e-14)
 
 
@@ -79,7 +79,9 @@ def test_rejects_retarded_and_bad_grid(params):
     arr = build_chain(ChainSpec(0, 2, 0))
     psi0 = dicke_initial_state(arr, params)
     with pytest.raises(ValueError):
-        evolve_markovian(effective_hamiltonian(arr, params), psi0, np.array([0.5, 1.0]))
+        evolve_markovian(
+            modal_expansion(effective_hamiltonian(arr, params), psi0), np.array([0.5, 1.0])
+        )
 
 
 def test_expm_oracle_agrees_with_eigendecomposition(params):
@@ -88,7 +90,7 @@ def test_expm_oracle_agrees_with_eigendecomposition(params):
     psi0 = StateVector(np.ones(20) / np.sqrt(20))
     ham = effective_hamiltonian(arr, params)
     t = np.linspace(0, 6, 40)
-    a = evolve_markovian(ham, psi0, t).amplitudes
+    a = evolve_markovian(modal_expansion(ham, psi0), t).amplitudes
     b = _evolve_expm(ham, psi0.amplitudes, t)
     assert np.max(np.abs(a - b)) < 1e-8
 
@@ -113,7 +115,7 @@ def test_unusable_expansion_raises(monkeypatch, params):
 
 
 def test_modal_residual_over_its_gate_raises(monkeypatch, params):
-    _expansion_raises(monkeypatch, params, "RESIDUAL_TOL", 0.0, "resolvent residual")
+    _expansion_raises(monkeypatch, params, "RESIDUAL_TOL", 0.0, "modal residual")
 
 
 def test_resonant_sweep_synthesis_matches_the_expm_oracle(params):
@@ -161,7 +163,7 @@ def test_directional_flux_rank2_identity(params):
     amp = rng.normal(size=15) + 1j * rng.normal(size=15)
     psi0 = StateVector(amp / np.linalg.norm(amp))
     ham = effective_hamiltonian(arr, params)
-    traj = evolve_markovian(ham, psi0, np.linspace(0, 4, 50))
+    traj = evolve_markovian(modal_expansion(ham, psi0), np.linspace(0, 4, 50))
     phi_p, phi_m = directional_fluxes(traj, arr, params)
     guided = guided_channel(ham, params)
     quad = np.einsum("ti,ij,tj->t", traj.amplitudes.conj(), guided, traj.amplitudes)
@@ -237,7 +239,8 @@ def test_pole_sums_take_the_direct_table_off_a_uniform_grid():
 
 @pytest.mark.parametrize("t_max", [1.0, 12.0 / 0.95, 28.5 / 0.95, 1234.5])
 def test_profile_and_dicke_grids_are_uniform(t_max):
-    # the run's tau grid and its Dicke times take the factorised path
+    # the run's tau grid and the sweep route's Dicke times, where fit_jc_trace
+    # sums its doublet, take the factorised path
     assert _uniform_step(default_tau_grid(t_max)) is not None
     assert _uniform_step(np.linspace(0.0, t_max, 257)) is not None
 

@@ -110,11 +110,11 @@ def test_direction_validation(params):
 
 def test_single_atom_ledger_branching(params):
     from wgqed import effective_hamiltonian, evolve_markovian, probabilities
-    from wgqed.dynamics import default_time_grid
+    from wgqed.dynamics import default_time_grid, modal_expansion
 
     arr, psi0, grid, slices = _sweep(params, ChainSpec(0, 1, 0), 1.05)
-    ham = effective_hamiltonian(arr, params)
-    traj = evolve_markovian(ham, psi0, default_time_grid(1.05, 12.0 / 0.95))
+    modes = modal_expansion(effective_hamiltonian(arr, params), psi0)
+    traj = evolve_markovian(modes, default_time_grid(1.05, 12.0 / 0.95))
     series = probabilities(traj, psi0, arr, params)
     right = emission_spectrum(slices, arr, params, +1)
     left = emission_spectrum(slices, arr, params, -1)
@@ -305,9 +305,8 @@ def test_pole_outflow_is_the_directional_flux(scenario, seed, params):
 
     arr = build_chain(SCENARIOS[scenario].build(0.1, seed, params))
     psi0 = dicke_initial_state(arr, params)
-    ham = effective_hamiltonian(arr, params)
-    modes = modal_expansion(ham, psi0)
-    traj = evolve_markovian(ham, psi0, default_time_grid(2.5, 12.0 / 0.95), modes)
+    modes = modal_expansion(effective_hamiltonian(arr, params), psi0)
+    traj = evolve_markovian(modes, default_time_grid(2.5, 12.0 / 0.95))
     t = traj.t[1:]
     fluxes = dict(zip((+1, -1), directional_fluxes(traj, arr, params)))
     for direction, flux in fluxes.items():

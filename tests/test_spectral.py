@@ -21,7 +21,7 @@ from wgqed import (
 )
 from wgqed.analytic import collective_rate
 from wgqed.cli import LEAK_TOL, SCENARIOS, SPAN_FACTOR_RETARDED, RunConfig, run
-from wgqed.dynamics import default_time_grid
+from wgqed.dynamics import default_time_grid, modal_expansion
 from wgqed.emission import default_tau_grid, emission_spectrum, sampled_amplitudes
 from wgqed.hamiltonian import pair_distances
 from wgqed.spectral import (
@@ -763,7 +763,7 @@ def test_cross_method_oracle_20_atoms(params):
     t = np.linspace(0.0, 8.0, 200)
     spectral = time_domain(slices, t)
     markovian = evolve_markovian(
-        effective_hamiltonian(arr, params), psi0, np.concatenate([[0.0], t[1:]])
+        modal_expansion(effective_hamiltonian(arr, params), psi0), np.concatenate([[0.0], t[1:]])
     )
     assert np.max(np.abs(spectral.amplitudes - markovian.amplitudes)) < 1e-3
 
