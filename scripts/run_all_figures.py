@@ -7,8 +7,9 @@ Example:
 
 Full scale reproduces the published geometries (300 to 1100 atoms); there the
 long-cavity scenarios (1100 atoms) take about 5 s and 0.7 GB each on 2 cores
-with one BLAS thread.  Each scenario prints one line: its method and route,
-the ledger, converged and the checks table it is decided from (name=value/limit),
+with one BLAS thread; every sweep runs on one thread, RunConfig's default.
+Each scenario prints one line: its method and route, the ledger, converged
+and the checks table it is decided from (name=value/limit),
 the swept frequency grid's number of points and alias-free window (None on
 the poles route, which has no grid), the vacuum-Rabi
 oscillation frequency of p0 and the cavity model read off the poles (g, kappa,
@@ -37,7 +38,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=0.3)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=1, help="threads for the sweep")
     parser.add_argument("--out", default="runs")
     parser.add_argument(
         "--scenarios", nargs="*", default=sorted(SCENARIOS), help="subset to run"
@@ -49,13 +49,7 @@ def main() -> int:
         out_dir = Path(args.out) / f"{name}_scale{args.scale:g}"
         tic = time.perf_counter()
         result = run(
-            RunConfig(
-                scenario=name,
-                scale=args.scale,
-                seed=args.seed,
-                workers=args.workers,
-                out_dir=str(out_dir),
-            )
+            RunConfig(scenario=name, scale=args.scale, seed=args.seed, out_dir=str(out_dir))
         )
         ledger = result.record.ledger
         summary = result.summary.data

@@ -12,11 +12,7 @@ from .model import (
     build_chain,
     dicke_initial_state,
 )
-from .hamiltonian import (
-    EffectiveHamiltonian,
-    add_free_space_coupling,
-    effective_hamiltonian,
-)
+from .hamiltonian import effective_hamiltonian
 from .dynamics import (
     AmplitudeTrajectory,
     ProbabilitySeries,

@@ -10,12 +10,14 @@ oscillating run also reports its cavity model, the doublet of the poles of
 the Dicke amplitude <psi0|b(t)> (analytic.jc_model).
 
 The kernel picks the route.  A Markovian run takes its trajectory, spectra,
-weights, profiles and cavity model in closed form from one modal expansion (the
-"poles" route); modal_expansion raises NumericalError on an expansion it cannot
-trust, and _pole_check on one that deviates from the run's resolvent.  A
-retarded run takes the resolvent sweep over the frequency grid, synthesises
-the trajectory from it and fits the poles of a0 (the "sweep" route), with no
-eigendecomposition and no N x N matrix: only the poles route builds H.
+weights, profiles and cavity model in closed form from one modal expansion of
+H (the "poles" route); modal_expansion raises NumericalError on an expansion
+it cannot trust, and _pole_check on one that deviates from the resonant-kernel
+sweep's resolvent.  A retarded run takes the resolvent sweep over the
+frequency grid, synthesises the trajectory from it and fits the poles of a0
+(the "sweep" route), with no eigendecomposition and no N x N matrix: only the
+poles route builds H.  On either route each atom loses gamma_ext to the
+non-guided modes on its own, so the external loss is gamma_ext p.
 """
 
 from __future__ import annotations
@@ -58,11 +60,7 @@ from .emission import (
     sampled_amplitudes,
     spatial_profile,
 )
-from .hamiltonian import (
-    EffectiveHamiltonian,
-    add_free_space_coupling,
-    effective_hamiltonian,
-)
+from .hamiltonian import effective_hamiltonian
 from .model import (
     AtomArray,
     ChainSpec,
@@ -84,7 +82,7 @@ from .spectral import (
     time_domain,
 )
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 # Half-span of the sweep route's frequency grid (in units of the fastest
 # collective rate); the poles route has no grid.  The synthesis subtracts the
@@ -135,7 +133,6 @@ class RunConfig:
     ensemble: int = 1
     workers: int = 1
     out_dir: Optional[str] = None
-    free_space: bool = False
 
     def __post_init__(self):
         if (self.scenario is None) == (self.chain is None):
@@ -360,25 +357,19 @@ def _resolve_chain(config: RunConfig) -> tuple[ChainSpec, float]:
 
 def _pole_check(
     modes: ModalExpansion,
-    ham: EffectiveHamiltonian,
     array: AtomArray,
     params: PhysParams,
     psi0: StateVector,
     gamma_fast: float,
 ) -> float:
-    """The deviation of the modal resolvent from the run's own.
+    """The deviation of the modal resolvent from the resonant-kernel sweep's.
 
     The expansion (whose condition and residual modal_expansion has gated)
-    must match the resolvent of the run's H at POLE_CHECK_POINTS detunings
-    over +/- gamma_fast (the sweep's, or dense solves when H carries the
-    free-space term, which the sweep lacks); otherwise NumericalError.
+    must match it at POLE_CHECK_POINTS detunings over +/- gamma_fast;
+    otherwise NumericalError.
     """
     check_grid = SpectralGrid(-gamma_fast, gamma_fast, POLE_CHECK_POINTS, 0.0)
-    if ham.free_space_decay is not None:
-        mats = check_grid.deltas[:, None, None] * np.eye(array.n_atoms) - ham.matrix
-        exact = np.linalg.solve(mats, psi0.amplitudes)
-    else:
-        exact = resolvent_sweep(array, params, psi0, check_grid, retarded=False).resolvent()
+    exact = resolvent_sweep(array, params, psi0, check_grid, retarded=False).resolvent()
     deviation = np.max(np.abs(modes.resolvent(check_grid.deltas) - exact))
     check_error = float(deviation / np.max(np.abs(exact)))
     if not check_error <= POLE_CHECK_TOL:
@@ -390,12 +381,7 @@ def _pole_check(
 
 
 def _member_pipeline(
-    chain: ChainSpec,
-    params: PhysParams,
-    method: str,
-    t_max: float,
-    workers: int,
-    free_space: bool,
+    chain: ChainSpec, params: PhysParams, method: str, t_max: float, workers: int
 ) -> MemberRun:
     """Trajectory, series, spectra, profiles and cavity model of one disorder member."""
     array = build_chain(chain)
@@ -437,17 +423,13 @@ def _member_pipeline(
         fluxes = tuple(np.abs(alpha.T) ** 2)
         lap("evolution")
         checks, overlap = {"residual_max": sweep.residual_max, "synthesis_leak": leak}, None
-        free_space_decay = None
     else:
         # the poles route: everything in closed form from the checked modal
         # expansion of H; the guided fluxes are the directional fluxes of b
         grid = None
-        ham = effective_hamiltonian(array, params)
-        if free_space:
-            ham = add_free_space_coupling(ham, array, params)
-        modes = modal_expansion(ham, psi0)
+        modes = modal_expansion(effective_hamiltonian(array, params), psi0)
         lap("evolution")
-        check_error = _pole_check(modes, ham, array, params, psi0, gamma_fast)
+        check_error = _pole_check(modes, array, params, psi0, gamma_fast)
         lap("resolvent_sweep")
         spectra = tuple(emission_spectrum(modes, array, params, d) for d in (+1, -1))
         lap("emission_spectra")
@@ -461,9 +443,9 @@ def _member_pipeline(
             "eig_condition": modes.condition,
             "pole_check_error": check_error,
         }
-        fluxes, free_space_decay = None, ham.free_space_decay
+        fluxes = None
 
-    series = probabilities(trajectory, psi0, array, params, fluxes, free_space_decay)
+    series = probabilities(trajectory, psi0, array, params, fluxes)
     lap("probabilities")
     tau = default_tau_grid(t_max)
     profiles = tuple(spatial_profile(spectrum, tau) for spectrum in spectra)
@@ -538,11 +520,6 @@ def run(config: RunConfig) -> RunResult:
     method = config.method
     if method == "auto":
         method = "markovian" if regime.markovian else "spectral"
-    if config.free_space and method == "spectral":
-        raise ConfigError(
-            "the free-space dipole-dipole correction is resonant-only; "
-            "use the markovian method"
-        )
     t_max = config.t_max
     if t_max is None:
         t_max = t_ext_default / params.gamma_ext
@@ -551,11 +528,7 @@ def run(config: RunConfig) -> RunResult:
     members = []
     for member_seed in member_seeds:
         member_chain = replace(chain, rng_seed=member_seed)
-        members.append(
-            _member_pipeline(
-                member_chain, params, method, t_max, config.workers, config.free_space
-            )
-        )
+        members.append(_member_pipeline(member_chain, params, method, t_max, config.workers))
     first = members[0]
     series = _average_series([m.series for m in members])
     if np.any(series.p == 0.0):
@@ -602,7 +575,6 @@ def run(config: RunConfig) -> RunResult:
                 "ensemble": config.ensemble,
                 "member_seeds": member_seeds,
                 "workers": config.workers,
-                "free_space": config.free_space,
             },
             "regime": asdict(regime),
             "rates": rates,
@@ -697,7 +669,6 @@ def parse_config_file(path) -> dict:
     return sections
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _RUN_KEYS = {
     "scenario": str,
     "scale": float,
@@ -707,9 +678,8 @@ _RUN_KEYS = {
     "t_max": float,
     "workers": int,
     "out": str,
-    "free_space": lambda s: _BOOLEANS[s.lower()],
 }
-_PARAM_KEYS = {"beta": float, "gamma_ext": float, "v_g": float, "lambda0": float}
+_PARAM_KEYS = {"beta": float, "gamma_ext": float, "v_g": float}
 
 
 def _count(text: str) -> int:
@@ -742,7 +712,7 @@ def _convert(section: str, table: dict, raw: dict, path) -> dict:
             )
         try:
             out[key] = table[key](value)
-        except (ValueError, KeyError):
+        except ValueError:
             raise ConfigFileError(
                 f"{path}:{lineno}: bad value {value!r} for {key!r} in section [{section}]"
             ) from None
@@ -792,11 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="out_dir", help="artifact directory")
     parser.add_argument("--workers", type=int)
     parser.add_argument("--t-max", type=float, dest="t_max")
-    parser.add_argument("--free-space", action="store_true", default=None,
-                        help="enable the optional free-space dipole-dipole term "
-                             "(resonant method only; the guided weights and the "
-                             "external loss, free-space interference included, "
-                             "follow the same H)")
     return parser
 
 

@@ -33,7 +33,6 @@ from typing import Optional
 
 import numpy as np
 
-from .hamiltonian import EffectiveHamiltonian
 from .model import AtomArray, PhysParams, StateVector, write_csv
 
 # Eigenvector condition number beyond which the modal expansion is unusable
@@ -124,7 +123,7 @@ def default_time_grid(gamma_fast: float, t_max: float, n: int = 2048) -> np.ndar
     return np.concatenate([[0.0], np.geomspace(t0, t_max, n)])
 
 
-def _evolve_expm(ham: EffectiveHamiltonian, psi0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+def _evolve_expm(ham: np.ndarray, psi0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """Stepwise scaling-and-squaring propagation: the tests' oracle; no run calls it."""
     from scipy.linalg import expm
 
@@ -132,10 +131,10 @@ def _evolve_expm(ham: EffectiveHamiltonian, psi0: np.ndarray, t_grid: np.ndarray
     b = psi0.astype(complex)
     t_prev = t_grid[0]
     if t_prev != 0.0:
-        b = expm(-1j * ham.matrix * t_prev) @ b
+        b = expm(-1j * ham * t_prev) @ b
     amps[0] = b
     for i, t in enumerate(t_grid[1:], start=1):
-        b = expm(-1j * ham.matrix * (t - t_prev)) @ b
+        b = expm(-1j * ham * (t - t_prev)) @ b
         amps[i] = b
         t_prev = t
     return amps
@@ -208,15 +207,15 @@ class ModalExpansion:
         return (self.coeffs / (deltas[:, None] - self.evals)) @ self.vecs.T
 
 
-def modal_expansion(ham: EffectiveHamiltonian, psi0: StateVector) -> ModalExpansion:
+def modal_expansion(ham: np.ndarray, psi0: StateVector) -> ModalExpansion:
     """Expand psi0 on the right eigenvectors of a resonant H, from its one eig.
 
     Raises NumericalError when the eigenvector condition number exceeds
     CONDITION_MAX or the residual fails check_residual.
     """
-    if not np.all(np.isfinite(ham.matrix)):
+    if not np.all(np.isfinite(ham)):
         raise NumericalError("effective Hamiltonian contains non-finite entries")
-    evals, vecs = np.linalg.eig(ham.matrix)
+    evals, vecs = np.linalg.eig(ham)
     cond = float(np.linalg.cond(vecs))
     if not np.isfinite(cond) or cond > CONDITION_MAX:
         raise NumericalError(
@@ -227,7 +226,7 @@ def modal_expansion(ham: EffectiveHamiltonian, psi0: StateVector) -> ModalExpans
     psi = psi0.amplitudes
     coeffs = np.linalg.solve(vecs, psi)
     residual = max(
-        float(np.max(np.linalg.norm(ham.matrix @ vecs - vecs * evals, axis=0))),
+        float(np.max(np.linalg.norm(ham @ vecs - vecs * evals, axis=0))),
         float(np.linalg.norm(vecs @ coeffs - psi)),
     )
     check_residual(residual, psi, "modal", "the eigenpairs do not reproduce H and psi0")
@@ -296,15 +295,13 @@ def probabilities(
     array: AtomArray,
     params: PhysParams,
     fluxes: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    free_space_decay: Optional[np.ndarray] = None,
 ) -> ProbabilitySeries:
     """Project the trajectory onto p, p0, p_a and integrate the channel fluxes.
 
     fluxes are the (right, left) guided outflows on traj.t: by default the
     resonant directional_fluxes; the retarded pipeline passes |alpha|^2 of the
-    fields leaving the chain.  The external flux is b^dagger Gamma_ext b:
-    gamma_ext p, plus the interference through free_space_decay, the
-    off-diagonal Gamma_fs of an H that carries the free-space term.
+    fields leaving the chain.  The external flux is gamma_ext p: each atom
+    loses gamma_ext to the non-guided modes on its own.
     """
     if traj.amplitudes.shape[1] != psi0.n_atoms or psi0.n_atoms != array.n_atoms:
         raise ValueError("trajectory, initial state and geometry sizes disagree")
@@ -317,12 +314,7 @@ def probabilities(
     e_right = _cumulative(phi_plus, traj.t)
     e_left = _cumulative(phi_minus, traj.t)
     e_raman = _cumulative(params.gamma_raman * p, traj.t)
-    ext_flux = params.gamma_ext * p
-    if free_space_decay is not None:
-        # b^dagger Gamma_fs b (Gamma_fs symmetric): the free-space interference
-        b = traj.amplitudes
-        ext_flux = ext_flux + np.real(np.sum(np.conj(b) * (b @ free_space_decay), axis=1))
-    e_ext = _cumulative(ext_flux, traj.t)
+    e_ext = _cumulative(params.gamma_ext * p, traj.t)
     return ProbabilitySeries(traj.t, p, p0, pa, e_left, e_right, e_raman, e_ext)
 
 

@@ -29,16 +29,17 @@ GAMMA_RAD_PER_S = 2.0 * math.pi * 6.07e6
 LAMBDA0_M = 780e-9
 C_M_PER_S = 299_792_458.0
 
-# Effective mode index lambda0 / lambda_wg of the guided mode.  Config value,
-# not a measured quantity; every quoted rate is independent of it.
+# Effective index (vacuum over guided wavelength) of the guided mode.  It only
+# converts c into the reduced units below, so it sets the default v_g; every
+# quoted rate is independent of it.
 DEFAULT_MODE_INDEX = 1.2
 
 # Speed of light in units of gamma * lambda_wg, then the nanofiber group velocity.
 C_REDUCED = C_M_PER_S / (GAMMA_RAD_PER_S * LAMBDA0_M) * DEFAULT_MODE_INDEX
 DEFAULT_V_G = 0.7 * C_REDUCED
 
-# Pairs closer than this (in lambda_wg) are rejected: the scalar coupling and
-# the optional free-space 1/xi^3 correction are not trustworthy at contact.
+# Pairs closer than this (in lambda_wg) are rejected: the point-dipole guided
+# coupling does not describe atoms at contact.
 MIN_SEPARATION = 0.01
 
 # Most rows formatted and written at a time by write_csv, which splits a file
@@ -62,21 +63,18 @@ class SegmentRole(enum.Enum):
 
 @dataclass(frozen=True)
 class PhysParams:
-    """Physical rates and wavelengths of the atom-waveguide system, in the
-    reduced units: the free-space decay rate gamma and the guided wavelength
-    lambda_wg are 1 and are not parameters.
+    """Physical rates of the atom-waveguide system, in the reduced units: the
+    free-space decay rate gamma and the guided wavelength lambda_wg are 1 and
+    are not parameters.
 
     beta       coupling ratio gamma_1d / gamma.
-    gamma_ext  decay rate into external (non-guided) modes.
+    gamma_ext  decay rate of each atom into external (non-guided) modes.
     v_g        group velocity of the guided mode.
-    lambda0    vacuum wavelength, used only by the optional free-space
-               dipole-dipole correction; the default is the mode index.
     """
 
     beta: float = 0.1
     gamma_ext: float = 0.95
     v_g: float = DEFAULT_V_G
-    lambda0: float = DEFAULT_MODE_INDEX
 
     def __post_init__(self):
         if not 0 < self.beta < 1:
@@ -85,8 +83,6 @@ class PhysParams:
             raise ConfigError(f"gamma_ext must be positive, got {self.gamma_ext}")
         if not (math.isfinite(self.v_g) and self.v_g > 0):
             raise ConfigError(f"v_g must be finite and positive, got {self.v_g}")
-        if not (math.isfinite(self.lambda0) and self.lambda0 > 0):
-            raise ConfigError(f"lambda0 must be finite and positive, got {self.lambda0}")
         if not self.gamma_ext < 1:
             raise ConfigError(f"gamma_ext={self.gamma_ext} must stay below gamma = 1")
         # Purcell condition: waveguide plus external modes beat free space.

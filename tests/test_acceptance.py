@@ -50,7 +50,7 @@ def test_criterion_1_base_case_rate(params):
     for n_c in (2, 5, 10, 30):
         arr = build_chain(ChainSpec(0, n_c, 0))
         expected = collective_rate(n_c, params)
-        rates = -2.0 * np.linalg.eigvals(effective_hamiltonian(arr, params).matrix).imag
+        rates = -2.0 * np.linalg.eigvals(effective_hamiltonian(arr, params)).imag
         worst_eig = max(worst_eig, abs(rates.max() - expected))
         psi0 = dicke_initial_state(arr, params)
         traj = evolve_markovian(
@@ -346,7 +346,7 @@ def test_criterion_10_decay_matrix_psd(scenario, scale, seed, params):
     chain = SCENARIOS[scenario].build(scale, seed, params)
     arr = build_chain(chain)
     ham = effective_hamiltonian(arr, params)
-    evals = np.linalg.eigvalsh(-2.0 * ham.matrix.imag)
-    scale_rate = np.trace(-2.0 * ham.matrix.imag).real / arr.n_atoms
+    evals = np.linalg.eigvalsh(-2.0 * ham.imag)
+    scale_rate = np.trace(-2.0 * ham.imag).real / arr.n_atoms
     ok = bool(evals.min() >= -1e-10 * scale_rate)
     _report("10", ok, f"{scenario}: decay-matrix lowest eigenvalue {evals.min():.2e} (PSD)")

@@ -174,7 +174,13 @@ def test_artifact_formats(tmp_path):
     # t = 0 plus 2048 log-spaced times; 4096 tau midpoints; one row per atom
     assert row_counts == {"probabilities.csv": 2049, "profiles.csv": 4096, "positions.csv": 5}
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["format_version"] == 4
+    assert summary["format_version"] == 5
+    # format 5: the config echoes the run's options and the three rates only
+    assert set(summary["config"]) == {
+        "scenario", "chain", "params", "method", "method_requested", "scale", "t_max",
+        "seed", "ensemble", "member_seeds", "workers",
+    }
+    assert set(summary["config"]["params"]) == {"beta", "gamma_ext", "v_g"}
     assert summary["config"]["method"] == "markovian"
     assert summary["converged"] is True
     assert summary["config"]["member_seeds"] == [0]
@@ -301,17 +307,6 @@ def test_bad_chain_counts_exit_with_an_error(tmp_path, capsys, body):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("value", ["0", "-1.2", "nan"])
-def test_bad_lambda0_exits_with_an_error(tmp_path, capsys, value):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        f"[run]\nscenario = bare\nscale = 0.05\nfree_space = true\n[params]\nlambda0 = {value}\n"
-    )
-    assert main(["--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "lambda0 must be finite and positive" in err
-
-
 def test_infinite_v_g_exits_with_an_error(tmp_path, capsys):
     # the long-cavity gap reads v_g, so an infinite one must stop at the config
     path = tmp_path / "run.cfg"
@@ -377,8 +372,10 @@ def test_chain_echo_is_pinned(tmp_path):
         # the units are fixed: gamma and lambda_wg are 1, not keys
         ("[params]\nbeta = 0.1\ngamma = 1\n", "bad.cfg:3: unknown key 'gamma'"),
         ("[params]\nlambda_wg = 1\n", "bad.cfg:2: unknown key 'lambda_wg'"),
+        # there is no free-space term: its switch and its wavelength are unknown keys
+        ("[run]\nfree_space = true\n", "bad.cfg:2: unknown key 'free_space'"),
+        ("[params]\nlambda0 = 1.2\n", "bad.cfg:2: unknown key 'lambda0'"),
         ("[run]\nscale = abc\n", "bad value"),
-        ("[run]\nfree_space = ture\n", "bad value"),
         ("[run]\nscenario = fig2\n[chain]\nn_center = 4\n", "exclude each other"),
         ("[chain]\nn_left = -3\nn_center = 5\n", "bad value '-3' for 'n_left'"),
         ("[chain]\nn_center = 5\nn_right = -2\n", "bad value '-2' for 'n_right'"),
@@ -395,14 +392,6 @@ def test_config_file_errors_are_line_anchored(tmp_path, body, fragment):
     with pytest.raises(ConfigError, match=fragment) as err:
         config_from_file(path)
     assert re.search(r"bad\.cfg:\d+: ", str(err.value))  # carries file:line anchor
-
-
-def test_free_space_spellings(tmp_path):
-    path = tmp_path / "run.cfg"
-    for text, value in (("1", True), ("TRUE", True), ("Yes", True),
-                        ("0", False), ("False", False), ("NO", False)):
-        path.write_text(f"[run]\nscenario = bare\nfree_space = {text}\n")
-        assert config_from_file(path).free_space is value
 
 
 @pytest.mark.parametrize(
@@ -504,12 +493,12 @@ def test_flags_override_the_config_file(tmp_path, monkeypatch):
     cfg = _main_config(
         monkeypatch,
         ["--config", str(path), "--scale", "0.3", "--seed", "7", "--t-max", "2",
-         "--method", "spectral", "--free-space", "--out", "x"],
+         "--method", "spectral", "--out", "x"],
     )
     assert (cfg.scenario, cfg.scale, cfg.seed, cfg.t_max, cfg.method) == (
         "fig2", 0.3, 7, 2.0, "spectral"
     )
-    assert cfg.free_space and cfg.out_dir == "x"
+    assert cfg.out_dir == "x"
     assert cfg.workers == 2  # no flag: the file's value stands
 
     path.write_text("[run]\nseed = 3\n[chain]\nn_center = 4\n")
@@ -522,7 +511,7 @@ def test_flags_override_the_config_file(tmp_path, monkeypatch):
     assert cfg == RunConfig(scenario="fig2", ensemble=2)
 
 
-def test_parser_flags():
+def test_parser_flags(capsys):
     parser = build_parser()
     args = parser.parse_args(
         ["--scenario", "fig5", "--scale", "0.5", "--method", "spectral",
@@ -530,14 +519,11 @@ def test_parser_flags():
     )
     assert args.scenario == "fig5"
     assert args.workers == 3
-
-
-def test_free_space_gate():
-    with pytest.raises(ConfigError):
-        run(RunConfig(scenario="fig2", scale=0.05, method="spectral", free_space=True))
-    result = run(RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=True))
-    assert np.isfinite(result.record.ledger.balance_error)
-    assert result.series.p[0] == pytest.approx(1.0, abs=1e-12)
+    # there is no free-space term: argparse rejects its flag
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--scenario", "bare", "--free-space"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --free-space" in capsys.readouterr().err
 
 
 def test_ensemble_ledger_averages_weights():
@@ -682,17 +668,14 @@ def test_markovian_member_makes_one_eig(monkeypatch, cfg, n_members):
         # the modal residual's gate; the expansion meets it first
         ("wgqed.dynamics.RESIDUAL_TOL", 0.0, "modal residual"),
     ],
-    ids=["ill-conditioned", "pole-check", "residual-gate"],
+    ids=["guided-ill-conditioned", "guided-pole-check", "guided-residual-gate"],
 )
-@pytest.mark.parametrize("free_space", [False, True], ids=["guided", "free-space"])
-def test_untrusted_expansion_raises_before_it_evolves(
-    monkeypatch, free_space, target, value, fragment
-):
-    # the resonant kernel has one route: an expansion that is unusable or
-    # fails its check raises, and nothing is evolved from it
+def test_untrusted_expansion_raises_before_it_evolves(monkeypatch, target, value, fragment):
+    # the resonant kernel has one route: an expansion of the guided H that is
+    # unusable or fails its check raises, and nothing is evolved from it
     import wgqed.cli
 
-    cfg = RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=free_space)
+    cfg = RunConfig(scenario="bare", scale=0.05, method="markovian")
     summary = run(cfg).summary.data
     assert summary["route"] == "poles"
     assert summary["checks"]["pole_check_error"]["value"] <= 1e-8
@@ -726,38 +709,6 @@ def test_numerical_errors_exit_with_an_error(monkeypatch, capsys, target, value,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
-
-
-def test_free_space_weights_come_from_the_run_hamiltonian():
-    # the spectral weights and the time-domain fluxes both follow the H that
-    # carries the free-space term, so the guided routes agree
-    result = run(RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=True))
-    assert result.record.ledger.guided_route_discrepancy <= 1e-3
-
-
-def test_free_space_external_loss_balances():
-    # E_ext integrates b^dagger (gamma_ext I + Gamma_fs) b, the external part
-    # of -2 Im H, so the series balances with the free-space interference in
-    result = run(RunConfig(scenario="bare", scale=0.05, method="markovian", free_space=True))
-    assert float(result.series.balance_error().max()) <= 1e-2
-    assert result.record.ledger.p_ext < 1.0
-    assert result.record.ledger.converged
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "the external decay matrix gamma_ext I + Gamma_fs is indefinite on the half-wave "
-        "lattice (spacing lambda0/2.4 < lambda0/2 has dark modes): its smallest "
-        "eigenvalue is gamma_ext - gamma = -0.05, so P_ext reads -0.040, an external "
-        "channel that gains energy; the total decay matrix has smallest eigenvalue "
-        "2e-4, so modes live ~5000/gamma against t_max = 12.6 and no practical t_max "
-        "drains them (fig4 has the same -0.05; bare, 10 atoms, reads +0.018)"
-    ),
-)
-def test_free_space_external_loss_is_a_loss():
-    result = run(RunConfig(scenario="fig2", scale=0.1, free_space=True))
-    assert result.record.ledger.p_ext >= 0.0
 
 
 def test_ensemble_keeps_every_member_timing():
@@ -804,9 +755,8 @@ def _not_plain_json(value, path="data"):
         dict(scenario="fig2", scale=0.1),
         dict(scenario="fig7b", scale=0.02),
         dict(scenario="fig3b", scale=0.05, seed=3, ensemble=3),
-        dict(scenario="bare", scale=0.05, free_space=True),
     ],
-    ids=["poles", "sweep", "ensemble", "free-space"],
+    ids=["poles", "sweep", "ensemble"],
 )
 def test_a_summary_is_built_of_plain_json_values(cfg):
     # summary.json is dumped as the run builds it: no pass converts numpy

@@ -9,12 +9,11 @@ from wgqed import (
     ChainSpec,
     PhysParams,
     SegmentRole,
-    add_free_space_coupling,
     build_chain,
     dicke_initial_state,
     effective_hamiltonian,
 )
-from wgqed.hamiltonian import free_space_rates, pair_distances
+from wgqed.hamiltonian import pair_distances
 
 
 def random_array(rng, n, span=15.0):
@@ -33,19 +32,19 @@ positions_strategy = st.lists(
 def test_single_atom(params):
     arr = build_chain(ChainSpec(0, 1, 0))
     ham = effective_hamiltonian(arr, params)
-    assert ham.matrix.shape == (1, 1)
-    assert ham.matrix[0, 0] == -0.5j * 1.05
+    assert ham.shape == (1, 1)
+    assert ham[0, 0] == -0.5j * 1.05
     # isolated-atom decay rate: Purcell-enhanced gamma_ext + gamma_1d
-    assert -2 * np.linalg.eigvals(ham.matrix)[0].imag == pytest.approx(1.05)
+    assert -2 * np.linalg.eigvals(ham)[0].imag == pytest.approx(1.05)
 
 
 def test_two_atoms_half_wave(params):
     arr = build_chain(ChainSpec(0, 2, 0))
     ham = effective_hamiltonian(arr, params)
     # e^{i pi} = -1 flips the sign of the exchange term
-    assert ham.matrix[0, 1] == pytest.approx(+0.5j * params.gamma_wg, abs=1e-15)
+    assert ham[0, 1] == pytest.approx(+0.5j * params.gamma_wg, abs=1e-15)
     psi = np.array([1.0, -1.0]) / np.sqrt(2)
-    rate = -2 * np.imag(psi @ ham.matrix @ psi)
+    rate = -2 * np.imag(psi @ ham @ psi)
     assert rate == pytest.approx(params.gamma_tot + params.gamma_wg)
 
 
@@ -53,7 +52,7 @@ def test_two_atoms_half_wave(params):
 def test_half_wave_superradiant_eigenvalue(params, n_c):
     arr = build_chain(ChainSpec(0, n_c, 0))
     ham = effective_hamiltonian(arr, params)
-    rates = -2 * np.linalg.eigvals(ham.matrix).imag
+    rates = -2 * np.linalg.eigvals(ham).imag
     expected = params.gamma_ext + params.gamma_1d + (n_c - 1) * params.gamma_wg
     assert abs(rates.max() - expected) < 1e-10
 
@@ -64,13 +63,13 @@ def test_complex_symmetry_exact(pos):
     pos = np.sort(np.asarray(pos))
     arr = AtomArray(pos - pos[0], 0, len(pos), tuple([SegmentRole.EMITTER] * len(pos)))
     ham = effective_hamiltonian(arr, params)
-    assert np.array_equal(ham.matrix, ham.matrix.T)
+    assert np.array_equal(ham, ham.T)
 
 
 def test_diagonal_value(params):
     arr = build_chain(ChainSpec(2, 2, 2, gap_d0=0.3))
     ham = effective_hamiltonian(arr, params)
-    assert np.all(np.diag(ham.matrix) == -0.5j * (params.gamma_ext + params.gamma_1d))
+    assert np.all(np.diag(ham) == -0.5j * (params.gamma_ext + params.gamma_1d))
 
 
 def test_eigenvalue_decay_floor(params):
@@ -78,7 +77,7 @@ def test_eigenvalue_decay_floor(params):
     for _ in range(5):
         arr = random_array(rng, 25)
         ham = effective_hamiltonian(arr, params)
-        imag = np.linalg.eigvals(ham.matrix).imag
+        imag = np.linalg.eigvals(ham).imag
         assert np.all(imag <= -0.5 * params.gamma_ext + 1e-10)
 
 
@@ -86,16 +85,15 @@ def test_eigenvalue_decay_floor(params):
 
 
 def guided_channel(ham, params):
-    """-2 Im H less the per-atom Raman and external rates (free-space-free H):
-    the coherent guided channel Gamma_wg cos(k_wg (z_a - z_b))."""
+    """-2 Im H less the per-atom Raman and external rates: the coherent guided
+    channel Gamma_wg cos(k_wg (z_a - z_b))."""
     incoherent = params.gamma_raman + params.gamma_ext
-    return -2.0 * ham.matrix.imag - incoherent * np.eye(len(ham.matrix))
+    return -2.0 * ham.imag - incoherent * np.eye(len(ham))
 
 
 def test_partition_single_atom(params):
     arr = build_chain(ChainSpec(0, 1, 0))
     ham = effective_hamiltonian(arr, params)
-    assert ham.free_space_decay is None
     assert guided_channel(ham, params)[0, 0] == pytest.approx(params.gamma_wg)
     assert params.gamma_raman == pytest.approx(params.gamma_1d - params.gamma_wg)
 
@@ -119,19 +117,7 @@ def test_partition_reconstruction_identity(params):
     rng = np.random.default_rng(3)
     arr = random_array(rng, 18)
     ham = effective_hamiltonian(arr, params)
-    assert np.max(np.abs(_three_channels(arr, params) - (-2.0 * ham.matrix.imag))) < 1e-12
-
-
-def test_partition_carries_the_free_space_rates(params):
-    rng = np.random.default_rng(3)
-    arr = random_array(rng, 18)
-    ham = add_free_space_coupling(effective_hamiltonian(arr, params), arr, params)
-    xi = 2 * np.pi / params.lambda0 * pair_distances(arr) + np.eye(18)  # 1 on the diagonal
-    gamma_fs, _ = free_space_rates(xi)
-    np.fill_diagonal(gamma_fs, 0.0)
-    assert_allclose(ham.free_space_decay, gamma_fs, atol=1e-12)
-    total = _three_channels(arr, params) + ham.free_space_decay
-    assert np.max(np.abs(total - (-2.0 * ham.matrix.imag))) < 1e-12
+    assert np.max(np.abs(_three_channels(arr, params) - (-2.0 * ham.imag))) < 1e-12
 
 
 @given(pos=positions_strategy)
@@ -146,30 +132,3 @@ def test_partition_rank_two_gram(pos):
     if n > 2:
         # Gram structure of (cos k z, sin k z): everything beyond two modes is 0
         assert np.all(np.abs(evals[:-2]) < 1e-10 * params.gamma_wg * n)
-
-
-# --- optional free-space correction -----------------------------------------
-
-
-def test_free_space_contact_limit():
-    gamma_fs, _ = free_space_rates(np.array([1e-3]))
-    assert gamma_fs[0] == pytest.approx(1.0, rel=1e-5)
-
-
-def test_free_space_half_wavelength_value():
-    gamma_fs, _ = free_space_rates(np.array([np.pi]))
-    assert gamma_fs[0] == pytest.approx(-1.5 / np.pi**2, rel=1e-12)
-
-
-def test_free_space_case1_shift(params):
-    # full-scale ordered chain: the correction moves the superradiant rate
-    # by a few percent only (regression: 6.2 percent at 100/100/100)
-    arr = build_chain(ChainSpec(100, 100, 100, gap_d0=0.5))
-    h0 = effective_hamiltonian(arr, params)
-    h1 = add_free_space_coupling(h0, arr, params)
-    assert h1.free_space_decay is not None
-    r0 = np.max(-2 * np.linalg.eigvals(h0.matrix).imag)
-    r1 = np.max(-2 * np.linalg.eigvals(h1.matrix).imag)
-    shift = abs(r1 - r0) / r0
-    assert shift < 0.10
-    assert shift == pytest.approx(0.0621, abs=0.002)

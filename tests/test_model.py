@@ -24,7 +24,6 @@ from wgqed import model
 from wgqed.cli import RunConfig, _resolve_chain, run
 from wgqed.model import (
     CSV_BLOCK_ROWS,
-    DEFAULT_MODE_INDEX,
     MIN_SEPARATION,
     DisorderSpec,
     write_csv,
@@ -38,7 +37,6 @@ def test_default_params():
     assert p.gamma_raman == pytest.approx(0.05)
     assert p.gamma_tot == pytest.approx(1.05)
     assert p.k_wg == pytest.approx(2 * np.pi)
-    assert p.lambda0 == pytest.approx(DEFAULT_MODE_INDEX)
     # nanofiber group velocity in reduced units, anchored to the Rb D2 line
     assert p.v_g == pytest.approx(8.465e6, rel=1e-3)
 
@@ -55,9 +53,6 @@ def test_default_params():
         {"v_g": float("inf")},
         {"gamma_ext": 1.0},          # must stay below gamma = 1
         {"gamma_ext": 0.85},         # Purcell: gamma_ext + gamma_1d must exceed 1
-        {"lambda0": 0.0},
-        {"lambda0": -1.2},
-        {"lambda0": float("nan")},
     ],
 )
 def test_params_invariants(kwargs):

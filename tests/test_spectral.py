@@ -175,7 +175,7 @@ def test_retardation_disabled_equals_markovian_resolvent(params):
     grid = SpectralGrid(-30.0, 30.0, 128, 0.0)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     full = slices.resolvent()
-    h0 = effective_hamiltonian(arr, params).matrix
+    h0 = effective_hamiltonian(arr, params)
     for idx in (0, 31, 64, 127):
         delta = grid.deltas[idx]
         direct = np.linalg.solve(delta * np.eye(12) - h0, psi0.amplitudes)
@@ -201,7 +201,7 @@ def _retarded_hamiltonian(arr, params, deltas):
     # over the detunings: the matrix the scattering recursion replaced, kept
     # as the oracle
     deltas = np.asarray(deltas, dtype=float)
-    h0 = effective_hamiltonian(arr, params).matrix
+    h0 = effective_hamiltonian(arr, params)
     return h0 * np.exp(1j * (deltas[..., None, None] / params.v_g) * pair_distances(arr))
 
 
@@ -228,7 +228,7 @@ def _dense_resonant_solve(arr, params, psi, deltas):
     # the batched dense solves of [delta - H0] x = psi0 that the resonant
     # sweep made before the scattering recursion took both kernels; kept as
     # the oracle
-    h0 = effective_hamiltonian(arr, params).matrix
+    h0 = effective_hamiltonian(arr, params)
     m, n = len(deltas), len(psi)
     mats = np.broadcast_to(-h0, (m, n, n)).copy()
     idx = np.arange(n)
@@ -291,7 +291,7 @@ def _dense_leading_terms(arr, params, psi, deltas, retarded):
     # the pole psi0 / (delta - lam0) and the second-order term
     # [H(delta) - lam0] psi0 / (delta - lam0)^2 the chunk subtracts in place,
     # from the dense H(delta)
-    h0 = effective_hamiltonian(arr, params).matrix
+    h0 = effective_hamiltonian(arr, params)
     lam0 = h0[0, 0]
     h = _retarded_hamiltonian(arr, params, deltas) if retarded else h0
     coupled = (h - lam0 * np.eye(len(psi))) @ psi
@@ -451,7 +451,7 @@ def _remainder_time_domain(slices, arr, params, psi, t):
     # leading terms, the delayed second one summed pair by pair on the grid,
     # one Fourier sum of it, then the closed-form step and delayed ramps summed
     # pair by pair; kept as the oracle
-    h0 = effective_hamiltonian(arr, params).matrix
+    h0 = effective_hamiltonian(arr, params)
     lam0 = h0[0, 0]
     pole = slices.deltas - lam0
     occupied = np.flatnonzero(psi)
