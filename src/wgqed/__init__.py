@@ -15,6 +15,7 @@ from .model import (
 from .hamiltonian import effective_hamiltonian
 from .dynamics import (
     AmplitudeTrajectory,
+    ModalTrajectory,
     ProbabilitySeries,
     default_time_grid,
     evolve_markovian,

@@ -180,7 +180,10 @@ class MemberRun:
     timings: dict
     grid: Optional[SpectralGrid]  # the swept grid; None on the poles route
     checks: dict  # this member's value of each gate its route measures (_checks)
-    jc_fit: Optional[JCFit]  # the cavity model of <psi0|b(t)>
+    jc_fit: Optional[JCFit]  # the cavity model of <psi0|b(t)>; None on the sweep route
+    # the sweep route's samples (t, <psi0|b(t)>) for the pencil, which run()
+    # fits only when the member is the first and p0 oscillates; None on the poles route
+    dicke: Optional[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -406,7 +409,7 @@ def _member_pipeline(
     if retarded:
         # the sweep route: the spectra from the fields leaving the chain, b and
         # a0 synthesised from the resolvent (a0 from its projection on psi0,
-        # on uniform times, for the pencil), and the guided outflow |alpha|^2
+        # on uniform times, kept for the pencil), and the guided outflow |alpha|^2
         grid = build_grid(gamma_fast, t_max, span_factor=SPAN_FACTOR_RETARDED)
         sweep = resolvent_sweep(array, params, psi0, grid, workers=workers)
         lap("resolvent_sweep")
@@ -418,15 +421,17 @@ def _member_pipeline(
         trajectory = AmplitudeTrajectory(t_grid, synthesis.amplitudes[len(probe) :])
         n_dicke = max(DICKE_SAMPLES, math.ceil(2.0 * gamma_fast * t_max / math.pi) + 1)
         t_dicke = np.linspace(0.0, t_max, n_dicke)
-        jc_fit = fit_jc_trace(t_dicke, time_domain(sweep.projected(bra), t_dicke).amplitudes[:, 0])
+        dicke = (t_dicke, time_domain(sweep.projected(bra), t_dicke).amplitudes[:, 0])
+        jc_fit = None
         alpha = sampled_amplitudes(spectra, t_grid)
         fluxes = tuple(np.abs(alpha.T) ** 2)
         lap("evolution")
         checks, overlap = {"residual_max": sweep.residual_max, "synthesis_leak": leak}, None
     else:
         # the poles route: everything in closed form from the checked modal
-        # expansion of H; the guided fluxes are the directional fluxes of b
-        grid = None
+        # expansion of H; b is summed block by block in probabilities, and the
+        # guided fluxes are its directional fluxes
+        grid, dicke = None, None
         modes = modal_expansion(effective_hamiltonian(array, params), psi0)
         lap("evolution")
         check_error = _pole_check(modes, array, params, psi0, gamma_fast)
@@ -450,7 +455,9 @@ def _member_pipeline(
     tau = default_tau_grid(t_max)
     profiles = tuple(spatial_profile(spectrum, tau) for spectrum in spectra)
     lap("profiles")
-    return MemberRun(array, series, spectra, profiles, overlap, timings, grid, checks, jc_fit)
+    return MemberRun(
+        array, series, spectra, profiles, overlap, timings, grid, checks, jc_fit, dicke
+    )
 
 
 def _average_series(members: list[ProbabilitySeries]) -> ProbabilitySeries:
@@ -552,8 +559,10 @@ def run(config: RunConfig) -> RunResult:
     stage = fast_stage_end(intercept)
     oscillation = oscillation_fit(series)
     # an ensemble's cavity model is the first member's, as the record's complex
-    # spectra are
-    jc_fit = None if oscillation is None else first.jc_fit
+    # spectra are; the sweep route fits its pencil only here, where it is reported
+    jc_fit = None
+    if oscillation is not None:
+        jc_fit = first.jc_fit if first.dicke is None else fit_jc_trace(*first.dicke)
     fits = time.perf_counter() - tic
     if jc_fit is not None and regime.numbers.get("kappa") is not None:
         regime.numbers["g_c"] = jc_fit.g

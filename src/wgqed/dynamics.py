@@ -5,10 +5,13 @@ symmetric H (modal_expansion), which the superradiant overlap reads too.
 modal_expansion raises NumericalError on eigenvectors too ill-conditioned for
 it (CONDITION_MAX) and on a modal residual over RESIDUAL_TOL, as the resonant
 kernel has no other route, so every ModalExpansion is usable; the sweep's
-resolvent residual takes the same gate (check_residual).  The probability
-series tracks p, p0, p_a and the cumulative energy emitted into each decay
-channel.  Under the resonant kernel the directional guided fluxes follow from
-the rank-2 structure of the coherent channel:
+resolvent residual takes the same gate (check_residual).  evolve_markovian
+keeps b(t) as its modal expansion (ModalTrajectory), and probabilities takes
+its pole sums CHUNK times at a time, so no n_t x N array is built: the poles
+route holds H, V and N x CHUNK blocks.  The probability series tracks p, p0,
+p_a and the cumulative energy emitted into each decay channel.  Under the
+resonant kernel the directional guided fluxes follow from the rank-2
+structure of the coherent channel:
 
     Phi_+/- (t) = (Gamma_wg / 2) |sum_a e^{-/+ i k_wg z_a} b_a(t)|^2 ,
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -46,7 +49,7 @@ RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
 
 # Rows per block of a table over the poles built directly (pole_sums on a
-# non-uniform grid, the sampling of a pole spectrum).
+# non-uniform grid, the blocks of a ModalTrajectory).
 CHUNK = 128
 
 
@@ -71,8 +74,16 @@ class AmplitudeTrajectory:
     amplitudes: np.ndarray  # shape (n_times, n_atoms)
 
     @property
+    def n_atoms(self) -> int:
+        return self.amplitudes.shape[1]
+
+    @property
     def population(self) -> np.ndarray:
         return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(first row, rows) of the amplitudes: here the whole array at once."""
+        return iter([(0, self.amplitudes)])
 
 
 @dataclass
@@ -149,6 +160,18 @@ def _uniform_step(t: np.ndarray) -> Optional[float]:
     return step if np.all(np.abs(t[0] + step * np.arange(n) - t) <= tol) else None
 
 
+def _direct_blocks(
+    poles: np.ndarray, weights: np.ndarray, t: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, sums) for each block of CHUNK times: the direct
+    e^{-i lambda t} table of the block times W^T, shape (rows, len(W))."""
+    phases = -1j * poles
+    for lo in range(0, len(t), CHUNK):
+        block = np.outer(t[lo : lo + CHUNK], phases)
+        np.exp(block, out=block)
+        yield lo, block @ weights.T
+
+
 def pole_sums(poles: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_j W_rj e^{-i lambda_j t} at each time, shape (len(t), rows).
 
@@ -157,8 +180,10 @@ def pole_sums(poles: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarr
     K = ceil(sqrt(n)), every phase factorises as
     e^{-i lambda (t_0 + b K s)} e^{-i lambda k s}: two tables of about
     sqrt(n) rows each, and one product of them per row of W.  Any other grid
-    builds the direct e^{-i lambda t} table CHUNK rows at a time.  Neither
-    path holds a len(t) x len(poles) table.
+    builds the direct e^{-i lambda t} table CHUNK rows at a time, the blocks
+    a ModalTrajectory streams.  Neither path holds a len(t) x len(poles)
+    table; a caller that only reduces the sums reads those blocks instead of
+    this len(t) x len(W) result.
     """
     poles = np.asarray(poles)
     weights = np.atleast_2d(weights)
@@ -169,10 +194,8 @@ def pole_sums(poles: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarr
         return out
     step = _uniform_step(t)
     if step is None:
-        for lo in range(0, n, CHUNK):
-            block = np.outer(t[lo : lo + CHUNK], -1j * poles)
-            np.exp(block, out=block)
-            out[lo : lo + CHUNK] = block @ weights.T
+        for lo, sums in _direct_blocks(poles, weights, t):
+            out[lo : lo + CHUNK] = sums
         return out
     size = math.isqrt(n - 1) + 1
     fine = np.exp(np.outer(step * np.arange(size), -1j * poles))
@@ -191,8 +214,9 @@ class ModalExpansion:
     and x(delta) = [delta - H]^-1 psi0 = V (delta - Lambda)^-1 c.  residual is
     max(|H V - V Lambda|, |V c - psi0|), the largest column norm of the first.
     Only modal_expansion builds one, and only once condition and residual
-    have passed their gates.  Each sum over the poles is taken by pole_sums
-    on its own time grid; nothing is cached here.
+    have passed their gates.  Each sum over the poles is taken on its own
+    time grid (pole_sums, or a ModalTrajectory's blocks); nothing is cached
+    here.
     """
 
     evals: np.ndarray
@@ -233,28 +257,48 @@ def modal_expansion(ham: np.ndarray, psi0: StateVector) -> ModalExpansion:
     return ModalExpansion(evals, vecs, cond, coeffs, residual)
 
 
-def evolve_markovian(modes: ModalExpansion, t_grid: np.ndarray) -> AmplitudeTrajectory:
+@dataclass
+class ModalTrajectory:
+    """b(t) = V e^{-i Lambda t} c on a time grid, kept as its modal expansion.
+
+    blocks() takes the pole sums with weights V_aj c_j CHUNK times at a time
+    (_direct_blocks), so reading it holds one N x CHUNK block, never the
+    n_t x N array; amplitudes and population build that array, for callers
+    that want it whole.
+    """
+
+    t: np.ndarray
+    modes: ModalExpansion
+
+    @property
+    def n_atoms(self) -> int:
+        return len(self.modes.coeffs)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return pole_sums(self.modes.evals, self.modes.vecs * self.modes.coeffs, self.t)
+
+    population = AmplitudeTrajectory.population
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(first row, rows) of the amplitudes, CHUNK times at a time."""
+        return _direct_blocks(self.modes.evals, self.modes.vecs * self.modes.coeffs, self.t)
+
+
+Trajectory = Union[AmplitudeTrajectory, ModalTrajectory]
+
+
+def evolve_markovian(modes: ModalExpansion, t_grid: np.ndarray) -> ModalTrajectory:
     """Propagate psi0 under the resonant H of its modal expansion.
 
-    b(t) is the pole sum with weights V_aj c_j, one row per atom, taken by
-    pole_sums on t_grid itself.
+    b(t) is the pole sum with weights V_aj c_j, one row per atom.  Nothing is
+    summed here: the ModalTrajectory takes its sums when it is read
+    (probabilities reads it block by block).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must start at 0 and be strictly increasing")
-    amps = pole_sums(modes.evals, modes.vecs * modes.coeffs, t_grid)
-    return AmplitudeTrajectory(t=t_grid, amplitudes=amps)
-
-
-def directional_fluxes(
-    traj: AmplitudeTrajectory, array: AtomArray, params: PhysParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi_plus, Phi_minus): right- and left-going guided fluxes vs time."""
-    phase = np.exp(-1j * params.k_wg * array.positions)
-    s_plus = traj.amplitudes @ phase
-    s_minus = traj.amplitudes @ np.conj(phase)
-    half = 0.5 * params.gamma_wg
-    return half * np.abs(s_plus) ** 2, half * np.abs(s_minus) ** 2
+    return ModalTrajectory(t=t_grid, modes=modes)
 
 
 def _simpson_steps(y: np.ndarray, dt: np.ndarray) -> np.ndarray:
@@ -290,7 +334,7 @@ def _cumulative(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def probabilities(
-    traj: AmplitudeTrajectory,
+    traj: Trajectory,
     psi0: StateVector,
     array: AtomArray,
     params: PhysParams,
@@ -298,19 +342,34 @@ def probabilities(
 ) -> ProbabilitySeries:
     """Project the trajectory onto p, p0, p_a and integrate the channel fluxes.
 
-    fluxes are the (right, left) guided outflows on traj.t: by default the
-    resonant directional_fluxes; the retarded pipeline passes |alpha|^2 of the
-    fields leaving the chain.  The external flux is gamma_ext p: each atom
-    loses gamma_ext to the non-guided modes on its own.
+    The trajectory is read block by block (traj.blocks(): CHUNK times at a
+    time for a ModalTrajectory, so the poles route's pole sums are taken
+    here; one block for a synthesised one).  Each block gives p and p_a from
+    one |b|^2, and p0 and the two resonant guided fluxes Phi_+/- from one
+    projection of b onto (psi0, e^{-i k_wg z}, e^{+i k_wg z}).  fluxes are the
+    (right, left) guided outflows on traj.t that replace Phi_+/-: the
+    retarded pipeline passes |alpha|^2 of the fields leaving the chain.  The
+    external flux is gamma_ext p: each atom loses gamma_ext to the non-guided
+    modes on its own.
     """
-    if traj.amplitudes.shape[1] != psi0.n_atoms or psi0.n_atoms != array.n_atoms:
+    if traj.n_atoms != psi0.n_atoms or psi0.n_atoms != array.n_atoms:
         raise ValueError("trajectory, initial state and geometry sizes disagree")
-    p = traj.population
-    p0 = np.abs(traj.amplitudes @ np.conj(psi0.amplitudes)) ** 2
-    pa = np.sum(
-        np.abs(traj.amplitudes[:, array.emitter_start : array.emitter_stop]) ** 2, axis=1
-    )
-    phi_plus, phi_minus = directional_fluxes(traj, array, params) if fluxes is None else fluxes
+    phase = np.exp(-1j * params.k_wg * array.positions)
+    # a stack of three (N, 1) columns: matmul takes one matrix-vector product
+    # of b with each, which sums as b @ vector does
+    bras = np.stack([np.conj(psi0.amplitudes), phase, np.conj(phase)])[:, :, None]
+    emitters = slice(array.emitter_start, array.emitter_stop)
+    n = len(traj.t)
+    p, pa, projected = np.empty(n), np.empty(n), np.empty((3, n), dtype=complex)
+    for lo, b in traj.blocks():
+        rows = slice(lo, lo + len(b))
+        b2 = np.abs(b) ** 2
+        np.sum(b2, axis=1, out=p[rows])
+        np.sum(b2[:, emitters], axis=1, out=pa[rows])
+        np.matmul(b, bras, out=projected[:, rows, None])
+    p0, s_plus, s_minus = np.abs(projected) ** 2
+    half = 0.5 * params.gamma_wg
+    phi_plus, phi_minus = (half * s_plus, half * s_minus) if fluxes is None else fluxes
     e_right = _cumulative(phi_plus, traj.t)
     e_left = _cumulative(phi_minus, traj.t)
     e_raman = _cumulative(params.gamma_raman * p, traj.t)
