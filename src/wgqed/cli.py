@@ -88,16 +88,15 @@ FORMAT_VERSION = 5
 # collective rate); the poles route has no grid.  The synthesis subtracts the
 # delayed second-order term of x and the two leading terms of the outgoing
 # fields and adds their transforms back exactly, so its truncation error falls
-# as 1/span^2: at 50, b(t) is within 1e-6 and the profiles within 2e-5 of their
-# peak on fig7b at scales 0.05 and 0.1.  The grid takes SpectralGrid's default
-# 0.1 taper per edge, and an alias-free window of at least 2 t_max
-# (build_grid), which holds the run only if b has decayed by t_max: the leak
-# probes check that.
+# as 1/span^2: at 50, b(t) is within 8e-7 and the profiles within 1.6e-5 of
+# their peak on fig7b at scales 0.05 and 0.1.  The grid has an alias-free
+# window of at least 2 t_max (build_grid), which holds the run only if b has
+# decayed by t_max: the leak probes check that.
 SPAN_FACTOR_RETARDED = 50.0
 # A synthesised trajectory is also evaluated at this many negative times, log
 # spaced down to -t_max, where b vanishes exactly (synthesis_leak).  A probe at
 # -t reads the alias b(W - t) of the window W, so a swept run is converged only
-# if its leak is at most LEAK_TOL: a decade over the 2-6e-7 that the shipped
+# if its leak is at most LEAK_TOL: a decade over the 2-5e-7 that the shipped
 # cavities read, and far under what a t_max shorter than the decay reads.
 LEAK_PROBES = 16
 LEAK_TOL = 1e-5
@@ -371,7 +370,7 @@ def _pole_check(
     must match it at POLE_CHECK_POINTS detunings over +/- gamma_fast;
     otherwise NumericalError.
     """
-    check_grid = SpectralGrid(-gamma_fast, gamma_fast, POLE_CHECK_POINTS, 0.0)
+    check_grid = SpectralGrid(-gamma_fast, gamma_fast, POLE_CHECK_POINTS)
     exact = resolvent_sweep(array, params, psi0, check_grid, retarded=False).resolvent()
     deviation = np.max(np.abs(modes.resolvent(check_grid.deltas) - exact))
     check_error = float(deviation / np.max(np.abs(exact)))

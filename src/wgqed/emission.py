@@ -19,7 +19,10 @@ of pulse fronts: delayed steps -i e^{-i lam0 (tau - tau_a)} theta(tau - tau_a)
 with tau_a = (z_N - z_a) / v_g.  The profile and outflow transforms subtract
 it and its next order (delayed ramps, see spectral.DelayedTerms) on the grid
 and add both back exactly, so the fronts are sharp and only a remainder of
-O(1/delta^3) feels the finite span.
+O(1/delta^3) feels the finite span.  The fronts are the sweep's ramps
+carried to the chain end: each atom's terms weighted by its phase
+e^{ik_wg(z_N - z_a)} and delayed by its travel time (DelayedTerms.projected),
+the same projection that gives the Dicke row.
 A modal expansion of the resonant H gives M in closed form,
 M(delta) = sum_j A_j / (delta - lambda_j), and with it the exact weight and
 profile (see PoleSpectrum).
@@ -28,7 +31,7 @@ profile (see PoleSpectrum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -63,8 +66,8 @@ class DirectionalSpectrum:
 
 def sampled_amplitudes(spectra: list[DirectionalSpectrum], tau: np.ndarray) -> np.ndarray:
     """alpha(tau) of sampled spectra on one grid, one column each, by one
-    apodised Fourier sum (a non-uniform FFT at any tau) of M less its lead,
-    plus the exact transform of the lead."""
+    Fourier sum (a non-uniform FFT at any tau) of M less its lead, plus the
+    exact transform of the lead."""
     tau = np.asarray(tau, dtype=float)
     values = np.stack([s.values - s.lead for s in spectra], axis=1)
     alpha = spectra[0].grid.fourier_sum(values, tau)
@@ -182,24 +185,25 @@ def emission_spectrum(
     kernel), sampled on their grid, or from the modal expansion of a resonant
     H, in closed form with no grid (PoleSpectrum).
 
-    On slices M is the sweep's outgoing field in that direction, with the
-    sweep's lead and fronts in that direction.  The pole
-    form's residues are A_j = sqrt(Gamma_wg/2) (sum_a P_a V_aj) c_j, with P_a
-    the phase e^{ik_wg(z_N - z_a)} (right) or e^{ik_wg(z_a - z_1)} (left) of
-    the same field.  On slices the weight is a
-    plain trapezoid of |M|^2/2pi over the span (no window) plus its C/delta^2
-    tail; the profile transform applies the grid's apodization.
+    Both forms read the phase P_a = e^{ik_wg L_a} of each atom's field at the
+    end, L_a = z_N - z_a (right) or z_a - z_1 (left).  The pole form's
+    residues are A_j = sqrt(Gamma_wg/2) (sum_a P_a V_aj) c_j.  On slices M is
+    the sweep's outgoing field in that direction, with the sweep's lead in
+    that direction, and the fronts are ramps projected with the weights
+    sqrt(Gamma_wg/2) P_a and the delays slowness L_a.  Its weight is a plain
+    trapezoid of |M|^2/2pi over the span plus its C/delta^2 tail.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 (right) or -1 (left)")
-    end = 0 if direction > 0 else 1
+    z = array.positions
+    to_end = z[-1] - z if direction > 0 else z - z[0]
+    phase = np.exp(1j * params.k_wg * to_end)
+    scale = math.sqrt(0.5 * params.gamma_wg)
     if isinstance(source, ModalExpansion):
-        z = array.positions
-        phase = np.exp(1j * params.k_wg * (z[-1] - z if direction > 0 else z - z[0]))
-        residues = math.sqrt(0.5 * params.gamma_wg) * (phase @ source.vecs) * source.coeffs
+        residues = scale * (phase @ source.vecs) * source.coeffs
         return PoleSpectrum(source.evals, residues)
     deltas = source.deltas
-    scale = math.sqrt(0.5 * params.gamma_wg)
+    end = 0 if direction > 0 else 1
     values = scale * source.outgoing[:, end]
     weight = float(np.trapezoid(np.abs(values) ** 2, deltas) / (2.0 * math.pi))
     # |M|^2 falls off as C/delta^2 outside the span; complete the weight with
@@ -208,18 +212,12 @@ def emission_spectrum(
     c_lo = float(np.mean(np.abs(values[:n_edge]) ** 2 * deltas[:n_edge] ** 2))
     c_hi = float(np.mean(np.abs(values[-n_edge:]) ** 2 * deltas[-n_edge:] ** 2))
     weight += (c_lo / abs(deltas[0]) + c_hi / deltas[-1]) / (2.0 * math.pi)
-    fronts = source.fronts
     return DirectionalSpectrum(
         grid=source.grid,
         values=values,
         weight=weight,
         lead=scale * source.lead[:, end],
-        fronts=replace(
-            fronts,
-            delays=fronts.delays[end : end + 1],
-            steps=scale * fronts.steps[end : end + 1],
-            ramps=scale * fronts.ramps[end : end + 1],
-        ),
+        fronts=source.ramps.projected(scale * phase, source.slowness * to_end),
     )
 
 
@@ -227,11 +225,10 @@ def spatial_profile(spectrum: Spectrum, tau_grid: np.ndarray) -> SpatialProfile:
     """|alpha(tau)|^2 on the retarded-coordinate grid.
 
     The tau-integral of |alpha|^2 returns the spectral weight (Plancherel).
-    From a sampled spectrum, alpha is apodised like the time synthesis, which
-    smears whatever steps the lead does not carry over roughly the inverse
-    taper width; from a swept one the pulse fronts are exact.  From a pole
-    spectrum, alpha is exact.  Either way a front is causal: a step that
-    falls on the grid takes its right limit.
+    From a sampled spectrum, alpha is the grid's Fourier sum of M less its
+    lead, like the time synthesis, and the pulse fronts, the lead's exact
+    transform, are sharp.  From a pole spectrum, alpha is exact.  Either way
+    a front is causal: a step that falls on the grid takes its right limit.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     alpha = spectrum.amplitude(tau_grid)

@@ -24,8 +24,9 @@ own slice of x.  The synthesis adds the delayed terms in place to its
 (times x N) output, and the non-uniform FFT gathers its nodes TIME_BLOCK
 times at a time, so no other array of M or n_t rows by N is formed.  The
 fields leaving the chain lead with the delayed steps of psi0 itself, the
-pulse fronts, which the sweep samples on the grid for the same treatment
-(see emission).
+pulse fronts, which the sweep samples on the grid for the same treatment;
+emission carries the delayed terms to each chain end for their exact
+transform.
 
 Both kernels are solved by one scattering recursion, in O(N) per detuning
 (see scattering_sweep): the resonant kernel is the retarded one with k held at
@@ -73,13 +74,11 @@ class GridResolutionError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform detuning grid; apod_fraction is the raised-cosine taper on
-    each edge (0 for none)."""
+    """Uniform detuning grid."""
 
     delta_min: float
     delta_max: float
     n_points: int
-    apod_fraction: float = 0.1
 
     def __post_init__(self):
         if self.n_points < 2:
@@ -98,19 +97,8 @@ class SpectralGrid:
         """Period of the discrete sum in time; |t| beyond half of it aliases."""
         return 2.0 * math.pi / self.spacing
 
-    def apodization(self) -> np.ndarray:
-        """Unit window with a raised-cosine taper on the outer fraction."""
-        n = self.n_points
-        w = np.ones(n)
-        n_taper = int(round(self.apod_fraction * n))
-        if n_taper > 0:
-            ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(n_taper) / n_taper))
-            w[:n_taper] = ramp
-            w[-n_taper:] = ramp[::-1]
-        return w
-
     def fourier_sum(self, values: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """sum_k e^{-i delta_k t} w_k d values_k at each t (w the window, d the spacing).
+        """sum_k e^{-i delta_k t} d values_k at each t (d the spacing).
 
         values has the grid along its first axis; the result has the times
         there instead.  The times may be any reals: the sum is one type-2
@@ -125,7 +113,7 @@ class SpectralGrid:
         nearest x.  tau = pi HALF_WIDTH / (M^2 R (R - 1/2)) balances the
         aliasing of the FFT grid against the truncated kernel, and the error
         is about e^{-pi HALF_WIDTH (R - 1) / (R - 1/2)} = e^{-8 pi} ~ 1e-11 of
-        sum_k |w_k d values_k|.  The columns are transformed FFT_COLUMNS at a
+        sum_k |d values_k|.  The columns are transformed FFT_COLUMNS at a
         time, in place, in one block that is reused for every group, and
         interpolated TIME_BLOCK times at a time, so the gathered nodes never
         exceed TIME_BLOCK x 2 HALF_WIDTH x FFT_COLUMNS.
@@ -136,8 +124,8 @@ class SpectralGrid:
         tau = math.pi * HALF_WIDTH / (m**2 * OVERSAMPLING * (OVERSAMPLING - 0.5))
         h = m // 2
         modes = np.arange(m) - h
-        weights = self.apodization() * self.spacing
-        weights *= np.sqrt(math.pi / tau) * np.exp(tau * modes**2)
+        weights = np.sqrt(math.pi / tau) * np.exp(tau * modes**2)
+        weights *= self.spacing
 
         node = 2.0 * math.pi / length
         x = np.mod(self.spacing * times, 2.0 * math.pi)
@@ -207,13 +195,18 @@ class DelayedTerms:
             out[:, r] = inv * (phases @ s + inv * (phases @ q))
         return out
 
-    def projected(self, weights: np.ndarray) -> DelayedTerms:
-        """The single row sum_r weights_r f_r, whose terms are every row's."""
-        w = np.asarray(weights)[:, None]
+    def projected(
+        self, weights: np.ndarray, delays: Union[float, np.ndarray] = 0.0
+    ) -> DelayedTerms:
+        """Rows sum_a weights[r, a] e^{i delta delays[r, a]} f_a: row r holds
+        every input row a's terms, weighted by weights[r, a] and delayed by
+        delays[r, a] (>= 0) more.  A 1-d weights is one row."""
+        w = np.atleast_2d(weights)[:, :, None]
+        extra = np.broadcast_to(delays, w.shape[:2])[:, :, None]
         return DelayedTerms(
-            self.delays.reshape(1, -1),
-            (w * self.steps).reshape(1, -1),
-            (w * self.ramps).reshape(1, -1),
+            (self.delays + extra).reshape(len(w), -1),
+            (w * self.steps).reshape(len(w), -1),
+            (w * self.ramps).reshape(len(w), -1),
             self.lam0,
         )
 
@@ -225,7 +218,9 @@ class DelayedTerms:
         delays sorted, a time reads the cumulative sums of s e^{i lam0 d},
         q e^{i lam0 d} and q d e^{i lam0 d} over the delays below it:
         O(rows (terms + n_t) log terms), with no rows x terms x n_t array.  A
-        delay equal to a time counts whole (theta(0) = 1).
+        delay equal to a time counts whole (theta(0) = 1).  Every delay is
+        >= 0, so a time before 0 reads exactly 0; e^{-i lam0 t} is taken at
+        max(t, 0), where it cannot overflow.
         """
         times = np.asarray(times, dtype=float)
         t_last = float(np.max(times, initial=0.0))
@@ -240,7 +235,7 @@ class DelayedTerms:
         np.cumsum(np.stack([s, q, q * d], axis=1), axis=2, out=sums[:, :, 1:])
         if into is None:
             into = np.zeros((len(times), len(d)), dtype=complex)
-        factor = -2j * math.pi * np.exp(-1j * self.lam0 * times)
+        factor = -2j * math.pi * np.exp(-1j * self.lam0 * np.maximum(times, 0.0))
         for r in range(len(d)):
             on = np.searchsorted(d[r], times, side="right")
             s_sum, q_sum, qd_sum = np.take(sums[r], on, axis=1)
@@ -265,9 +260,10 @@ class ResolventSet:
     sum_a e^{ik(z_N - z_a)} x_a past the last atom (column 0) and
     sum_a e^{ik(z_a - z_1)} x_a past the first (column 1), with k the
     wavenumber of the sweep's kernel.  lead[i] is the same fields of the
-    subtracted terms, whose exact transform is fronts (row 0 right, row 1
-    left): the pulse fronts, the fields of psi0 over (deltas[i] - lam0), and
-    their next order.
+    subtracted terms; their exact transform, the pulse fronts, is ramps
+    carried to each end (emission_spectrum), where slowness is the light's
+    travel time per unit length: 1/v_g on the retarded kernel, 0 on the
+    resonant one.
     """
 
     grid: SpectralGrid
@@ -275,7 +271,7 @@ class ResolventSet:
     outgoing: np.ndarray  # shape (n_points, 2)
     lead: np.ndarray  # shape (n_points, 2)
     ramps: DelayedTerms
-    fronts: DelayedTerms
+    slowness: float
     residual_max: float = 0.0
 
     @property
@@ -307,7 +303,7 @@ def build_grid(
     [-t_max, t_max]: a leak probe at -t reads b(W - t), t_max <= W - t < W,
     which bounds the alias at positive times (synthesis_leak).  The window is
     compared as time_domain computes it, so that +/- t_max are accepted in
-    floating point too.  The grid takes SpectralGrid's default taper.
+    floating point too.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
@@ -541,8 +537,10 @@ def resolvent_sweep(
     k(delta) or the constant k_wg.  No N x N matrix is formed: the uniform
     pole lam0 = -i gamma_tot/2 and the delayed couplings (guided_exchange of
     the pair distances to the atoms psi0 occupies) are all the two leading
-    terms need.  The sweep holds x and, while a chunk of SCATTER_CHUNK
-    detunings is solved in its slice of x (_scatter_chunk), one
+    terms need.  They are returned as ramps, with the kernel's slowness, and
+    as no other table: emission_spectrum projects ramps onto the chain ends
+    for the pulse fronts.  The sweep holds x and, while a chunk of
+    SCATTER_CHUNK detunings is solved in its slice of x (_scatter_chunk), one
     N x SCATTER_CHUNK work buffer.  Grid points are independent; with
     workers > 1 the chunks run on a thread pool (numpy releases the GIL), each
     task writing a disjoint slice with its own buffer, so assembly is
@@ -575,9 +573,7 @@ def resolvent_sweep(
     # The couplings H_ab(delta) = H_ab(0) e^{i delta |z_a - z_b| / v_g} delay
     # the second-order term by |z_a - z_b| / v_g, over the atoms b psi0
     # occupies; none are delayed on the resonant kernel.  The pole is the
-    # undelayed step psi0_b on atom b itself.  The fields leaving the chain
-    # are those of psi0 from b (steps), and of the second-order term from a
-    # (ramps), one path b -> a -> end for each pair.
+    # undelayed step psi0_b on atom b itself.
     z = array.positions
     occupied = np.flatnonzero(psi)
     slowness = 1.0 / params.v_g if retarded else 0.0
@@ -587,30 +583,19 @@ def resolvent_sweep(
     diagonal = occupied, np.arange(len(occupied))
     couplings[diagonal] = 0.0  # (H0 - lam0)_aa = 0
     steps[diagonal] = psi[occupied]
-    to_end = np.stack([z[-1] - z, z - z[0]])
-    path = np.concatenate(
-        [to_end[:, occupied], (to_end[:, :, None] + pair).reshape(2, -1)], axis=1
-    )
-    front_steps = np.exp(1j * params.k_wg * to_end[:, occupied]) * psi[occupied]
-    front_ramps = (np.exp(1j * params.k_wg * to_end)[:, :, None] * couplings).reshape(2, -1)
     return ResolventSet(
         grid=grid,
         x=block.T,
         outgoing=outgoing,
         lead=lead,
         ramps=DelayedTerms(slowness * pair, steps, couplings, lam0),
-        fronts=DelayedTerms(
-            slowness * path,
-            np.concatenate([front_steps, np.zeros_like(front_ramps)], axis=1),
-            np.concatenate([np.zeros_like(front_steps), front_ramps], axis=1),
-            lam0,
-        ),
+        slowness=slowness,
         residual_max=res_max,
     )
 
 
 def time_domain(slices: ResolventSet, t_grid: np.ndarray) -> AmplitudeTrajectory:
-    """Synthesise b(t) from the resolvent slices by the windowed discrete sum,
+    """Synthesise b(t) from the resolvent slices by the discrete sum,
     evaluated at any t_grid by the grid's non-uniform FFT (fourier_sum).
 
     The sweep has removed the two leading large-detuning terms of x(delta)

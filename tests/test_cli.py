@@ -21,7 +21,7 @@ from wgqed import (
     dicke_initial_state,
     effective_hamiltonian,
 )
-from wgqed.analytic import fit_jc_trace, jc_model
+from wgqed.analytic import collective_rate, fit_jc_trace, jc_model
 from wgqed.cli import (
     _CHAIN_KEYS,
     _PARAM_KEYS,
@@ -29,6 +29,7 @@ from wgqed.cli import (
     RunConfig,
     SCENARIOS,
     _convert,
+    _pole_check,
     build_parser,
     config_from_file,
     main,
@@ -1100,3 +1101,23 @@ def test_a_poles_run_holds_no_time_by_atom_array():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def test_the_pole_check_builds_no_front_table():
+    # the 9-point check reads only resolvent(): on fig2 at scale 1 (N = 300,
+    # psi0 on 100 atoms) it grows by about 1.4 MiB, the N x occupied ramps
+    # table; building the chain-end fronts as well took 5.1 MiB
+    params = PhysParams()
+    chain = SCENARIOS["fig2"].build(1.0, 0, params)
+    array = build_chain(chain)
+    psi0 = dicke_initial_state(array, params)
+    modes = modal_expansion(effective_hamiltonian(array, params), psi0)
+    gamma_fast = collective_rate(max(chain.n_left, chain.n_center, chain.n_right), params)
+    _pole_check(modes, array, params, psi0, gamma_fast)  # first-call allocations
+    tracemalloc.start()
+    try:
+        _pole_check(modes, array, params, psi0, gamma_fast)
+        growth = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert growth <= 2.5 * 2**20, f"{growth / 2**20:.2f} MiB"

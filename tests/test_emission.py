@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -43,9 +41,8 @@ def test_single_atom_profile_causal_exponential(params):
     tau = default_tau_grid(12.0 / 0.95, n=1024)
     profile = spatial_profile(spectrum, tau)
     expected = 0.5 * params.gamma_wg * np.exp(-params.gamma_tot * tau)
-    # the apodization smears the pulse front over ~1/taper width; compare past it
-    past_front = tau > 0.1
-    assert np.max(np.abs(profile.alpha2 - expected)[past_front]) < 1e-4
+    # the lead is the whole spectrum here, so its exact step holds the front
+    assert np.max(np.abs(profile.alpha2 - expected)) < 1e-4
     assert profile.covers_support
     assert profile.captured >= 0.99
 
@@ -70,11 +67,12 @@ def test_bare_emitter_profile_length(params):
     assert -slope == pytest.approx(gamma_c, rel=0.05)
 
 
-def test_profile_uses_the_grid_apodization(params):
-    # a non-default taper on the run's grid must reach the profile transform
+def test_profile_is_the_direct_sum_plus_the_exact_step(params):
+    # the profile transform sums M less its lead on the grid, and adds the
+    # lead's exact transform
     arr = build_chain(ChainSpec(0, 1, 0))
     psi0 = dicke_initial_state(arr, params)
-    grid = replace(build_grid(1.05, 8.0), apod_fraction=0.3)
+    grid = build_grid(1.05, 8.0)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     spectrum = emission_spectrum(slices, arr, params, +1)
     tau = default_tau_grid(8.0, n=64)
@@ -85,14 +83,14 @@ def test_profile_uses_the_grid_apodization(params):
     amp = np.sqrt(0.5 * params.gamma_wg) * psi0.amplitudes[0]
     lam0 = -0.5j * params.gamma_tot
     assert_allclose(spectrum.lead, amp / (grid.deltas - lam0), rtol=1e-12)
-    summand = (spectrum.values - spectrum.lead) * grid.apodization() * grid.spacing
+    summand = (spectrum.values - spectrum.lead) * grid.spacing
     expected = np.abs(phases @ summand / (2 * np.pi) - 1j * amp * np.exp(-1j * lam0 * tau)) ** 2
     assert_allclose(profile.alpha2, expected, rtol=1e-9, atol=1e-12 * expected.max())
 
 
 def test_zero_spectrum_gives_zero_profile():
     spectrum = DirectionalSpectrum(
-        grid=SpectralGrid(-10.0, 10.0, 256, 0.0),
+        grid=SpectralGrid(-10.0, 10.0, 256),
         values=np.zeros(256, dtype=complex),
         weight=0.0,
         lead=np.zeros(256, dtype=complex),

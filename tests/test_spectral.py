@@ -65,20 +65,9 @@ def test_grid_rule_errors():
         build_grid(1e5, t_max=100.0)
 
 
-def test_grid_apodization_window():
-    grid = SpectralGrid(-10.0, 10.0, 64, 0.1)
-    w = grid.apodization()
-    assert w[0] == 0.0 and w[-1] == 0.0
-    assert np.all(w[6:-6] == 1.0)
-    flat = SpectralGrid(-10.0, 10.0, 64, 0.0).apodization()
-    assert np.all(flat == 1.0)
-
-
 def _direct_sum(grid, values, times):
     # the replaced n x M phase-matrix sum, kept as the oracle
-    weights = grid.apodization() * grid.spacing
-    summand = values * weights.reshape((-1,) + (1,) * (values.ndim - 1))
-    return np.exp(-1j * np.outer(times, grid.deltas)) @ summand
+    return np.exp(-1j * np.outer(times, grid.deltas)) @ (grid.spacing * values)
 
 
 def _pulse_spectrum(grid, n_columns=0):
@@ -93,27 +82,29 @@ def _pulse_spectrum(grid, n_columns=0):
 
 _TAU = default_tau_grid(8.0, 512)
 _STEP = _TAU[1] - _TAU[0]
-_EDGE = 0.999 * np.pi / SpectralGrid(-100.0, 100.0, 1000, 0.1).spacing
+_EDGE = 0.999 * np.pi / SpectralGrid(-100.0, 100.0, 1000).spacing
 
 
 @pytest.mark.parametrize(
     "grid, times, n_columns",
     [
-        (SpectralGrid(-200.0, 200.0, 4096, 0.1), _TAU, 0),
+        (SpectralGrid(-200.0, 200.0, 4096), _TAU, 0),
         (
-            SpectralGrid(-200.0, 200.0, 4096, 0.1),
+            SpectralGrid(-200.0, 200.0, 4096),
             np.concatenate([-_STEP * (np.arange(60) + 0.5)[::-1], _TAU]),
             0,
         ),
-        (SpectralGrid(-200.0, 200.0, 4096, 0.1), default_tau_grid(8.0, 301), 0),
-        (SpectralGrid(-150.0, 150.0, 3001, 0.1), _TAU, 0),
-        (SpectralGrid(-150.0, 150.0, 3001, 0.1), _TAU, 11),
-        (SpectralGrid(-200.0, 200.0, 4096, 0.0), _TAU, 0),
-        (SpectralGrid(-100.0, 100.0, 1000, 0.1), np.linspace(0.0, 8.0, 333), 150),
-        (SpectralGrid(-100.0, 100.0, 1000, 0.1), default_time_grid(3.0, 8.0, n=100), 0),
-        (SpectralGrid(-100.0, 100.0, 1000, 0.1), default_time_grid(3.0, 8.0, n=100), 3),
-        (SpectralGrid(-100.0, 100.0, 1000, 0.1), -default_time_grid(3.0, 8.0, n=100), 0),
-        (SpectralGrid(-100.0, 100.0, 1000, 0.1), np.array([-_EDGE, -1.0, 0.0, 1.0, _EDGE]), 3),
+        (SpectralGrid(-200.0, 200.0, 4096), default_tau_grid(8.0, 301), 0),
+        (SpectralGrid(-150.0, 150.0, 3001), _TAU, 0),
+        (SpectralGrid(-150.0, 150.0, 3001), _TAU, 11),
+        # a narrow window whose edge samples still carry 4% of the peak:
+        # every sample, edges included, enters the sum at full weight
+        (SpectralGrid(-20.0, 20.0, 1024), _TAU, 0),
+        (SpectralGrid(-100.0, 100.0, 1000), np.linspace(0.0, 8.0, 333), 150),
+        (SpectralGrid(-100.0, 100.0, 1000), default_time_grid(3.0, 8.0, n=100), 0),
+        (SpectralGrid(-100.0, 100.0, 1000), default_time_grid(3.0, 8.0, n=100), 3),
+        (SpectralGrid(-100.0, 100.0, 1000), -default_time_grid(3.0, 8.0, n=100), 0),
+        (SpectralGrid(-100.0, 100.0, 1000), np.array([-_EDGE, -1.0, 0.0, 1.0, _EDGE]), 3),
     ],
     ids=[
         "tau-grid", "below-zero", "odd-n", "not-power-of-two", "odd-m-2d-partial-group",
@@ -172,7 +163,7 @@ def test_retardation_disabled_equals_markovian_resolvent(params):
     rng = np.random.default_rng(17)
     arr = random_array(rng, 12)
     psi0 = StateVector(np.ones(12) / np.sqrt(12))
-    grid = SpectralGrid(-30.0, 30.0, 128, 0.0)
+    grid = SpectralGrid(-30.0, 30.0, 128)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     full = slices.resolvent()
     h0 = effective_hamiltonian(arr, params)
@@ -187,7 +178,7 @@ def _long_cavity_sweep(params):
     gap = 174000.25  # about 0.04 gamma^-1 of one-way retardation
     arr = build_chain(ChainSpec(25, 10, 25, gap_d0=gap))
     psi0 = dicke_initial_state(arr, params)
-    grid = SpectralGrid(-40.0, 40.0, 512, 0.0)
+    grid = SpectralGrid(-40.0, 40.0, 512)
     return arr, psi0, grid, resolvent_sweep(arr, params, psi0, grid, retarded=True)
 
 
@@ -252,7 +243,7 @@ def _random_geometries(params):
         amp = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi0 = StateVector(amp / np.linalg.norm(amp))
         gamma_fast = params.gamma_tot + (n - 1) * params.gamma_wg
-        yield arr, psi0, SpectralGrid(-400.0 * gamma_fast, 400.0 * gamma_fast, 4097, 0.0)
+        yield arr, psi0, SpectralGrid(-400.0 * gamma_fast, 400.0 * gamma_fast, 4097)
 
 
 @_KERNELS
@@ -265,11 +256,11 @@ def test_scattering_solve_matches_dense_on_random_geometries(params, retarded, m
     cases = list(_random_geometries(params))
     for n in (1, 2):
         psi0 = StateVector(np.ones(n) / np.sqrt(n))
-        cases.append((random_array(rng, n), psi0, SpectralGrid(-30.0, 30.0, 257, 0.0)))
+        cases.append((random_array(rng, n), psi0, SpectralGrid(-30.0, 30.0, 257)))
     # a last chunk of 300 detunings, solved in place in its slice of x, with
     # psi0 on 3 of 9 atoms, so the second-order term carries unoccupied rows
     psi0 = StateVector(np.concatenate([np.zeros(3), np.ones(3) / np.sqrt(3), np.zeros(3)]))
-    partial = SpectralGrid(-60.0, 60.0, 2 * SCATTER_CHUNK + 300, 0.0)
+    partial = SpectralGrid(-60.0, 60.0, 2 * SCATTER_CHUNK + 300)
     cases.append((random_array(rng, 9), psi0, partial))
     assert partial.n_points % SCATTER_CHUNK == 300
     for arr, psi0, grid in cases:
@@ -438,7 +429,7 @@ def _direct_outgoing(slices, arr, params, retarded):
 @pytest.mark.parametrize("retarded", [True, False], ids=["retarded", "resonant"])
 def test_outgoing_matches_the_direct_phase_sum(params, retarded):
     arr, psi0 = _bragg_chain(params)
-    cases = [*_random_geometries(params), (arr, psi0, SpectralGrid(-2.0, 2.0, 9, 0.0))]
+    cases = [*_random_geometries(params), (arr, psi0, SpectralGrid(-2.0, 2.0, 9))]
     for arr, psi0, grid in cases:
         slices = resolvent_sweep(arr, params, psi0, grid, retarded=retarded)
         assert slices.outgoing.shape == (grid.n_points, 2)
@@ -476,7 +467,7 @@ def _remainder_time_domain(slices, arr, params, psi, t):
 
 def test_time_domain_matches_the_remainder_sum(params):
     arr, psi0 = _bragg_chain(params)
-    cases = [*_random_geometries(params), (arr, psi0, SpectralGrid(-50.0, 50.0, 2048, 0.1))]
+    cases = [*_random_geometries(params), (arr, psi0, SpectralGrid(-50.0, 50.0, 2048))]
     for arr, psi0, grid in cases:
         slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
         half = 0.45 * grid.alias_window
@@ -507,20 +498,36 @@ def test_delayed_terms_transform_matches_the_direct_sum():
         fast = terms.transform(t)
     assert_allclose(fast, direct.sum(axis=2), rtol=1e-12, atol=1e-13)
     # and the transform is the infinite-span limit of the grid's Fourier sum
-    # of the samples: far from every delay the two agree to the window error
-    grid = SpectralGrid(-4000.0, 4000.0, 2**17, 0.1)
+    # of the samples: far from every delay, the samples under a raised-cosine
+    # taper on the outer tenth of each edge agree with it to the window error
+    grid = SpectralGrid(-4000.0, 4000.0, 2**17)
+    n_taper = grid.n_points // 10
+    window = np.ones(grid.n_points)
+    window[:n_taper] = 0.5 * (1.0 - np.cos(np.pi * np.arange(n_taper) / n_taper))
+    window[-n_taper:] = window[n_taper - 1 :: -1]
     probe = np.array([-0.7, 0.45, 2.6])
-    windowed = grid.fourier_sum(terms.samples(grid.deltas), probe)
+    windowed = grid.fourier_sum(window[:, None] * terms.samples(grid.deltas), probe)
     assert np.max(np.abs(windowed - terms.transform(probe))) <= 1e-3
+
+
+def test_delayed_terms_read_zero_long_before_every_delay():
+    # e^{-i lam0 t} overflows below t = -2 * 709.8 / gamma_tot (about -1405
+    # for gamma_tot = 1.01), where no term is on: the transform reads exact
+    # zeros there, not 0 * inf
+    terms = DelayedTerms(np.array([[0.0, 3.0]]), np.ones((1, 2)), np.ones((1, 2)), -0.505j)
+    with np.errstate(over="raise", invalid="raise"):
+        out = terms.transform(np.array([-2000.0, -1500.0]))
+    assert np.array_equal(out, np.zeros((2, 1)))
 
 
 @_KERNELS
 def test_lead_is_the_fronts_on_the_grid(params, retarded):
     # the sweep's grid samples of the outgoing lead against the direct sum of
-    # the fronts it hands to emission, on the fig7b geometry and on random ones
+    # the fronts emission_spectrum projects from its ramps, in both directions,
+    # on the fig7b geometry and on random ones
     arr = build_chain(SCENARIOS["fig7b"].build(0.02, 0, params))
     cases = [
-        (arr, dicke_initial_state(arr, params), SpectralGrid(-60.0, 60.0, 301, 0.0)),
+        (arr, dicke_initial_state(arr, params), SpectralGrid(-60.0, 60.0, 301)),
         *list(_random_geometries(params))[:3],
     ]
     for arr, psi0, grid in cases:
@@ -528,7 +535,14 @@ def test_lead_is_the_fronts_on_the_grid(params, retarded):
         # the recursion multiplies gap phases, the fronts take e^{i k L} whole:
         # both are good to the rounding of k L, 4e7 rad across the cavity
         rtol = 1e-12 + 1e-15 * params.k_wg * np.ptp(arr.positions)
-        assert_allclose(slices.lead, slices.fronts.samples(grid.deltas), rtol=rtol)
+        fronts = np.concatenate(
+            [
+                emission_spectrum(slices, arr, params, direction).fronts.samples(grid.deltas)
+                for direction in (+1, -1)
+            ],
+            axis=1,
+        )
+        assert_allclose(np.sqrt(0.5 * params.gamma_wg) * slices.lead, fronts, rtol=rtol)
 
 
 @pytest.fixture(scope="module")
@@ -627,7 +641,7 @@ def test_time_domain_allocates_less_than_the_sweep(params):
     # on the grid, and the FFT blocks are FFT_COLUMNS wide
     arr = build_chain(ChainSpec(25, 10, 25, gap_d0=174000.25))
     psi0 = dicke_initial_state(arr, params)
-    grid = SpectralGrid(-40.0, 40.0, 2**15, 0.1)
+    grid = SpectralGrid(-40.0, 40.0, 2**15)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
     t = default_time_grid(2.5, 8.0)
     tracemalloc.start()
@@ -709,7 +723,7 @@ def test_fourier_sum_gathers_one_time_block_at_a_time():
     # besides its output and the FFT block, the sum holds its kernel tables
     # (0.9 MiB) and the gathered nodes of TIME_BLOCK times (1.5 MiB), where
     # gathering every time's took 7.1 MiB
-    grid = SpectralGrid(-200.0, 200.0, 4096, 0.1)
+    grid = SpectralGrid(-200.0, 200.0, 4096)
     rng = np.random.default_rng(8)
     values = rng.normal(size=(4096, 55)) + 1j * rng.normal(size=(4096, 55))
     times = np.linspace(-2.0, 30.0, 2321)
@@ -728,7 +742,7 @@ def test_retarded_reduces_to_markovian_at_infinite_vg():
     params = PhysParams(v_g=1e30)
     arr = build_chain(ChainSpec(3, 3, 3, gap_d0=0.25))
     psi0 = dicke_initial_state(arr, params)
-    grid = SpectralGrid(-30.0, 30.0, 128, 0.0)
+    grid = SpectralGrid(-30.0, 30.0, 128)
     retarded = resolvent_sweep(arr, params, psi0, grid, retarded=True)
     resonant = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     assert_allclose(retarded.resolvent(), resonant.resolvent(), rtol=1e-10, atol=0)
@@ -811,9 +825,7 @@ def test_grid_refinement_convergence(params):
     pops = []
     for n_extra in (1, 2):
         base = build_grid(2.5, t_max=8.0, span_factor=200)
-        grid = SpectralGrid(
-            base.delta_min, base.delta_max, base.n_points * n_extra, base.apod_fraction
-        )
+        grid = SpectralGrid(base.delta_min, base.delta_max, base.n_points * n_extra)
         slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
         pops.append(time_domain(slices, t).population)
     assert np.max(np.abs(pops[1] - pops[0])) < 1e-4
@@ -823,7 +835,7 @@ def test_workers_give_identical_results(params):
     rng = np.random.default_rng(2)
     arr = random_array(rng, 8)
     psi0 = StateVector(np.ones(8) / np.sqrt(8))
-    grid = SpectralGrid(-20.0, 20.0, 4 * SCATTER_CHUNK, 0.0)
+    grid = SpectralGrid(-20.0, 20.0, 4 * SCATTER_CHUNK)
     assert grid.n_points >= 4 * SCATTER_CHUNK  # one scattering chunk per worker at least
     serial = resolvent_sweep(arr, params, psi0, grid, retarded=True, workers=1)
     threaded = resolvent_sweep(arr, params, psi0, grid, retarded=True, workers=4)
