@@ -14,7 +14,6 @@ from .model import (
 )
 from .hamiltonian import effective_hamiltonian
 from .dynamics import (
-    AmplitudeTrajectory,
     ModalTrajectory,
     ProbabilitySeries,
     default_time_grid,
@@ -26,6 +25,7 @@ from .dynamics import (
 from .spectral import (
     ResolventSet,
     SpectralGrid,
+    SweptTrajectory,
     build_grid,
     resolvent_sweep,
     time_domain,

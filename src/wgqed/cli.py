@@ -37,7 +37,6 @@ import numpy as np
 from . import dynamics
 from .analytic import JCFit, RegimeReport, classify_regime, collective_rate, fit_jc_trace, jc_model
 from .dynamics import (
-    AmplitudeTrajectory,
     DecayFit,
     ModalExpansion,
     NumericalError,
@@ -78,7 +77,6 @@ from .spectral import (
     SpectralGrid,
     build_grid,
     resolvent_sweep,
-    synthesis_leak,
     time_domain,
 )
 
@@ -406,26 +404,25 @@ def _member_pipeline(
         tic = now
 
     if retarded:
-        # the sweep route: the spectra from the fields leaving the chain, b and
-        # a0 synthesised from the resolvent (a0 from its projection on psi0,
-        # on uniform times, kept for the pencil), and the guided outflow |alpha|^2
+        # the sweep route: the spectra from the fields leaving the chain, and
+        # the guided outflow |alpha|^2 from the spectra; b and a0 synthesised
+        # from the resolvent (a0 from its projection on psi0, on uniform
+        # times, kept for the pencil), b only as probabilities reads it
         grid = build_grid(gamma_fast, t_max, span_factor=SPAN_FACTOR_RETARDED)
         sweep = resolvent_sweep(array, params, psi0, grid, workers=workers)
         lap("resolvent_sweep")
         spectra = tuple(emission_spectrum(sweep, array, params, d) for d in (+1, -1))
         lap("emission_spectra")
         probe = -default_time_grid(gamma_fast, t_max, n=LEAK_PROBES)[:0:-1]
-        synthesis = time_domain(sweep, np.concatenate([probe, t_grid]))
-        leak = synthesis_leak(sweep, synthesis)
-        trajectory = AmplitudeTrajectory(t_grid, synthesis.amplitudes[len(probe) :])
+        trajectory = time_domain(sweep, t_grid, probe)
         n_dicke = max(DICKE_SAMPLES, math.ceil(2.0 * gamma_fast * t_max / math.pi) + 1)
         t_dicke = np.linspace(0.0, t_max, n_dicke)
         dicke = (t_dicke, time_domain(sweep.projected(bra), t_dicke).amplitudes[:, 0])
+        del sweep  # the trajectory holds x until it is read
         jc_fit = None
-        alpha = sampled_amplitudes(spectra, t_grid)
-        fluxes = tuple(np.abs(alpha.T) ** 2)
+        fluxes = tuple(np.abs(sampled_amplitudes(spectra, t_grid).T) ** 2)
         lap("evolution")
-        checks, overlap = {"residual_max": sweep.residual_max, "synthesis_leak": leak}, None
+        checks, overlap = {"residual_max": trajectory.sweep.residual_max}, None
     else:
         # the poles route: everything in closed form from the checked modal
         # expansion of H; b is summed block by block in probabilities, and the
@@ -450,6 +447,10 @@ def _member_pipeline(
         fluxes = None
 
     series = probabilities(trajectory, psi0, array, params, fluxes)
+    if retarded:
+        # read in the same pass as the series
+        checks["synthesis_leak"] = trajectory.leak
+    del trajectory  # and with it the sweep route's x, before the profiles
     lap("probabilities")
     tau = default_tau_grid(t_max)
     profiles = tuple(spatial_profile(spectrum, tau) for spectrum in spectra)

@@ -8,10 +8,12 @@ kernel has no other route, so every ModalExpansion is usable; the sweep's
 resolvent residual takes the same gate (check_residual).  evolve_markovian
 keeps b(t) as its modal expansion (ModalTrajectory), and probabilities takes
 its pole sums CHUNK times at a time, so no n_t x N array is built: the poles
-route holds H, V and N x CHUNK blocks.  The probability series tracks p, p0,
-p_a and the cumulative energy emitted into each decay channel.  Under the
-resonant kernel the directional guided fluxes follow from the rank-2
-structure of the coherent channel:
+route holds H, V and N x CHUNK blocks.  The sweep route's trajectory
+(spectral.SweptTrajectory) is read the other way round, every time of a
+group of atoms at a time, through the same loop.  The probability series
+tracks p, p0, p_a and the cumulative energy emitted into each decay channel.
+Under the resonant kernel the directional guided fluxes follow from the
+rank-2 structure of the coherent channel:
 
     Phi_+/- (t) = (Gamma_wg / 2) |sum_a e^{-/+ i k_wg z_a} b_a(t)|^2 ,
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -64,26 +66,6 @@ def check_residual(residual: float, psi: np.ndarray, source: str, cause: str) ->
         raise NumericalError(
             f"{source} residual {residual:.3g} exceeds {RESIDUAL_TOL:g} * |psi0|; {cause}"
         )
-
-
-@dataclass
-class AmplitudeTrajectory:
-    """Complex amplitudes b_a(t) on a strictly increasing time grid."""
-
-    t: np.ndarray
-    amplitudes: np.ndarray  # shape (n_times, n_atoms)
-
-    @property
-    def n_atoms(self) -> int:
-        return self.amplitudes.shape[1]
-
-    @property
-    def population(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
-
-    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(first row, rows) of the amplitudes: here the whole array at once."""
-        return iter([(0, self.amplitudes)])
 
 
 @dataclass
@@ -278,14 +260,17 @@ class ModalTrajectory:
     def amplitudes(self) -> np.ndarray:
         return pole_sums(self.modes.evals, self.modes.vecs * self.modes.coeffs, self.t)
 
-    population = AmplitudeTrajectory.population
+    @property
+    def population(self) -> np.ndarray:
+        return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
 
-    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(first row, rows) of the amplitudes, CHUNK times at a time."""
-        return _direct_blocks(self.modes.evals, self.modes.vecs * self.modes.coeffs, self.t)
-
-
-Trajectory = Union[AmplitudeTrajectory, ModalTrajectory]
+    def blocks(self) -> Iterator[tuple[slice, slice, np.ndarray]]:
+        """(times, atoms, rows) of the amplitudes: CHUNK times at a time,
+        every atom."""
+        atoms = slice(0, self.n_atoms)
+        weights = self.modes.vecs * self.modes.coeffs
+        for lo, rows in _direct_blocks(self.modes.evals, weights, self.t):
+            yield slice(lo, lo + len(rows)), atoms, rows
 
 
 def evolve_markovian(modes: ModalExpansion, t_grid: np.ndarray) -> ModalTrajectory:
@@ -334,7 +319,7 @@ def _cumulative(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def probabilities(
-    traj: Trajectory,
+    traj,
     psi0: StateVector,
     array: AtomArray,
     params: PhysParams,
@@ -342,15 +327,18 @@ def probabilities(
 ) -> ProbabilitySeries:
     """Project the trajectory onto p, p0, p_a and integrate the channel fluxes.
 
-    The trajectory is read block by block (traj.blocks(): CHUNK times at a
-    time for a ModalTrajectory, so the poles route's pole sums are taken
-    here; one block for a synthesised one).  Each block gives p and p_a from
-    one |b|^2, and p0 and the two resonant guided fluxes Phi_+/- from one
-    projection of b onto (psi0, e^{-i k_wg z}, e^{+i k_wg z}).  fluxes are the
-    (right, left) guided outflows on traj.t that replace Phi_+/-: the
-    retarded pipeline passes |alpha|^2 of the fields leaving the chain.  The
-    external flux is gamma_ext p: each atom loses gamma_ext to the non-guided
-    modes on its own.
+    The trajectory is read block by block: traj.blocks() gives
+    (times, atoms, b) with b the amplitudes of those atoms at those times.
+    A ModalTrajectory gives CHUNK times of every atom at a time, so the poles
+    route's pole sums are taken here; a spectral.SweptTrajectory gives every
+    time of FFT_COLUMNS atoms at a time, so the sweep route's synthesis is
+    taken here.  Each block adds its atoms' share to p and p_a from one
+    |b|^2, and to p0's amplitude and the two resonant guided fluxes Phi_+/-
+    from one projection of b onto (psi0, e^{-i k_wg z}, e^{+i k_wg z}).
+    fluxes are the (right, left) guided outflows on traj.t that replace
+    Phi_+/-: the retarded pipeline passes |alpha|^2 of the fields leaving
+    the chain.  The external flux is gamma_ext p: each atom loses gamma_ext
+    to the non-guided modes on its own.
     """
     if traj.n_atoms != psi0.n_atoms or psi0.n_atoms != array.n_atoms:
         raise ValueError("trajectory, initial state and geometry sizes disagree")
@@ -358,15 +346,18 @@ def probabilities(
     # a stack of three (N, 1) columns: matmul takes one matrix-vector product
     # of b with each, which sums as b @ vector does
     bras = np.stack([np.conj(psi0.amplitudes), phase, np.conj(phase)])[:, :, None]
-    emitters = slice(array.emitter_start, array.emitter_stop)
     n = len(traj.t)
-    p, pa, projected = np.empty(n), np.empty(n), np.empty((3, n), dtype=complex)
-    for lo, b in traj.blocks():
-        rows = slice(lo, lo + len(b))
+    p, pa, projected = np.zeros(n), np.zeros(n), np.zeros((3, n), dtype=complex)
+    for rows, atoms, b in traj.blocks():
+        # the emitters among these atoms, counted from the first of them
+        emitters = slice(
+            max(array.emitter_start - atoms.start, 0), max(array.emitter_stop - atoms.start, 0)
+        )
         b2 = np.abs(b) ** 2
-        np.sum(b2, axis=1, out=p[rows])
-        np.sum(b2[:, emitters], axis=1, out=pa[rows])
-        np.matmul(b, bras, out=projected[:, rows, None])
+        p[rows] += np.sum(b2, axis=1)
+        pa[rows] += np.sum(b2[:, emitters], axis=1)
+        del b2  # before the next block is made
+        projected[:, rows] += np.matmul(b, bras[:, atoms])[:, :, 0]
     p0, s_plus, s_minus = np.abs(projected) ** 2
     half = 0.5 * params.gamma_wg
     phi_plus, phi_minus = (half * s_plus, half * s_minus) if fluxes is None else fluxes

@@ -20,13 +20,14 @@ psi0 occupies, and delayed ramps -i (t - tau_ab) e^{-i lam0 (t - tau_ab)}
 theta(t - tau_ab).  Both parts are linear, so <bra|b(t)> is synthesised from
 the one column x bra (ResolventSet.projected).  A sweep holds x (M x N) and,
 per worker, one N x SCATTER_CHUNK work buffer: each chunk is solved in its
-own slice of x.  The synthesis adds the delayed terms in place to its
-(times x N) output, and the non-uniform FFT gathers its nodes TIME_BLOCK
-times at a time, so no other array of M or n_t rows by N is formed.  The
-fields leaving the chain lead with the delayed steps of psi0 itself, the
-pulse fronts, which the sweep samples on the grid for the same treatment;
-emission carries the delayed terms to each chain end for their exact
-transform.
+own slice of x.  The synthesis is kept as its sweep (SweptTrajectory) and
+taken as it is read, FFT_COLUMNS atoms at a time: each column group of the
+non-uniform FFT, which gathers its nodes TIME_BLOCK times at a time, takes
+its atoms' delayed terms in place and is handed on, so no array of M or n_t
+rows by N is formed besides x.  The fields leaving the chain lead with the
+delayed steps of psi0 itself, the pulse fronts, which the sweep samples on
+the grid for the same treatment; emission carries the delayed terms to each
+chain end for their exact transform.
 
 Both kernels are solved by one scattering recursion, in O(N) per detuning
 (see scattering_sweep): the resonant kernel is the retarded one with k held at
@@ -42,12 +43,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .dynamics import AmplitudeTrajectory, check_residual
+from .dynamics import ModalTrajectory, check_residual
 # effective_hamiltonian is unused here: perfbench/tracer.py patches this name
 from .hamiltonian import effective_hamiltonian, guided_exchange  # noqa: F401
 from .model import AtomArray, PhysParams, StateVector
@@ -59,13 +60,17 @@ MIN_SPAN_FACTOR = 20.0
 SCATTER_CHUNK = 2048
 # Gaussian gridding of the Fourier sum: an FFT grid OVERSAMPLING x M long and
 # 2 * HALF_WIDTH nodes per time, for an error of about e^{-8 pi} ~ 1e-11 of
-# sum_k |summand_k| (see SpectralGrid.fourier_sum).  FFT_COLUMNS columns share
-# one reused FFT block of FFT_COLUMNS x OVERSAMPLING x M elements, and
-# TIME_BLOCK times share one gather of their nodes.
+# sum_k |summand_k| (see SpectralGrid.fourier_groups).  FFT_COLUMNS columns
+# share one reused FFT block of FFT_COLUMNS x OVERSAMPLING x M elements and
+# are handed on as one group, and TIME_BLOCK times share one gather of their
+# nodes (0.4 MiB).
 OVERSAMPLING = 2
 HALF_WIDTH = 12
 FFT_COLUMNS = 8
-TIME_BLOCK = 512
+TIME_BLOCK = 128
+# DelayedTerms.transform measures each delay from the start of its bin, so
+# that no factor e^{i lam0 (d - a)} exceeds e^GROWTH_MAX
+GROWTH_MAX = 64.0
 
 
 class GridResolutionError(ValueError):
@@ -98,12 +103,29 @@ class SpectralGrid:
         return 2.0 * math.pi / self.spacing
 
     def fourier_sum(self, values: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """sum_k e^{-i delta_k t} d values_k at each t (d the spacing).
+        """sum_k e^{-i delta_k t} d values_k at each t (d the spacing), whole.
 
         values has the grid along its first axis; the result has the times
-        there instead.  The times may be any reals: the sum is one type-2
-        non-uniform FFT by Gaussian gridding (Dutt and Rokhlin 1993; Greengard
-        and Lee, SIAM Rev. 46, 2004).  With centred mode numbers k and
+        there instead.  This gathers the column groups of fourier_groups
+        into one array, for the small sums: a profile, the outflow, the
+        Dicke column.
+        """
+        flat = values.reshape(self.n_points, -1)
+        out = np.empty((len(times), flat.shape[1]), dtype=complex)
+        for lo, sums in self.fourier_groups(flat, times):
+            out[:, lo : lo + sums.shape[1]] = sums
+        return out.reshape((len(times),) + values.shape[1:])
+
+    def fourier_groups(
+        self, values: np.ndarray, times: np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """(first column, sums) for each group of FFT_COLUMNS columns of the
+        2-d values: sum_k e^{-i delta_k t} d values_k at each t, shape
+        (len(times), group width).
+
+        The times may be any reals: the sum is one type-2 non-uniform FFT by
+        Gaussian gridding (Dutt and Rokhlin 1993; Greengard and Lee, SIAM
+        Rev. 46, 2004).  With centred mode numbers k and
         delta_k = delta_c + k d the sum is e^{-i delta_c t} f(d t), where
         f(x) = sum_k c_k e^{-i k x}.  The periodised Gaussian
         g(x) = sum_l e^{-(x - 2 pi l)^2 / (4 tau)} has the Fourier coefficients
@@ -113,10 +135,13 @@ class SpectralGrid:
         nearest x.  tau = pi HALF_WIDTH / (M^2 R (R - 1/2)) balances the
         aliasing of the FFT grid against the truncated kernel, and the error
         is about e^{-pi HALF_WIDTH (R - 1) / (R - 1/2)} = e^{-8 pi} ~ 1e-11 of
-        sum_k |d values_k|.  The columns are transformed FFT_COLUMNS at a
-        time, in place, in one block that is reused for every group, and
-        interpolated TIME_BLOCK times at a time, so the gathered nodes never
-        exceed TIME_BLOCK x 2 HALF_WIDTH x FFT_COLUMNS.
+        sum_k |d values_k|.  The groups are transformed in place, in one
+        block that is reused for every group, and interpolated TIME_BLOCK
+        times at a time, so the gathered nodes never exceed
+        TIME_BLOCK x 2 HALF_WIDTH x FFT_COLUMNS.  Every group is written to
+        one reused buffer, so a group is valid until the next is asked for,
+        and a caller that reduces each group as it comes holds no
+        len(times) x columns array.
         """
         times = np.asarray(times, dtype=float)
         m = self.n_points
@@ -129,22 +154,21 @@ class SpectralGrid:
 
         node = 2.0 * math.pi / length
         x = np.mod(self.spacing * times, 2.0 * math.pi)
-        stencil = np.floor(x / node).astype(int)[:, None] + np.arange(
-            1 - HALF_WIDTH, HALF_WIDTH + 1
+        stencil = np.floor(x / node).astype(np.int32)[:, None] + np.arange(
+            1 - HALF_WIDTH, HALF_WIDTH + 1, dtype=np.int32
         )
         # one (1, 2 HALF_WIDTH) row per time, for a real batched matmul against
         # the float view of the gathered (2 HALF_WIDTH, columns) nodes
         kernel = np.exp(-((x[:, None, None] - node * stencil[:, None]) ** 2) / (4.0 * tau))
         kernel /= length
         stencil %= length
-        shift = np.exp(-1j * (self.delta_min + h * self.spacing) * times)
+        shift = np.exp(-1j * (self.delta_min + h * self.spacing) * times)[:, None]
 
-        flat = values.reshape(m, -1)
-        out = np.empty((len(times), flat.shape[1]), dtype=complex)
-        rows = np.empty((min(FFT_COLUMNS, flat.shape[1]), length), dtype=complex)
-        for lo in range(0, flat.shape[1], FFT_COLUMNS):
-            block = rows[: min(FFT_COLUMNS, flat.shape[1] - lo)]
-            cols = flat[:, lo : lo + FFT_COLUMNS].T
+        rows = np.empty((min(FFT_COLUMNS, values.shape[1]), length), dtype=complex)
+        group = np.empty((len(times), len(rows)), dtype=complex)
+        for lo in range(0, values.shape[1], FFT_COLUMNS):
+            block = rows[: min(FFT_COLUMNS, values.shape[1] - lo)]
+            cols = values[:, lo : lo + FFT_COLUMNS].T
             # modes 0 .. m-h-1 fill the slots [0, m-h), modes -h .. -1 the
             # slots [length-h, length); the gap between them stays zero
             np.multiply(cols[:, h:], weights[h:], out=block[:, : m - h])
@@ -152,14 +176,14 @@ class SpectralGrid:
             np.multiply(cols[:, :h], weights[:h], out=block[:, length - h :])
             np.fft.fft(block, axis=1, out=block)
             nodes = block.T
+            sums = group[:, : len(block)]
             for t0 in range(0, len(times), TIME_BLOCK):
                 span = slice(t0, t0 + TIME_BLOCK)
                 # no name holds the gathered nodes, so one time block's are
                 # freed before the next block's are gathered
-                interpolated = (kernel[span] @ nodes[stencil[span]].view(float)).view(complex)
-                out[span, lo : lo + FFT_COLUMNS] = interpolated[:, 0]
-        out *= shift[:, None]
-        return out.reshape((len(times),) + values.shape[1:])
+                sums[span] = (kernel[span] @ nodes[stencil[span]].view(float)).view(complex)[:, 0]
+            sums *= shift
+            yield lo, sums
 
 
 @dataclass(frozen=True)
@@ -210,36 +234,75 @@ class DelayedTerms:
             self.lam0,
         )
 
+    def rows(self, span: slice) -> DelayedTerms:
+        """The rows in span, with all their terms."""
+        return DelayedTerms(self.delays[span], self.steps[span], self.ramps[span], self.lam0)
+
     def transform(self, times: np.ndarray, into: Optional[np.ndarray] = None) -> np.ndarray:
         """The exact transform at each time, shape (len(times), rows); added
         in place to into, and into returned, when it is given.
 
-        e^{-i lam0 (t - d)} = e^{-i lam0 t} e^{i lam0 d}, so with each row's
-        delays sorted, a time reads the cumulative sums of s e^{i lam0 d},
-        q e^{i lam0 d} and q d e^{i lam0 d} over the delays below it:
+        e^{-i lam0 (t - d)} = e^{-i lam0 (t - a)} e^{i lam0 (d - a)} for any
+        anchor a, so with each row's delays sorted, a time reads the
+        cumulative sums of s e^{i lam0 (d - a)}, q e^{i lam0 (d - a)} and
+        q (d - a) e^{i lam0 (d - a)} over the delays below it:
         O(rows (terms + n_t) log terms), with no rows x terms x n_t array.  A
-        delay equal to a time counts whole (theta(0) = 1).  Every delay is
-        >= 0, so a time before 0 reads exactly 0; e^{-i lam0 t} is taken at
-        max(t, 0), where it cannot overflow.
+        delay equal to a time counts whole (theta(0) = 1).  The anchors keep
+        every factor in range: a term is measured from the start a of its bin
+        of delays, bins GROWTH_MAX / |Im lam0| wide from 0, so that
+        |e^{i lam0 (d - a)}| <= e^GROWTH_MAX, and each bin's sums start from
+        the earlier bins' carried to its start.  With more than one bin, a
+        time reads the sums measured from the last delay below it, so its
+        e^{-i lam0 (t - d)} underflows only with the value itself; with one
+        (every delay below GROWTH_MAX / |Im lam0|), the anchor is 0.
+        e^{-i lam0 t} is taken at max(t, 0), where it cannot overflow: every
+        delay is >= 0, so a time before 0 reads exactly 0.
         """
         times = np.asarray(times, dtype=float)
         t_last = float(np.max(times, initial=0.0))
         sort = np.argsort(self.delays, axis=1)
         d = np.take_along_axis(self.delays, sort, axis=1)
         # a term starting after the last time is never read; capping its delay
-        # in the exponent keeps |e^{i lam0 d}| below e^{-Im(lam0) t_last}
-        grow = np.exp(1j * self.lam0 * np.minimum(d, t_last))
+        # keeps its factor in range
+        capped = np.minimum(d, t_last)
+        width = GROWTH_MAX / -self.lam0.imag
+        bins = np.floor(capped / width)
+        start = width * bins
+        since = capped - start
+        grow = np.exp(1j * self.lam0 * since)
         s = np.take_along_axis(self.steps, sort, axis=1) * grow
         q = np.take_along_axis(self.ramps, sort, axis=1) * grow
+        terms = np.stack([s, q, q * since], axis=1)
         sums = np.zeros((len(d), 3, d.shape[1] + 1), dtype=complex)
-        np.cumsum(np.stack([s, q, q * d], axis=1), axis=2, out=sums[:, :, 1:])
+        last = int(np.max(bins, initial=0.0))
+        for b in range(last + 1):
+            inside = (bins == b)[:, None]
+            part = np.cumsum(np.where(inside, terms, 0.0), axis=2)
+            if b:
+                part += carry[:, :, None]
+            np.copyto(sums[:, :, 1:], part, where=inside)
+            if b < last:
+                # every term so far, measured from the next bin's start
+                a, bq, bd = np.moveaxis(part[:, :, -1], 1, 0)
+                carry = np.stack([a, bq, bd - width * bq], axis=1)
+                carry *= np.exp(-1j * self.lam0 * width)
         if into is None:
             into = np.zeros((len(times), len(d)), dtype=complex)
-        factor = -2j * math.pi * np.exp(-1j * self.lam0 * np.maximum(times, 0.0))
+        factor, elapsed = -2j * math.pi * np.exp(-1j * self.lam0 * np.maximum(times, 0.0)), times
+        if last:
+            # the delay and bin start of each row's last term on, 0 before its first
+            latest, anchors = (np.pad(a, ((0, 0), (1, 0))) for a in (capped, start))
         for r in range(len(d)):
             on = np.searchsorted(d[r], times, side="right")
             s_sum, q_sum, qd_sum = np.take(sums[r], on, axis=1)
-            column = s_sum - 1j * (times * q_sum - qd_sum)
+            if last:
+                # the sums measured from the last delay on, not its bin's start
+                back = latest[r, on] - anchors[r, on]
+                shift = np.exp(-1j * self.lam0 * back)
+                s_sum, q_sum, qd_sum = s_sum * shift, q_sum * shift, (qd_sum - back * q_sum) * shift
+                elapsed = times - latest[r, on]
+                factor = -2j * math.pi * np.exp(-1j * self.lam0 * np.maximum(elapsed, 0.0))
+            column = s_sum - 1j * (elapsed * q_sum - qd_sum)
             column *= factor
             into[:, r] += column
         return into
@@ -282,6 +345,13 @@ class ResolventSet:
         """The full resolvent [delta - H(delta)]^{-1} psi0, shape (M, N); its
         leading terms are summed directly, so this is for small grids."""
         return self.x + self.ramps.samples(self.deltas)
+
+    @property
+    def arrival(self) -> np.ndarray:
+        """When the excitation can first reach each atom: min_b |z_a - z_b| / v_g
+        over the atoms b psi0 occupies (0 for those, and for every atom on the
+        resonant kernel)."""
+        return self.ramps.delays.min(axis=1)
 
     def projected(self, bra: np.ndarray) -> ResolventSet:
         """The sweep of the one amplitude <bra|b> = sum_a bra_a b_a: the column
@@ -594,17 +664,74 @@ def resolvent_sweep(
     )
 
 
-def time_domain(slices: ResolventSet, t_grid: np.ndarray) -> AmplitudeTrajectory:
-    """Synthesise b(t) from the resolvent slices by the discrete sum,
-    evaluated at any t_grid by the grid's non-uniform FFT (fourier_sum).
+@dataclass
+class SweptTrajectory:
+    """b(t) on a time grid, kept as the sweep it is synthesised from.
+
+    blocks() synthesises it FFT_COLUMNS atoms at a time on every time: one
+    column group of the Fourier sum of x (SpectralGrid.fourier_groups) plus
+    the group's ramps, so reading it holds one n_t x FFT_COLUMNS group,
+    never the n_t x N array.  Each group is synthesised at the probes as
+    well, extra times before every arrival that blocks() does not hand on,
+    and a full read sets leak: synthesis_leak of every group at the probes
+    and at t, NaN until then.  amplitudes and population build the whole
+    n_t x N array, for callers that want it whole.
+    """
+
+    t: np.ndarray
+    sweep: ResolventSet
+    probes: np.ndarray = field(default_factory=lambda: np.empty(0))
+    leak: float = field(default=math.nan, init=False)
+
+    @property
+    def n_atoms(self) -> int:
+        return self.sweep.x.shape[1]
+
+    def _groups(self, times: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+        """(atoms, b of those atoms at times) for each column group."""
+        for lo, amps in self.sweep.grid.fourier_groups(self.sweep.x, times):
+            atoms = slice(lo, lo + amps.shape[1])
+            self.sweep.ramps.rows(atoms).transform(times, into=amps)
+            amps *= -1.0 / (2.0j * math.pi)
+            yield atoms, amps
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        out = np.empty((len(self.t), self.n_atoms), dtype=complex)
+        for atoms, amps in self._groups(self.t):
+            out[:, atoms] = amps
+        return out
+
+    population = ModalTrajectory.population
+
+    def blocks(self) -> Iterator[tuple[slice, slice, np.ndarray]]:
+        """(times, atoms, rows) of the amplitudes: every time, FFT_COLUMNS
+        atoms at a time, each rows valid until the next is asked for."""
+        self.leak = math.nan
+        times = np.concatenate([self.probes, self.t])
+        arrival = self.sweep.arrival
+        leaks = []
+        for atoms, amps in self._groups(times):
+            leaks.append(synthesis_leak(arrival[atoms], times, amps))
+            yield slice(0, len(self.t)), atoms, amps[len(self.probes) :]
+        self.leak = float(np.max(leaks, initial=0.0))
+
+
+def time_domain(
+    slices: ResolventSet, t_grid: np.ndarray, probes: np.ndarray = ()
+) -> SweptTrajectory:
+    """b(t) on t_grid from the resolvent slices by the discrete sum,
+    evaluated at any t_grid by the grid's non-uniform FFT (fourier_groups),
+    and kept as its sweep until it is read (SweptTrajectory); probes are the
+    extra times that its read checks the leak at.
 
     The sweep has removed the two leading large-detuning terms of x(delta)
     (see module docstring), so only the O(1/delta^3) remainder is summed
     numerically, and the exact transform of the removed terms, slices.ramps,
-    is added in place to the sum: b(0) = psi0 holds by construction (the
-    steps are causal) and negative times probe pure window leakage
-    (causality).  No M x N or n_t x N array besides the result is formed.
-    A projected sweep (ResolventSet.projected) gives its one amplitude.
+    is added in place to each column group: b(0) = psi0 holds by
+    construction (the steps are causal) and negative times probe pure window
+    leakage (causality).  A projected sweep (ResolventSet.projected) gives
+    its one amplitude.
 
     The times must lie within half the alias-free window W, which build_grid
     makes at least 2 t_max.  The sum is periodic in W, so it adds b(t + W) to
@@ -612,25 +739,22 @@ def time_domain(slices: ResolventSet, t_grid: np.ndarray) -> AmplitudeTrajectory
     bounds (synthesis_leak).
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    probes = np.asarray(probes, dtype=float)
     half_window = 0.5 * slices.grid.alias_window
-    if np.any(np.abs(t_grid) > half_window):
+    if np.any(np.abs(np.concatenate([probes, t_grid])) > half_window):
         raise ValueError(
             f"requested times extend beyond the alias-free window +/-{half_window:.3g}"
         )
-    amps = slices.grid.fourier_sum(slices.x, t_grid)
-    slices.ramps.transform(t_grid, into=amps)
-    amps *= -1.0 / (2.0j * math.pi)
-    return AmplitudeTrajectory(t=t_grid, amplitudes=amps)
+    return SweptTrajectory(t_grid, slices, probes)
 
 
-def synthesis_leak(slices: ResolventSet, trajectory: AmplitudeTrajectory) -> float:
-    """The largest |b_a(t)| of a synthesised trajectory at its times t before
-    the excitation can reach atom a, at min_b |z_a - z_b| / v_g over the
-    atoms b psi0 occupies (0 for those, and for every atom on the resonant
-    kernel).  b_a vanishes there exactly, so this is pure window error: the
-    negative times for every atom, and on the retarded kernel the times before
-    the light reaches each atom psi0 does not occupy.
+def synthesis_leak(arrival: np.ndarray, t: np.ndarray, amplitudes: np.ndarray) -> float:
+    """The largest |b_a(t)| of synthesised amplitudes (one column per atom a)
+    at the times t before the excitation can reach atom a, arrival[a]
+    (ResolventSet.arrival).  b_a vanishes there exactly, so this is pure
+    window error: the negative times for every atom, and on the retarded
+    kernel the times before the light reaches each atom psi0 does not
+    occupy.
     """
-    arrival = slices.ramps.delays.min(axis=1)
-    early = trajectory.t[:, None] < arrival
-    return float(np.max(np.abs(trajectory.amplitudes), where=early, initial=0.0))
+    early = t[:, None] < arrival
+    return float(np.max(np.abs(amplitudes), where=early, initial=0.0))

@@ -44,6 +44,7 @@ from wgqed.dynamics import (
     modal_expansion,
     pole_sums,
 )
+from wgqed.spectral import synthesis_leak, time_domain
 
 
 def _series(t, y):
@@ -1045,11 +1046,14 @@ def test_main_names_the_failing_checks(monkeypatch, capsys):
 # --- the poles route streams its trajectory ----------------------------------------
 
 
-def _dense_series(amplitudes, t, psi0, array, params):
+def _dense_series(amplitudes, t, psi0, array, params, fluxes=None):
     """The oracle: the series of a whole n_t x N amplitude array, each
-    projection one matrix-vector product over every time at once."""
+    projection one matrix-vector product over every time at once; fluxes,
+    when given, are the (right, left) outflows that replace Phi_+/-."""
     phase = np.exp(-1j * params.k_wg * array.positions)
     half = 0.5 * params.gamma_wg
+    if fluxes is None:
+        fluxes = [half * np.abs(amplitudes @ bra) ** 2 for bra in (phase, np.conj(phase))]
     p = np.sum(np.abs(amplitudes) ** 2, axis=1)
     emitters = amplitudes[:, array.emitter_start : array.emitter_stop]
     return ProbabilitySeries(
@@ -1057,8 +1061,8 @@ def _dense_series(amplitudes, t, psi0, array, params):
         p,
         np.abs(amplitudes @ np.conj(psi0.amplitudes)) ** 2,
         np.sum(np.abs(emitters) ** 2, axis=1),
-        _cumulative(half * np.abs(amplitudes @ np.conj(phase)) ** 2, t),
-        _cumulative(half * np.abs(amplitudes @ phase) ** 2, t),
+        _cumulative(fluxes[1], t),
+        _cumulative(fluxes[0], t),
         _cumulative(params.gamma_raman * p, t),
         _cumulative(params.gamma_ext * p, t),
     )
@@ -1101,6 +1105,66 @@ def test_a_poles_run_holds_no_time_by_atom_array():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+# --- the sweep route streams its synthesis ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig(scenario="fig7b", scale=0.05),
+        RunConfig(scenario="fig7a", scale=0.05),
+        RunConfig(scenario="fig2", scale=0.1, method="spectral"),
+        RunConfig(scenario="fig7b", scale=0.02, ensemble=2),
+    ],
+    ids=["fig7b", "fig7a", "fig2-spectral", "fig7b-ensemble"],
+)
+def test_the_streamed_sweep_series_matches_the_whole_array(monkeypatch, config):
+    import wgqed.cli
+
+    original, calls = wgqed.cli.probabilities, []
+
+    def recorded(*args):
+        series = original(*args)
+        calls.append((args, series))
+        return series
+
+    monkeypatch.setattr(wgqed.cli, "probabilities", recorded)
+    result = run(config)
+    assert len(calls) == config.ensemble
+    leaks = []
+    for (trajectory, psi0, array, params, fluxes), series in calls:
+        assert fluxes is not None
+        # the whole array at the probes and the times, as one synthesis
+        times = np.concatenate([trajectory.probes, trajectory.t])
+        amplitudes = time_domain(trajectory.sweep, times).amplitudes
+        n_probes = len(trajectory.probes)
+        oracle = _dense_series(amplitudes[n_probes:], trajectory.t, psi0, array, params, fluxes)
+        for channel in fields(ProbabilitySeries):
+            got, want = getattr(series, channel.name), getattr(oracle, channel.name)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), channel.name
+        leak = synthesis_leak(trajectory.sweep.arrival, times, amplitudes)
+        assert trajectory.leak == leak
+        leaks.append(leak)
+    assert result.summary.data["checks"]["synthesis_leak"]["value"] == max(leaks)
+
+
+def test_a_sweep_run_holds_no_time_by_atom_array():
+    # fig7b at scale 0.05 (N = 55, M = 4096): 9.2 MiB while the synthesis
+    # held its 2065 x 55 amplitudes (1.7 MiB) beside x (3.4 MiB) and gathered
+    # the nodes of 512 times at once (1.5 MiB); about 6.5 MiB now that b is
+    # synthesised and read FFT_COLUMNS atoms at a time, where the sweep with
+    # its work buffer alone takes 6.1 MiB
+    config = RunConfig(scenario="fig7b", scale=0.05)
+    run(config)  # first-call allocations stay out of the reading
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_the_pole_check_builds_no_front_table():

@@ -135,7 +135,7 @@ def test_resonant_sweep_synthesis_matches_the_expm_oracle(params):
         slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
         traj = time_domain(slices, times)
         errors.append(np.max(np.abs(traj.amplitudes[-len(t) :] - oracle)))
-        leaks.append(synthesis_leak(slices, traj))
+        leaks.append(synthesis_leak(slices.arrival, times, traj.amplitudes))
     assert errors[0] < 1e-6
     assert errors[1] <= leaks[1] and leaks[1] > LEAK_TOL
 

@@ -520,6 +520,41 @@ def test_delayed_terms_read_zero_long_before_every_delay():
     assert np.array_equal(out, np.zeros((2, 1)))
 
 
+def test_delayed_terms_stay_finite_long_after_a_late_delay():
+    # |e^{i lam0 d}| overflows past d = 709.8 / 0.505 (about 1405); measured
+    # from the start of its bin of delays, a term delayed by 1500 reads its
+    # exact transform long after it, as a step and as a ramp
+    times = np.array([1600.0, 2000.0])
+    lag = times - 1500.0
+    decay = np.exp(-0.505 * lag)
+    one, zero = np.ones((1, 1)), np.zeros((1, 1))
+    with np.errstate(over="raise", invalid="raise"):
+        step = DelayedTerms(np.array([[1500.0]]), one, zero, -0.505j).transform(times)
+        ramp = DelayedTerms(np.array([[1500.0]]), zero, one, -0.505j).transform(times)
+    assert_allclose(step[:, 0], -2j * np.pi * decay, rtol=1e-12)
+    assert_allclose(step[:, 0].imag, [-7.35e-22, -1.377e-109], rtol=1e-3)
+    assert_allclose(ramp[:, 0], -2.0 * np.pi * lag * decay, rtol=1e-12)
+
+
+def test_delayed_terms_carry_every_bin_of_delays():
+    # delays over many bins, some empty, and one past the last time, against
+    # every term evaluated from its own delay: each time agrees to 1e-12 of
+    # the sum of its terms' magnitudes, whatever its size
+    lam0 = 0.3 - 0.505j
+    delays = np.array(
+        [[0.5, 100.0, 130.0, 900.0, 1500.0, 2600.0], [2000.0, 2900.0, 10.0, 5.0, 1200.0, 3500.0]]
+    )
+    rng = np.random.default_rng(4)
+    steps, ramps = rng.normal(size=(2, 2, 6)) + 1j * rng.normal(size=(2, 2, 6))
+    t = np.concatenate([[-10.0, 0.0, 1500.0], np.linspace(0.25, 3100.0, 97)])
+    lag = np.maximum(t[:, None, None] - delays[None], 0.0)
+    on = t[:, None, None] >= delays[None]
+    terms = np.where(on, -2j * np.pi * (steps - 1j * ramps * lag) * np.exp(-1j * lam0 * lag), 0.0)
+    with np.errstate(over="raise", invalid="raise"):
+        fast = DelayedTerms(delays, steps, ramps, lam0).transform(t)
+    assert np.all(np.abs(fast - terms.sum(axis=2)) <= 1e-12 * np.abs(terms).sum(axis=2))
+
+
 @_KERNELS
 def test_lead_is_the_fronts_on_the_grid(params, retarded):
     # the sweep's grid samples of the outgoing lead against the direct sum of
@@ -600,11 +635,13 @@ def test_synthesis_leak_tracks_the_trajectory_error(converged_cavity, params):
     arr, psi0, gamma_fast, t_max, times, reference = converged_cavity
     exact = time_domain(reference, times).amplitudes
     slices, traj = _synthesis(arr, psi0, gamma_fast, t_max, SPAN_FACTOR_RETARDED, times, params)
-    error = np.max(np.abs(traj.amplitudes - exact))
-    leak = synthesis_leak(slices, traj)
+    amplitudes = traj.amplitudes
+    error = np.max(np.abs(amplitudes - exact))
+    leak = synthesis_leak(slices.arrival, times, amplitudes)
     assert error / 3 <= leak <= 3 * error
     # negative times alone see only the window error of the short delays
-    assert synthesis_leak(slices, replace(traj, t=np.where(times < 0, times, np.inf))) < leak
+    negative = np.where(times < 0, times, np.inf)
+    assert synthesis_leak(slices.arrival, negative, amplitudes) < leak
 
 
 def test_synthesis_leak_reads_the_alias_of_a_short_window(converged_cavity, params):
@@ -615,8 +652,9 @@ def test_synthesis_leak_reads_the_alias_of_a_short_window(converged_cavity, para
     times = np.concatenate([-t[:0:-64], t])
     exact = time_domain(reference, times).amplitudes
     slices, traj = _synthesis(arr, psi0, gamma_fast, 8.0, SPAN_FACTOR_RETARDED, times, params)
-    error = np.max(np.abs(traj.amplitudes - exact))
-    leak = synthesis_leak(slices, traj)
+    amplitudes = traj.amplitudes
+    error = np.max(np.abs(amplitudes - exact))
+    leak = synthesis_leak(slices.arrival, times, amplitudes)
     assert error / 3 <= leak <= 3 * error
     assert leak > 100 * LEAK_TOL
 
@@ -638,7 +676,8 @@ def test_retarded_profiles_and_outflow_match_a_converged_reference(converged_cav
 
 def test_time_domain_allocates_less_than_the_sweep(params):
     # after the sweep no M x N array is allocated: the pole terms were removed
-    # on the grid, and the FFT blocks are FFT_COLUMNS wide
+    # on the grid, and the FFT blocks are FFT_COLUMNS wide; the synthesis is
+    # taken as its blocks are read
     arr = build_chain(ChainSpec(25, 10, 25, gap_d0=174000.25))
     psi0 = dicke_initial_state(arr, params)
     grid = SpectralGrid(-40.0, 40.0, 2**15)
@@ -646,7 +685,8 @@ def test_time_domain_allocates_less_than_the_sweep(params):
     t = default_time_grid(2.5, 8.0)
     tracemalloc.start()
     try:
-        time_domain(slices, t)
+        for _ in time_domain(slices, t).blocks():
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -681,41 +721,37 @@ def test_sweep_holds_x_and_one_chunk_buffer(monkeypatch):
 
 
 def test_sweep_route_synthesises_a0_without_an_n_dicke_by_n_block(monkeypatch):
-    # on fig7b --scale 0.05 (N = 55) the run's syntheses trace no more than
-    # the trajectory's alone plus half of the (n_dicke, N) block (225 KiB)
-    # that synthesising every amplitude at the Dicke times, only to contract
-    # them with psi0, held: a0 is synthesised from one projected column
+    # on fig7b --scale 0.05 (N = 55) reading a0 traces no more than reading
+    # the trajectory plus half of the (n_dicke, N) block (225 KiB) that
+    # synthesising every amplitude at the Dicke times, only to contract them
+    # with psi0, held: a0 is synthesised from one projected column
     import wgqed.cli as cli
 
     config = RunConfig(scenario="fig7b", scale=0.05)
     run(config)  # first, so that the FFT's plan caches are not traced
     synthesis, calls = cli.time_domain, []
 
-    def traced(slices, t_grid):
+    def recorded(slices, *times):
+        calls.append((slices, times))
+        return synthesis(slices, *times)
+
+    monkeypatch.setattr(cli, "time_domain", recorded)
+    run(config)
+    peaks = []
+    for read in (lambda b: [None for _ in b.blocks()], lambda b: b.amplitudes):
+        slices, times = calls[len(peaks)]
         tracemalloc.start()
         try:
-            trajectory = synthesis(slices, t_grid)
-            peak = tracemalloc.get_traced_memory()[1]
-            calls.append((slices, t_grid, peak, trajectory.amplitudes.shape[1]))
+            read(synthesis(slices, *times))
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        return trajectory
-
-    monkeypatch.setattr(cli, "time_domain", traced)
-    result = run(config)
-    sweep, times = calls[0][0], calls[0][1]
-    times = np.concatenate([times[times < 0.0], result.series.t])
-    tracemalloc.start()
-    try:
-        synthesis(sweep, times)
-        alone = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sweep = calls[0][0]
     block = cli.DICKE_SAMPLES * sweep.x.shape[1] * 16
     assert sweep.x.shape[1] == 55
-    assert max(peak for _, _, peak, _ in calls) < alone + block / 2
+    assert peaks[1] < peaks[0] + block / 2
     # one synthesis of the trajectory, one of the single column a0
-    assert [columns for *_, columns in calls] == [55, 1]
+    assert [slices.x.shape[1] for slices, _ in calls] == [55, 1]
 
 
 def test_fourier_sum_gathers_one_time_block_at_a_time():
