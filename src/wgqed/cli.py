@@ -435,9 +435,11 @@ def _member_pipeline(
         spectra = tuple(emission_spectrum(modes, array, params, d) for d in (+1, -1))
         lap("emission_spectra")
         trajectory = evolve_markovian(modes, t_grid)
-        jc_fit = jc_model(modes.evals, (bra @ modes.vecs) * modes.coeffs)
+        # the residues A_j of a0 = sum_j A_j e^{-i lambda_j t}
+        residues = (bra @ modes.vecs) * modes.coeffs
+        jc_fit = jc_model(modes.evals, residues)
         lap("evolution")
-        overlap = superradiant_overlap(modes, psi0)
+        overlap = superradiant_overlap(modes.evals, residues)
         lap("superradiant_overlap")
         checks = {
             "residual_max": modes.residual,

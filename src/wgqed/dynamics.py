@@ -1,19 +1,19 @@
 """Markovian time evolution and the excitation-probability bookkeeping.
 
 b(t) = exp(-i H t) psi0 via the one eigendecomposition of the complex
-symmetric H (modal_expansion), which the superradiant overlap reads too.
-modal_expansion raises NumericalError on eigenvectors too ill-conditioned for
-it (CONDITION_MAX) and on a modal residual over RESIDUAL_TOL, as the resonant
-kernel has no other route, so every ModalExpansion is usable; the sweep's
-resolvent residual takes the same gate (check_residual).  evolve_markovian
-keeps b(t) as its modal expansion (ModalTrajectory), and probabilities takes
-its pole sums CHUNK times at a time, so no n_t x N array is built: the poles
-route holds H, V and N x CHUNK blocks.  The sweep route's trajectory
-(spectral.SweptTrajectory) is read the other way round, every time of a
-group of atoms at a time, through the same loop.  The probability series
-tracks p, p0, p_a and the cumulative energy emitted into each decay channel.
-Under the resonant kernel the directional guided fluxes follow from the
-rank-2 structure of the coherent channel:
+symmetric H (modal_expansion), whose residues of <psi0|b(t)> the superradiant
+overlap reads as analytic.jc_model does.  modal_expansion raises NumericalError
+on eigenvectors too ill-conditioned for it (CONDITION_MAX) and on a modal
+residual over RESIDUAL_TOL, as the resonant kernel has no other route, so
+every ModalExpansion is usable; the sweep's resolvent residual takes the same
+gate (check_residual).  evolve_markovian keeps b(t) as its modal expansion
+(ModalTrajectory), and probabilities takes its pole sums CHUNK times at a
+time, so no n_t x N array is built: the poles route holds H, V and N x CHUNK
+blocks.  The sweep route's trajectory (spectral.SweptTrajectory) is read the
+other way round, every time of a group of atoms at a time, through the same
+loop.  The probability series tracks p, p0, p_a and the cumulative energy
+emitted into each decay channel.  Under the resonant kernel the directional
+guided fluxes follow from the rank-2 structure of the coherent channel:
 
     Phi_+/- (t) = (Gamma_wg / 2) |sum_a e^{-/+ i k_wg z_a} b_a(t)|^2 ,
 
@@ -32,7 +32,6 @@ exponential that the tests use as the dense oracle, does.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -47,7 +46,7 @@ CONDITION_MAX = 1e8
 RESIDUAL_TOL = 1e-10
 
 # Relative gap below which superradiant_overlap treats the fastest decay rates
-# as one degenerate cluster.
+# as one degenerate cluster, whose residues it sums.
 DEGENERACY_TOL = 1e-8
 
 # Rows per block of a table over the poles built directly (pole_sums on a
@@ -368,37 +367,21 @@ def probabilities(
     return ProbabilitySeries(traj.t, p, p0, pa, e_left, e_right, e_raman, e_ext)
 
 
-def superradiant_overlap(modes: ModalExpansion, psi0: StateVector) -> float:
-    """Weight of the initial state on the fastest-decaying collective mode of
-    the expansion's eigensystem.
+def superradiant_overlap(poles: np.ndarray, residues: np.ndarray) -> float:
+    """Weight of the initial state on the fastest-decaying collective mode.
 
-    Modal amplitudes of the non-Hermitian H come from the biorthogonal (left
-    eigenvector) expansion; with right eigenvectors v normalised to unit
-    Euclidean norm the reported overlap is |v^T psi0| |v^dagger psi0| / |v^T v|,
-    which reduces to the plain projection |<v|psi0>|^2 for real modes.  A
-    degenerate fastest decay rate (within DEGENERACY_TOL, relative) sums the
-    projection over the cluster and emits a warning.
+    residues are the A_j = (psi0^dagger V)_j c_j of the Dicke amplitude
+    a0(t) = sum_j A_j e^{-i poles_j t}, as jc_model reads them.  The value is
+    |sum A_j| over the cluster of poles whose rate -2 Im lambda lies within
+    DEGENERACY_TOL (relative) of the fastest: |psi0^dagger P psi0| with P the
+    cluster's spectral projector, so it does not depend on the basis eig
+    picks inside a degenerate cluster.  On a simple mode v it is the
+    biorthogonal projection |v^T psi0| |v^dagger psi0| / |v^T v|, which is
+    |<v|psi0>|^2 for a real mode.
     """
-    rates = -2.0 * modes.evals.imag
-    top = rates.max()
-    cluster = np.nonzero(rates >= top * (1.0 - DEGENERACY_TOL))[0]
-    if len(cluster) > 1:
-        warnings.warn(
-            f"fastest decay rate is {len(cluster)}-fold degenerate; "
-            "returning the summed projection over the cluster",
-            stacklevel=2,
-        )
-    psi = psi0.amplitudes
-    total = 0.0
-    for idx in cluster:
-        v = modes.vecs[:, idx]
-        v = v / np.linalg.norm(v)
-        vtv = v @ v
-        if abs(vtv) < 1e-12:
-            warnings.warn("nearly self-orthogonal superradiant mode", stacklevel=2)
-            continue
-        total += abs(v @ psi) * abs(np.conj(v) @ psi) / abs(vtv)
-    return float(total)
+    rates = -2.0 * poles.imag
+    cluster = rates >= rates.max() * (1.0 - DEGENERACY_TOL)
+    return float(abs(residues[cluster].sum()))
 
 
 def fit_decay_rate(

@@ -650,6 +650,16 @@ def test_retarded_run_makes_no_eig(monkeypatch):
     assert all("superradiant_overlap" not in m for m in summary["timings"]["members"])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [0.3, 1.0])
+def test_degenerate_fastest_cluster_overlap_is_a_weight(scale):
+    # fig5's fastest decay rate is 2-fold degenerate: the cluster's summed
+    # residue is still a weight, and the run warns of nothing
+    overlap = run(RunConfig(scenario="fig5", scale=scale)).summary.data["superradiant_overlap"]
+    assert 0.0 <= overlap <= 1.0 + 1e-12
+    assert overlap == pytest.approx(1.0, abs=1e-9)
+
+
 @pytest.mark.parametrize(
     "cfg, n_members",
     [

@@ -15,8 +15,9 @@ from wgqed import (
     probabilities,
     superradiant_overlap,
 )
-from wgqed.cli import LEAK_TOL
+from wgqed.cli import LEAK_TOL, RunConfig, _resolve_chain
 from wgqed.dynamics import (
+    DEGENERACY_TOL,
     NumericalError,
     ProbabilitySeries,
     _cumulative,
@@ -246,35 +247,75 @@ def test_profile_and_dicke_grids_are_uniform(t_max):
     assert _uniform_step(np.linspace(0.0, t_max, 257)) is not None
 
 
-def test_overlap_equal_segments_is_third(params):
-    arr = build_chain(ChainSpec(10, 10, 10))
+def _overlap(arr, params):
+    """The run's superradiant overlap of the Dicke state on arr, and its modes."""
     psi0 = dicke_initial_state(arr, params)
     modes = modal_expansion(effective_hamiltonian(arr, params), psi0)
-    assert superradiant_overlap(modes, psi0) == pytest.approx(1.0 / 3.0, rel=1e-9)
+    residues = (np.conj(psi0.amplitudes) @ modes.vecs) * modes.coeffs
+    return superradiant_overlap(modes.evals, residues), modes, psi0
+
+
+def _per_mode_overlap(modes, psi0):
+    """The per-mode biorthogonal projections |v^T psi0| |v^dagger psi0| / |v^T v|
+    of unit right eigenvectors, summed over the fastest cluster: the oracle."""
+    rates = -2.0 * modes.evals.imag
+    cluster = np.nonzero(rates >= rates.max() * (1.0 - DEGENERACY_TOL))[0]
+    psi = psi0.amplitudes
+    total = 0.0
+    for idx in cluster:
+        v = modes.vecs[:, idx] / np.linalg.norm(modes.vecs[:, idx])
+        total += abs(v @ psi) * abs(np.conj(v) @ psi) / abs(v @ v)
+    return total
+
+
+def test_overlap_equal_segments_is_third(params):
+    overlap, _, _ = _overlap(build_chain(ChainSpec(10, 10, 10)), params)
+    assert overlap == pytest.approx(1.0 / 3.0, rel=1e-9)
 
 
 def test_overlap_bare_emitter_is_unity(params):
-    arr = build_chain(ChainSpec(0, 12, 0))
-    psi0 = dicke_initial_state(arr, params)
-    modes = modal_expansion(effective_hamiltonian(arr, params), psi0)
-    assert superradiant_overlap(modes, psi0) == pytest.approx(1.0, abs=1e-3)
+    overlap, _, _ = _overlap(build_chain(ChainSpec(0, 12, 0)), params)
+    assert overlap == pytest.approx(1.0, abs=1e-3)
 
 
 def test_overlap_single_emitter_in_three_chain(params):
     # brute-force oracle: the half-wave chain's superradiant mode is the
     # alternating-sign vector, so the middle atom projects to exactly 1/3
-    arr = build_chain(ChainSpec(1, 1, 1))
-    psi0 = dicke_initial_state(arr, params)
-    modes = modal_expansion(effective_hamiltonian(arr, params), psi0)
-    assert superradiant_overlap(modes, psi0) == pytest.approx(1.0 / 3.0, rel=1e-9)
+    overlap, _, _ = _overlap(build_chain(ChainSpec(1, 1, 1)), params)
+    assert overlap == pytest.approx(1.0 / 3.0, rel=1e-9)
 
 
-def test_overlap_degenerate_cluster_warns():
-    ham = -0.5j * np.eye(4)
-    psi0 = StateVector(np.array([0.5, 0.5, 0.5, 0.5]))
-    with pytest.warns(UserWarning):
-        total = superradiant_overlap(modal_expansion(ham, psi0), psi0)
-    assert total == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.filterwarnings("error")
+def test_overlap_of_a_degenerate_cluster_is_basis_independent():
+    # a 3-fold fastest cluster beside one slower mode: mixing the cluster's
+    # eigenvectors by an invertible M (c' = M^-1 c) moves every residue but
+    # not their sum, the weight on the cluster's spectral projector
+    rng = np.random.default_rng(11)
+    ham = np.diag([-0.5j, -0.5j, -0.5j, -0.2j])
+    psi0 = StateVector(np.array([0.5, 0.5j, -0.5, 0.5]))
+    bra = np.conj(psi0.amplitudes)
+    modes = modal_expansion(ham, psi0)
+    mix = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    vecs, coeffs = modes.vecs.copy(), modes.coeffs.copy()
+    vecs[:, :3] = vecs[:, :3] @ mix
+    coeffs[:3] = np.linalg.solve(mix, coeffs[:3])
+    assert_allclose(vecs @ coeffs, psi0.amplitudes, atol=1e-12)
+    before = (bra @ modes.vecs) * modes.coeffs
+    after = (bra @ vecs) * coeffs
+    assert np.max(np.abs(after - before)) > 0.1
+    total = superradiant_overlap(modes.evals, before)
+    assert superradiant_overlap(modes.evals, after) == pytest.approx(total, abs=1e-12)
+    assert total == pytest.approx(0.75, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "scenario, scale, seed", [("fig2", 0.3, 0), ("fig3b", 0.1, 3), ("bare", 0.3, 0)]
+)
+def test_overlap_matches_the_per_mode_projection(params, scenario, scale, seed):
+    # a simple fastest mode on each: the residue is the biorthogonal projection
+    chain = _resolve_chain(RunConfig(scenario=scenario, scale=scale, seed=seed))[0]
+    overlap, modes, psi0 = _overlap(build_chain(chain), params)
+    assert overlap == pytest.approx(_per_mode_overlap(modes, psi0), abs=1e-12)
 
 
 # --- decay-rate fit ------------------------------------------------------------
