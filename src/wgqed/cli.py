@@ -418,11 +418,11 @@ def _member_pipeline(
         n_dicke = max(DICKE_SAMPLES, math.ceil(2.0 * gamma_fast * t_max / math.pi) + 1)
         t_dicke = np.linspace(0.0, t_max, n_dicke)
         dicke = (t_dicke, time_domain(sweep.projected(bra), t_dicke).amplitudes[:, 0])
-        del sweep  # the trajectory holds x until it is read
+        del sweep  # and its outgoing and lead: the trajectory holds x until it is read
         jc_fit = None
         fluxes = tuple(np.abs(sampled_amplitudes(spectra, t_grid).T) ** 2)
         lap("evolution")
-        checks, overlap = {"residual_max": trajectory.sweep.residual_max}, None
+        checks, overlap = {"residual_max": trajectory.residual_max}, None
     else:
         # the poles route: everything in closed form from the checked modal
         # expansion of H; b is summed block by block in probabilities, and the

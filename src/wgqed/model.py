@@ -503,11 +503,6 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     return words
 
 
-# np.compress holds an 8-byte index per byte it keeps, so a block is
-# compacted this many bytes at a time.
-_PIECE_BYTES = 1 << 15
-
-
 def _write_block(fh, columns, floats: list[int], text: dict, rows: slice, width: int) -> None:
     """Lay out the rows of a block as one byte matrix, a NUL-padded cell of
     `width` bytes per value with its separator in its last two bytes, and
@@ -527,10 +522,7 @@ def _write_block(fh, columns, floats: list[int], text: dict, rows: slice, width:
         strings = strings[rows]
         chars[:, j, : strings.itemsize] = strings.view(np.uint8).reshape(n, strings.itemsize)
     chars[..., -2:] = np.frombuffer(b",\0" * (len(columns) - 1) + b"\r\n", np.uint8).reshape(-1, 2)
-    chars = chars.ravel()
-    for start in range(0, len(chars), _PIECE_BYTES):
-        piece = chars[start : start + _PIECE_BYTES]
-        fh.write(np.compress(piece != 0, piece))
+    fh.write(chars.tobytes().translate(None, b"\0"))
 
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:

@@ -20,11 +20,13 @@ psi0 occupies, and delayed ramps -i (t - tau_ab) e^{-i lam0 (t - tau_ab)}
 theta(t - tau_ab).  Both parts are linear, so <bra|b(t)> is synthesised from
 the one column x bra (ResolventSet.projected).  A sweep holds x (M x N) and,
 per worker, one N x SCATTER_CHUNK work buffer: each chunk is solved in its
-own slice of x.  The synthesis is kept as its sweep (SweptTrajectory) and
-taken as it is read, FFT_COLUMNS atoms at a time: each column group of the
-non-uniform FFT, which gathers its nodes TIME_BLOCK times at a time, takes
-its atoms' delayed terms in place and is handed on, so no array of M or n_t
-rows by N is formed besides x.  The fields leaving the chain lead with the
+own slice of x.  The synthesis is kept as the part of its sweep it reads,
+x and the delayed terms (SweptTrajectory), and taken as it is read,
+FFT_COLUMNS atoms at a time: each column group of the non-uniform FFT (an
+exponential-of-semicircle gridding, see SpectralGrid.fourier_groups), which
+gathers its nodes TIME_BLOCK times at a time, takes its atoms' delayed terms
+in place and is handed on, so no array of M or n_t rows by N is formed
+besides x.  The fields leaving the chain lead with the
 delayed steps of psi0 itself, the pulse fronts, which the sweep samples on
 the grid for the same treatment; emission carries the delayed terms to each
 chain end for their exact transform.
@@ -42,11 +44,12 @@ from which the emission spectra follow.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import ModalTrajectory, check_residual
 # effective_hamiltonian is unused here: perfbench/tracer.py patches this name
@@ -58,14 +61,19 @@ MAX_GRID_POINTS = 2**20
 MIN_SPAN_FACTOR = 20.0
 # Detunings per scattering-recursion chunk.
 SCATTER_CHUNK = 2048
-# Gaussian gridding of the Fourier sum: an FFT grid OVERSAMPLING x M long and
-# 2 * HALF_WIDTH nodes per time, for an error of about e^{-8 pi} ~ 1e-11 of
-# sum_k |summand_k| (see SpectralGrid.fourier_groups).  FFT_COLUMNS columns
-# share one reused FFT block of FFT_COLUMNS x OVERSAMPLING x M elements and
-# are handed on as one group, and TIME_BLOCK times share one gather of their
-# nodes (0.4 MiB).
-OVERSAMPLING = 2
-HALF_WIDTH = 12
+# Gridding of the Fourier sum with the exponential-of-semicircle kernel
+# (Barnett, Magland and af Klinteberg, SIAM J. Sci. Comput. 41, C479, 2019):
+# an FFT grid int(OVERSAMPLING x M) long and 2 * HALF_WIDTH nodes per time,
+# with the shape ES_BETA, for an error below 1e-13 of sum_k |summand_k|
+# (see SpectralGrid.fourier_groups).  The kernel's Fourier transform has no
+# closed form; a KERNEL_NODES-point midpoint rule takes it once per grid.
+# FFT_COLUMNS columns share one reused FFT block of about
+# FFT_COLUMNS x OVERSAMPLING x M elements and are handed on as one group, and
+# TIME_BLOCK times share one gather of their nodes (0.25 MiB).
+OVERSAMPLING = 1.5
+HALF_WIDTH = 8
+ES_BETA = 0.98 * math.pi * 2 * HALF_WIDTH * (1.0 - 0.5 / OVERSAMPLING)
+KERNEL_NODES = 32
 FFT_COLUMNS = 8
 TIME_BLOCK = 128
 # DelayedTerms.transform measures each delay from the start of its bin, so
@@ -116,6 +124,31 @@ class SpectralGrid:
             out[:, lo : lo + sums.shape[1]] = sums
         return out.reshape((len(times),) + values.shape[1:])
 
+    @cached_property
+    def deconvolution(self) -> np.ndarray:
+        """spacing / phi_k for the centred mode numbers k of fourier_groups,
+        with phi_k = (1 / 2 pi) int dx phi(x / a) e^{i k x} the Fourier
+        coefficients of its kernel, a = HALF_WIDTH x the FFT node spacing.
+
+        The kernel is even and vanishes outside |z| < 1, so
+        phi_k = (a / pi) int_0^1 dz phi(z) cos(k a z), taken by a
+        KERNEL_NODES-point midpoint rule, one node at a time: each node turns
+        the phases e^{i k a z} on by one step, so no cosine is evaluated past
+        the first node.  Built once per grid: a frozen grid caches it.
+        """
+        m = self.n_points
+        a = HALF_WIDTH * 2.0 * math.pi / int(OVERSAMPLING * m)
+        step = a * (np.arange(m) - m // 2) / KERNEL_NODES
+        turn = np.exp(1j * step)
+        wave = np.exp(0.5j * step)
+        phi = np.zeros(m)
+        for j in range(KERNEL_NODES):
+            z = (j + 0.5) / KERNEL_NODES
+            phi += math.exp(ES_BETA * (math.sqrt(1.0 - z * z) - 1.0)) * wave.real
+            wave *= turn
+        phi *= a / (math.pi * KERNEL_NODES)
+        return self.spacing / phi
+
     def fourier_groups(
         self, values: np.ndarray, times: np.ndarray
     ) -> Iterator[tuple[int, np.ndarray]]:
@@ -124,64 +157,77 @@ class SpectralGrid:
         (len(times), group width).
 
         The times may be any reals: the sum is one type-2 non-uniform FFT by
-        Gaussian gridding (Dutt and Rokhlin 1993; Greengard and Lee, SIAM
-        Rev. 46, 2004).  With centred mode numbers k and
-        delta_k = delta_c + k d the sum is e^{-i delta_c t} f(d t), where
-        f(x) = sum_k c_k e^{-i k x}.  The periodised Gaussian
-        g(x) = sum_l e^{-(x - 2 pi l)^2 / (4 tau)} has the Fourier coefficients
-        sqrt(tau / pi) e^{-tau k^2}; dividing c_k by them, one FFT of length
-        R M (R = OVERSAMPLING) gives h on the nodes y_m = 2 pi m / (R M), and
-        f(x) = sum_m h(y_m) g(x - y_m) / (R M) over the 2 HALF_WIDTH nodes
-        nearest x.  tau = pi HALF_WIDTH / (M^2 R (R - 1/2)) balances the
-        aliasing of the FFT grid against the truncated kernel, and the error
-        is about e^{-pi HALF_WIDTH (R - 1) / (R - 1/2)} = e^{-8 pi} ~ 1e-11 of
-        sum_k |d values_k|.  The groups are transformed in place, in one
-        block that is reused for every group, and interpolated TIME_BLOCK
-        times at a time, so the gathered nodes never exceed
-        TIME_BLOCK x 2 HALF_WIDTH x FFT_COLUMNS.  Every group is written to
-        one reused buffer, so a group is valid until the next is asked for,
-        and a caller that reduces each group as it comes holds no
-        len(times) x columns array.
+        gridding with the exponential-of-semicircle kernel
+        phi(z) = e^{beta (sqrt(1 - z^2) - 1)}, |z| < 1 (Barnett, Magland and
+        af Klinteberg, SIAM J. Sci. Comput. 41, C479, 2019).  With centred
+        mode numbers k and delta_k = delta_c + k d the sum is
+        e^{-i delta_c t} f(d t), where f(x) = sum_k c_k e^{-i k x}.  On the
+        FFT grid of L = int(R M) nodes y_m = 2 pi m / L (R = OVERSAMPLING),
+        the kernel phi((x - y) / a), a = HALF_WIDTH x 2 pi / L, spans
+        2 HALF_WIDTH nodes and has the Fourier coefficients phi_k; dividing
+        c_k by them (deconvolution), one FFT of length L gives h on the
+        nodes, and f(x) = sum_m h(y_m) phi((x - y_m) / a) / L over the
+        2 HALF_WIDTH nodes nearest x.  beta = ES_BETA balances the aliasing
+        of the FFT grid against the kernel's truncation; against the direct
+        sum the error reads 3e-14 to 7e-14 of sum_k |d values_k|.
+
+        The groups are transformed in place, one row per column, in one block
+        that is reused for every group; each row's first 2 HALF_WIDTH - 1
+        nodes repeat after it, so each time's nodes are one contiguous window
+        of each row.  They are interpolated TIME_BLOCK times at a time, so
+        the gathered nodes never exceed TIME_BLOCK x 2 HALF_WIDTH x
+        FFT_COLUMNS.  Every group is written to one reused buffer, so a group
+        is valid until the next is asked for, and a caller that reduces each
+        group as it comes holds no len(times) x columns array.
         """
         times = np.asarray(times, dtype=float)
         m = self.n_points
-        length = OVERSAMPLING * m
-        tau = math.pi * HALF_WIDTH / (m**2 * OVERSAMPLING * (OVERSAMPLING - 0.5))
+        length = int(OVERSAMPLING * m)
         h = m // 2
-        modes = np.arange(m) - h
-        weights = np.sqrt(math.pi / tau) * np.exp(tau * modes**2)
-        weights *= self.spacing
+        weights = self.deconvolution
+        width = 2 * HALF_WIDTH
 
-        node = 2.0 * math.pi / length
-        x = np.mod(self.spacing * times, 2.0 * math.pi)
-        stencil = np.floor(x / node).astype(np.int32)[:, None] + np.arange(
-            1 - HALF_WIDTH, HALF_WIDTH + 1, dtype=np.int32
-        )
-        # one (1, 2 HALF_WIDTH) row per time, for a real batched matmul against
-        # the float view of the gathered (2 HALF_WIDTH, columns) nodes
-        kernel = np.exp(-((x[:, None, None] - node * stencil[:, None]) ** 2) / (4.0 * tau))
-        kernel /= length
-        stencil %= length
+        # x in units of the node spacing, and the first of the width nodes
+        # nearest it: y_m = 2 pi m / L for m = start .. start + width - 1 (mod L)
+        x = np.mod(self.spacing * times, 2.0 * math.pi) * (length / (2.0 * math.pi))
+        nearest = np.floor(x)
+        start = (nearest.astype(np.intp) + 1 - HALF_WIDTH) % length
+        # phi(z) / L at z = (x - m) / HALF_WIDTH, in [-1, 1] on those nodes,
+        # taken in place as one (width, 1) column per time, for a batched
+        # matmul against the gathered (columns, width) nodes
+        kernel = (x - nearest)[:, None, None] - np.arange(1 - HALF_WIDTH, HALF_WIDTH + 1)[:, None]
+        kernel /= HALF_WIDTH
+        np.square(kernel, out=kernel)
+        np.subtract(1.0, kernel, out=kernel)
+        np.sqrt(kernel, out=kernel)
+        kernel *= ES_BETA
+        kernel -= ES_BETA + math.log(length)
+        np.exp(kernel, out=kernel)
         shift = np.exp(-1j * (self.delta_min + h * self.spacing) * times)[:, None]
 
-        rows = np.empty((min(FFT_COLUMNS, values.shape[1]), length), dtype=complex)
+        # one row of the FFT grid per value column, whose first width - 1
+        # nodes repeat after it, so that the width nodes from any start are
+        # one contiguous window of each row
+        rows = np.empty((min(FFT_COLUMNS, values.shape[1]), length + width - 1), dtype=complex)
+        windows = sliding_window_view(rows, width, axis=1).transpose(1, 0, 2)
         group = np.empty((len(times), len(rows)), dtype=complex)
         for lo in range(0, values.shape[1], FFT_COLUMNS):
             block = rows[: min(FFT_COLUMNS, values.shape[1] - lo)]
+            grid = block[:, :length]
             cols = values[:, lo : lo + FFT_COLUMNS].T
             # modes 0 .. m-h-1 fill the slots [0, m-h), modes -h .. -1 the
             # slots [length-h, length); the gap between them stays zero
-            np.multiply(cols[:, h:], weights[h:], out=block[:, : m - h])
-            block[:, m - h : length - h] = 0.0
-            np.multiply(cols[:, :h], weights[:h], out=block[:, length - h :])
-            np.fft.fft(block, axis=1, out=block)
-            nodes = block.T
+            np.multiply(cols[:, h:], weights[h:], out=grid[:, : m - h])
+            grid[:, m - h : length - h] = 0.0
+            np.multiply(cols[:, :h], weights[:h], out=grid[:, length - h :])
+            np.fft.fft(grid, axis=1, out=grid)
+            block[:, length:] = grid[:, : width - 1]
             sums = group[:, : len(block)]
             for t0 in range(0, len(times), TIME_BLOCK):
                 span = slice(t0, t0 + TIME_BLOCK)
                 # no name holds the gathered nodes, so one time block's are
                 # freed before the next block's are gathered
-                sums[span] = (kernel[span] @ nodes[stencil[span]].view(float)).view(complex)[:, 0]
+                sums[span] = (windows[start[span], : len(block)] @ kernel[span])[..., 0]
             sums *= shift
             yield lo, sums
 
@@ -234,10 +280,6 @@ class DelayedTerms:
             self.lam0,
         )
 
-    def rows(self, span: slice) -> DelayedTerms:
-        """The rows in span, with all their terms."""
-        return DelayedTerms(self.delays[span], self.steps[span], self.ramps[span], self.lam0)
-
     def transform(self, times: np.ndarray, into: Optional[np.ndarray] = None) -> np.ndarray:
         """The exact transform at each time, shape (len(times), rows); added
         in place to into, and into returned, when it is given.
@@ -258,6 +300,16 @@ class DelayedTerms:
         e^{-i lam0 t} is taken at max(t, 0), where it cannot overflow: every
         delay is >= 0, so a time before 0 reads exactly 0.
         """
+        if into is None:
+            into = np.zeros((len(times), len(self.delays)), dtype=complex)
+        return self.transformer(times)(slice(None), into)
+
+    def transformer(self, times: np.ndarray) -> Callable[[slice, np.ndarray], np.ndarray]:
+        """transform at the times, with the delays sorted and summed once:
+        the function returned adds the transform of the rows in a slice to
+        into (len(times) x those rows) in place, row by row, and returns
+        into.  A stream of row groups reads every row as one transform does,
+        bit for bit."""
         times = np.asarray(times, dtype=float)
         t_last = float(np.max(times, initial=0.0))
         sort = np.argsort(self.delays, axis=1)
@@ -286,26 +338,29 @@ class DelayedTerms:
                 a, bq, bd = np.moveaxis(part[:, :, -1], 1, 0)
                 carry = np.stack([a, bq, bd - width * bq], axis=1)
                 carry *= np.exp(-1j * self.lam0 * width)
-        if into is None:
-            into = np.zeros((len(times), len(d)), dtype=complex)
-        factor, elapsed = -2j * math.pi * np.exp(-1j * self.lam0 * np.maximum(times, 0.0)), times
+        factor = -2j * math.pi * np.exp(-1j * self.lam0 * np.maximum(times, 0.0))
         if last:
             # the delay and bin start of each row's last term on, 0 before its first
             latest, anchors = (np.pad(a, ((0, 0), (1, 0))) for a in (capped, start))
-        for r in range(len(d)):
-            on = np.searchsorted(d[r], times, side="right")
-            s_sum, q_sum, qd_sum = np.take(sums[r], on, axis=1)
-            if last:
-                # the sums measured from the last delay on, not its bin's start
-                back = latest[r, on] - anchors[r, on]
-                shift = np.exp(-1j * self.lam0 * back)
-                s_sum, q_sum, qd_sum = s_sum * shift, q_sum * shift, (qd_sum - back * q_sum) * shift
-                elapsed = times - latest[r, on]
-                factor = -2j * math.pi * np.exp(-1j * self.lam0 * np.maximum(elapsed, 0.0))
-            column = s_sum - 1j * (elapsed * q_sum - qd_sum)
-            column *= factor
-            into[:, r] += column
-        return into
+
+        def add(span: slice, into: np.ndarray) -> np.ndarray:
+            row_factor, elapsed = factor, times
+            for j, r in enumerate(range(len(d))[span]):
+                on = np.searchsorted(d[r], times, side="right")
+                s_sum, q_sum, qd_sum = np.take(sums[r], on, axis=1)
+                if last:
+                    # the sums measured from the last delay on, not its bin's start
+                    back = latest[r, on] - anchors[r, on]
+                    shift = np.exp(-1j * self.lam0 * back)
+                    s_sum, q_sum, qd_sum = s_sum * shift, q_sum * shift, (qd_sum - back * q_sum) * shift
+                    elapsed = times - latest[r, on]
+                    row_factor = -2j * math.pi * np.exp(-1j * self.lam0 * np.maximum(elapsed, 0.0))
+                column = s_sum - 1j * (elapsed * q_sum - qd_sum)
+                column *= row_factor
+                into[:, j] += column
+            return into
+
+        return add
 
 
 @dataclass
@@ -634,9 +689,14 @@ def resolvent_sweep(
         return res
 
     chunks = range(0, len(deltas), SCATTER_CHUNK)
-    # the pool starts no thread unless a chunk is submitted to it
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        res_max = max(pool.map(work, chunks) if workers > 1 else map(work, chunks))
+    if workers > 1:
+        # imported only where a pool runs: a serial sweep loads no thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            res_max = max(pool.map(work, chunks))
+    else:
+        res_max = max(map(work, chunks))
 
     check_residual(res_max, psi, "resolvent", "the frequency-domain Hamiltonian is inconsistent")
     lam0 = -0.5j * params.gamma_tot  # every atom carries the same width
@@ -666,12 +726,14 @@ def resolvent_sweep(
 
 @dataclass
 class SweptTrajectory:
-    """b(t) on a time grid, kept as the sweep it is synthesised from.
+    """b(t) on a time grid, kept as the part of its sweep it is synthesised
+    from: x, its grid, its ramps and (for the run's checks) its residual.
 
     blocks() synthesises it FFT_COLUMNS atoms at a time on every time: one
     column group of the Fourier sum of x (SpectralGrid.fourier_groups) plus
     the group's ramps, so reading it holds one n_t x FFT_COLUMNS group,
-    never the n_t x N array.  Each group is synthesised at the probes as
+    never the n_t x N array.  The ramps are sorted and summed once per read
+    (DelayedTerms.transformer).  Each group is synthesised at the probes as
     well, extra times before every arrival that blocks() does not hand on,
     and a full read sets leak: synthesis_leak of every group at the probes
     and at t, NaN until then.  amplitudes and population build the whole
@@ -679,19 +741,23 @@ class SweptTrajectory:
     """
 
     t: np.ndarray
-    sweep: ResolventSet
+    x: np.ndarray  # shape (n_points, n_atoms), as ResolventSet.x
+    grid: SpectralGrid
+    ramps: DelayedTerms
+    residual_max: float
     probes: np.ndarray = field(default_factory=lambda: np.empty(0))
     leak: float = field(default=math.nan, init=False)
 
     @property
     def n_atoms(self) -> int:
-        return self.sweep.x.shape[1]
+        return self.x.shape[1]
 
     def _groups(self, times: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """(atoms, b of those atoms at times) for each column group."""
-        for lo, amps in self.sweep.grid.fourier_groups(self.sweep.x, times):
+        add_ramps = self.ramps.transformer(times)
+        for lo, amps in self.grid.fourier_groups(self.x, times):
             atoms = slice(lo, lo + amps.shape[1])
-            self.sweep.ramps.rows(atoms).transform(times, into=amps)
+            add_ramps(atoms, amps)
             amps *= -1.0 / (2.0j * math.pi)
             yield atoms, amps
 
@@ -703,13 +769,14 @@ class SweptTrajectory:
         return out
 
     population = ModalTrajectory.population
+    arrival = ResolventSet.arrival
 
     def blocks(self) -> Iterator[tuple[slice, slice, np.ndarray]]:
         """(times, atoms, rows) of the amplitudes: every time, FFT_COLUMNS
         atoms at a time, each rows valid until the next is asked for."""
         self.leak = math.nan
         times = np.concatenate([self.probes, self.t])
-        arrival = self.sweep.arrival
+        arrival = self.arrival
         leaks = []
         for atoms, amps in self._groups(times):
             leaks.append(synthesis_leak(arrival[atoms], times, amps))
@@ -722,8 +789,9 @@ def time_domain(
 ) -> SweptTrajectory:
     """b(t) on t_grid from the resolvent slices by the discrete sum,
     evaluated at any t_grid by the grid's non-uniform FFT (fourier_groups),
-    and kept as its sweep until it is read (SweptTrajectory); probes are the
-    extra times that its read checks the leak at.
+    and kept as the x, grid and ramps of its sweep until it is read
+    (SweptTrajectory); probes are the extra times that its read checks the
+    leak at.
 
     The sweep has removed the two leading large-detuning terms of x(delta)
     (see module docstring), so only the O(1/delta^3) remainder is summed
@@ -745,7 +813,7 @@ def time_domain(
         raise ValueError(
             f"requested times extend beyond the alias-free window +/-{half_window:.3g}"
         )
-    return SweptTrajectory(t_grid, slices, probes)
+    return SweptTrajectory(t_grid, slices.x, slices.grid, slices.ramps, slices.residual_max, probes)
 
 
 def synthesis_leak(arrival: np.ndarray, t: np.ndarray, amplitudes: np.ndarray) -> float:

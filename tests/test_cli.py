@@ -5,7 +5,7 @@ import math
 import re
 import resource
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,7 +44,7 @@ from wgqed.dynamics import (
     modal_expansion,
     pole_sums,
 )
-from wgqed.spectral import synthesis_leak, time_domain
+from wgqed.spectral import synthesis_leak
 
 
 def _series(t, y):
@@ -1148,13 +1148,13 @@ def test_the_streamed_sweep_series_matches_the_whole_array(monkeypatch, config):
         assert fluxes is not None
         # the whole array at the probes and the times, as one synthesis
         times = np.concatenate([trajectory.probes, trajectory.t])
-        amplitudes = time_domain(trajectory.sweep, times).amplitudes
+        amplitudes = replace(trajectory, t=times, probes=np.empty(0)).amplitudes
         n_probes = len(trajectory.probes)
         oracle = _dense_series(amplitudes[n_probes:], trajectory.t, psi0, array, params, fluxes)
         for channel in fields(ProbabilitySeries):
             got, want = getattr(series, channel.name), getattr(oracle, channel.name)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), channel.name
-        leak = synthesis_leak(trajectory.sweep.arrival, times, amplitudes)
+        leak = synthesis_leak(trajectory.arrival, times, amplitudes)
         assert trajectory.leak == leak
         leaks.append(leak)
     assert result.summary.data["checks"]["synthesis_leak"]["value"] == max(leaks)
@@ -1163,9 +1163,9 @@ def test_the_streamed_sweep_series_matches_the_whole_array(monkeypatch, config):
 def test_a_sweep_run_holds_no_time_by_atom_array():
     # fig7b at scale 0.05 (N = 55, M = 4096): 9.2 MiB while the synthesis
     # held its 2065 x 55 amplitudes (1.7 MiB) beside x (3.4 MiB) and gathered
-    # the nodes of 512 times at once (1.5 MiB); about 6.5 MiB now that b is
-    # synthesised and read FFT_COLUMNS atoms at a time, where the sweep with
-    # its work buffer alone takes 6.1 MiB
+    # the nodes of 512 times at once (1.5 MiB); about 5.8 MiB now that b is
+    # synthesised and read FFT_COLUMNS atoms at a time, below the 6.1 MiB of
+    # the sweep with its work buffer, which sets the peak
     config = RunConfig(scenario="fig7b", scale=0.05)
     run(config)  # first-call allocations stay out of the reading
     tracemalloc.start()

@@ -1,4 +1,5 @@
-"""Runs load no scipy module: numpy is the whole import graph.
+"""Runs load no scipy module: numpy is the whole import graph.  A serial
+run (workers = 1, the default) loads no thread pool either.
 
 That holds for Markovian runs, and for oscillating runs on either route,
 whose cavity model is linear algebra on the poles of the Dicke amplitude.
@@ -26,6 +27,7 @@ print(json.dumps({{
     "method": result.summary.data["config"]["method"],
     "jc_fit": result.summary.data["jc_fit"] is not None,
     "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "pool": "concurrent.futures" in sys.modules,
 }}))
 """
 
@@ -46,6 +48,7 @@ def test_markovian_run_loads_no_scipy(scenario, scale, seed):
     report = _report(scenario, scale, seed)
     assert report["method"] == "markovian"
     assert report["scipy"] == []
+    assert report["pool"] is False
 
 
 @pytest.mark.parametrize(
@@ -56,4 +59,5 @@ def test_oscillating_run_loads_no_scipy(scenario, scale, method):
     assert report["method"] == method
     assert report["jc_fit"] is True
     assert report["scipy"] == []
+    assert report["pool"] is False
 

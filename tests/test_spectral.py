@@ -1,5 +1,6 @@
 import tracemalloc
-from dataclasses import replace
+import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -130,6 +131,50 @@ def test_fourier_sum_matches_direct_sum(grid, times, n_columns, monkeypatch):
     assert np.max(np.abs(fast - expected)) <= 1e-10 * np.max(np.abs(expected))
     # the FFT route ran, and no FFT block outgrew FFT_COLUMNS rows of R M
     assert sizes and max(sizes) <= FFT_COLUMNS * OVERSAMPLING * grid.n_points
+
+
+@pytest.mark.parametrize("m", [1000, 1024, 4096])
+@pytest.mark.parametrize(
+    "times",
+    [
+        default_time_grid(3.0, 8.0, n=100),
+        np.linspace(0.0, 8.0, 333),
+        -default_time_grid(3.0, 8.0, n=100),
+    ],
+    ids=["log-times", "uniform-times", "negative-times"],
+)
+def test_fourier_sum_error_is_below_1e_12_of_the_summed_magnitudes(m, times):
+    # the exponential-of-semicircle gridding on FFT grids of int(1.5 M) nodes
+    # (1500, 1536 and 6144) against the direct sum: each column's error is
+    # within 1e-12 of sum_k |d values_k|, for pulses and for noise
+    grid = SpectralGrid(-100.0, 100.0, m)
+    noise = np.random.default_rng(m).normal(size=(m, 2)).view(complex)
+    values = np.concatenate([_pulse_spectrum(grid, 3), noise], axis=1)
+    error = np.abs(grid.fourier_sum(values, times) - _direct_sum(grid, values, times))
+    assert np.all(error <= 1e-12 * np.sum(np.abs(grid.spacing * values), axis=0))
+
+
+def test_the_kernel_transform_is_built_once_per_grid(monkeypatch):
+    # on fig7b --scale 0.05 every Fourier sum (the trajectory, a0, the
+    # outflow and both profiles) runs on the run's one grid, which builds
+    # its deconvolution table once
+    table = SpectralGrid.__dict__["deconvolution"]
+    build, built, sums = table.func, [], []
+    groups = SpectralGrid.fourier_groups
+
+    def counted_build(grid):
+        built.append(grid)
+        return build(grid)
+
+    def counted_groups(grid, *args):
+        sums.append(grid)
+        return groups(grid, *args)
+
+    monkeypatch.setattr(table, "func", counted_build)
+    monkeypatch.setattr(SpectralGrid, "fourier_groups", counted_groups)
+    run(RunConfig(scenario="fig7b", scale=0.05))
+    assert len(built) == 1
+    assert len(sums) == 5 and all(grid is built[0] for grid in sums)
 
 
 def _single_atom(params):
@@ -555,6 +600,76 @@ def test_delayed_terms_carry_every_bin_of_delays():
     assert np.all(np.abs(fast - terms.sum(axis=2)) <= 1e-12 * np.abs(terms).sum(axis=2))
 
 
+@pytest.mark.parametrize(
+    "delays, times",
+    [
+        # one bin, with a delay equal to a time (its step counts whole)
+        (np.random.default_rng(5).uniform(0.0, 2.0, size=(7, 4)), np.array([-0.5, 0.0, 1.25, 3.0])),
+        # many bins of GROWTH_MAX / |Im lam0| (about 127) and a delay past the last time
+        (np.random.default_rng(6).uniform(0.0, 1200.0, size=(7, 4)), np.linspace(-10.0, 1000.0, 61)),
+    ],
+    ids=["one-bin", "many-bins"],
+)
+def test_delayed_terms_read_in_row_groups_match_one_transform(delays, times):
+    # the transformer sorts and sums once, and its row groups (of 3, the last
+    # one partial) add to a filled buffer exactly what one transform does
+    delays[2, 1] = times[2]
+    rng = np.random.default_rng(7)
+    steps, ramps = rng.normal(size=(2, 7, 4)) + 1j * rng.normal(size=(2, 7, 4))
+    terms = DelayedTerms(delays, steps, ramps, 0.3 - 0.505j)
+    add = terms.transformer(times)
+    for start in (np.zeros((len(times), 7)), rng.normal(size=(len(times), 7))):
+        whole = terms.transform(times, into=start + 0j)
+        grouped = start + 0j
+        for lo in range(0, 7, 3):
+            add(slice(lo, lo + 3), grouped[:, lo : lo + 3])
+        assert np.array_equal(grouped, whole)
+
+
+def test_a_trajectory_read_sorts_its_ramps_once(params, monkeypatch):
+    # 20 atoms, three column groups: one transformer serves every group
+    arr = build_chain(ChainSpec(8, 4, 8, gap_d0=174000.25))
+    psi0 = dicke_initial_state(arr, params)
+    slices = resolvent_sweep(arr, params, psi0, SpectralGrid(-40.0, 40.0, 512))
+    transformer, reads = DelayedTerms.transformer, []
+
+    def counted(terms, times):
+        reads.append(len(times))
+        return transformer(terms, times)
+
+    monkeypatch.setattr(DelayedTerms, "transformer", counted)
+    t = np.linspace(0.0, 4.0, 50)
+    trajectory = time_domain(slices, t, -t[:0:-1])
+    assert sum(1 for _ in trajectory.blocks()) == 3
+    assert reads == [99]
+
+
+def test_the_sweep_route_frees_outgoing_and_lead_before_probabilities(monkeypatch):
+    # the trajectory keeps x, its grid and its ramps; the spectra copied the
+    # fields leaving the chain, so the sweep's outgoing and lead are gone by
+    # the time probabilities synthesises b
+    import wgqed.cli as cli
+
+    sweep, probabilities, held, alive = cli.resolvent_sweep, cli.probabilities, [], []
+
+    def recorded_sweep(*args, **kwargs):
+        slices = sweep(*args, **kwargs)
+        held.extend(weakref.ref(a) for a in (slices.outgoing, slices.lead))
+        return slices
+
+    def recorded_probabilities(trajectory, *args):
+        alive.append([ref() is not None for ref in held])
+        assert {f.name for f in fields(trajectory)} == {
+            "t", "x", "grid", "ramps", "residual_max", "probes", "leak"
+        }
+        return probabilities(trajectory, *args)
+
+    monkeypatch.setattr(cli, "resolvent_sweep", recorded_sweep)
+    monkeypatch.setattr(cli, "probabilities", recorded_probabilities)
+    run(RunConfig(scenario="fig7b", scale=0.05))
+    assert alive == [[False, False]]
+
+
 @_KERNELS
 def test_lead_is_the_fronts_on_the_grid(params, retarded):
     # the sweep's grid samples of the outgoing lead against the direct sum of
@@ -756,9 +871,10 @@ def test_sweep_route_synthesises_a0_without_an_n_dicke_by_n_block(monkeypatch):
 
 def test_fourier_sum_gathers_one_time_block_at_a_time():
     # a (4096, 55) block at the 2321 synthesis times of fig7b --scale 0.05:
-    # besides its output and the FFT block, the sum holds its kernel tables
-    # (0.9 MiB) and the gathered nodes of TIME_BLOCK times (1.5 MiB), where
-    # gathering every time's took 7.1 MiB
+    # besides its output and the FFT block, the sum holds its kernel table
+    # (0.3 MiB), its group buffer (0.3 MiB) and the gathered nodes of
+    # TIME_BLOCK times (0.25 MiB), 1.1 MiB in all, where gathering every
+    # time's took 7.1 MiB
     grid = SpectralGrid(-200.0, 200.0, 4096)
     rng = np.random.default_rng(8)
     values = rng.normal(size=(4096, 55)) + 1j * rng.normal(size=(4096, 55))
