@@ -6,12 +6,13 @@ Example:
     python scripts/run_all_figures.py --scale 1.0 --out runs/full
 
 Full scale reproduces the published geometries (300 to 1100 atoms); there the
-long-cavity scenarios (1100 atoms) take about 5 s and 0.7 GB each on 2 cores
+long-cavity scenarios (1100 atoms) take about 5 s and 0.5 GB each on 2 cores
 with one BLAS thread; every sweep runs on one thread, RunConfig's default.
 Each scenario prints one line: its method and route, the ledger, converged
 and the checks table it is decided from (name=value/limit),
-the swept frequency grid's number of points and alias-free window (None on
-the poles route, which has no grid), the vacuum-Rabi
+the swept frequency grid's number of points, its doublings (1 if the
+smallest grid's leak sent the run to twice the points, else 0) and its
+alias-free window (all None on the poles route, which has no grid), the vacuum-Rabi
 oscillation frequency of p0 and the cavity model read off the poles (g, kappa,
 gamma_e and the pencil's pole_rms, which is None on the poles route, whose
 poles are exact rather than fitted; all None without an oscillation), the captured
@@ -66,7 +67,7 @@ def main() -> int:
             f"P_left={ledger.p_left:.4f} P_right={ledger.p_right:.4f} "
             f"P_ext={ledger.p_ext:.4f} converged={summary['converged']} "
             + "".join(f"{k}={c['value']:.2e}/{c['limit']:.0e} " for k, c in summary["checks"].items())
-            + f"grid_points={grid.get('n_points')} "
+            + f"grid_points={grid.get('n_points')} doublings={grid.get('doublings')} "
             f"alias_window={_fmt(grid.get('alias_window'), '.4g')} "
             f"oscillation={_fmt(oscillation.get('frequency'))} {cavity} "
             f"captured_right={profiles['right']['captured']:.5f} "

@@ -14,9 +14,10 @@ weights, profiles and cavity model in closed form from one modal expansion of
 H (the "poles" route); modal_expansion raises NumericalError on an expansion
 it cannot trust, and _pole_check on one that deviates from the resonant-kernel
 sweep's resolvent.  A retarded run takes the resolvent sweep over the
-frequency grid, synthesises the trajectory from it and fits the poles of a0
-(the "sweep" route), with no eigendecomposition and no N x N matrix: only the
-poles route builds H.  On either route each atom loses gamma_ext to the
+frequency grid, synthesises the trajectory from it (sweeping once more at
+twice the points when the leak probes read an alias of the smallest grid's
+window) and fits the poles of a0 (the "sweep" route), with no
+eigendecomposition and no N x N matrix: only the poles route builds H.  On either route each atom loses gamma_ext to the
 non-guided modes on its own, so the external loss is gamma_ext p.
 """
 
@@ -87,15 +88,17 @@ FORMAT_VERSION = 5
 # delayed second-order term of x and the two leading terms of the outgoing
 # fields and adds their transforms back exactly, so its truncation error falls
 # as 1/span^2: at 50, b(t) is within 8e-7 and the profiles within 1.6e-5 of
-# their peak on fig7b at scales 0.05 and 0.1.  The grid has an alias-free
-# window of at least 2 t_max (build_grid), which holds the run only if b has
-# decayed by t_max: the leak probes check that.
+# their peak on fig7b at scales 0.05 and 0.1.  The smallest grid has an
+# alias-free window of at least 2 t_max (build_grid), which holds the run only
+# if b has decayed by t_max: the leak probes check that.
 SPAN_FACTOR_RETARDED = 50.0
 # A synthesised trajectory is also evaluated at this many negative times, log
 # spaced down to -t_max, where b vanishes exactly (synthesis_leak).  A probe at
-# -t reads the alias b(W - t) of the window W, so a swept run is converged only
-# if its leak is at most LEAK_TOL: a decade over the 2-5e-7 that the shipped
-# cavities read, and far under what a t_max shorter than the decay reads.
+# -t reads the alias b(W - t) of the window W.  A leak over LEAK_TOL on the
+# smallest grid sweeps once more at twice the points (a window of at least
+# 4 t_max), and a swept run is converged only if the leak it ends on is at
+# most LEAK_TOL: a decade over the 3-9e-7 that the shipped cavities read, and
+# far under what a t_max shorter than the decay reads.
 LEAK_PROBES = 16
 LEAK_TOL = 1e-5
 # A run is converged only if its end-state ledger balances within BALANCE_TOL
@@ -176,6 +179,7 @@ class MemberRun:
     overlap: Optional[float]  # None on the retarded route
     timings: dict
     grid: Optional[SpectralGrid]  # the swept grid; None on the poles route
+    doublings: Optional[int]  # 1 if a leak doubled the grid, else 0; None on the poles route
     checks: dict  # this member's value of each gate its route measures (_checks)
     jc_fit: Optional[JCFit]  # the cavity model of <psi0|b(t)>; None on the sweep route
     # the sweep route's samples (t, <psi0|b(t)>) for the pencil, which run()
@@ -407,27 +411,36 @@ def _member_pipeline(
         # the sweep route: the spectra from the fields leaving the chain, and
         # the guided outflow |alpha|^2 from the spectra; b and a0 synthesised
         # from the resolvent (a0 from its projection on psi0, on uniform
-        # times, kept for the pencil), b only as probabilities reads it
-        grid = build_grid(gamma_fast, t_max, span_factor=SPAN_FACTOR_RETARDED)
-        sweep = resolvent_sweep(array, params, psi0, grid, workers=workers)
-        lap("resolvent_sweep")
-        spectra = tuple(emission_spectrum(sweep, array, params, d) for d in (+1, -1))
-        lap("emission_spectra")
+        # times, kept for the pencil), b only as probabilities reads it.  The
+        # smallest grid holds a b that has decayed by t_max; where its leak
+        # says b has not, the member sweeps once more at twice the points
         probe = -default_time_grid(gamma_fast, t_max, n=LEAK_PROBES)[:0:-1]
-        trajectory = time_domain(sweep, t_grid, probe)
         n_dicke = max(DICKE_SAMPLES, math.ceil(2.0 * gamma_fast * t_max / math.pi) + 1)
         t_dicke = np.linspace(0.0, t_max, n_dicke)
-        dicke = (t_dicke, time_domain(sweep.projected(bra), t_dicke).amplitudes[:, 0])
-        del sweep  # and its outgoing and lead: the trajectory holds x until it is read
-        jc_fit = None
-        fluxes = tuple(np.abs(sampled_amplitudes(spectra, t_grid).T) ** 2)
-        lap("evolution")
-        checks, overlap = {"residual_max": trajectory.residual_max}, None
+        for doublings in (0, 1):
+            grid = build_grid(gamma_fast, t_max, SPAN_FACTOR_RETARDED, doublings)
+            sweep = resolvent_sweep(array, params, psi0, grid, workers=workers)
+            lap("resolvent_sweep")
+            spectra = tuple(emission_spectrum(sweep, array, params, d) for d in (+1, -1))
+            lap("emission_spectra")
+            trajectory = time_domain(sweep, t_grid, probe)
+            dicke = (t_dicke, time_domain(sweep.projected(bra), t_dicke).amplitudes[:, 0])
+            del sweep  # and its outgoing and lead: the trajectory holds x until it is read
+            fluxes = tuple(np.abs(sampled_amplitudes(spectra, t_grid).T) ** 2)
+            lap("evolution")
+            series = probabilities(trajectory, psi0, array, params, fluxes)
+            # the leak is read in the same pass as the series
+            checks = {"residual_max": trajectory.residual_max, "synthesis_leak": trajectory.leak}
+            del trajectory  # and with it x, before the profiles or the next sweep
+            lap("probabilities")
+            if not checks["synthesis_leak"] > LEAK_TOL:
+                break
+        jc_fit, overlap = None, None
     else:
         # the poles route: everything in closed form from the checked modal
         # expansion of H; b is summed block by block in probabilities, and the
         # guided fluxes are its directional fluxes
-        grid, dicke = None, None
+        grid, doublings, dicke = None, None, None
         modes = modal_expansion(effective_hamiltonian(array, params), psi0)
         lap("evolution")
         check_error = _pole_check(modes, array, params, psi0, gamma_fast)
@@ -446,19 +459,13 @@ def _member_pipeline(
             "eig_condition": modes.condition,
             "pole_check_error": check_error,
         }
-        fluxes = None
-
-    series = probabilities(trajectory, psi0, array, params, fluxes)
-    if retarded:
-        # read in the same pass as the series
-        checks["synthesis_leak"] = trajectory.leak
-    del trajectory  # and with it the sweep route's x, before the profiles
-    lap("probabilities")
+        series = probabilities(trajectory, psi0, array, params, None)
+        lap("probabilities")
     tau = default_tau_grid(t_max)
     profiles = tuple(spatial_profile(spectrum, tau) for spectrum in spectra)
     lap("profiles")
     return MemberRun(
-        array, series, spectra, profiles, overlap, timings, grid, checks, jc_fit, dicke
+        array, series, spectra, profiles, overlap, timings, grid, doublings, checks, jc_fit, dicke
     )
 
 
@@ -600,6 +607,7 @@ def run(config: RunConfig) -> RunResult:
                 "n_points": first.grid.n_points,
                 "spacing": first.grid.spacing,
                 "alias_window": first.grid.alias_window,
+                "doublings": first.doublings,
             },
             "route": "sweep" if method == "spectral" else "poles",
             "profiles": {

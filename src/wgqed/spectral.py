@@ -19,8 +19,9 @@ exact transform (DelayedTerms): a step e^{-i lam0 t} theta(t) on each atom
 psi0 occupies, and delayed ramps -i (t - tau_ab) e^{-i lam0 (t - tau_ab)}
 theta(t - tau_ab).  Both parts are linear, so <bra|b(t)> is synthesised from
 the one column x bra (ResolventSet.projected).  A sweep holds x (M x N) and,
-per worker, one N x SCATTER_CHUNK work buffer: each chunk is solved in its
-own slice of x.  The synthesis is kept as the part of its sweep it reads,
+per worker, one N x chunk work buffer: the grid is split into
+ceil(M / SCATTER_CHUNK) equal chunks, each solved in its own slice of x.
+The synthesis is kept as the part of its sweep it reads,
 x and the delayed terms (SweptTrajectory), and taken as it is read,
 FFT_COLUMNS atoms at a time: each column group of the non-uniform FFT (an
 exponential-of-semicircle gridding, see SpectralGrid.fourier_groups), which
@@ -59,7 +60,8 @@ from .model import AtomArray, PhysParams, StateVector
 MAX_GRID_POINTS = 2**20
 # The grid spans at least +/- MIN_SPAN_FACTOR x the fastest collective rate.
 MIN_SPAN_FACTOR = 20.0
-# Detunings per scattering-recursion chunk.
+# Most detunings per scattering-recursion chunk: a sweep of M detunings runs
+# ceil(M / SCATTER_CHUNK) equal chunks, so no chunk is short.
 SCATTER_CHUNK = 2048
 # Gridding of the Fourier sum with the exponential-of-semicircle kernel
 # (Barnett, Magland and af Klinteberg, SIAM J. Sci. Comput. 41, C479, 2019):
@@ -414,21 +416,36 @@ class ResolventSet:
         return replace(self, x=(self.x @ bra)[:, None], ramps=self.ramps.projected(bra))
 
 
+def _smooth(n: int) -> bool:
+    """Whether n has no prime factor above 5, so pocketfft takes its FFT fast."""
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 def build_grid(
     gamma_fast: float,
     t_max: float,
     span_factor: float = 20.0,
+    doublings: int = 0,
 ) -> SpectralGrid:
-    """Smallest power-of-two grid satisfying the span and spacing rules.
+    """Smallest grid satisfying the span and spacing rules, with its points
+    doubled doublings times.
 
     Span: at least +/- span_factor * Gamma_fast, with span_factor at least
     MIN_SPAN_FACTOR.  Spacing: at most 2 pi / (2 t_max), so that the
     alias-free window is at least 2 t_max.  The discrete sum aliases
     b(t + W) onto t, so for a decaying b the window need only hold
     [-t_max, t_max]: a leak probe at -t reads b(W - t), t_max <= W - t < W,
-    which bounds the alias at positive times (synthesis_leak).  The window is
-    compared as time_domain computes it, so that +/- t_max are accepted in
-    floating point too.
+    which bounds the alias at positive times (synthesis_leak).  The window
+    pi (M - 1) / half_span reaches 2 t_max at M = 1 + 2 half_span t_max / pi;
+    from there M steps to the first even size whose FFT grid
+    int(OVERSAMPLING x M) has no prime factor above 5, and on past any size
+    whose window, compared as time_domain computes it, falls an ulp short.
+    Both M and the doubled size are checked against MAX_GRID_POINTS before
+    any array is made.  Each doubling halves the spacing, so it more than
+    doubles the window.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
@@ -437,15 +454,22 @@ def build_grid(
     if not span_factor >= MIN_SPAN_FACTOR:
         raise ValueError(f"span_factor must be at least {MIN_SPAN_FACTOR:g}")
     half_span = span_factor * gamma_fast
-    n_points = 16
-    while SpectralGrid(-half_span, half_span, n_points).alias_window < 2.0 * t_max:
-        if n_points >= MAX_GRID_POINTS:
-            raise GridResolutionError(
-                f"the grid points for an alias-free window of {2.0 * t_max:.3g} "
-                f"exceed the cap {MAX_GRID_POINTS}; reduce t_max or the system size"
-            )
-        n_points *= 2
-    return SpectralGrid(-half_span, half_span, n_points)
+    # the FFT grid holds the kernel's 2 HALF_WIDTH nodes at least
+    least = max(2.0 * HALF_WIDTH, 1.0 + 2.0 * half_span * t_max / math.pi)
+    cap = MAX_GRID_POINTS >> doublings
+    n_points = math.ceil(min(least, cap + 1))
+    n_points += n_points % 2
+    while n_points <= cap and not (
+        _smooth(int(OVERSAMPLING * n_points))
+        and SpectralGrid(-half_span, half_span, n_points).alias_window >= 2.0 * t_max
+    ):
+        n_points += 2
+    if n_points > cap:
+        raise GridResolutionError(
+            f"the grid points for an alias-free window of {2.0 * t_max:.3g} "
+            f"exceed the cap {MAX_GRID_POINTS}; reduce t_max or the system size"
+        )
+    return SpectralGrid(-half_span, half_span, n_points << doublings)
 
 
 def scattering_sweep(
@@ -664,9 +688,11 @@ def resolvent_sweep(
     the pair distances to the atoms psi0 occupies) are all the two leading
     terms need.  They are returned as ramps, with the kernel's slowness, and
     as no other table: emission_spectrum projects ramps onto the chain ends
-    for the pulse fronts.  The sweep holds x and, while a chunk of
-    SCATTER_CHUNK detunings is solved in its slice of x (_scatter_chunk), one
-    N x SCATTER_CHUNK work buffer.  Grid points are independent; with
+    for the pulse fronts.  The grid is split into
+    ceil(M / SCATTER_CHUNK) equal chunks (M * i // chunks apart, as
+    model.write_csv splits its blocks), so the sweep holds x and, while a
+    chunk is solved in its slice of x (_scatter_chunk), one N x chunk work
+    buffer, at most N x SCATTER_CHUNK.  Grid points are independent; with
     workers > 1 the chunks run on a thread pool (numpy releases the GIL), each
     task writing a disjoint slice with its own buffer, so assembly is
     deterministic and a sweep holds one buffer per worker.
@@ -679,8 +705,7 @@ def resolvent_sweep(
     outgoing = np.empty((len(deltas), 2), dtype=complex)
     lead = np.empty_like(outgoing)
 
-    def work(lo):
-        span = slice(lo, lo + SCATTER_CHUNK)
+    def work(span):
         chunk = deltas[span]
         k = params.k_of(chunk) if retarded else params.k_wg
         outgoing[span], res, lead[span] = _scatter_chunk(
@@ -688,7 +713,9 @@ def resolvent_sweep(
         )
         return res
 
-    chunks = range(0, len(deltas), SCATTER_CHUNK)
+    n_chunks = -(-len(deltas) // SCATTER_CHUNK)
+    bounds = [len(deltas) * i // n_chunks for i in range(n_chunks + 1)]
+    chunks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     if workers > 1:
         # imported only where a pool runs: a serial sweep loads no thread pool
         from concurrent.futures import ThreadPoolExecutor

@@ -48,9 +48,10 @@ def test_run_all_figures_writes_every_scenario(tmp_path):
         grid = summary["grid"]
         if summary["route"] == "poles":
             assert grid is None
-            assert fields["grid_points"] == fields["alias_window"] == "None"
+            assert fields["grid_points"] == fields["alias_window"] == fields["doublings"] == "None"
         else:
             assert int(fields["grid_points"]) == grid["n_points"]
+            assert int(fields["doublings"]) == grid["doublings"]
             assert float(fields["alias_window"]) == pytest.approx(grid["alias_window"], rel=1e-3)
         jc = summary["jc_fit"] or {}
         printed = {key: jc.get(key) for key in ("g", "kappa", "gamma_e", "pole_rms")}

@@ -1,9 +1,12 @@
+import math
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from wgqed import (
@@ -25,9 +28,12 @@ from wgqed.cli import LEAK_TOL, SCENARIOS, SPAN_FACTOR_RETARDED, RunConfig, run
 from wgqed.dynamics import default_time_grid, modal_expansion
 from wgqed.emission import default_tau_grid, emission_spectrum, sampled_amplitudes
 from wgqed.hamiltonian import pair_distances
+from wgqed import spectral
 from wgqed.spectral import (
     FFT_COLUMNS,
     HALF_WIDTH,
+    MAX_GRID_POINTS,
+    MIN_SPAN_FACTOR,
     OVERSAMPLING,
     SCATTER_CHUNK,
     TIME_BLOCK,
@@ -43,16 +49,18 @@ from test_hamiltonian import random_array
 
 
 def test_grid_rule_worked_example():
-    # Gamma_fast = 5, t_max = 12: span at least [-100, 100], spacing <= 2 pi/24
+    # Gamma_fast = 5, t_max = 12: span at least [-100, 100], spacing <= 2 pi/24,
+    # so at least 1 + 200 x 12 / pi = 764.9 points; 768 is the first even size
+    # whose FFT grid (1152 = 2^7 3^2) is 5-smooth
     grid = build_grid(5.0, t_max=12.0)
-    assert grid.n_points == 1024
+    assert grid.n_points == 768
     assert grid.delta_min == -100.0 and grid.delta_max == 100.0
     assert grid.spacing <= 2 * np.pi / 24
 
 
 def test_grid_rule_scales_with_t_max():
     grid = build_grid(5.0, t_max=24.0)
-    assert grid.n_points == 2048
+    assert grid.n_points == 1536
 
 
 def test_grid_rule_errors():
@@ -64,6 +72,98 @@ def test_grid_rule_errors():
         build_grid(5.0, t_max=1.0, span_factor=5.0)
     with pytest.raises(GridResolutionError, match="reduce"):
         build_grid(1e5, t_max=100.0)
+
+
+def _five_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def _admissible(m):
+    """An even grid size whose FFT grid, int(OVERSAMPLING m) nodes, is 5-smooth."""
+    return m % 2 == 0 and _five_smooth(int(OVERSAMPLING * m))
+
+
+def _previous_admissible(m):
+    m -= 2
+    while not _admissible(m):
+        m -= 2
+    return m
+
+
+@given(
+    gamma_fast=st.floats(-1.0, 2.0).map(lambda e: 10.0**e),
+    t_max=st.floats(-1.0, 3.5).map(lambda e: 10.0**e),
+    span=st.floats(MIN_SPAN_FACTOR, 400.0),
+    doublings=st.integers(0, 1),
+)
+def test_grid_rule_is_the_smallest_admissible_size(gamma_fast, t_max, span, doublings):
+    tracemalloc.start()
+    try:
+        grid = build_grid(gamma_fast, t_max, span, doublings)
+    except GridResolutionError:
+        grid = None
+        # the cap is checked before any array of the grid's size is made
+        assert tracemalloc.get_traced_memory()[1] < 2**16
+    finally:
+        tracemalloc.stop()
+    # under a cap four times higher the rule gives the same grid, and one
+    # over the real cap exactly where the real cap refused it
+    with patch.object(spectral, "MAX_GRID_POINTS", 4 * MAX_GRID_POINTS):
+        try:
+            wide = build_grid(gamma_fast, t_max, span, doublings).n_points
+        except GridResolutionError:
+            wide = math.inf
+    assert (grid is None) == (wide > MAX_GRID_POINTS)
+    if grid is None:
+        return
+    assert grid.n_points == wide
+    assert grid.delta_min == -span * gamma_fast and grid.delta_max == span * gamma_fast
+    m = grid.n_points >> doublings
+    assert grid.n_points == m << doublings and _admissible(m)
+    # the window, as time_domain compares it, holds 2 t_max at the smallest
+    # size and at least twice that with each doubling
+    smallest = SpectralGrid(grid.delta_min, grid.delta_max, m)
+    assert smallest.alias_window / 2 >= t_max
+    assert grid.alias_window / 2 >= 2**doublings * t_max
+    # and no smaller admissible size above the kernel's 2 HALF_WIDTH nodes does
+    if m > 2 * HALF_WIDTH:
+        previous = SpectralGrid(grid.delta_min, grid.delta_max, _previous_admissible(m))
+        assert previous.alias_window / 2 < t_max
+
+
+def test_sweep_chunks_are_equal_and_do_not_change_the_sweep(params, monkeypatch):
+    # fig7b --scale 0.05 (N = 55) on its 2160-point grid: the chunks are
+    # ceil(M / SCATTER_CHUNK) equal ones, and every size solves every
+    # detuning bit for bit alike
+    chain = SCENARIOS["fig7b"].build(0.05, 0, params)
+    arr = build_chain(chain)
+    psi0 = dicke_initial_state(arr, params)
+    gamma_fast = collective_rate(max(chain.n_left, chain.n_center, chain.n_right), params)
+    t_max = SCENARIOS["fig7b"].t_max_in_ext_lifetimes / params.gamma_ext
+    grid = build_grid(gamma_fast, t_max, SPAN_FACTOR_RETARDED)
+    assert grid.n_points == 2160
+    solve, lengths = spectral._scatter_chunk, []
+
+    def recorded(deltas, *args):
+        lengths.append(len(deltas))
+        return solve(deltas, *args)
+
+    monkeypatch.setattr(spectral, "_scatter_chunk", recorded)
+    sweeps = {}
+    for chunk, expected in ((517, [432] * 5), (1000, [720] * 3), (1080, [1080] * 2),
+                            (2048, [1080] * 2), (2160, [2160])):
+        monkeypatch.setattr(spectral, "SCATTER_CHUNK", chunk)
+        lengths.clear()
+        sweeps[chunk] = resolvent_sweep(arr, params, psi0, grid, retarded=True)
+        assert lengths == expected, chunk
+    reference = sweeps.pop(2048)
+    for chunk, sweep in sweeps.items():
+        for name in ("x", "outgoing", "lead"):
+            assert np.array_equal(getattr(sweep, name), getattr(reference, name)), (chunk, name)
+        assert sweep.residual_max == reference.residual_max, chunk
 
 
 def _direct_sum(grid, values, times):
@@ -302,8 +402,9 @@ def test_scattering_solve_matches_dense_on_random_geometries(params, retarded, m
     for n in (1, 2):
         psi0 = StateVector(np.ones(n) / np.sqrt(n))
         cases.append((random_array(rng, n), psi0, SpectralGrid(-30.0, 30.0, 257)))
-    # a last chunk of 300 detunings, solved in place in its slice of x, with
-    # psi0 on 3 of 9 atoms, so the second-order term carries unoccupied rows
+    # 2 SCATTER_CHUNK + 300 detunings, three chunks of 1465 or 1466, each
+    # solved in place in its slice of x, with psi0 on 3 of 9 atoms, so the
+    # second-order term carries unoccupied rows
     psi0 = StateVector(np.concatenate([np.zeros(3), np.ones(3) / np.sqrt(3), np.zeros(3)]))
     partial = SpectralGrid(-60.0, 60.0, 2 * SCATTER_CHUNK + 300)
     cases.append((random_array(rng, 9), psi0, partial))
@@ -725,9 +826,9 @@ def converged_cavity(params):
     return arr, psi0, gamma_fast, t_max, times, reference
 
 
-def _synthesis(arr, psi0, gamma_fast, t_max, span, times, params):
+def _synthesis(arr, psi0, gamma_fast, t_max, span, times, params, doublings=0):
     slices = resolvent_sweep(
-        arr, params, psi0, build_grid(gamma_fast, t_max, span), retarded=True
+        arr, params, psi0, build_grid(gamma_fast, t_max, span, doublings), retarded=True
     )
     return slices, time_domain(slices, times)
 
@@ -754,9 +855,17 @@ def test_synthesis_leak_tracks_the_trajectory_error(converged_cavity, params):
     error = np.max(np.abs(amplitudes - exact))
     leak = synthesis_leak(slices.arrival, times, amplitudes)
     assert error / 3 <= leak <= 3 * error
-    # negative times alone see only the window error of the short delays
+    # on a window wider than 2 t_max (the retried grid), negative times alone
+    # see only the window error of the short delays; on the smallest grid
+    # (1440 points) both read the same 3.1e-7
+    slices, traj = _synthesis(
+        arr, psi0, gamma_fast, t_max, SPAN_FACTOR_RETARDED, times, params, doublings=1
+    )
+    amplitudes = traj.amplitudes
     negative = np.where(times < 0, times, np.inf)
-    assert synthesis_leak(slices.arrival, negative, amplitudes) < leak
+    assert synthesis_leak(slices.arrival, negative, amplitudes) < synthesis_leak(
+        slices.arrival, times, amplitudes
+    )
 
 
 def test_synthesis_leak_reads_the_alias_of_a_short_window(converged_cavity, params):
@@ -810,8 +919,9 @@ def test_time_domain_allocates_less_than_the_sweep(params):
 
 
 def test_sweep_holds_x_and_one_chunk_buffer(monkeypatch):
-    # on fig7b --scale 0.05 (N = 55, M = 4096) every chunk solves in its slice
-    # of x with one N x SCATTER_CHUNK work buffer, and 1.5 MiB covers the
+    # on fig7b --scale 0.05 (N = 55, M = 2160, two equal chunks of 1080) every
+    # chunk solves in its slice of x with one N x 1080 work buffer, within the
+    # N x SCATTER_CHUNK of the bound, and 1.5 MiB covers the
     # chunk's vectors, outgoing and lead (about 1 MiB); one more chunk-sized
     # array breaks the bound, and the per-stage arrays this replaced traced
     # 18.1 MiB
@@ -831,7 +941,7 @@ def test_sweep_holds_x_and_one_chunk_buffer(monkeypatch):
     monkeypatch.setattr(cli, "resolvent_sweep", traced_sweep)
     run(RunConfig(scenario="fig7b", scale=0.05))
     [(slices, peak)] = traced
-    assert slices.x.shape == (4096, 55)
+    assert slices.x.shape == (2160, 55)
     assert peak < slices.x.nbytes + 55 * SCATTER_CHUNK * 16 + 1.5 * 2**20
 
 
@@ -956,14 +1066,18 @@ def test_times_beyond_alias_window_rejected(params):
 
 
 def test_grid_window_holds_t_max_at_the_exact_boundary(params):
-    # 2 half_span / (pi / t_max) = 1023 exactly, so 1024 points would space the
-    # grid at pi / t_max; here that spacing rounds to a window one ulp under
-    # 2 t_max, and the run's own +/- t_max would be rejected
+    # 2 half_span / (pi / t_max) = 1023 exactly, so 1024 points (an admissible
+    # size: its FFT grid is 1536 = 2^9 3) would space the grid at pi / t_max;
+    # here that spacing rounds to a window one ulp under 2 t_max, and the
+    # run's own +/- t_max would be rejected, so the rule steps on to the next
+    # admissible size
     gamma_fast = 1.299
     t_max = np.pi * 1023 / (40.0 * gamma_fast)
+    assert _admissible(1024)
     assert SpectralGrid(-20.0 * gamma_fast, 20.0 * gamma_fast, 1024).alias_window < 2 * t_max
     grid = build_grid(gamma_fast, t_max)
-    assert grid.alias_window / 2 >= t_max and grid.n_points == 2048
+    assert _previous_admissible(grid.n_points) == 1024
+    assert grid.alias_window / 2 >= t_max and grid.n_points == 1080
     arr, psi0 = _single_atom(params)
     slices = resolvent_sweep(arr, params, psi0, grid, retarded=False)
     traj = time_domain(slices, np.array([-t_max, t_max]))
@@ -971,12 +1085,19 @@ def test_grid_window_holds_t_max_at_the_exact_boundary(params):
 
 
 def test_grid_refinement_convergence(params):
+    # the 10/10/10 chain still holds p = 2.2e-4 at t_max = 8, so the smallest
+    # grid's 2 t_max window aliases it: its leak is over LEAK_TOL, and a run
+    # on it would sweep again at twice the points.  Refining from that
+    # retried grid (2x to 4x) leaves the populations in place
     arr = build_chain(ChainSpec(10, 10, 10))
     psi0 = dicke_initial_state(arr, params)
     t = np.linspace(0.0, 8.0, 100)
+    base = build_grid(2.5, t_max=8.0, span_factor=200)
+    slices = resolvent_sweep(arr, params, psi0, base, retarded=True)
+    early = -t[:0:-1]
+    assert synthesis_leak(slices.arrival, early, time_domain(slices, early).amplitudes) > LEAK_TOL
     pops = []
-    for n_extra in (1, 2):
-        base = build_grid(2.5, t_max=8.0, span_factor=200)
+    for n_extra in (2, 4):
         grid = SpectralGrid(base.delta_min, base.delta_max, base.n_points * n_extra)
         slices = resolvent_sweep(arr, params, psi0, grid, retarded=True)
         pops.append(time_domain(slices, t).population)
